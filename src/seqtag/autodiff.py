@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A Tensor wraps a numpy array together with a gradient buffer and links to the
-tensors it was computed from.  Every operation records a closure that knows how
-to push the output adjoint back into its parents, so calling backward() on a
-scalar result fills .grad of every upstream tensor that requires it.  The graph
-is dynamic: it is rebuilt from scratch on every forward pass, which keeps
-variable-length sequence models simple.
+tensors it was computed from.  Every operation records a closure that takes
+the output adjoint and pushes it back into its parents, so calling backward()
+on a scalar result fills .grad of every upstream tensor that requires it.  A
+closure holds the parents and the arrays it needs, never its own output, so a
+graph contains no reference cycle and is freed as soon as its root is.  The
+graph is dynamic: it is rebuilt from scratch on every forward pass, which
+keeps variable-length sequence models simple.
+
+Inside a no_grad() block operations only compute values: their results carry
+no parents, no closure and no gradient buffer.
 
 All arithmetic is 64-bit.  Gradients accumulate additively; callers zero them
 between optimization steps.
@@ -13,19 +18,39 @@ between optimization steps.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: for inference, where nothing is
+    differentiated."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
 
 class Tensor:
-    """Node of the differentiation graph: values, gradient, and provenance."""
+    """Node of the differentiation graph: values, gradient, and provenance.
+
+    grad is a zero buffer of data's shape when requires_grad is set, None
+    otherwise.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if requires_grad else None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = None
@@ -40,7 +65,8 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def item(self):
         return float(self.data)
@@ -70,9 +96,14 @@ class Tensor:
         return matmul(self, other)
 
 
-def _result(data, parents, op):
+def _result(data, parents, op, backward_fn):
+    """Output node of an operation; backward_fn(grad) pushes the output
+    adjoint into the parents."""
+    if not _grad_enabled:
+        return Tensor(data, _op=op)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
                  _parents=tuple(parents), _op=op)
+    out._backward = backward_fn
     return out
 
 
@@ -112,7 +143,7 @@ def backward(root: Tensor) -> None:
     root.grad = np.asarray(1.0)
     for node in reversed(order):
         if node._backward is not None and node.requires_grad:
-            node._backward()
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +156,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D @ 1-or-2-D, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = _result(a.data @ b.data, (a, b), "matmul")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if b.data.ndim == 1:
             if a.requires_grad:
                 a.grad += np.outer(g, b.data)
@@ -140,120 +169,90 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 b.grad += a.data.T @ g
 
-    out._backward = _bw
-    return out
+    return _result(a.data @ b.data, (a, b), "matmul", _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add requires equal shapes, got {a.shape} and {b.shape}")
-    out = _result(a.data + b.data, (a, b), "add")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += out.grad
+            a.grad += g
         if b.requires_grad:
-            b.grad += out.grad
+            b.grad += g
 
-    out._backward = _bw
-    return out
+    return _result(a.data + b.data, (a, b), "add", _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
-    out = _result(a.data * b.data, (a, b), "mul")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a.grad += out.grad * b.data
+            a.grad += g * b.data
         if b.requires_grad:
-            b.grad += out.grad * a.data
+            b.grad += g * a.data
 
-    out._backward = _bw
-    return out
+    return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = _result(x.data * c, (x,), "scale")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad * c
+            x.grad += g * c
 
-    out._backward = _bw
-    return out
+    return _result(x.data * c, (x,), "scale", _bw)
+
+
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    # split by sign to avoid overflow in exp
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    # split by sign to avoid overflow in exp
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = _result(s, (x,), "sigmoid")
+    s = _sigmoid(x.data)
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad * out.data * (1.0 - out.data)
+            x.grad += g * s * (1.0 - s)
 
-    out._backward = _bw
-    return out
+    return _result(s, (x,), "sigmoid", _bw)
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = _result(np.tanh(x.data), (x,), "tanh")
+    t = np.tanh(x.data)
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad * (1.0 - out.data * out.data)
+            x.grad += g * (1.0 - t * t)
 
-    out._backward = _bw
-    return out
+    return _result(t, (x,), "tanh", _bw)
 
 
 def exp(x: Tensor) -> Tensor:
-    out = _result(np.exp(x.data), (x,), "exp")
+    e = np.exp(x.data)
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad * out.data
+            x.grad += g * e
 
-    out._backward = _bw
-    return out
+    return _result(e, (x,), "exp", _bw)
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("log requires strictly positive values")
-    out = _result(np.log(x.data), (x,), "log")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad / x.data
+            x.grad += g / x.data
 
-    out._backward = _bw
-    return out
-
-
-_ELEMENTWISE = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-}
-
-
-def elementwise(op: str, *args) -> Tensor:
-    """Dispatch by name over the elementwise operation set."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise UsageError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
+    return _result(np.log(x.data), (x,), "log", _bw)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -269,20 +268,19 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
             if ax != axis and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError(
                     f"concat off-axis dimensions disagree: {parts[0].shape} vs {p.shape}")
-    out = _result(np.concatenate([p.data for p in parts], axis=axis), parts, "concat")
     sizes = [p.shape[axis] for p in parts]
 
-    def _bw():
+    def _bw(g):
         offset = 0
         for p, n in zip(parts, sizes):
             if p.requires_grad:
                 index = [slice(None)] * ndim
                 index[axis] = slice(offset, offset + n)
-                p.grad += out.grad[tuple(index)]
+                p.grad += g[tuple(index)]
             offset += n
 
-    out._backward = _bw
-    return out
+    return _result(np.concatenate([p.data for p in parts], axis=axis), parts,
+                   "concat", _bw)
 
 
 def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
@@ -300,16 +298,14 @@ def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
     e = np.where(np.isneginf(d), 0.0, np.exp(shifted))
     s = np.sum(e, axis=axis)
     value = np.where(finite, m_safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-    out = _result(value, (x,), "log_sum_exp")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
             denom = np.where(s > 0.0, s, 1.0)
             p = e / np.expand_dims(denom, axis)
-            x.grad += np.expand_dims(out.grad, axis) * p
+            x.grad += np.expand_dims(g, axis) * p
 
-    out._backward = _bw
-    return out
+    return _result(value, (x,), "log_sum_exp", _bw)
 
 
 def lookup(table: Tensor, idx: int) -> Tensor:
@@ -319,14 +315,57 @@ def lookup(table: Tensor, idx: int) -> Tensor:
     idx = int(idx)
     if not 0 <= idx < table.shape[0]:
         raise IndexError(f"lookup id {idx} out of range [0, {table.shape[0]})")
-    out = _result(table.data[idx].copy(), (table,), "lookup")
 
-    def _bw():
+    def _bw(g):
         if table.requires_grad:
-            table.grad[idx] += out.grad
+            table.grad[idx] += g
 
-    out._backward = _bw
-    return out
+    return _result(table.data[idx].copy(), (table,), "lookup", _bw)
+
+
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Rows of a 2-D table picked by an integer id array of any shape.
+
+    The result has shape ids.shape + (table columns,).  Backward adds each
+    output row into its table row, so repeated ids accumulate.
+    """
+    if table.data.ndim != 2:
+        raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise UsageError(f"gather_rows ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.intp)
+    if ids.size and not (0 <= ids.min() and ids.max() < table.shape[0]):
+        raise IndexError(f"gather_rows ids outside [0, {table.shape[0]})")
+
+    def _bw(g):
+        if table.requires_grad:
+            np.add.at(table.grad, ids, g)
+
+    return _result(table.data[ids], (table,), "gather_rows", _bw)
+
+
+def _is_basic_index(index) -> bool:
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
+def take(x: Tensor, index) -> Tensor:
+    """x.data[index] for a basic index: integers, slices and Ellipsis.
+
+    Basic indexing never selects an element twice, so backward adds the
+    adjoint into the selected view.
+    """
+    if not _is_basic_index(index):
+        raise UsageError(f"take needs integers, slices or Ellipsis, got {index!r}")
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad[index] += g
+
+    return _result(x.data[index].copy(), (x,), "take", _bw)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -336,14 +375,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     if not training or p == 0.0:
         return x
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = _result(x.data * keep, (x,), "dropout")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad * keep
+            x.grad += g * keep
 
-    out._backward = _bw
-    return out
+    return _result(x.data * keep, (x,), "dropout", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +389,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    out = _result(x.data.reshape(shape), (x,), "reshape")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad.reshape(x.shape)
+            x.grad += g.reshape(x.shape)
 
-    out._backward = _bw
-    return out
+    return _result(x.data.reshape(shape), (x,), "reshape", _bw)
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
@@ -368,52 +403,141 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         data = np.broadcast_to(x.data, shape)
     except ValueError:
         raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from None
-    out = _result(data.copy(), (x,), "broadcast")
     extra = len(shape) - x.data.ndim
     summed_axes = tuple(range(extra)) + tuple(
         extra + i for i, n in enumerate(x.shape) if n == 1 and shape[extra + i] != 1)
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            g = out.grad.sum(axis=summed_axes) if summed_axes else out.grad
+            g = g.sum(axis=summed_axes) if summed_axes else g
             x.grad += g.reshape(x.shape)
 
-    out._backward = _bw
-    return out
+    return _result(data.copy(), (x,), "broadcast", _bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-    out = _result(x.data.T.copy(), (x,), "transpose")
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x.grad += out.grad.T
+            x.grad += g.T
 
-    out._backward = _bw
-    return out
+    return _result(x.data.T.copy(), (x,), "transpose", _bw)
 
 
 def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    out = _result(np.sum(x.data, axis=axis), (x,), "sum")
-
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            if axis is None:
-                x.grad += out.grad
-            else:
-                x.grad += np.expand_dims(out.grad, axis)
+            x.grad += g if axis is None else np.expand_dims(g, axis)
 
-    out._backward = _bw
-    return out
+    return _result(np.sum(x.data, axis=axis), (x,), "sum", _bw)
 
 
 def stack(rows: list[Tensor]) -> Tensor:
     """Stack 1-D tensors of equal length into a matrix, one per row."""
-    return concat([reshape(r, (1, r.size)) for r in rows], axis=0)
+    if not rows:
+        raise UsageError("stack of zero tensors")
+    for r in rows:
+        if r.data.ndim != 1 or r.shape != rows[0].shape:
+            raise ShapeError(f"stack needs 1-D rows of equal length, got "
+                             f"{rows[0].shape} and {r.shape}")
+
+    def _bw(g):
+        for r, g_row in zip(rows, g):
+            if r.requires_grad:
+                r.grad += g_row
+
+    return _result(np.stack([r.data for r in rows]), rows, "stack", _bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D tensors."""
-    return tensor_sum(mul(a, b))
+# ---------------------------------------------------------------------------
+# fused recurrent operation
+
+
+def lstm_scan(x: Tensor, lengths, w_x, w_h, b_x, b_h) -> Tensor:
+    """A length-masked LSTM over a padded batch, as one node.
+
+    x is (B, L, D); sequence b occupies x[b, :lengths[b]] and every length
+    lies in [1, L].  w_x, w_h, b_x and b_h each hold four tensors, for the
+    input, forget, cell and output gates in that order: input-side weights
+    (H, D), hidden-side weights (H, H), input-side biases (H,) and
+    hidden-side biases (H,).  They are stacked per call, so the caller keeps
+    its per-gate tensors.  From a zero initial state, step t computes
+
+        z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
+        c = f * c + i * g,                      h = o * tanh(c)
+
+    Returns the hidden states (B, L, H).  Past its length a sequence keeps its
+    state, so out[:, -1] holds every sequence's final state.  Backward runs
+    through time by hand.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"lstm_scan expects a (batch, steps, dim) input, got {x.shape}")
+    B, L, D = x.shape
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,):
+        raise ShapeError(f"lstm_scan got {lengths.shape} lengths for batch {B}")
+    if B and not (1 <= lengths.min() and lengths.max() <= L):
+        raise UsageError(f"lstm_scan lengths must lie in [1, {L}]")
+    gates = [list(w_x), list(w_h), list(b_x), list(b_h)]
+    if any(len(group) != 4 for group in gates):
+        raise UsageError("lstm_scan needs four tensors per weight group")
+    H = gates[1][0].shape[0]
+    for group, shape in zip(gates, ((H, D), (H, H), (H,), (H,))):
+        for t in group:
+            if t.shape != shape:
+                raise ShapeError(f"lstm_scan gate tensor has shape {t.shape}, "
+                                 f"expected {shape}")
+    Wx, Wh, bx, bh = (np.concatenate([t.data for t in group]) for group in gates)
+
+    xp = x.data @ Wx.T  # (B, L, 4H): the input side of every step at once
+    active = np.arange(L)[:, None] < lengths[None, :]  # (L, B)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.empty((B, L, H))
+    saved = []  # per step: previous state, gate activations, tanh(new cell)
+    for t in range(L):
+        z = xp[:, t] + bx + h @ Wh.T + bh
+        s = _sigmoid(z)
+        i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
+        g = np.tanh(z[:, 2 * H:3 * H])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        saved.append((h, c, i, f, g, o, tc))
+        m = active[t][:, None]
+        h, c = np.where(m, o * tc, h), np.where(m, c_new, c)
+        out[:, t] = h
+
+    def _bw(gout):
+        dz_all = np.zeros((B, L, 4 * H))
+        dWh = np.zeros_like(Wh)
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in range(L - 1, -1, -1):
+            h_prev, c_prev, i, f, g, o, tc = saved[t]
+            m = active[t][:, None]
+            dh = dh + gout[:, t]
+            dc_new = dc + dh * o * (1.0 - tc * tc)
+            dz = np.concatenate([dc_new * g * i * (1.0 - i),
+                                 dc_new * c_prev * f * (1.0 - f),
+                                 dc_new * i * (1.0 - g * g),
+                                 dh * tc * o * (1.0 - o)], axis=1)
+            # a finished sequence passes its adjoints straight through
+            dz *= m
+            dz_all[:, t] = dz
+            dWh += dz.T @ h_prev
+            dh = np.where(m, dz @ Wh, dh)
+            dc = np.where(m, dc_new * f, dc)
+        flat = dz_all.reshape(B * L, 4 * H)
+        dWx = flat.T @ x.data.reshape(B * L, D)
+        db = flat.sum(axis=0)
+        for group, grad in zip(gates, (dWx, dWh, db, db)):
+            for k, t in enumerate(group):
+                if t.requires_grad:
+                    t.grad += grad[k * H:(k + 1) * H]
+        if x.requires_grad:
+            x.grad += dz_all @ Wx
+
+    parents = [x] + [t for group in gates for t in group]
+    return _result(out, parents, "lstm_scan", _bw)

@@ -4,6 +4,10 @@ A token can be represented by up to four concatenated sources: a word vector,
 a character-BiLSTM summary, a morphological-analysis-BiLSTM summary, and a
 subword-piece-BiLSTM summary.  Sentences are then encoded either by a
 bidirectional LSTM or by a small trainable transformer encoder.
+
+Every LSTM runs as one fused autodiff op (autodiff.lstm_scan) per direction:
+the composers summarize all words of a sentence in one padded batch, and the
+sentence encoder scans the whole sentence as a batch of one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -171,42 +175,29 @@ class LSTMCellParams:
                  "b_ii", "b_hi", "b_if", "b_hf", "b_ig", "b_hg", "b_io", "b_ho")
         return {prefix + n: getattr(self, n) for n in names}
 
-
-def lstm_step(p: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM cell update; returns (h_t, c_t)."""
-    if x_t.shape != (p.W_ii.shape[1],):
-        raise ShapeError(f"lstm_step input has shape {x_t.shape}, "
-                         f"cell expects ({p.W_ii.shape[1]},)")
-    if h_prev.shape != (p.hidden_dim,) or c_prev.shape != (p.hidden_dim,):
-        raise ShapeError(f"lstm_step state shapes {h_prev.shape}/{c_prev.shape} "
-                         f"do not match hidden dim {p.hidden_dim}")
-    i = ad.sigmoid(p.W_ii @ x_t + p.b_ii + p.W_hi @ h_prev + p.b_hi)
-    f = ad.sigmoid(p.W_if @ x_t + p.b_if + p.W_hf @ h_prev + p.b_hf)
-    g = ad.tanh(p.W_ig @ x_t + p.b_ig + p.W_hg @ h_prev + p.b_hg)
-    o = ad.sigmoid(p.W_io @ x_t + p.b_io + p.W_ho @ h_prev + p.b_ho)
-    c_t = f * c_prev + i * g
-    h_t = o * ad.tanh(c_t)
-    return h_t, c_t
+    def scan(self, x: Tensor, lengths) -> Tensor:
+        """Hidden states (B, L, H) of this direction over a padded batch."""
+        return ad.lstm_scan(x, lengths,
+                            (self.W_ii, self.W_if, self.W_ig, self.W_io),
+                            (self.W_hi, self.W_hf, self.W_hg, self.W_ho),
+                            (self.b_ii, self.b_if, self.b_ig, self.b_io),
+                            (self.b_hi, self.b_hf, self.b_hg, self.b_ho))
 
 
-def lstm_run(p: LSTMCellParams, xs: list[Tensor]) -> list[Tensor]:
-    """Hidden states over the sequence, zero initial state."""
-    h = Tensor(np.zeros(p.hidden_dim))
-    c = Tensor(np.zeros(p.hidden_dim))
-    out = []
-    for x in xs:
-        h, c = lstm_step(p, x, h, c)
-        out.append(h)
-    return out
+def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor) -> Tensor:
+    """Per-position concatenation of forward and backward hidden states.
 
-
-def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, xs: list[Tensor]) -> list[Tensor]:
-    """Per-position concatenation of forward and backward hidden states."""
-    if not xs:
-        raise UsageError("bilstm_encode requires a non-empty sequence")
-    hs_f = lstm_run(fwd, xs)
-    hs_b = lstm_run(bwd, xs[::-1])[::-1]
-    return [ad.concat([hf, hb]) for hf, hb in zip(hs_f, hs_b)]
+    x is (n, D), one row per position; the result is (n, 2H).
+    """
+    if x.data.ndim != 2 or x.shape[0] == 0:
+        raise UsageError(f"bilstm_encode requires a non-empty (n, D) sequence, "
+                         f"got shape {x.shape}")
+    seq = ad.reshape(x, (1,) + x.shape)
+    lengths = [x.shape[0]]
+    flip = slice(None, None, -1)
+    h_f = ad.take(fwd.scan(seq, lengths), 0)
+    h_b = ad.take(bwd.scan(ad.take(seq, (slice(None), flip)), lengths), (0, flip))
+    return ad.concat([h_f, h_b], axis=1)
 
 
 @dataclass
@@ -219,16 +210,28 @@ class BiLSTM:
         return cls(fwd=LSTMCellParams.init(input_dim, hidden_dim, rng),
                    bwd=LSTMCellParams.init(input_dim, hidden_dim, rng))
 
-    def encode(self, xs: list[Tensor]) -> list[Tensor]:
-        return bilstm_encode(self.fwd, self.bwd, xs)
+    def encode(self, x: Tensor) -> Tensor:
+        return bilstm_encode(self.fwd, self.bwd, x)
 
-    def final_states(self, xs: list[Tensor]) -> Tensor:
-        """concat(last forward hidden, last backward hidden)."""
-        if not xs:
-            raise UsageError("empty sequence")
-        h_f = lstm_run(self.fwd, xs)[-1]
-        h_b = lstm_run(self.bwd, xs[::-1])[-1]
-        return ad.concat([h_f, h_b])
+    def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
+        """concat(last forward hidden, last backward hidden) of each id
+        sequence, embedded from the rows of table; (len(sequences), 2H).
+
+        All sequences run through one scan per direction; the backward one
+        reads each sequence's ids reversed.
+        """
+        if not sequences or not all(sequences):
+            raise UsageError("final_states needs at least one sequence and no empty one")
+        lengths = [len(s) for s in sequences]
+        ids = np.zeros((len(sequences), max(lengths)), dtype=np.intp)
+        reverse = np.zeros_like(ids)
+        for b, s in enumerate(sequences):
+            ids[b, :len(s)] = s
+            reverse[b, :len(s)] = s[::-1]
+        last = (slice(None), -1)
+        h_f = ad.take(self.fwd.scan(ad.gather_rows(table, ids), lengths), last)
+        h_b = ad.take(self.bwd.scan(ad.gather_rows(table, reverse), lengths), last)
+        return ad.concat([h_f, h_b], axis=1)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.fwd.named_parameters(prefix + "fwd.")
@@ -237,29 +240,31 @@ class BiLSTM:
 
 
 # ---------------------------------------------------------------------------
-# per-token composers
+# composers: one call covers every word of a sentence
 
 
-def char_compose(char_table: EmbeddingTable, char_bilstm: BiLSTM, word: str) -> Tensor:
-    """Word vector from its characters: BiLSTM final states over char embeddings."""
-    if not word:
-        raise UsageError("char_compose requires a non-empty word")
-    return char_bilstm.final_states([char_table.embed(ch) for ch in word])
+def _compose(table: EmbeddingTable, bilstm: BiLSTM, sequences) -> Tensor:
+    return bilstm.final_states(table.matrix,
+                               [[table.id_of(tok) for tok in seq] for seq in sequences])
 
 
-def morph_compose(char_table: EmbeddingTable, morph_bilstm: BiLSTM, analysis: str) -> Tensor:
-    """Same shape as char_compose, run over the full morphological analysis string."""
-    if not analysis:
-        raise UsageError("morph_compose requires a non-empty analysis")
-    return morph_bilstm.final_states([char_table.embed(ch) for ch in analysis])
+def char_compose(char_table: EmbeddingTable, char_bilstm: BiLSTM,
+                 words: list[str]) -> Tensor:
+    """Word vectors from their characters: BiLSTM final states over char
+    embeddings, one row per word."""
+    return _compose(char_table, char_bilstm, words)
+
+
+def morph_compose(char_table: EmbeddingTable, morph_bilstm: BiLSTM,
+                  analyses: list[str]) -> Tensor:
+    """Same shape as char_compose, run over each full morphological analysis string."""
+    return _compose(char_table, morph_bilstm, analyses)
 
 
 def subword_compose(piece_table: EmbeddingTable, sw_bilstm: BiLSTM,
-                    pieces: list[str]) -> Tensor:
-    """Word vector from its subword pieces."""
-    if not pieces:
-        raise UsageError("subword_compose requires a non-empty piece list")
-    return sw_bilstm.final_states([piece_table.embed(p) for p in pieces])
+                    pieces: list[list[str]]) -> Tensor:
+    """Word vectors from each word's subword pieces."""
+    return _compose(piece_table, sw_bilstm, pieces)
 
 
 @dataclass
@@ -334,22 +339,34 @@ class InputComposer:
             kw["subword_bilstm"] = BiLSTM.init(cfg.subword_dim, cfg.subword_hidden, rng)
         return cls(cfg, **kw)
 
-    def compose_input(self, word: str, analysis: str | None = None,
-                      pieces: list[str] | None = None) -> Tensor:
+    def compose_input(self, words: list[str], analyses: list | None = None,
+                      pieces: list[list[str]] | None = None) -> Tensor:
+        """Input rows (len(words), output_dim) of one sentence.
+
+        analyses, when given, holds each word's morphological analysis; a
+        word without one falls back to its surface string.  pieces holds each
+        word's subword pieces and is required by the subword source.
+        """
+        if not words:
+            raise UsageError("compose_input requires at least one word")
+        for name, per_word in (("analyses", analyses), ("pieces", pieces)):
+            if per_word is not None and len(per_word) != len(words):
+                raise UsageError(f"{len(per_word)} {name} for {len(words)} words")
         parts = []
         if self.cfg.use_word:
-            parts.append(self.word_table.embed(word))
+            table = self.word_table
+            parts.append(ad.gather_rows(table.matrix, [table.id_of(w) for w in words]))
         if self.cfg.use_char:
-            parts.append(char_compose(self.char_table, self.char_bilstm, word))
+            parts.append(char_compose(self.char_table, self.char_bilstm, words))
         if self.cfg.use_morph:
-            # tokens without an analysis fall back to their surface string
+            analyses = analyses or [None] * len(words)
             parts.append(morph_compose(self.morph_table, self.morph_bilstm,
-                                       analysis or word))
+                                       [a or w for w, a in zip(words, analyses)]))
         if self.cfg.use_subword:
-            if not pieces:
+            if pieces is None:
                 raise UsageError("subword source enabled but no pieces supplied")
             parts.append(subword_compose(self.piece_table, self.subword_bilstm, pieces))
-        return parts[0] if len(parts) == 1 else ad.concat(parts)
+        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}

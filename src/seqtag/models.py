@@ -143,17 +143,17 @@ class SequenceTagger:
         return ad.add(ad.matmul(self.w_out, h), self.b_out)
 
     def _bilstm_rows(self, words, morphs, training, rng):
-        xs = []
-        for i, word in enumerate(words):
-            analysis = morphs[i] if morphs else None
-            pieces = None
-            if self.composer.cfg.use_subword:
-                pieces = segment(self.tokenizer, word)
-            xs.append(self.composer.compose_input(word, analysis, pieces))
-        if training and self.dropout_p > 0.0:
-            xs = [ad.dropout(x, self.dropout_p, True, rng) for x in xs]
-        hs = self.encoder.encode(xs)
-        return [self._project(h) for h in hs], list(range(len(words)))
+        pieces = None
+        if self.composer.cfg.use_subword:
+            pieces = [segment(self.tokenizer, word) for word in words]
+        x = self.composer.compose_input(words, morphs or None, pieces)
+        if training:
+            x = ad.dropout(x, self.dropout_p, True, rng)
+        h = self.encoder.encode(x)
+        n, T = len(words), self.b_out.size
+        bias = ad.broadcast_to(ad.reshape(self.b_out, (1, T)), (n, T))
+        emissions = ad.add(ad.matmul(h, ad.transpose(self.w_out)), bias)
+        return [ad.take(emissions, w) for w in range(n)], list(range(n))
 
     def _transformer_rows(self, words, training, rng):
         pieces: list[str] = []
@@ -201,8 +201,9 @@ class SequenceTagger:
         """Tag strings for one sentence, in word order."""
         if not words:
             return []
-        rows, covered = self.emission_rows(words, morphs, training=False)
-        emissions = ad.stack(rows)
+        with ad.no_grad():
+            rows, covered = self.emission_rows(words, morphs, training=False)
+            emissions = ad.stack(rows)
         if mask_illegal is None:
             mask = self._mask
         else:

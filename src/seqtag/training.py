@@ -15,7 +15,7 @@ from .data import CorpusSplit, LabeledSentence, build_vocab
 from .errors import DivergenceError, UsageError
 from .evaluation import EvalReport, score
 from .models import SequenceTagger, TrainConfig, build_model, tag_corpus
-from .optim import AdamDecoupled, SGDMomentum, clip_gradients
+from .optim import AdamDecoupled, SGDMomentum, clip_gradients, lr_schedule
 from .subword import UnigramVocab, train_unigram
 
 log = logging.getLogger(__name__)
@@ -73,8 +73,9 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     Each epoch visits the training sentences in a fresh seeded shuffle;
     sentence losses accumulate over a mini-batch before one clipped update.
     The parameters kept at the end are those of the best-validation epoch.
-    A non-finite loss aborts with DivergenceError.  target_f1, when given,
-    stops early once validation F1 reaches it.
+    A non-finite loss or gradient norm aborts with DivergenceError before
+    the update.  target_f1, when given, stops early once validation F1
+    reaches it.
     """
     if not split.train or not split.valid:
         raise UsageError("training needs non-empty train and valid splits")
@@ -90,12 +91,12 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         opt = SGDMomentum(params, cfg.momentum)
     else:
         opt = AdamDecoupled(params)
-    lr = cfg.lr
     best_f1 = -1.0
     best_epoch = 0
     best_state = {name: t.data.copy() for name, t in named.items()}
     history: list[EpochMetrics] = []
     for epoch in range(1, cfg.epochs + 1):
+        lr = lr_schedule(cfg.lr, epoch - 1) if cfg.optimizer == "sgd-momentum" else cfg.lr
         order = rng.permutation(len(split.train))
         total = 0.0
         for batch in _batches(order, cfg.batch_size):
@@ -110,7 +111,9 @@ def train(cfg: TrainConfig, split: CorpusSplit,
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             ad.backward(loss)
-            clip_gradients(params, cfg.clip_norm)
+            norm = clip_gradients(params, cfg.clip_norm)
+            if not np.isfinite(norm):
+                raise DivergenceError(f"non-finite gradient norm at epoch {epoch}")
             opt.step(lr)
             total += value
         train_loss = total / len(split.train)
@@ -126,8 +129,6 @@ def train(cfg: TrainConfig, split: CorpusSplit,
             best_state = {name: t.data.copy() for name, t in named.items()}
         if target_f1 is not None and report.f1 >= target_f1:
             break
-        if cfg.optimizer == "sgd-momentum":
-            lr = lr / (1.0 + 0.05 * epoch)
     for name, tensor in named.items():
         tensor.data = best_state[name]
     return TrainResult(model, history, best_epoch, best_f1, tokenizer)

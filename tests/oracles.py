@@ -1,13 +1,19 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here is deliberately written the slow, obvious way (finite
-differences, exhaustive enumeration, direct counting) and shares no code with
-the implementation under test.
+differences, exhaustive enumeration, direct counting, one LSTM step at a
+time) and shares no code with the implementation under test; the LSTM
+reference composes the library's primitive autodiff ops, never the fused
+lstm_scan it checks.
 """
 
 import itertools
 
 import numpy as np
+
+import seqtag.autodiff as ad
+from seqtag.autodiff import Tensor
+from seqtag.errors import ShapeError
 
 
 def finite_diff(f, arrays, step=1e-5):
@@ -163,3 +169,35 @@ def naive_entity_scores(gold_corpus, pred_corpus):
         tf = 2 * tp * tr / (tp + tr) if tp + tr > 0 else 0.0
         per_type_scores[etype] = (tp, tr, tf, g)
     return p, r, f1, acc, per_type_scores
+
+
+# ---------------------------------------------------------------------------
+# LSTM reference: one cell update per graph step, from primitive ops
+
+
+def lstm_step(p, x_t, h_prev, c_prev):
+    """One LSTM cell update of LSTMCellParams p; returns (h_t, c_t)."""
+    if x_t.shape != (p.W_ii.shape[1],):
+        raise ShapeError(f"lstm_step input has shape {x_t.shape}, "
+                         f"cell expects ({p.W_ii.shape[1]},)")
+    if h_prev.shape != (p.hidden_dim,) or c_prev.shape != (p.hidden_dim,):
+        raise ShapeError(f"lstm_step state shapes {h_prev.shape}/{c_prev.shape} "
+                         f"do not match hidden dim {p.hidden_dim}")
+    i = ad.sigmoid(p.W_ii @ x_t + p.b_ii + p.W_hi @ h_prev + p.b_hi)
+    f = ad.sigmoid(p.W_if @ x_t + p.b_if + p.W_hf @ h_prev + p.b_hf)
+    g = ad.tanh(p.W_ig @ x_t + p.b_ig + p.W_hg @ h_prev + p.b_hg)
+    o = ad.sigmoid(p.W_io @ x_t + p.b_io + p.W_ho @ h_prev + p.b_ho)
+    c_t = f * c_prev + i * g
+    h_t = o * ad.tanh(c_t)
+    return h_t, c_t
+
+
+def lstm_run(p, xs):
+    """Hidden states over a list of input vectors, zero initial state."""
+    h = Tensor(np.zeros(p.hidden_dim))
+    c = Tensor(np.zeros(p.hidden_dim))
+    out = []
+    for x in xs:
+        h, c = lstm_step(p, x, h, c)
+        out.append(h)
+    return out

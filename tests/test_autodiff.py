@@ -63,7 +63,7 @@ def test_matmul_gradient_matches_finite_differences():
 def test_matvec_gradient():
     rng = np.random.default_rng(1)
     w = proj(rng, 3)
-    check_grad(lambda a, v: ad.dot(ad.matmul(a, v), w),
+    check_grad(lambda a, v: ad.tensor_sum(ad.mul(ad.matmul(a, v), w)),
                [rng.standard_normal((3, 5)), rng.standard_normal(5)])
 
 
@@ -86,13 +86,6 @@ def test_tanh_at_zero_with_unit_derivative():
 def test_sigmoid_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     check_grad(lambda x: ad.tensor_sum(ad.sigmoid(x)), [rng.standard_normal(7)])
-
-
-def test_elementwise_dispatch_and_unknown_op():
-    out = ad.elementwise("add", Tensor([1.0]), Tensor([2.0]))
-    assert out.data[0] == 3.0
-    with pytest.raises(UsageError):
-        ad.elementwise("relu", Tensor([1.0]))
 
 
 def test_binary_ops_require_equal_shapes():
@@ -208,6 +201,67 @@ def test_lookup_out_of_range():
         ad.lookup(Tensor(np.eye(3)), -1)
 
 
+def test_gather_rows_shape_and_bad_ids():
+    table = Tensor(np.arange(6.0).reshape(3, 2))
+    out = ad.gather_rows(table, [[2, 0], [2, 2]])
+    assert out.shape == (2, 2, 2)
+    assert np.array_equal(out.data[0, 0], [4.0, 5.0])
+    with pytest.raises(IndexError):
+        ad.gather_rows(table, [3])
+    with pytest.raises(IndexError):
+        ad.gather_rows(table, [-1])
+    with pytest.raises(UsageError):
+        ad.gather_rows(table, [1.0])
+
+
+def test_take_accepts_only_basic_indices():
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(ad.take(x, (Ellipsis, 1)).data, [1.0, 4.0])
+    for index in ([0, 0], np.array([1]), True, (0, [1])):
+        with pytest.raises(UsageError):
+            ad.take(x, index)
+    with pytest.raises(IndexError):
+        ad.take(x, 2)
+
+
+# ---------------------------------------------------------------------------
+# lstm_scan
+
+
+def _scan_weights(rng, d, h):
+    return ([Tensor(rng.standard_normal((h, d))) for _ in range(4)],
+            [Tensor(rng.standard_normal((h, h))) for _ in range(4)],
+            [Tensor(rng.standard_normal(h)) for _ in range(4)],
+            [Tensor(rng.standard_normal(h)) for _ in range(4)])
+
+
+def test_lstm_scan_carries_state_past_each_length():
+    rng = np.random.default_rng(13)
+    weights = _scan_weights(rng, 3, 2)
+    x = rng.standard_normal((2, 4, 3))
+    out = ad.lstm_scan(Tensor(x), [2, 4], *weights).data
+    alone = ad.lstm_scan(Tensor(x[:1, :2]), [2], *weights).data
+    assert np.max(np.abs(out[0, :2] - alone[0])) <= 1e-12
+    assert np.array_equal(out[0, 2], out[0, 1]) and np.array_equal(out[0, 3], out[0, 1])
+
+
+def test_lstm_scan_rejects_bad_lengths_and_shapes():
+    rng = np.random.default_rng(14)
+    w_x, w_h, b_x, b_h = _scan_weights(rng, 3, 2)
+    x = Tensor(np.zeros((2, 4, 3)))
+    for lengths in ([0, 4], [1, 5]):
+        with pytest.raises(UsageError):
+            ad.lstm_scan(x, lengths, w_x, w_h, b_x, b_h)
+    with pytest.raises(ShapeError):
+        ad.lstm_scan(x, [4], w_x, w_h, b_x, b_h)
+    with pytest.raises(ShapeError):
+        ad.lstm_scan(Tensor(np.zeros((2, 4))), [4, 4], w_x, w_h, b_x, b_h)
+    with pytest.raises(ShapeError):
+        ad.lstm_scan(Tensor(np.zeros((2, 4, 2))), [4, 4], w_x, w_h, b_x, b_h)
+    with pytest.raises(UsageError):
+        ad.lstm_scan(x, [4, 4], w_x[:3], w_h, b_x, b_h)
+
+
 # ---------------------------------------------------------------------------
 # dropout
 
@@ -259,7 +313,7 @@ def test_backward_of_dot_swaps_operands():
     rng = np.random.default_rng(6)
     xv, yv = rng.standard_normal(4), rng.standard_normal(4)
     x, y = Tensor(xv, requires_grad=True), Tensor(yv, requires_grad=True)
-    ad.backward(ad.dot(x, y))
+    ad.backward(ad.tensor_sum(ad.mul(x, y)))
     assert np.allclose(x.grad, yv)
     assert np.allclose(y.grad, xv)
 
@@ -323,6 +377,22 @@ def test_grad_zero_after_creation_and_zero_grad():
     ad.backward(ad.tensor_sum(x))
     x.zero_grad()
     assert np.array_equal(x.grad, np.zeros(4))
+    constant = Tensor(np.ones(4))  # no buffer unless a gradient is wanted
+    assert constant.grad is None
+    constant.zero_grad()
+    assert constant.grad is None
+
+
+def test_no_grad_records_no_graph_and_restores_on_exit():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeError), ad.no_grad():
+        inner = ad.sigmoid(x)
+        ad.add(x, Tensor(np.ones(2)))
+    assert inner._parents == () and inner._backward is None
+    assert inner.grad is None and not inner.requires_grad
+    assert np.array_equal(inner.data, ad.sigmoid(x).data)
+    outer = ad.sigmoid(x)
+    assert outer._parents == (x,) and outer.requires_grad
 
 
 def test_trace_topological_order():
@@ -343,6 +413,12 @@ def test_trace_topological_order():
 
 
 def _op_cases(rng):
+    # projections of the newer ops come from their own generator, so the
+    # draws of the older cases stay as they were
+    side = np.random.default_rng(12)
+    p_scan = proj(side, (3, 4, 2))
+    p_gather = proj(side, (2, 2, 3))
+    p_take = proj(side, 3)
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
     p23 = proj(rng, (2, 3))
@@ -352,7 +428,7 @@ def _op_cases(rng):
     return {
         "matmul": (lambda a, b: ad.tensor_sum(ad.mul(ad.matmul(a, b), p2)),
                    lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]),
-        "matvec": (lambda a, v: ad.dot(ad.matmul(a, v), p3),
+        "matvec": (lambda a, v: ad.tensor_sum(ad.mul(ad.matmul(a, v), p3)),
                    lambda: [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
         "add": (lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), p4)),
                 lambda: [rng.standard_normal(4), rng.standard_normal(4)]),
@@ -385,6 +461,20 @@ def _op_cases(rng):
                       lambda: [rng.standard_normal((3, 2))]),
         "sum_axis": (lambda a: ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=0), p4)),
                      lambda: [rng.standard_normal((3, 4))]),
+        # ragged batch with lengths 1 and L, padded positions included in the
+        # loss; gradients w.r.t. x and all 16 gate tensors
+        "lstm_scan": (lambda x, *w: ad.tensor_sum(ad.mul(
+            ad.lstm_scan(x, [4, 1, 3], w[0:4], w[4:8], w[8:12], w[12:16]), p_scan)),
+            lambda: [rng.standard_normal((3, 4, 3))]
+            + [rng.standard_normal((2, 3)) for _ in range(4)]
+            + [rng.standard_normal((2, 2)) for _ in range(4)]
+            + [rng.standard_normal(2) for _ in range(8)]),
+        "gather_rows": (lambda t: ad.tensor_sum(ad.mul(
+            ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather)),
+            lambda: [rng.standard_normal((4, 3))]),
+        "take": (lambda a: ad.tensor_sum(ad.mul(
+            ad.take(a, (slice(None, None, -1), 1)), p_take)),
+            lambda: [rng.standard_normal((3, 4))]),
     }
 
 

@@ -9,7 +9,7 @@ from seqtag import encoders as enc
 from seqtag.autodiff import Tensor
 from seqtag.errors import ConfigError, ShapeError, UsageError
 
-from oracles import finite_diff, max_rel_error
+from oracles import finite_diff, lstm_run, lstm_step, max_rel_error
 
 
 def sig(z):
@@ -48,7 +48,7 @@ def test_lstm_step_zero_params_zero_state():
     for t in p.named_parameters().values():
         t.data[...] = 0.0
     x = Tensor(rng.normal(size=3))
-    h, c = enc.lstm_step(p, x, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    h, c = lstm_step(p, x, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     # all gate preactivations are zero: i = f = o = 0.5, g = 0
     assert np.array_equal(c.data, np.zeros(4))
     assert np.array_equal(h.data, np.zeros(4))
@@ -61,7 +61,7 @@ def test_lstm_step_matches_straight_line_recompute():
         x = rng.normal(size=5)
         h0 = rng.normal(size=4)
         c0 = rng.normal(size=4)
-        h, c = enc.lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
+        h, c = lstm_step(p, Tensor(x), Tensor(h0), Tensor(c0))
         h_ref, c_ref = lstm_oracle(cell_arrays(p), x, h0, c0)
         assert np.max(np.abs(h.data - h_ref)) <= 1e-12
         assert np.max(np.abs(c.data - c_ref)) <= 1e-12
@@ -74,7 +74,7 @@ def test_lstm_step_saturated_forget_gate_carries_cell_state():
         t.data[...] = 0.0
     p.b_hf.data[...] = 30.0  # forget gate pinned at sigmoid(30) ~ 1
     c0 = rng.normal(size=4)
-    _, c1 = enc.lstm_step(p, Tensor(rng.normal(size=3)), Tensor(np.zeros(4)), Tensor(c0))
+    _, c1 = lstm_step(p, Tensor(rng.normal(size=3)), Tensor(np.zeros(4)), Tensor(c0))
     # g = tanh(0) = 0, so the cell state passes through unchanged
     assert np.max(np.abs(c1.data - c0)) < 1e-9
 
@@ -83,9 +83,9 @@ def test_lstm_step_shape_errors():
     rng = np.random.default_rng(9)
     p = enc.LSTMCellParams.init(3, 4, rng)
     with pytest.raises(ShapeError):
-        enc.lstm_step(p, Tensor(np.zeros(5)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        lstm_step(p, Tensor(np.zeros(5)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
-        enc.lstm_step(p, Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(4)))
+        lstm_step(p, Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(4)))
 
 
 def test_lstm_step_gradients_match_finite_differences():
@@ -105,8 +105,9 @@ def test_lstm_step_gradients_match_finite_differences():
         for k, a in zip(names, arrays[:-1]):
             getattr(q, k).data[...] = a
         xt = Tensor(arrays[-1], requires_grad=True)
-        h, c = enc.lstm_step(q, xt, Tensor(h0), Tensor(c0))
-        return q, xt, ad.dot(h, Tensor(proj)) + ad.dot(c, Tensor(proj))
+        h, c = lstm_step(q, xt, Tensor(h0), Tensor(c0))
+        return q, xt, (ad.tensor_sum(ad.mul(h, Tensor(proj)))
+                       + ad.tensor_sum(ad.mul(c, Tensor(proj))))
 
     inputs = [base[k] for k in names] + [x]
     q, xt, loss = rebuild(inputs)
@@ -131,8 +132,8 @@ def test_bilstm_encode_matches_manual_unroll():
     fwd = random_cell(rng, 3, 2)
     bwd = random_cell(rng, 3, 2)
     xs_np = [rng.normal(size=3) for _ in range(3)]
-    out = enc.bilstm_encode(fwd, bwd, [Tensor(x) for x in xs_np])
-    assert len(out) == 3 and all(o.shape == (4,) for o in out)
+    out = enc.bilstm_encode(fwd, bwd, Tensor(np.stack(xs_np)))
+    assert out.shape == (3, 4)
 
     wf, wb = cell_arrays(fwd), cell_arrays(bwd)
     h, c = np.zeros(2), np.zeros(2)
@@ -148,7 +149,7 @@ def test_bilstm_encode_matches_manual_unroll():
     hs_b = hs_b[::-1]
     for t in range(3):
         expect = np.concatenate([hs_f[t], hs_b[t]])
-        assert np.max(np.abs(out[t].data - expect)) <= 1e-12
+        assert np.max(np.abs(out.data[t] - expect)) <= 1e-12
 
 
 def test_bilstm_encode_rejects_empty_sequence():
@@ -156,7 +157,7 @@ def test_bilstm_encode_rejects_empty_sequence():
     fwd = enc.LSTMCellParams.init(3, 2, rng)
     bwd = enc.LSTMCellParams.init(3, 2, rng)
     with pytest.raises(UsageError):
-        enc.bilstm_encode(fwd, bwd, [])
+        enc.bilstm_encode(fwd, bwd, Tensor(np.zeros((0, 3))))
 
 
 def test_bilstm_final_states_are_last_hidden_of_each_direction():
@@ -164,24 +165,77 @@ def test_bilstm_final_states_are_last_hidden_of_each_direction():
     bi = enc.BiLSTM.init(3, 2, rng)
     for t in bi.named_parameters().values():
         t.data[...] = rng.normal(scale=0.5, size=t.shape)
-    xs = [Tensor(rng.normal(size=3)) for _ in range(4)]
-    final = bi.final_states(xs)
-    per_pos = bi.encode(xs)
+    table = Tensor(rng.normal(size=(4, 3)))
+    final = bi.final_states(table, [[0, 1, 2, 3]])
+    per_pos = bi.encode(table)
     # forward half of the last position, backward half of the first
-    assert np.array_equal(final.data[:2], per_pos[-1].data[:2])
-    assert np.array_equal(final.data[2:], per_pos[0].data[2:])
+    assert np.array_equal(final.data[0, :2], per_pos.data[-1, :2])
+    assert np.array_equal(final.data[0, 2:], per_pos.data[0, 2:])
 
 
 def test_bilstm_gradient_reaches_both_directions():
     rng = np.random.default_rng(14)
     bi = enc.BiLSTM.init(2, 2, rng)
-    xs = [Tensor(rng.normal(size=2), requires_grad=True) for _ in range(3)]
-    out = bi.encode(xs)
-    loss = ad.tensor_sum(ad.stack([o for o in out]))
+    xs = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    loss = ad.tensor_sum(bi.encode(xs))
     ad.backward(loss)
     assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("fwd."))
     assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("bwd."))
-    assert all(np.any(x.grad != 0) for x in xs)
+    assert all(np.any(row != 0) for row in xs.grad)
+
+
+def _outputs_and_grads(bi, inputs, build, proj):
+    """Output values of build() and the gradients of <output, proj> w.r.t.
+    every BiLSTM parameter and every input tensor."""
+    tensors = list(bi.named_parameters().values()) + inputs
+    for t in tensors:
+        t.zero_grad()
+    out = build()
+    ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+    return [out.data.copy()] + [t.grad.copy() for t in tensors]
+
+
+def _oracle_bilstm(bi, rows):
+    """Forward states in order and backward states over the reversed rows,
+    one lstm_step per graph step."""
+    return lstm_run(bi.fwd, rows), lstm_run(bi.bwd, rows[::-1])
+
+
+def test_fused_bilstm_matches_the_lstm_step_oracle():
+    rng = np.random.default_rng(15)
+    bi = enc.BiLSTM.init(3, 4, rng)
+    for t in bi.named_parameters().values():
+        t.data[...] = rng.normal(scale=0.6, size=t.shape)
+
+    # composer path: ragged words of lengths 5, 1 and 3, ids repeated
+    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    words = [[2, 4, 1, 5, 2], [3], [1, 1, 4]]
+
+    def oracle_final_states():
+        out = []
+        for word in words:
+            hs_f, hs_b = _oracle_bilstm(bi, [ad.lookup(table, i) for i in word])
+            out.append(ad.concat([hs_f[-1], hs_b[-1]]))
+        return ad.stack(out)
+
+    proj = Tensor(rng.normal(size=(3, 8)))
+    fused = _outputs_and_grads(bi, [table], lambda: bi.final_states(table, words), proj)
+    oracle = _outputs_and_grads(bi, [table], oracle_final_states, proj)
+    for got, want in zip(fused, oracle):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    # sentence encoder: every position of a five-row input
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+
+    def oracle_encode():
+        hs_f, hs_b = _oracle_bilstm(bi, [ad.lookup(x, t) for t in range(5)])
+        return ad.stack([ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
+
+    proj = Tensor(rng.normal(size=(5, 8)))
+    fused = _outputs_and_grads(bi, [x], lambda: bi.encode(x), proj)
+    oracle = _outputs_and_grads(bi, [x], oracle_encode, proj)
+    for got, want in zip(fused, oracle):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +323,8 @@ def test_compose_word_char_morph_is_700_dimensional():
     cfg = enc.ComposerConfig(use_word=True, use_char=True, use_morph=True)
     assert cfg.output_dim == 300 + 200 + 200
     composer = make_composer(cfg, np.random.default_rng(20))
-    x = composer.compose_input("ankara", analysis="ankara+noun+prop")
-    assert x.shape == (700,)
+    x = composer.compose_input(["ankara"], analyses=["ankara+noun+prop"])
+    assert x.shape == (1, 700)
 
 
 def test_compose_order_is_word_char_morph_subword():
@@ -280,30 +334,32 @@ def test_compose_order_is_word_char_morph_subword():
                              subword_hidden=2)
     rng = np.random.default_rng(21)
     composer = make_composer(cfg, rng)
-    x = composer.compose_input("ankara", analysis="ankara+noun", pieces=["an", "kara"])
-    assert x.shape == (4 + 4 + 4 + 4,)
+    x = composer.compose_input(["ankara"], analyses=["ankara+noun"],
+                               pieces=[["an", "kara"]])
+    assert x.shape == (1, 4 + 4 + 4 + 4)
     word = composer.word_table.embed("ankara").data
-    char = enc.char_compose(composer.char_table, composer.char_bilstm, "ankara").data
-    morph = enc.morph_compose(composer.morph_table, composer.morph_bilstm, "ankara+noun").data
+    char = enc.char_compose(composer.char_table, composer.char_bilstm, ["ankara"]).data[0]
+    morph = enc.morph_compose(composer.morph_table, composer.morph_bilstm,
+                              ["ankara+noun"]).data[0]
     sub = enc.subword_compose(composer.piece_table, composer.subword_bilstm,
-                              ["an", "kara"]).data
-    assert np.array_equal(x.data, np.concatenate([word, char, morph, sub]))
+                              [["an", "kara"]]).data[0]
+    assert np.array_equal(x.data[0], np.concatenate([word, char, morph, sub]))
 
 
 def test_compose_single_source_word_only():
     cfg = enc.ComposerConfig(use_word=True, use_char=False, word_dim=6)
     composer = make_composer(cfg, np.random.default_rng(22))
-    x = composer.compose_input("resim")
-    assert x.shape == (6,)
-    assert np.array_equal(x.data, composer.word_table.embed("resim").data)
+    x = composer.compose_input(["resim"])
+    assert x.shape == (1, 6)
+    assert np.array_equal(x.data[0], composer.word_table.embed("resim").data)
 
 
 def test_compose_missing_analysis_falls_back_to_surface():
     cfg = enc.ComposerConfig(use_word=False, use_char=False, use_morph=True,
                              morph_dim=3, morph_hidden=2)
     composer = make_composer(cfg, np.random.default_rng(23))
-    fallback = composer.compose_input("ankara", analysis=None)
-    explicit = enc.morph_compose(composer.morph_table, composer.morph_bilstm, "ankara")
+    fallback = composer.compose_input(["ankara"], analyses=[None])
+    explicit = enc.morph_compose(composer.morph_table, composer.morph_bilstm, ["ankara"])
     assert np.array_equal(fallback.data, explicit.data)
 
 
@@ -312,7 +368,7 @@ def test_compose_requires_pieces_when_subword_enabled():
                              subword_hidden=2)
     composer = make_composer(cfg, np.random.default_rng(24))
     with pytest.raises(UsageError):
-        composer.compose_input("ankara")
+        composer.compose_input(["ankara"])
 
 
 def test_composer_config_requires_a_source():
@@ -324,10 +380,10 @@ def test_composer_config_requires_a_source():
 def test_char_compose_dimension_and_empty_word():
     cfg = enc.ComposerConfig(use_word=False, use_char=True, char_dim=5, char_hidden=3)
     composer = make_composer(cfg, np.random.default_rng(25))
-    out = enc.char_compose(composer.char_table, composer.char_bilstm, "kedi")
-    assert out.shape == (6,)
+    out = enc.char_compose(composer.char_table, composer.char_bilstm, ["kedi"])
+    assert out.shape == (1, 6)
     with pytest.raises(UsageError):
-        enc.char_compose(composer.char_table, composer.char_bilstm, "")
+        enc.char_compose(composer.char_table, composer.char_bilstm, [""])
 
 
 def test_composer_gradient_reaches_every_enabled_table():
@@ -336,7 +392,8 @@ def test_composer_gradient_reaches_every_enabled_table():
                              subword_dim=3, char_hidden=2, morph_hidden=2,
                              subword_hidden=2)
     composer = make_composer(cfg, np.random.default_rng(26))
-    x = composer.compose_input("meliha", analysis="meliha+noun", pieces=["me", "li", "ha"])
+    x = composer.compose_input(["meliha"], analyses=["meliha+noun"],
+                               pieces=[["me", "li", "ha"]])
     ad.backward(ad.tensor_sum(x))
     for name in ("word_table", "char_table", "morph_table", "piece_table"):
         table = getattr(composer, name)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import zipfile
@@ -167,6 +168,35 @@ def test_truncated_words_fall_back_to_outside(vocab, tokenizer):
     tags = model.predict(words)
     assert len(tags) == len(words)
     assert tags[-1] == "O"  # beyond the length limit
+
+
+def test_predict_path_records_no_graph(corpus, vocab):
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    sentence = corpus[0]
+    with ad.no_grad():
+        rows, covered = model.emission_rows(sentence.surfaces, sentence.morphs)
+    assert len(rows) == len(covered) == len(sentence)
+    assert all(r._parents == () and r._backward is None and r.grad is None
+               for r in rows)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_loss_backward_and_predict_leave_no_reference_cycles(corpus, vocab,
+                                                             tokenizer, kind):
+    cfg = tiny_cfg(kind, dropout_p=0.3)
+    cfg.composer.use_morph = True
+    model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
+    sentence = corpus[0]
+    gc.collect()
+    gc.disable()
+    try:
+        loss = model.loss(sentence, training=True, rng=np.random.default_rng(1))
+        ad.backward(loss)
+        model.predict(sentence.surfaces, sentence.morphs)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqtag import autodiff as ad
 from seqtag.data import CorpusSplit, split_corpus
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import DivergenceError, UsageError
@@ -102,6 +103,22 @@ def test_target_f1_stops_training_early(split):
 def test_overflowing_learning_rate_raises_divergence_error(split):
     with pytest.raises(DivergenceError):
         train(tiny_cfg(lr=1e200, clip_norm=1e30, epochs=3, batch_size=1), split)
+
+
+def test_non_finite_gradient_raises_divergence_error(split, monkeypatch):
+    # the loss stays finite; only the gradient of every parameter is NaN, which
+    # an unchecked update would write into the parameters
+    real_backward = ad.backward
+
+    def nan_backward(root):
+        real_backward(root)
+        for node in ad.trace(root):
+            if node.requires_grad and not node._parents:
+                node.grad[...] = np.nan
+
+    monkeypatch.setattr(ad, "backward", nan_backward)
+    with pytest.raises(DivergenceError, match="gradient"):
+        train(tiny_cfg(epochs=1, batch_size=len(split.train)), split)
 
 
 def test_empty_splits_are_rejected(split):
