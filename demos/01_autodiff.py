@@ -33,7 +33,7 @@ print("softmax(W @ v)     =", np.exp(W.data @ v.data - float(score.data)).round(
 
 # gradients accumulate across repeated use of the same tensor
 emb = Tensor(np.eye(3), requires_grad=True)
-twice = ad.add(ad.lookup(emb, 1), ad.lookup(emb, 1))
+twice = ad.gather_rows(emb, [1, 1])  # the same row picked twice
 ad.backward(ad.tensor_sum(twice))
 print("\nrow used twice gets gradient 2:", emb.grad[1])
 

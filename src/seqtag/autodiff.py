@@ -308,21 +308,6 @@ def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
     return _result(value, (x,), "log_sum_exp", _bw)
 
 
-def lookup(table: Tensor, idx: int) -> Tensor:
-    """Select row idx of a 2-D table; backward accumulates into that row only."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"lookup expects a 2-D table, got {table.shape}")
-    idx = int(idx)
-    if not 0 <= idx < table.shape[0]:
-        raise IndexError(f"lookup id {idx} out of range [0, {table.shape[0]})")
-
-    def _bw(g):
-        if table.requires_grad:
-            table.grad[idx] += g
-
-    return _result(table.data[idx].copy(), (table,), "lookup", _bw)
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Rows of a 2-D table picked by an integer id array of any shape.
 
@@ -455,15 +440,15 @@ def stack(rows: list[Tensor]) -> Tensor:
 # fused recurrent operation
 
 
-def lstm_scan(x: Tensor, lengths, w_x, w_h, b_x, b_h) -> Tensor:
+def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
+              b_h: Tensor) -> Tensor:
     """A length-masked LSTM over a padded batch, as one node.
 
     x is (B, L, D); sequence b occupies x[b, :lengths[b]] and every length
-    lies in [1, L].  w_x, w_h, b_x and b_h each hold four tensors, for the
-    input, forget, cell and output gates in that order: input-side weights
-    (H, D), hidden-side weights (H, H), input-side biases (H,) and
-    hidden-side biases (H,).  They are stacked per call, so the caller keeps
-    its per-gate tensors.  From a zero initial state, step t computes
+    lies in [1, L].  The gate weights are stacked blocks of four row bands,
+    for the input, forget, cell and output gates in that order: w_x (4H, D),
+    w_h (4H, H), b_x (4H,) and b_h (4H,).  From a zero initial state, step t
+    computes
 
         z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
         c = f * c + i * g,                      h = o * tanh(c)
@@ -480,16 +465,11 @@ def lstm_scan(x: Tensor, lengths, w_x, w_h, b_x, b_h) -> Tensor:
         raise ShapeError(f"lstm_scan got {lengths.shape} lengths for batch {B}")
     if B and not (1 <= lengths.min() and lengths.max() <= L):
         raise UsageError(f"lstm_scan lengths must lie in [1, {L}]")
-    gates = [list(w_x), list(w_h), list(b_x), list(b_h)]
-    if any(len(group) != 4 for group in gates):
-        raise UsageError("lstm_scan needs four tensors per weight group")
-    H = gates[1][0].shape[0]
-    for group, shape in zip(gates, ((H, D), (H, H), (H,), (H,))):
-        for t in group:
-            if t.shape != shape:
-                raise ShapeError(f"lstm_scan gate tensor has shape {t.shape}, "
-                                 f"expected {shape}")
-    Wx, Wh, bx, bh = (np.concatenate([t.data for t in group]) for group in gates)
+    H = b_h.size // 4
+    for t, shape in zip((w_x, w_h, b_x, b_h), ((4 * H, D), (4 * H, H), (4 * H,), (4 * H,))):
+        if t.shape != shape:
+            raise ShapeError(f"lstm_scan weight has shape {t.shape}, expected {shape}")
+    Wx, Wh, bx, bh = w_x.data, w_h.data, b_x.data, b_h.data
 
     xp = x.data @ Wx.T  # (B, L, 4H): the input side of every step at once
     active = np.arange(L)[:, None] < lengths[None, :]  # (L, B)
@@ -530,14 +510,13 @@ def lstm_scan(x: Tensor, lengths, w_x, w_h, b_x, b_h) -> Tensor:
             dh = np.where(m, dz @ Wh, dh)
             dc = np.where(m, dc_new * f, dc)
         flat = dz_all.reshape(B * L, 4 * H)
-        dWx = flat.T @ x.data.reshape(B * L, D)
         db = flat.sum(axis=0)
-        for group, grad in zip(gates, (dWx, dWh, db, db)):
-            for k, t in enumerate(group):
-                if t.requires_grad:
-                    t.grad += grad[k * H:(k + 1) * H]
+        if w_x.requires_grad:
+            w_x.grad += flat.T @ x.data.reshape(B * L, D)
+        for t, grad in ((w_h, dWh), (b_x, db), (b_h, db)):
+            if t.requires_grad:
+                t.grad += grad
         if x.requires_grad:
             x.grad += dz_all @ Wx
 
-    parents = [x] + [t for group in gates for t in group]
-    return _result(out, parents, "lstm_scan", _bw)
+    return _result(out, (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)

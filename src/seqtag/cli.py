@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import unicodedata
 
 from .data import (load_conll, serialize_conll, split_corpus,
                    CorpusSplit)
@@ -187,7 +188,7 @@ def _cmd_tag(args) -> int:
     model = load_model(args.model)
     mask = True if args.mask_illegal else None
     out_lines = []
-    for line in _read_text(args.input).split("\n"):
+    for line in unicodedata.normalize("NFC", _read_text(args.input)).split("\n"):
         words = line.split()
         if not words:
             continue

@@ -56,20 +56,14 @@ def _check_labels(crf: CRFParams, labels, n: int):
 
 
 def _split_transition(crf: CRFParams, mask: np.ndarray | None):
-    """Transition pieces as graph tensors: (bos_row, inner (T, T), eos_col).
-
-    The optional additive mask (0 or -inf per cell) is applied after the
-    selection products so no -inf ever passes through a matmul.
-    """
+    """Transition pieces as graph tensors: (bos_row, inner (T, T), eos_col),
+    each a slice of the transition table, with the optional additive mask
+    (0 or -inf per cell) added."""
     T = crf.num_tags
-    sel = np.zeros((T, T + 1))
-    sel[:, :T] = np.eye(T)
-    sel_t = Tensor(sel)
-    e_eos = Tensor(np.eye(T + 1)[T])
-    left = ad.matmul(sel_t, crf.transition)              # (T, T+1): drop BOS row
-    inner = ad.matmul(left, ad.transpose(sel_t))         # (T, T)
-    eos_col = ad.matmul(left, e_eos)                     # (T,)
-    bos_row = ad.matmul(sel_t, ad.lookup(crf.transition, T))  # (T,)
+    tags = slice(0, T)
+    bos_row = ad.take(crf.transition, (T, tags))
+    inner = ad.take(crf.transition, (tags, tags))
+    eos_col = ad.take(crf.transition, (tags, T))
     if mask is not None:
         if mask.shape != (T + 1, T + 1):
             raise ShapeError(f"mask shape {mask.shape} does not match "
@@ -113,10 +107,10 @@ def log_partition(crf: CRFParams, emissions: Tensor,
     n = _check_emissions(crf, emissions)
     T = crf.num_tags
     bos_row, inner, eos_col = _split_transition(crf, mask)
-    alpha = bos_row + ad.lookup(emissions, 0)
+    alpha = bos_row + ad.take(emissions, 0)
     for t in range(1, n):
         prev = ad.broadcast_to(ad.reshape(alpha, (T, 1)), (T, T))
-        alpha = ad.log_sum_exp(prev + inner, axis=0) + ad.lookup(emissions, t)
+        alpha = ad.log_sum_exp(prev + inner, axis=0) + ad.take(emissions, t)
     return ad.log_sum_exp(alpha + eos_col, axis=0)
 
 

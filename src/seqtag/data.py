@@ -4,11 +4,14 @@ construction, and deterministic corpus splitting.
 File layout: one token per line with whitespace-separated columns
 (surface, optional morphological analysis, tag); a blank line ends a
 sentence.  Whether the analysis column is present is decided by the first
-data row and must then hold for the whole file.
+data row and must then hold for the whole file.  Every line is normalized
+to Unicode NFC, so a decomposed letter such as Turkish dotted capital I
+(I + U+0307) reads as its composed form.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +120,7 @@ def parse_conll(lines) -> list[LabeledSentence]:
     current: list[Token] = []
     has_morph: bool | None = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+        line = unicodedata.normalize("NFC", raw.rstrip("\n"))
         if not line.strip():
             if current:
                 sentences.append(LabeledSentence(tuple(current)))

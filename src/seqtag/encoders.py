@@ -64,9 +64,6 @@ class EmbeddingTable:
     def id_of(self, token: str) -> int:
         return self.vocab.get(token, self.unk_id)
 
-    def embed(self, token: str) -> Tensor:
-        return ad.lookup(self.matrix, self.id_of(token))
-
 
 def load_pretrained_vectors(table: EmbeddingTable, lines, rng: np.random.Generator) -> float:
     """Copy vectors for vocabulary hits from a word2vec-style text stream.
@@ -128,60 +125,40 @@ def init_embeddings(table: EmbeddingTable, source: str, rng: np.random.Generator
 
 @dataclass
 class LSTMCellParams:
-    """Gate weights of one LSTM direction.
+    """Gate weights of one LSTM direction, stacked in row bands of H for the
+    input, forget, cell and output gates: W_x (4H, D), W_h (4H, H), b_x (4H,)
+    and b_h (4H,).
 
-    The forget gate keeps both an input-side and a hidden-side bias so all four
-    gates share the same shape, with the hidden-side one carrying the usual
+    Both bias vectors are kept, so every gate has an input-side and a
+    hidden-side bias; the forget gate's hidden-side one carries the usual
     init of 1.
     """
 
-    W_ii: Tensor
-    W_hi: Tensor
-    W_if: Tensor
-    W_hf: Tensor
-    W_ig: Tensor
-    W_hg: Tensor
-    W_io: Tensor
-    W_ho: Tensor
-    b_ii: Tensor
-    b_hi: Tensor
-    b_if: Tensor
-    b_hf: Tensor
-    b_ig: Tensor
-    b_hg: Tensor
-    b_io: Tensor
-    b_ho: Tensor
+    W_x: Tensor
+    W_h: Tensor
+    b_x: Tensor
+    b_h: Tensor
     hidden_dim: int
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LSTMCellParams":
-        def w_in():
-            return Tensor(xavier_uniform(rng, hidden_dim, input_dim), requires_grad=True)
-
-        def w_hid():
-            return Tensor(xavier_uniform(rng, hidden_dim, hidden_dim), requires_grad=True)
-
-        def b(value=0.0):
-            return Tensor(np.full(hidden_dim, value), requires_grad=True)
-
-        return cls(W_ii=w_in(), W_hi=w_hid(), W_if=w_in(), W_hf=w_hid(),
-                   W_ig=w_in(), W_hg=w_hid(), W_io=w_in(), W_ho=w_hid(),
-                   b_ii=b(), b_hi=b(), b_if=b(), b_hf=b(1.0),
-                   b_ig=b(), b_hg=b(), b_io=b(), b_ho=b(),
-                   hidden_dim=hidden_dim)
+        H = hidden_dim
+        # gate by gate, an input-side then a hidden-side matrix: seeded
+        # models depend on this draw order
+        drawn = [xavier_uniform(rng, H, cols) for _ in range(4) for cols in (input_dim, H)]
+        b_h = np.zeros(4 * H)
+        b_h[H:2 * H] = 1.0
+        return cls(W_x=Tensor(np.concatenate(drawn[0::2]), requires_grad=True),
+                   W_h=Tensor(np.concatenate(drawn[1::2]), requires_grad=True),
+                   b_x=Tensor(np.zeros(4 * H), requires_grad=True),
+                   b_h=Tensor(b_h, requires_grad=True), hidden_dim=H)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        names = ("W_ii", "W_hi", "W_if", "W_hf", "W_ig", "W_hg", "W_io", "W_ho",
-                 "b_ii", "b_hi", "b_if", "b_hf", "b_ig", "b_hg", "b_io", "b_ho")
-        return {prefix + n: getattr(self, n) for n in names}
+        return {prefix + n: getattr(self, n) for n in ("W_x", "W_h", "b_x", "b_h")}
 
     def scan(self, x: Tensor, lengths) -> Tensor:
         """Hidden states (B, L, H) of this direction over a padded batch."""
-        return ad.lstm_scan(x, lengths,
-                            (self.W_ii, self.W_if, self.W_ig, self.W_io),
-                            (self.W_hi, self.W_hf, self.W_hg, self.W_ho),
-                            (self.b_ii, self.b_if, self.b_ig, self.b_io),
-                            (self.b_hi, self.b_hf, self.b_hg, self.b_ho))
+        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
 
 
 def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor) -> Tensor:
@@ -406,9 +383,9 @@ class ToyTransformerConfig:
 
 @dataclass
 class TransformerLayer:
-    Wq: list  # one (head_dim, hidden) matrix per head
-    Wk: list
-    Wv: list
+    Wq: Tensor  # (hidden, hidden); head h owns rows h*dk:(h+1)*dk
+    Wk: Tensor
+    Wv: Tensor
     Wo: Tensor
     ln1_gain: Tensor
     ln1_bias: Tensor
@@ -422,15 +399,19 @@ class TransformerLayer:
     @classmethod
     def init(cls, cfg: ToyTransformerConfig, rng: np.random.Generator) -> "TransformerLayer":
         d, heads = cfg.hidden_units, cfg.num_heads
-        dk = d // heads
 
         def mat(rows, cols):
             return Tensor(xavier_uniform(rng, rows, cols), requires_grad=True)
 
+        def per_head():
+            # drawn head by head, each with its own (dk, d) Xavier range
+            return Tensor(np.concatenate([xavier_uniform(rng, d // heads, d)
+                                          for _ in range(heads)]), requires_grad=True)
+
         return cls(
-            Wq=[mat(dk, d) for _ in range(heads)],
-            Wk=[mat(dk, d) for _ in range(heads)],
-            Wv=[mat(dk, d) for _ in range(heads)],
+            Wq=per_head(),
+            Wk=per_head(),
+            Wv=per_head(),
             Wo=mat(d, d),
             ln1_gain=Tensor(np.ones(d), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d), requires_grad=True),
@@ -443,15 +424,9 @@ class TransformerLayer:
         )
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = {}
-        for h in range(len(self.Wq)):
-            out[f"{prefix}Wq.{h}"] = self.Wq[h]
-            out[f"{prefix}Wk.{h}"] = self.Wk[h]
-            out[f"{prefix}Wv.{h}"] = self.Wv[h]
-        for name in ("Wo", "ln1_gain", "ln1_bias", "W_ff1", "b_ff1",
-                     "W_ff2", "b_ff2", "ln2_gain", "ln2_bias"):
-            out[prefix + name] = getattr(self, name)
-        return out
+        return {prefix + name: getattr(self, name)
+                for name in ("Wq", "Wk", "Wv", "Wo", "ln1_gain", "ln1_bias", "W_ff1",
+                             "b_ff1", "W_ff2", "b_ff2", "ln2_gain", "ln2_bias")}
 
 
 @dataclass
@@ -502,49 +477,48 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var_eps = var + Tensor(np.full(n, eps))
     inv_std = ad.exp(ad.scale(ad.log(var_eps), -0.5))
     normed = centered * ad.broadcast_to(ad.reshape(inv_std, (n, 1)), (n, d))
-    gain_b = ad.broadcast_to(ad.reshape(gain, (1, d)), (n, d))
-    bias_b = ad.broadcast_to(ad.reshape(bias, (1, d)), (n, d))
-    return normed * gain_b + bias_b
+    return normed * ad.broadcast_to(gain, (n, d)) + ad.broadcast_to(bias, (n, d))
 
 
-def multi_head_attention(layer: TransformerLayer, x: Tensor):
+def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int):
     """Scaled dot-product self-attention over the rows of x.
 
-    Returns the projected output and one (n, n) attention-weight matrix per
-    head; weight rows sum to one.
+    Each projection is one matmul; head h reads its column band of the
+    result.  Returns the projected output and one (n, n) attention-weight
+    matrix per head; weight rows sum to one.
     """
-    n = x.shape[0]
+    q, k, v = (x @ ad.transpose(w) for w in (layer.Wq, layer.Wk, layer.Wv))
+    dk = q.shape[1] // num_heads
     heads_out, weights = [], []
-    for Wq, Wk, Wv in zip(layer.Wq, layer.Wk, layer.Wv):
-        q = x @ ad.transpose(Wq)  # (n, dk)
-        k = x @ ad.transpose(Wk)
-        v = x @ ad.transpose(Wv)
-        dk = q.shape[1]
-        scores = ad.scale(q @ ad.transpose(k), 1.0 / math.sqrt(dk))
+    for h in range(num_heads):
+        band = (slice(None), slice(h * dk, (h + 1) * dk))
+        scores = ad.scale(ad.take(q, band) @ ad.transpose(ad.take(k, band)),
+                          1.0 / math.sqrt(dk))
         attn = softmax_rows(scores)
-        heads_out.append(attn @ v)
+        heads_out.append(attn @ ad.take(v, band))
         weights.append(attn)
-    combined = heads_out[0] if len(heads_out) == 1 else ad.concat(heads_out, axis=1)
+    combined = heads_out[0] if num_heads == 1 else ad.concat(heads_out, axis=1)
     return combined @ ad.transpose(layer.Wo), weights
 
 
-def transformer_block(layer: TransformerLayer, x: Tensor, dropout_p: float,
+def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Tensor,
                       training: bool, rng) -> Tensor:
-    attn_out, _ = multi_head_attention(layer, x)
-    attn_out = ad.dropout(attn_out, dropout_p, training, rng)
+    attn_out, _ = multi_head_attention(layer, x, cfg.num_heads)
+    attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
     x = layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
     n = x.shape[0]
-    b1 = ad.broadcast_to(ad.reshape(layer.b_ff1, (1, layer.b_ff1.size)), (n, layer.b_ff1.size))
-    b2 = ad.broadcast_to(ad.reshape(layer.b_ff2, (1, layer.b_ff2.size)), (n, layer.b_ff2.size))
+    b1 = ad.broadcast_to(layer.b_ff1, (n, layer.b_ff1.size))
+    b2 = ad.broadcast_to(layer.b_ff2, (n, layer.b_ff2.size))
     ff = gelu(x @ ad.transpose(layer.W_ff1) + b1) @ ad.transpose(layer.W_ff2) + b2
-    ff = ad.dropout(ff, dropout_p, training, rng)
+    ff = ad.dropout(ff, cfg.dropout_p, training, rng)
     return layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
 
 
 def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
                        piece_ids: list[int], training: bool = False,
-                       rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Encode a piece-id sequence; returns one hidden vector per piece.
+                       rng: np.random.Generator | None = None) -> Tensor:
+    """Encode a piece-id sequence; returns the (pieces, hidden) matrix of
+    hidden vectors, one row per piece.
 
     Sequences longer than max_len are truncated with a warning.
     """
@@ -556,10 +530,9 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
         piece_ids = piece_ids[:cfg.max_len]
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
-    rows = [ad.lookup(params.piece_table.matrix, pid) + ad.lookup(params.positions, t)
-            for t, pid in enumerate(piece_ids)]
-    x = ad.stack(rows)
+    x = (ad.gather_rows(params.piece_table.matrix, piece_ids)
+         + ad.take(params.positions, slice(0, len(piece_ids))))
     x = ad.dropout(x, cfg.dropout_p, training, rng)
     for layer in params.layers:
-        x = transformer_block(layer, x, cfg.dropout_p, training, rng)
-    return [ad.lookup(x, t) for t in range(len(piece_ids))]
+        x = transformer_block(cfg, layer, x, training, rng)
+    return x

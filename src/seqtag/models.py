@@ -30,7 +30,7 @@ from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 @dataclass
@@ -140,22 +140,20 @@ class SequenceTagger:
     # forward
 
     def _project(self, h: Tensor) -> Tensor:
-        return ad.add(ad.matmul(self.w_out, h), self.b_out)
+        """Emission rows (n, T) of the (n, F) feature rows h."""
+        n, T = h.shape[0], self.b_out.size
+        return ad.matmul(h, ad.transpose(self.w_out)) + ad.broadcast_to(self.b_out, (n, T))
 
-    def _bilstm_rows(self, words, morphs, training, rng):
+    def _bilstm_features(self, words, morphs, training, rng):
         pieces = None
         if self.composer.cfg.use_subword:
             pieces = [segment(self.tokenizer, word) for word in words]
         x = self.composer.compose_input(words, morphs or None, pieces)
         if training:
             x = ad.dropout(x, self.dropout_p, True, rng)
-        h = self.encoder.encode(x)
-        n, T = len(words), self.b_out.size
-        bias = ad.broadcast_to(ad.reshape(self.b_out, (1, T)), (n, T))
-        emissions = ad.add(ad.matmul(h, ad.transpose(self.w_out)), bias)
-        return [ad.take(emissions, w) for w in range(n)], list(range(n))
+        return self.encoder.encode(x), list(range(len(words)))
 
-    def _transformer_rows(self, words, training, rng):
+    def _transformer_features(self, words, training, rng):
         pieces: list[str] = []
         initial: list[int] = []
         for word in words:
@@ -166,9 +164,8 @@ class SequenceTagger:
         hidden = transformer_encode(self.transformer_cfg, self.transformer,
                                     ids, training, rng)
         # words whose first piece fell past the length limit get no emissions
-        covered = [w for w, pos in enumerate(initial) if pos < len(hidden)]
-        rows = [self._project(hidden[initial[w]]) for w in covered]
-        return rows, covered
+        covered = [w for w, pos in enumerate(initial) if pos < hidden.shape[0]]
+        return ad.gather_rows(hidden, [initial[w] for w in covered]), covered
 
     def emission_rows(self, words: list[str], morphs=None, training: bool = False,
                       rng: np.random.Generator | None = None):
@@ -178,8 +175,11 @@ class SequenceTagger:
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
-            return self._bilstm_rows(words, morphs, training, rng)
-        return self._transformer_rows(words, training, rng)
+            features, covered = self._bilstm_features(words, morphs, training, rng)
+        else:
+            features, covered = self._transformer_features(words, training, rng)
+        emissions = self._project(features)
+        return [ad.take(emissions, i) for i in range(len(covered))], covered
 
     # ------------------------------------------------------------------
     # loss and decoding
@@ -367,8 +367,29 @@ def _skeleton_from_manifest(manifest, tokenizer) -> SequenceTagger:
                           crf=crf, **kw)
 
 
+def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
+    """Version-1 tensors in the version-2 layout.  Version 1 kept sixteen
+    per-gate tensors per LSTM direction (W_ii, W_hi, ..., b_ho) and one
+    attention projection per head (Wq.0, Wq.1, ...); each group is
+    concatenated in gate or head order into its stacked block."""
+    out = dict(arrays)
+    for name in arrays:
+        if name.endswith("W_ii"):
+            prefix = name[:-len("W_ii")]
+            for block, side in (("W_x", "W_i"), ("W_h", "W_h"), ("b_x", "b_i"), ("b_h", "b_h")):
+                out[prefix + block] = np.concatenate(
+                    [out.pop(prefix + side + gate) for gate in "ifgo"])
+        elif name.endswith("Wq.0"):
+            prefix = name[:-len("Wq.0")]
+            for proj in ("Wq", "Wk", "Wv"):
+                out[prefix + proj] = np.concatenate(
+                    [out.pop(f"{prefix}{proj}.{h}") for h in range(num_heads)])
+    return out
+
+
 def load_model(path) -> SequenceTagger:
-    """Read a model artifact; raises ArtifactError on anything malformed."""
+    """Read a model artifact of version 1 or 2; raises ArtifactError on
+    anything malformed."""
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
@@ -385,27 +406,37 @@ def load_model(path) -> SequenceTagger:
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"corrupt artifact manifest: {exc}") from exc
     version = manifest.get("format_version")
-    if version != ARTIFACT_VERSION:
+    if type(version) is not int or version not in (1, ARTIFACT_VERSION):
         raise ArtifactError(f"artifact format version {version!r} is not "
-                            f"supported; this build reads version "
+                            f"supported; this build reads versions 1 and "
                             f"{ARTIFACT_VERSION}")
     try:
         model = _skeleton_from_manifest(manifest, tokenizer)
     except (KeyError, TypeError) as exc:
         raise ArtifactError(f"corrupt artifact manifest: {exc}") from exc
+    try:
+        with np.load(io.BytesIO(npz_bytes)) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        if version == 1:
+            heads = model.transformer_cfg.num_heads if model.transformer_cfg else 0
+            arrays = _stack_v1_tensors(arrays, heads)
+    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
+        raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
     named = model.named_parameters()
-    with np.load(io.BytesIO(npz_bytes)) as arrays:
-        stored = set(arrays.files)
-        expected = set(named)
-        if stored != expected:
-            missing = sorted(expected - stored)
-            extra = sorted(stored - expected)
-            raise ArtifactError(f"artifact tensors do not match the manifest "
-                                f"(missing {missing}, unexpected {extra})")
-        for name, tensor in named.items():
-            arr = arrays[name]
-            if arr.shape != tensor.data.shape:
-                raise ArtifactError(f"tensor {name!r} has shape {arr.shape}, "
-                                    f"expected {tensor.data.shape}")
-            tensor.data = arr.astype(np.float64, copy=False)
+    if set(arrays) != set(named):
+        missing = sorted(set(named) - set(arrays))
+        extra = sorted(set(arrays) - set(named))
+        raise ArtifactError(f"artifact tensors do not match the manifest "
+                            f"(missing {missing}, unexpected {extra})")
+    for name, tensor in named.items():
+        arr = arrays[name]
+        if arr.dtype.kind != "f":
+            raise ArtifactError(f"tensor {name!r} has dtype {arr.dtype}, "
+                                f"expected floating point")
+        if arr.shape != tensor.data.shape:
+            raise ArtifactError(f"tensor {name!r} has shape {arr.shape}, "
+                                f"expected {tensor.data.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ArtifactError(f"tensor {name!r} holds non-finite values")
+        tensor.data = arr.astype(np.float64, copy=False)
     return model

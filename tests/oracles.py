@@ -176,17 +176,27 @@ def naive_entity_scores(gold_corpus, pred_corpus):
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
-    """One LSTM cell update of LSTMCellParams p; returns (h_t, c_t)."""
-    if x_t.shape != (p.W_ii.shape[1],):
+    """One LSTM cell update of LSTMCellParams p; returns (h_t, c_t).
+
+    Each gate reads its row band of the stacked weights through take.
+    """
+    H = p.hidden_dim
+    if x_t.shape != (p.W_x.shape[1],):
         raise ShapeError(f"lstm_step input has shape {x_t.shape}, "
-                         f"cell expects ({p.W_ii.shape[1]},)")
-    if h_prev.shape != (p.hidden_dim,) or c_prev.shape != (p.hidden_dim,):
+                         f"cell expects ({p.W_x.shape[1]},)")
+    if h_prev.shape != (H,) or c_prev.shape != (H,):
         raise ShapeError(f"lstm_step state shapes {h_prev.shape}/{c_prev.shape} "
-                         f"do not match hidden dim {p.hidden_dim}")
-    i = ad.sigmoid(p.W_ii @ x_t + p.b_ii + p.W_hi @ h_prev + p.b_hi)
-    f = ad.sigmoid(p.W_if @ x_t + p.b_if + p.W_hf @ h_prev + p.b_hf)
-    g = ad.tanh(p.W_ig @ x_t + p.b_ig + p.W_hg @ h_prev + p.b_hg)
-    o = ad.sigmoid(p.W_io @ x_t + p.b_io + p.W_ho @ h_prev + p.b_ho)
+                         f"do not match hidden dim {H}")
+
+    def gate(k):
+        band = slice(k * H, (k + 1) * H)
+        return (ad.take(p.W_x, band) @ x_t + ad.take(p.b_x, band)
+                + ad.take(p.W_h, band) @ h_prev + ad.take(p.b_h, band))
+
+    i = ad.sigmoid(gate(0))
+    f = ad.sigmoid(gate(1))
+    g = ad.tanh(gate(2))
+    o = ad.sigmoid(gate(3))
     c_t = f * c_prev + i * g
     h_t = o * ad.tanh(c_t)
     return h_t, c_t

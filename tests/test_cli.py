@@ -1,5 +1,7 @@
+import io
 import zipfile
 
+import numpy as np
 import pytest
 
 from seqtag.cli import main, make_train_config, parse_config_file
@@ -159,6 +161,19 @@ def test_tag_round_trips_raw_text(tmp_path, model_file):
         ["bugün", "sergi", "açıldı", "."]]
 
 
+def test_tag_reads_nfd_input_as_nfc(tmp_path, model_file):
+    outputs = []
+    for city in ("\u0130stanbul", "I\u0307stanbul"):  # NFC, then NFD
+        raw = tmp_path / "raw.txt"
+        raw.write_text(f"{city} sergi açıldı .\n", encoding="utf-8")
+        out = tmp_path / "tagged.conll"
+        assert main(["tag", "--model", model_file, "--input", str(raw),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("\u0130stanbul\t")
+
+
 def test_tag_empty_input_gives_empty_output(tmp_path, model_file):
     raw = tmp_path / "empty.txt"
     raw.write_text("")
@@ -192,6 +207,25 @@ def test_corrupt_artifact_exits_two(tmp_path):
     raw = tmp_path / "raw.txt"
     raw.write_text("bir iki\n")
     assert main(["tag", "--model", str(fake), "--input", str(raw),
+                 "--out", "-"]) == 2
+
+
+def test_artifact_with_a_nan_tensor_exits_two(tmp_path, model_file):
+    bad = tmp_path / "nan.zip"
+    with zipfile.ZipFile(model_file) as src, zipfile.ZipFile(bad, "w") as dst:
+        for name in src.namelist():
+            raw = src.read(name)
+            if name == "tensors.npz":
+                with np.load(io.BytesIO(raw)) as arrays:
+                    data = {k: arrays[k] for k in arrays.files}
+                data["w_out"][0, 0] = np.nan
+                buf = io.BytesIO()
+                np.savez(buf, **data)
+                raw = buf.getvalue()
+            dst.writestr(name, raw)
+    raw = tmp_path / "raw.txt"
+    raw.write_text("bir iki\n")
+    assert main(["tag", "--model", str(bad), "--input", str(raw),
                  "--out", "-"]) == 2
 
 

@@ -102,6 +102,15 @@ def test_log_partition_zero_params_is_n_log_t():
         assert abs(got - n * math.log(T)) <= 1e-12
 
 
+def test_log_partition_slices_the_transition_table_without_matmul():
+    rng = np.random.default_rng(57)
+    c = random_crf(rng, 3)
+    mask = crf_mod.illegal_mask(["O", "B-X", "I-X"])
+    for m in (None, mask):
+        graph = ad.trace(crf_mod.log_partition(c, random_emissions(rng, 4, 3), m))
+        assert not any(node._op == "matmul" for node in graph)
+
+
 def test_path_probabilities_sum_to_one():
     rng = np.random.default_rng(55)
     for _ in range(10):

@@ -74,6 +74,15 @@ def test_parse_three_column_morph():
     assert s.tags == ["O", "B-ANIMAL"]
 
 
+def test_parse_normalizes_lines_to_nfc():
+    composed = "\u0130stanbul"  # Turkish dotted capital I as one code point
+    decomposed = "I\u0307stanbul"
+    nfd = parse_conll(f"{decomposed} {decomposed}+Noun B-LOC\n")
+    nfc = parse_conll(f"{composed} {composed}+Noun B-LOC\n")
+    assert nfd == nfc
+    assert nfd[0].surfaces == [composed]
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_conll("a O\nb\n")

@@ -1,18 +1,19 @@
 import gc
 import io
 import json
+import pathlib
 import zipfile
 
 import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
-from seqtag.data import build_vocab, split_corpus, validate_bio2
+from seqtag.data import LabeledSentence, Token, build_vocab, split_corpus, validate_bio2
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import ArtifactError, ConfigError, UsageError
 from seqtag.models import (MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
-from seqtag.subword import train_unigram
+from seqtag.subword import segment, train_unigram
 from seqtag.synth import generate_corpus
 from seqtag.training import train
 
@@ -99,6 +100,20 @@ def test_crf_kind_has_transition_table_and_linear_kind_does_not(vocab):
                             np.random.default_rng(0))
     assert any(n.startswith("crf.") for n in crf_model.named_parameters())
     assert not any(n.startswith("crf.") for n in lin_model.named_parameters())
+
+
+def test_transformer_tag_graph_grows_by_its_rows_not_its_pieces(vocab, tokenizer):
+    model = build_model(tiny_cfg("transformer-crf"), vocab,
+                        np.random.default_rng(0), tokenizer)
+    sentences = [["ev"], ["kütüphanelerimizdekilerden"], ["ev", "kitap"],
+                 ["Ankara'daki", "büyükelçiliklerimizden", "geldi"]]
+    piece_counts, extra = [], set()
+    for words in sentences:
+        piece_counts.append(sum(len(segment(tokenizer, w)) for w in words))
+        rows, _ = model.emission_rows(words)
+        extra.add(len(ad.trace(ad.stack(rows))) - len(rows))
+    assert len(set(piece_counts)) == len(sentences)
+    assert len(extra) == 1
 
 
 def test_loss_is_finite_and_backward_reaches_the_embeddings(corpus, vocab):
@@ -299,6 +314,73 @@ def test_unsupported_version_is_reported(tmp_path, corpus, vocab):
     _tamper(src, dst, edit_manifest=lambda m: m.update(format_version=99))
     with pytest.raises(ArtifactError, match="version"):
         load_model(dst)
+
+
+@pytest.mark.parametrize("version", [0, 3, None, "2", True, 1.0])
+def test_versions_other_than_one_and_two_are_rejected(tmp_path, vocab, version):
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "other.zip"
+    _tamper(src, dst, edit_manifest=lambda m: m.update(format_version=version))
+    with pytest.raises(ArtifactError, match="version"):
+        load_model(dst)
+
+
+def _edit_tensor(name, value):
+    """An edit_npz for _tamper that replaces one stored tensor."""
+    def edit(raw):
+        with np.load(io.BytesIO(raw)) as arrays:
+            data = {k: arrays[k] for k in arrays.files}
+        data[name] = value(data[name])
+        buf = io.BytesIO()
+        np.savez(buf, **data)
+        return buf.getvalue()
+    return edit
+
+
+def _with_nan(arr):
+    arr = arr.copy()
+    arr[0, 0] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("edit_npz,match", [
+    (_edit_tensor("w_out", _with_nan), "non-finite"),
+    (_edit_tensor("w_out", lambda a: a.astype(str)), "dtype"),
+    (_edit_tensor("w_out", lambda a: a.astype(object)), "tensors"),
+    (lambda raw: raw[:len(raw) // 2], "tensors"),
+], ids=["nan", "string-dtype", "object-dtype", "truncated-npz"])
+def test_malformed_tensors_are_reported(tmp_path, vocab, edit_npz, match):
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "bad.zip"
+    _tamper(src, dst, edit_npz=edit_npz)
+    with pytest.raises(ArtifactError, match=match):
+        load_model(dst)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["v1_bilstm_crf", "v1_transformer_crf"])
+def test_version_1_artifacts_load_and_tag_as_before(tmp_path, name):
+    """Fixtures written by the version-1 code (tests/fixtures/make_v1_fixtures.py):
+    a bilstm-crf with char, morph and subword composers and a two-head
+    transformer-crf, with the tags and gold-tag losses that code gave."""
+    with open(FIXTURES / "v1_expected_tags.json", encoding="utf-8") as fh:
+        expected = json.load(fh)[name]
+    model = load_model(FIXTURES / f"{name}.zip")
+    save_model(model, tmp_path / "v2.zip")
+    resaved = load_model(tmp_path / "v2.zip")
+    for s in expected:
+        sentence = LabeledSentence(tuple(
+            Token(w, t, m) for w, t, m in zip(s["words"], s["gold"], s["morphs"])))
+        for m in (model, resaved):
+            assert m.predict(s["words"], s["morphs"]) == s["tags"]
+            nll = m.loss(sentence, training=False).item()
+            assert abs(nll - s["nll"]) <= 1e-9 * abs(s["nll"])
 
 
 def test_missing_tensor_is_reported(tmp_path, vocab):
