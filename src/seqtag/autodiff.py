@@ -3,8 +3,10 @@
 A Tensor wraps a numpy array together with a gradient buffer and links to the
 tensors it was computed from.  Every operation records a closure that takes
 the output adjoint and pushes it back into its parents, so calling backward()
-on a scalar result fills .grad of every upstream tensor that requires it.  A
-closure holds the parents and the arrays it needs, never its own output, so a
+on a scalar result fills .grad of every upstream leaf that requires it.  A
+gradient buffer is allocated when it is first used, and backward releases
+each operation's output adjoint once it has been pushed on, so a graph holds
+its values but never all of its adjoints at once.  A closure holds the parents and the arrays it needs, never its own output, so a
 graph contains no reference cycle and is freed as soon as its root is.  The
 graph is dynamic: it is rebuilt from scratch on every forward pass, which
 keeps variable-length sequence models simple.
@@ -19,6 +21,7 @@ between optimization steps.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -42,15 +45,15 @@ def no_grad():
 class Tensor:
     """Node of the differentiation graph: values, gradient, and provenance.
 
-    grad is a zero buffer of data's shape when requires_grad is set, None
-    otherwise.
+    grad is a buffer of data's shape when requires_grad is set, None
+    otherwise; it is allocated as zeros on first access.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self._grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = None
@@ -64,9 +67,19 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def grad(self):
+        if self._grad is None and self.requires_grad:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def item(self):
         return float(self.data)
@@ -132,10 +145,11 @@ def trace(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(tensor) into .grad of every reachable tensor.
+    """Accumulate d(root)/d(tensor) into .grad of every reachable leaf.
 
     root must be scalar (shape ()).  Grads add up across calls and across
-    shared subgraphs; callers zero them between steps.
+    shared subgraphs; callers zero them between steps.  The adjoint of each
+    operation's output is released once its closure has run.
     """
     if root.data.ndim != 0:
         raise UsageError(f"backward root must be scalar, got shape {root.shape}")
@@ -144,6 +158,7 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.requires_grad:
             node._backward(node.grad)
+            node._grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +298,19 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
                    "concat", _bw)
 
 
+def _stable_lse(d: np.ndarray, axis: int):
+    """log(sum(exp(d))) along axis, with the shifted exponentials e and their
+    sums s.  -inf entries contribute nothing; an all--inf slice gives -inf."""
+    m = np.max(d, axis=axis)
+    finite = np.isfinite(m)
+    m_safe = np.where(finite, m, 0.0)
+    shifted = d - np.expand_dims(m_safe, axis)
+    e = np.where(np.isneginf(d), 0.0, np.exp(shifted))
+    s = np.sum(e, axis=axis)
+    value = np.where(finite, m_safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
+    return value, e, s
+
+
 def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
     """Numerically stable log(sum(exp(x))) along axis.
 
@@ -291,13 +319,7 @@ def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
     d = x.data
     if not -d.ndim <= axis < d.ndim:
         raise UsageError(f"log_sum_exp axis {axis} invalid for shape {x.shape}")
-    m = np.max(d, axis=axis)
-    finite = np.isfinite(m)
-    m_safe = np.where(finite, m, 0.0)
-    shifted = d - np.expand_dims(m_safe, axis)
-    e = np.where(np.isneginf(d), 0.0, np.exp(shifted))
-    s = np.sum(e, axis=axis)
-    value = np.where(finite, m_safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
+    value, e, s = _stable_lse(d, axis)
 
     def _bw(g):
         if x.requires_grad:
@@ -437,7 +459,7 @@ def stack(rows: list[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent operation
+# fused recurrent operations
 
 
 def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
@@ -520,3 +542,109 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
             x.grad += dz_all @ Wx
 
     return _result(out, (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
+
+
+def crf_forward(emissions: Tensor, transition: Tensor,
+                mask: np.ndarray | None = None) -> Tensor:
+    """Log-partition of a linear-chain CRF by the forward algorithm, as one
+    node.
+
+    emissions is (n, T) with n >= 1; transition is (T+1, T+1), row T holding
+    the begin-of-sentence and column T the end-of-sentence scores.  mask, if
+    given, is a constant (T+1, T+1) additive table (0 or -inf per cell).
+    Backward is forward-backward: the emission adjoint is the per-position
+    tag marginals and the transition adjoint the expected transition counts.
+    When the mask forbids every path the value is -inf and every gradient is
+    zero.
+    """
+    if emissions.data.ndim != 2 or emissions.shape[0] == 0:
+        raise ShapeError(f"crf_forward expects non-empty (n, T) emissions, "
+                         f"got {emissions.shape}")
+    n, T = emissions.shape
+    square = (T + 1, T + 1)
+    if transition.shape != square or (mask is not None and np.shape(mask) != square):
+        raise ShapeError(f"crf_forward needs a {square} transition table and mask")
+    e = emissions.data
+    trans = transition.data if mask is None else transition.data + mask
+    inner, eos = trans[:T, :T], trans[:T, T]
+    alpha = np.empty((n, T))  # alpha[t, j]: log-sum of the prefixes ending in j at t
+    alpha[0] = trans[T, :T] + e[0]
+    for t in range(1, n):
+        alpha[t] = _stable_lse(alpha[t - 1][:, None] + inner, 0)[0] + e[t]
+    log_z = _stable_lse(alpha[-1] + eos, 0)[0]
+
+    def _bw(g):
+        if not np.isfinite(log_z):
+            return  # no path is allowed: nothing depends on the inputs
+        beta = np.empty((n, T))  # beta[t, i]: log-sum of the suffixes after i at t
+        beta[-1] = eos
+        for t in range(n - 2, -1, -1):
+            beta[t] = _stable_lse(inner + (e[t + 1] + beta[t + 1]), 1)[0]
+        marginals = np.exp(alpha + beta - log_z)
+        if emissions.requires_grad:
+            emissions.grad += g * marginals
+        if transition.requires_grad:
+            pairs = np.exp(alpha[:-1, :, None] + inner
+                           + (e[1:] + beta[1:])[:, None, :] - log_z).sum(axis=0)
+            transition.grad[:T, :T] += g * pairs
+            transition.grad[T, :T] += g * marginals[0]
+            transition.grad[:T, T] += g * marginals[-1]
+
+    return _result(log_z, (emissions, transition), "crf_forward", _bw)
+
+
+# ---------------------------------------------------------------------------
+# fused attention
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths, num_heads: int):
+    """Multi-head scaled dot-product attention within each sequence, as one
+    node.
+
+    q, k and v are (N, d) with the sequences back to back, lengths[b] rows
+    each.  Head h reads the column band h*dk:(h+1)*dk, dk = d // num_heads,
+    and row i of the output band is softmax(q_i k^T / sqrt(dk)) v over the
+    rows of i's own sequence, so no score crosses two sequences and memory
+    grows with the sum of the squared lengths.  Returns the (N, d) output
+    and one (num_heads, L, L) array of attention weights per sequence.
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention expects equal (N, d) q, k, v, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    N, d = q.shape
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention cannot split width {d} into {num_heads} heads")
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != N:
+        raise UsageError(f"sequence lengths {lengths} do not split {N} rows")
+    dk = d // num_heads
+    c = 1.0 / math.sqrt(dk)
+    qd, kd, vd = q.data, k.data, v.data
+    bands = [slice(h * dk, (h + 1) * dk) for h in range(num_heads)]
+    ends = np.cumsum(lengths).tolist()
+    spans = [slice(b - n, b) for n, b in zip(lengths, ends)]
+    out = np.empty((N, d))
+    weights = []
+    for rows, n in zip(spans, lengths):
+        w = np.empty((num_heads, n, n))
+        for h, cols in enumerate(bands):
+            scores = (qd[rows, cols] @ kd[rows, cols].T) * c
+            w[h] = np.exp(scores - _stable_lse(scores, 1)[0][:, None])
+            out[rows, cols] = w[h] @ vd[rows, cols]
+        weights.append(w)
+
+    def _bw(g):
+        dq, dk_, dv = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
+        for rows, w in zip(spans, weights):
+            for h, cols in enumerate(bands):
+                p, g_h = w[h], g[rows, cols]
+                dv[rows, cols] = p.T @ g_h
+                dp = g_h @ vd[rows, cols].T
+                ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * c
+                dq[rows, cols] = ds @ kd[rows, cols]
+                dk_[rows, cols] = ds.T @ qd[rows, cols]
+        for t, grad in ((q, dq), (k, dk_), (v, dv)):
+            if t.requires_grad:
+                t.grad += grad
+
+    return _result(out, (q, k, v), "attention", _bw), weights

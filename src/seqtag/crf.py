@@ -55,23 +55,10 @@ def _check_labels(crf: CRFParams, labels, n: int):
             raise UsageError(f"label {lab} outside [0, {crf.num_tags})")
 
 
-def _split_transition(crf: CRFParams, mask: np.ndarray | None):
-    """Transition pieces as graph tensors: (bos_row, inner (T, T), eos_col),
-    each a slice of the transition table, with the optional additive mask
-    (0 or -inf per cell) added."""
-    T = crf.num_tags
-    tags = slice(0, T)
-    bos_row = ad.take(crf.transition, (T, tags))
-    inner = ad.take(crf.transition, (tags, tags))
-    eos_col = ad.take(crf.transition, (tags, T))
-    if mask is not None:
-        if mask.shape != (T + 1, T + 1):
-            raise ShapeError(f"mask shape {mask.shape} does not match "
-                             f"({T + 1}, {T + 1})")
-        bos_row = bos_row + Tensor(mask[T, :T])
-        inner = inner + Tensor(mask[:T, :T])
-        eos_col = eos_col + Tensor(mask[:T, T])
-    return bos_row, inner, eos_col
+def _check_mask(num_tags: int, mask: np.ndarray | None) -> None:
+    if mask is not None and np.shape(mask) != (num_tags + 1, num_tags + 1):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match "
+                         f"({num_tags + 1}, {num_tags + 1})")
 
 
 def score_sequence(crf: CRFParams, emissions: Tensor, labels,
@@ -79,6 +66,7 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     """Unnormalized path score of one labeling."""
     n = _check_emissions(crf, emissions)
     _check_labels(crf, labels, n)
+    _check_mask(crf.num_tags, mask)
     T = crf.num_tags
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
@@ -103,15 +91,11 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
 
 def log_partition(crf: CRFParams, emissions: Tensor,
                   mask: np.ndarray | None = None) -> Tensor:
-    """Log of the summed exp-scores of all labelings (forward algorithm)."""
-    n = _check_emissions(crf, emissions)
-    T = crf.num_tags
-    bos_row, inner, eos_col = _split_transition(crf, mask)
-    alpha = bos_row + ad.take(emissions, 0)
-    for t in range(1, n):
-        prev = ad.broadcast_to(ad.reshape(alpha, (T, 1)), (T, T))
-        alpha = ad.log_sum_exp(prev + inner, axis=0) + ad.take(emissions, t)
-    return ad.log_sum_exp(alpha + eos_col, axis=0)
+    """Log of the summed exp-scores of all labelings: the forward algorithm,
+    as one autodiff node."""
+    _check_emissions(crf, emissions)
+    _check_mask(crf.num_tags, mask)
+    return ad.crf_forward(emissions, crf.transition, mask)
 
 
 def log_prob(crf: CRFParams, emissions: Tensor, labels,
@@ -129,6 +113,7 @@ def viterbi_decode(crf: CRFParams, emissions: Tensor,
                    mask: np.ndarray | None = None) -> list[int]:
     """Highest-scoring labeling; pure array math, no gradient graph."""
     n = _check_emissions(crf, emissions)
+    _check_mask(crf.num_tags, mask)
     T = crf.num_tags
     e = emissions.data
     trans = crf.transition.data + (mask if mask is not None else 0.0)
@@ -204,8 +189,7 @@ def constrained_decode(emissions: Tensor, mask: np.ndarray) -> list[int]:
     if emissions.data.ndim != 2 or emissions.shape[0] == 0:
         raise ShapeError(f"emissions must be non-empty 2-D, got {emissions.shape}")
     T = emissions.shape[1]
-    if mask.shape != (T + 1, T + 1):
-        raise ShapeError(f"mask must be {(T + 1, T + 1)}, got {mask.shape}")
+    _check_mask(T, mask)
     prev = T  # start-of-sequence row
     path = []
     for row in emissions.data:

@@ -6,8 +6,9 @@ subword-piece-BiLSTM summary.  Sentences are then encoded either by a
 bidirectional LSTM or by a small trainable transformer encoder.
 
 Every LSTM runs as one fused autodiff op (autodiff.lstm_scan) per direction:
-the composers summarize all words of a sentence in one padded batch, and the
-sentence encoder scans the whole sentence as a batch of one.
+the composers summarize all words they are given in one padded batch, and
+the sentence encoder scans every sentence of a mini-batch in one padded
+batch.  The transformer packs the pieces of a mini-batch into one matrix.
 """
 
 from __future__ import annotations
@@ -161,20 +162,37 @@ class LSTMCellParams:
         return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
 
 
-def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor) -> Tensor:
+def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor,
+                  lengths=None) -> Tensor:
     """Per-position concatenation of forward and backward hidden states.
 
-    x is (n, D), one row per position; the result is (n, 2H).
+    x is (n, D): the rows of one sequence, or of several back to back, with
+    lengths giving each one's row count.  All sequences run through one
+    padded scan per direction; the backward one reads each sequence's rows
+    reversed.  The result is (n, 2H), row for row.
     """
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise UsageError(f"bilstm_encode requires a non-empty (n, D) sequence, "
                          f"got shape {x.shape}")
-    seq = ad.reshape(x, (1,) + x.shape)
-    lengths = [x.shape[0]]
-    flip = slice(None, None, -1)
-    h_f = ad.take(fwd.scan(seq, lengths), 0)
-    h_b = ad.take(bwd.scan(ad.take(seq, (slice(None), flip)), lengths), (0, flip))
-    return ad.concat([h_f, h_b], axis=1)
+    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.min() < 1 or lengths.sum() != x.shape[0]:
+        raise UsageError(f"sequence lengths {lengths.tolist()} do not split "
+                         f"{x.shape[0]} rows")
+    B, L = lengths.size, int(lengths.max())
+    steps = np.arange(L)
+    valid = steps < lengths[:, None]  # (B, L)
+    ends = np.cumsum(lengths)
+    # padded steps read row 0; the scan ignores them
+    fwd_rows = np.where(valid, (ends - lengths)[:, None] + steps, 0)
+    bwd_rows = np.where(valid, (ends - 1)[:, None] - steps, 0)
+    # row r of sequence b is forward step t and backward step lengths[b]-1-t
+    b, t = np.nonzero(valid)
+    states = []
+    for cell, rows, out_steps in ((fwd, fwd_rows, t), (bwd, bwd_rows, lengths[b] - 1 - t)):
+        h = cell.scan(ad.gather_rows(x, rows), lengths)
+        h = ad.reshape(h, (B * L, cell.hidden_dim))
+        states.append(ad.gather_rows(h, b * L + out_steps))
+    return ad.concat(states, axis=1)
 
 
 @dataclass
@@ -187,8 +205,8 @@ class BiLSTM:
         return cls(fwd=LSTMCellParams.init(input_dim, hidden_dim, rng),
                    bwd=LSTMCellParams.init(input_dim, hidden_dim, rng))
 
-    def encode(self, x: Tensor) -> Tensor:
-        return bilstm_encode(self.fwd, self.bwd, x)
+    def encode(self, x: Tensor, lengths=None) -> Tensor:
+        return bilstm_encode(self.fwd, self.bwd, x, lengths)
 
     def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
         """concat(last forward hidden, last backward hidden) of each id
@@ -217,7 +235,7 @@ class BiLSTM:
 
 
 # ---------------------------------------------------------------------------
-# composers: one call covers every word of a sentence
+# composers: one call covers every word of a mini-batch
 
 
 def _compose(table: EmbeddingTable, bilstm: BiLSTM, sequences) -> Tensor:
@@ -318,7 +336,8 @@ class InputComposer:
 
     def compose_input(self, words: list[str], analyses: list | None = None,
                       pieces: list[list[str]] | None = None) -> Tensor:
-        """Input rows (len(words), output_dim) of one sentence.
+        """Input rows (len(words), output_dim) of the given words: one
+        sentence, or every sentence of a mini-batch back to back.
 
         analyses, when given, holds each word's morphological analysis; a
         word without one falls back to its surface string.  pieces holds each
@@ -480,30 +499,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return normed * ad.broadcast_to(gain, (n, d)) + ad.broadcast_to(bias, (n, d))
 
 
-def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int):
+def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
+                         lengths=None):
     """Scaled dot-product self-attention over the rows of x.
 
     Each projection is one matmul; head h reads its column band of the
-    result.  Returns the projected output and one (n, n) attention-weight
-    matrix per head; weight rows sum to one.
+    result.  x holds one sequence, or several back to back with lengths
+    giving their row counts, and each row attends only to the rows of its
+    own sequence.  Returns the projected output and one (num_heads, L, L)
+    array of attention weights per sequence; weight rows sum to one.
     """
     q, k, v = (x @ ad.transpose(w) for w in (layer.Wq, layer.Wk, layer.Wv))
-    dk = q.shape[1] // num_heads
-    heads_out, weights = [], []
-    for h in range(num_heads):
-        band = (slice(None), slice(h * dk, (h + 1) * dk))
-        scores = ad.scale(ad.take(q, band) @ ad.transpose(ad.take(k, band)),
-                          1.0 / math.sqrt(dk))
-        attn = softmax_rows(scores)
-        heads_out.append(attn @ ad.take(v, band))
-        weights.append(attn)
-    combined = heads_out[0] if num_heads == 1 else ad.concat(heads_out, axis=1)
+    combined, weights = ad.attention(q, k, v, [x.shape[0]] if lengths is None
+                                     else lengths, num_heads)
     return combined @ ad.transpose(layer.Wo), weights
 
 
 def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Tensor,
-                      training: bool, rng) -> Tensor:
-    attn_out, _ = multi_head_attention(layer, x, cfg.num_heads)
+                      training: bool, rng, lengths=None) -> Tensor:
+    attn_out, _ = multi_head_attention(layer, x, cfg.num_heads, lengths)
     attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
     x = layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
     n = x.shape[0]
@@ -516,23 +530,37 @@ def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Ten
 
 def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
                        piece_ids: list[int], training: bool = False,
-                       rng: np.random.Generator | None = None) -> Tensor:
-    """Encode a piece-id sequence; returns the (pieces, hidden) matrix of
-    hidden vectors, one row per piece.
+                       rng: np.random.Generator | None = None,
+                       lengths=None) -> Tensor:
+    """Encode piece-id sequences; returns the hidden vectors, one row per
+    kept piece.
 
-    Sequences longer than max_len are truncated with a warning.
+    piece_ids holds one sequence, or several back to back, with lengths
+    giving each one's piece count.  A sequence longer than max_len keeps its
+    first max_len pieces, with a warning.  All sequences are packed into one
+    matrix; each piece takes the position of its offset in its own sequence
+    and attends only to the pieces of its own sequence.
     """
     if not piece_ids:
         raise UsageError("transformer_encode requires a non-empty sequence")
-    if len(piece_ids) > cfg.max_len:
-        log.warning("sequence of %d pieces truncated to max_len %d",
-                    len(piece_ids), cfg.max_len)
-        piece_ids = piece_ids[:cfg.max_len]
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
-    x = (ad.gather_rows(params.piece_table.matrix, piece_ids)
-         + ad.take(params.positions, slice(0, len(piece_ids))))
+    lengths = [len(piece_ids)] if lengths is None else [int(n) for n in lengths]
+    if min(lengths) < 1 or sum(lengths) != len(piece_ids):
+        raise UsageError(f"sequence lengths {lengths} do not split "
+                         f"{len(piece_ids)} pieces")
+    ids, positions, kept = [], [], []
+    start = 0
+    for n in lengths:
+        if n > cfg.max_len:
+            log.warning("sequence of %d pieces truncated to max_len %d", n, cfg.max_len)
+        kept.append(min(n, cfg.max_len))
+        ids.extend(piece_ids[start:start + kept[-1]])
+        positions.extend(range(kept[-1]))
+        start += n
+    x = (ad.gather_rows(params.piece_table.matrix, ids)
+         + ad.gather_rows(params.positions, positions))
     x = ad.dropout(x, cfg.dropout_p, training, rng)
     for layer in params.layers:
-        x = transformer_block(cfg, layer, x, training, rng)
+        x = transformer_block(cfg, layer, x, training, rng, kept)
     return x

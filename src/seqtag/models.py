@@ -9,6 +9,7 @@ artifact with named float64 tensors and UTF-8 vocabulary tables.
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import zipfile
@@ -144,57 +145,95 @@ class SequenceTagger:
         n, T = h.shape[0], self.b_out.size
         return ad.matmul(h, ad.transpose(self.w_out)) + ad.broadcast_to(self.b_out, (n, T))
 
-    def _bilstm_features(self, words, morphs, training, rng):
+    def _bilstm_features(self, words, morphs, lengths, training, rng):
         pieces = None
         if self.composer.cfg.use_subword:
             pieces = [segment(self.tokenizer, word) for word in words]
         x = self.composer.compose_input(words, morphs or None, pieces)
         if training:
             x = ad.dropout(x, self.dropout_p, True, rng)
-        return self.encoder.encode(x), list(range(len(words)))
+        return self.encoder.encode(x, lengths), list(range(len(words)))
 
-    def _transformer_features(self, words, training, rng):
-        pieces: list[str] = []
-        initial: list[int] = []
-        for word in words:
-            initial.append(len(pieces))
-            pieces.extend(segment(self.tokenizer, word))
+    def _transformer_features(self, words, lengths, training, rng):
         table = self.transformer.piece_table
-        ids = [table.id_of(p) for p in pieces]
+        max_len = self.transformer_cfg.max_len
+        ids: list[int] = []
+        counts: list[int] = []  # pieces per sentence
+        covered: list[int] = []
+        first_rows: list[int] = []  # hidden row of each covered word's first piece
+        start = rows = 0  # words and hidden rows of the earlier sentences
+        for n in lengths:
+            count = 0
+            for w in range(start, start + n):
+                # a word whose first piece falls past the length limit gets no emissions
+                if count < max_len:
+                    covered.append(w)
+                    first_rows.append(rows + count)
+                pieces = segment(self.tokenizer, words[w])
+                ids.extend(table.id_of(p) for p in pieces)
+                count += len(pieces)
+            counts.append(count)
+            start += n
+            rows += min(count, max_len)
         hidden = transformer_encode(self.transformer_cfg, self.transformer,
-                                    ids, training, rng)
-        # words whose first piece fell past the length limit get no emissions
-        covered = [w for w, pos in enumerate(initial) if pos < hidden.shape[0]]
-        return ad.gather_rows(hidden, [initial[w] for w in covered]), covered
+                                    ids, training, rng, counts)
+        return ad.gather_rows(hidden, first_rows), covered
 
     def emission_rows(self, words: list[str], morphs=None, training: bool = False,
-                      rng: np.random.Generator | None = None):
-        """Per-word tag score rows plus the word indices they cover."""
+                      rng: np.random.Generator | None = None, lengths=None):
+        """Per-word tag score rows plus the indices of the words they cover.
+
+        words holds one sentence, or several back to back, with lengths
+        giving each one's word count; morphs, if given, runs parallel to
+        words.  All sentences are encoded in one graph.
+        """
         if not words:
             raise UsageError("cannot compute emissions for an empty sentence")
+        lengths = [len(words)] if lengths is None else list(lengths)
+        if min(lengths) < 1 or sum(lengths) != len(words):
+            raise UsageError(f"sentence lengths {lengths} do not split {len(words)} words")
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
-            features, covered = self._bilstm_features(words, morphs, training, rng)
+            features, covered = self._bilstm_features(words, morphs, lengths,
+                                                      training, rng)
         else:
-            features, covered = self._transformer_features(words, training, rng)
+            features, covered = self._transformer_features(words, lengths,
+                                                           training, rng)
         emissions = self._project(features)
         return [ad.take(emissions, i) for i in range(len(covered))], covered
 
     # ------------------------------------------------------------------
     # loss and decoding
 
-    def loss(self, sentence: LabeledSentence, training: bool = True,
+    def loss(self, *sentences: LabeledSentence, training: bool = True,
              rng: np.random.Generator | None = None) -> Tensor:
-        """Negative log-likelihood of the sentence's gold labeling."""
-        rows, covered = self.emission_rows(sentence.surfaces, sentence.morphs,
-                                           training, rng)
-        emissions = ad.stack(rows)
-        tags = sentence.tags
-        labels = [self.tags.id_of(tags[w]) for w in covered]
-        if self.crf is not None:
-            return crf_nll(self.crf, emissions, labels, self._mask)
-        return linear_nll(emissions, labels)
+        """Summed negative log-likelihood of the sentences' gold labelings.
+
+        The whole mini-batch is one graph: one encoder pass over all its
+        sentences, then one CRF or softmax loss per sentence, added in order.
+        """
+        if not sentences:
+            raise UsageError("loss needs at least one sentence")
+        words = [w for s in sentences for w in s.surfaces]
+        morphs = [m for s in sentences for m in s.morphs]
+        gold = [t for s in sentences for t in s.tags]
+        rows, covered = self.emission_rows(words, morphs, training, rng,
+                                           [len(s) for s in sentences])
+        total = None
+        first = end = 0
+        for s in sentences:
+            end += len(s)
+            last = bisect.bisect_left(covered, end)
+            emissions = ad.stack(rows[first:last])
+            labels = [self.tags.id_of(gold[w]) for w in covered[first:last]]
+            if self.crf is not None:
+                nll = crf_nll(self.crf, emissions, labels, self._mask)
+            else:
+                nll = linear_nll(emissions, labels)
+            total = nll if total is None else total + nll
+            first = last
+        return total
 
     def predict(self, words: list[str], morphs=None,
                 mask_illegal: bool | None = None) -> list[str]:

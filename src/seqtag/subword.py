@@ -53,6 +53,21 @@ class UnigramVocab:
 # ---------------------------------------------------------------------------
 # lattice primitives over one word
 
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) for two floats by numpy's own formula, so it
+    equals np.logaddexp bitwise at a fraction of a ufunc call's cost."""
+    if x == y:  # also equal infinities
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
+
 
 def _forward(word: str, lp: dict[str, float], max_len: int):
     n = len(word)
@@ -62,7 +77,7 @@ def _forward(word: str, lp: dict[str, float], max_len: int):
         for j in range(max(0, i - max_len), i):
             piece = word[j:i]
             if piece in lp and alpha[j] != -math.inf:
-                alpha[i] = np.logaddexp(alpha[i], alpha[j] + lp[piece])
+                alpha[i] = _logaddexp(alpha[i], alpha[j] + lp[piece])
     return alpha
 
 
@@ -80,7 +95,7 @@ def _expected_counts(word: str, count: int, lp: dict[str, float], max_len: int,
         for j in range(i + 1, min(n, i + max_len) + 1):
             piece = word[i:j]
             if piece in lp and beta[j] != -math.inf:
-                beta[i] = np.logaddexp(beta[i], lp[piece] + beta[j])
+                beta[i] = _logaddexp(beta[i], lp[piece] + beta[j])
     for i in range(n):
         if alpha[i] == -math.inf:
             continue

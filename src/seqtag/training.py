@@ -71,7 +71,8 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     """Fit a model on split.train, tracking entity F1 on split.valid.
 
     Each epoch visits the training sentences in a fresh seeded shuffle;
-    sentence losses accumulate over a mini-batch before one clipped update.
+    each mini-batch is one graph whose summed sentence losses drive one
+    clipped update.
     The parameters kept at the end are those of the best-validation epoch.
     A non-finite loss or gradient norm aborts with DivergenceError before
     the update.  target_f1, when given, stops early once validation F1
@@ -101,16 +102,15 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         total = 0.0
         for batch in _batches(order, cfg.batch_size):
             opt.zero_grad()
-            loss = None
-            for i in batch:
-                nll = model.loss(split.train[int(i)], training=True, rng=rng)
-                loss = nll if loss is None else loss + nll
+            loss = model.loss(*(split.train[int(i)] for i in batch),
+                              training=True, rng=rng)
             if cfg.lambda_l2 > 0:
                 loss = loss + l2_penalty(params, cfg.lambda_l2)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             ad.backward(loss)
+            del loss  # free this graph before the next one is built
             norm = clip_gradients(params, cfg.clip_norm)
             if not np.isfinite(norm):
                 raise DivergenceError(f"non-finite gradient norm at epoch {epoch}")

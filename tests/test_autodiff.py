@@ -3,6 +3,7 @@ import pytest
 
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
+from seqtag.crf import illegal_mask
 from seqtag.errors import ConfigError, DomainError, ShapeError, UsageError
 
 from oracles import finite_diff, max_rel_error
@@ -381,6 +382,20 @@ def test_grad_zero_after_creation_and_zero_grad():
     assert constant.grad is None
 
 
+def test_forward_allocates_no_adjoints_and_backward_keeps_only_leaves():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = ad.tanh(ad.scale(x, 2.0))
+    loss = ad.tensor_sum(ad.mul(h, h))
+    nodes = ad.trace(loss)
+    assert all(n._grad is None for n in nodes)
+    ad.backward(loss)
+    assert [n for n in nodes if n._grad is not None] == [x]
+    t = np.tanh(2.0 * np.arange(3.0))
+    assert np.allclose(x.grad, 4.0 * t * (1.0 - t * t))
+    ad.backward(loss)  # a second pass adds the same gradient once more
+    assert np.allclose(x.grad, 8.0 * t * (1.0 - t * t))
+
+
 def test_no_grad_records_no_graph_and_restores_on_exit():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError), ad.no_grad():
@@ -417,6 +432,8 @@ def _op_cases(rng):
     p_scan = proj(side, (3, 4, 2))
     p_gather = proj(side, (2, 2, 3))
     p_take = proj(side, 3)
+    p_attn = proj(side, (6, 4))
+    bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
     p23 = proj(rng, (2, 3))
@@ -470,6 +487,20 @@ def _op_cases(rng):
         "take": (lambda a: ad.tensor_sum(ad.mul(
             ad.take(a, (slice(None, None, -1), 1)), p_take)),
             lambda: [rng.standard_normal((3, 4))]),
+        # the fused forward algorithm over 1 to 5 positions and 3 tags,
+        # w.r.t. the emissions and the whole transition table, free and
+        # under the BIO2 mask of O, B-X, I-X
+        "crf_forward": (lambda e, t: ad.scale(ad.crf_forward(e, t), 1.3),
+                        lambda: [rng.standard_normal((rng.integers(1, 6), 3)),
+                                 rng.standard_normal((4, 4))]),
+        "crf_forward_masked": (lambda e, t: ad.scale(ad.crf_forward(e, t, bio2), 1.3),
+                               lambda: [rng.standard_normal((rng.integers(1, 6), 3)),
+                                        rng.standard_normal((4, 4))]),
+        # fused attention over three sequences of 3, 1 and 2 rows with two
+        # heads of width 2, w.r.t. q, k and v
+        "attention": (lambda q, k, v: ad.tensor_sum(ad.mul(
+            ad.attention(q, k, v, [3, 1, 2], 2)[0], p_attn)),
+            lambda: [rng.standard_normal((6, 4)) for _ in range(3)]),
     }
 
 

@@ -111,6 +111,30 @@ def test_log_partition_slices_the_transition_table_without_matmul():
         assert not any(node._op == "matmul" for node in graph)
 
 
+def test_log_partition_is_one_node_over_emissions_and_transition():
+    rng = np.random.default_rng(58)
+    c = random_crf(rng, 3)
+    e = random_emissions(rng, 5, 3)
+    for m in (None, crf_mod.illegal_mask(["O", "B-X", "I-X"])):
+        graph = ad.trace(crf_mod.log_partition(c, e, m))
+        assert [node._op for node in graph] == ["leaf", "leaf", "crf_forward"]
+
+
+def test_a_mask_of_the_wrong_shape_is_rejected_everywhere():
+    rng = np.random.default_rng(67)
+    c = random_crf(rng, 3)
+    e = random_emissions(rng, 2, 3)
+    for mask in (np.zeros(4), np.zeros((5, 5)), np.zeros((3, 3)), np.zeros((4, 5))):
+        with pytest.raises(ShapeError):
+            crf_mod.viterbi_decode(c, e, mask)
+        with pytest.raises(ShapeError):
+            crf_mod.score_sequence(c, e, [0, 1], mask)
+        with pytest.raises(ShapeError):
+            crf_mod.log_partition(c, e, mask)
+        with pytest.raises(ShapeError):
+            crf_mod.constrained_decode(e, mask)
+
+
 def test_path_probabilities_sum_to_one():
     rng = np.random.default_rng(55)
     for _ in range(10):

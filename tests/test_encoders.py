@@ -154,6 +154,27 @@ def test_bilstm_encode_matches_manual_unroll():
         assert np.max(np.abs(out.data[t] - expect)) <= 1e-12
 
 
+def test_bilstm_encode_of_a_batch_equals_each_sequence_alone():
+    rng = np.random.default_rng(16)
+    bi = enc.BiLSTM.init(3, 2, rng)
+    lengths = [2, 5, 1, 3]
+    x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(sum(lengths), 4)))
+
+    def one_by_one():
+        starts = np.cumsum([0] + lengths)
+        return ad.concat([bi.encode(ad.take(x, slice(a, b)))
+                          for a, b in zip(starts, starts[1:])], axis=0)
+
+    batched = _outputs_and_grads(bi, [x], lambda: bi.encode(x, lengths), proj)
+    alone = _outputs_and_grads(bi, [x], one_by_one, proj)
+    for got, want in zip(batched, alone):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for bad in ([2, 5, 1, 2], [11, 0], [12]):
+        with pytest.raises(UsageError):
+            bi.encode(x, bad)
+
+
 def test_bilstm_encode_rejects_empty_sequence():
     rng = np.random.default_rng(12)
     fwd = enc.LSTMCellParams.init(3, 2, rng)
@@ -476,11 +497,10 @@ def test_attention_weight_rows_sum_to_one():
     x = Tensor(rng.normal(size=(5, 4)))
     out, weights = enc.multi_head_attention(layer, x, 2)
     assert out.shape == (5, 4)
-    assert len(weights) == 2
-    for w in weights:
-        assert w.shape == (5, 5)
-        assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) <= 1e-12
-        assert np.all(w.data >= 0)
+    assert len(weights) == 1 and weights[0].shape == (2, 5, 5)
+    for w in weights[0]:
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all(w >= 0)
 
 
 def test_attention_on_single_position_is_identity_weight():
@@ -488,9 +508,9 @@ def test_attention_on_single_position_is_identity_weight():
     layer = enc.TransformerLayer.init(tiny_cfg(), rng)
     x = Tensor(rng.normal(size=(1, 4)))
     _, weights = enc.multi_head_attention(layer, x, 2)
-    for w in weights:
-        assert w.data.shape == (1, 1)
-        assert abs(w.data[0, 0] - 1.0) <= 1e-12
+    assert len(weights) == 1 and weights[0].shape == (2, 1, 1)
+    for w in weights[0]:
+        assert abs(w[0, 0] - 1.0) <= 1e-12
 
 
 def test_attention_is_permutation_equivariant():
@@ -526,6 +546,53 @@ def test_attention_gradient_matches_finite_differences():
         assert max_rel_error(a, n) <= 1e-6
 
 
+def _attention_oracle(q, k, v, lengths, num_heads):
+    """Per-sequence, per-head attention composed from primitive ops."""
+    dk = q.shape[1] // num_heads
+    starts = np.cumsum([0] + lengths)
+    blocks = []
+    for a, b in zip(starts[:-1], starts[1:]):
+        heads = []
+        for h in range(num_heads):
+            band = (slice(a, b), slice(h * dk, (h + 1) * dk))
+            scores = ad.scale(ad.take(q, band) @ ad.transpose(ad.take(k, band)),
+                              1.0 / math.sqrt(dk))
+            heads.append(enc.softmax_rows(scores) @ ad.take(v, band))
+        blocks.append(ad.concat(heads, axis=1))
+    return ad.concat(blocks, axis=0)
+
+
+def test_fused_attention_matches_per_sequence_oracle():
+    rng = np.random.default_rng(39)
+    lengths = [4, 1, 3, 2]
+    qkv = [rng.normal(size=(10, 6)) for _ in range(3)]
+    proj = Tensor(rng.normal(size=(10, 6)))
+    results = []
+    for fused in (True, False):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in qkv]
+        out = (ad.attention(*ts, lengths, 3)[0] if fused
+               else _attention_oracle(*ts, lengths, 3))
+        ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+        results.append([out.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    # the weights are each sequence's own softmax rows
+    _, weights = ad.attention(*[Tensor(a) for a in qkv], lengths, 3)
+    assert [w.shape for w in weights] == [(3, n, n) for n in lengths]
+    assert all(np.allclose(w.sum(axis=2), 1.0) for w in weights)
+
+
+def test_fused_attention_rejects_bad_shapes_and_lengths():
+    x = Tensor(np.zeros((4, 6)))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, Tensor(np.zeros((4, 5))), [4], 2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, [4], 4)  # width 6 does not split into 4 heads
+    for lengths in ([3], [2, 3], [4, 0], []):
+        with pytest.raises(UsageError):
+            ad.attention(x, x, x, lengths, 2)
+
+
 def test_transformer_encode_shapes_and_determinism():
     rng = np.random.default_rng(38)
     cfg = tiny_cfg()
@@ -546,6 +613,20 @@ def test_transformer_encode_truncates_with_warning(caplog):
         out = enc.transformer_encode(cfg, params, ids)
     assert out.shape[0] == 3
     assert any("truncated" in rec.message for rec in caplog.records)
+
+
+def test_transformer_encode_packs_sequences_apart():
+    rng = np.random.default_rng(45)
+    cfg = tiny_cfg(max_len=4)
+    params = enc.TransformerParams.init(cfg, ["a", "b", "c"], rng)
+    seqs = [[2, 3, 4], [4, 4, 2, 3, 2, 3], [3]]  # the middle one is cut to 4
+    packed = enc.transformer_encode(cfg, params, sum(seqs, []),
+                                    lengths=[len(s) for s in seqs])
+    alone = np.concatenate([enc.transformer_encode(cfg, params, s).data for s in seqs])
+    assert packed.shape == (3 + 4 + 1, 4)
+    assert np.max(np.abs(packed.data - alone)) <= 1e-12
+    with pytest.raises(UsageError):
+        enc.transformer_encode(cfg, params, [2, 3], lengths=[1, 2])
 
 
 def test_transformer_encode_empty_and_missing_rng():

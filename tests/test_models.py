@@ -116,6 +116,74 @@ def test_transformer_tag_graph_grows_by_its_rows_not_its_pieces(vocab, tokenizer
     assert len(extra) == 1
 
 
+def _loss_and_gradients(model, build):
+    params = model.named_parameters()
+    for t in params.values():
+        t.zero_grad()
+    loss = build()
+    ad.backward(loss)
+    return loss.item(), {name: t.grad.copy() for name, t in params.items()}
+
+
+BATCH_CASES = [(kind, False) for kind in MODEL_KINDS] + [("bilstm-crf", True)]
+
+
+@pytest.mark.parametrize("kind,all_composers", BATCH_CASES)
+def test_batched_loss_equals_the_sum_of_sentence_losses(corpus, vocab, tokenizer,
+                                                        kind, all_composers):
+    cfg = tiny_cfg(kind, mask_illegal=True)
+    cfg.transformer.max_len = 10  # the longest sentence below is cut short
+    if all_composers:
+        cfg.composer.use_morph = cfg.composer.use_subword = True
+    model = build_model(cfg, vocab, np.random.default_rng(3), tokenizer)
+    batch = sorted(corpus[:12], key=len)[::3]
+    assert len({len(s) for s in batch}) == len(batch)
+    if kind.startswith("transformer"):
+        _, covered = model.emission_rows(batch[-1].surfaces)
+        assert len(covered) < len(batch[-1])
+
+    def summed():
+        total = None
+        for s in batch:
+            nll = model.loss(s, training=True, rng=np.random.default_rng(0))
+            total = nll if total is None else total + nll
+        return total
+
+    got, got_grads = _loss_and_gradients(
+        model, lambda: model.loss(*batch, training=True, rng=np.random.default_rng(0)))
+    want, want_grads = _loss_and_gradients(model, summed)
+    assert abs(got - want) <= 1e-10
+    for name, grad in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - grad)) <= 1e-10, name
+
+
+def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, tokenizer):
+    cfg = tiny_cfg("transformer-crf")
+    model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
+
+    def masked_nodes(loss):
+        return [node._op for node in ad.trace(loss) if np.isneginf(node.data).any()]
+
+    assert masked_nodes(model.loss(corpus[0], training=False)) == []
+    # two sentences: each attends within itself in one node per layer, and
+    # no node holds scores over the pieces of both sentences
+    loss = model.loss(*corpus[:2], training=False)
+    assert masked_nodes(loss) == []
+    nodes = ad.trace(loss)
+    assert [n._op for n in nodes].count("attention") == cfg.transformer.num_layers
+    n_pieces = max(n.shape[0] for n in nodes if n._op == "attention")
+    assert n_pieces not in (12, 16)  # no weight matrix is (n_pieces, n_pieces)
+    assert not any(n.shape == (n_pieces, n_pieces) for n in nodes)
+
+
+def test_batched_loss_rejects_an_empty_batch(vocab):
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    with pytest.raises(UsageError):
+        model.loss()
+    with pytest.raises(UsageError):
+        model.emission_rows(["a", "b"], lengths=[1, 2])
+
+
 def test_loss_is_finite_and_backward_reaches_the_embeddings(corpus, vocab):
     model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(1))
     loss = model.loss(corpus[0], training=False)

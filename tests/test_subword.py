@@ -23,6 +23,19 @@ def make_vocab(items):
 # training
 
 
+def test_scalar_logaddexp_equals_numpy_bitwise():
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=2000) * rng.choice([0.01, 1.0, 30.0, 800.0], size=2000)
+    ys = rng.normal(size=2000) * rng.choice([0.01, 1.0, 30.0, 800.0], size=2000)
+    pairs = list(zip(xs.tolist(), ys.tolist())) + [(x, x) for x in xs[:50].tolist()]
+    inf = math.inf
+    pairs += [(inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf), (-inf, 2.5),
+              (2.5, -inf), (inf, 2.5), (-1.0, inf), (0.0, -0.0), (-745.0, 0.0)]
+    for x, y in pairs:
+        got = sw._logaddexp(x, y)
+        assert np.float64(got).tobytes() == np.logaddexp(x, y).tobytes(), (x, y)
+
+
 def test_train_two_symbol_corpus_promotes_multichar_piece():
     v = train_unigram("ababab", vocab_size=3, seed=0)
     assert len(v) == 3
