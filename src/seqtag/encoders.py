@@ -394,6 +394,11 @@ class ToyTransformerConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        if type(self.num_heads) is not int or self.num_heads < 1:
+            raise ConfigError(f"num_heads must be a positive integer, "
+                              f"got {self.num_heads!r}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError("dropout_p must lie in [0, 1)")
         if self.hidden_units % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_units {self.hidden_units} not divisible by "

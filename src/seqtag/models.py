@@ -5,6 +5,8 @@ composed token inputs feeds a per-position linear projection to tag scores,
 decoded either jointly (structured transition layer) or independently
 (per-position argmax).  Trained models round-trip through a versioned zip
 artifact with named float64 tensors and UTF-8 vocabulary tables.
+load_model rebuilds a saved model with build_model, so a manifest that
+does not describe a model build_model can make is an ArtifactError.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .autodiff import Tensor
 from .crf import (CRFParams, constrained_decode, crf_nll, illegal_mask,
                   linear_decode, linear_nll, viterbi_decode)
 from .data import LabeledSentence, TagSet, Vocabulary
-from .encoders import (BiLSTM, ComposerConfig, EmbeddingTable, InputComposer,
-                       ToyTransformerConfig, TransformerLayer,
-                       TransformerParams, transformer_encode, xavier_uniform)
+from .encoders import (BiLSTM, ComposerConfig, InputComposer,
+                       ToyTransformerConfig, TransformerParams,
+                       transformer_encode, xavier_uniform)
 from .errors import ArtifactError, ConfigError, UsageError
 from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
 
@@ -150,8 +152,7 @@ class SequenceTagger:
         if self.composer.cfg.use_subword:
             pieces = [segment(self.tokenizer, word) for word in words]
         x = self.composer.compose_input(words, morphs or None, pieces)
-        if training:
-            x = ad.dropout(x, self.dropout_p, True, rng)
+        x = ad.dropout(x, self.dropout_p, training, rng)
         return self.encoder.encode(x, lengths), list(range(len(words)))
 
     def _transformer_features(self, words, lengths, training, rng):
@@ -274,6 +275,11 @@ def _marked_piece_tokens(tokenizer: UnigramVocab) -> list[str]:
     return out
 
 
+def needs_tokenizer(cfg: TrainConfig) -> bool:
+    """Whether the configured model segments words into subword pieces."""
+    return cfg.model_kind.startswith("transformer") or cfg.composer.use_subword
+
+
 def build_model(cfg: TrainConfig, vocab: Vocabulary,
                 rng: np.random.Generator,
                 tokenizer: UnigramVocab | None = None) -> SequenceTagger:
@@ -281,8 +287,7 @@ def build_model(cfg: TrainConfig, vocab: Vocabulary,
     tags = vocab.tags
     T = len(tags)
     kind = cfg.model_kind
-    needs_tokenizer = kind.startswith("transformer") or cfg.composer.use_subword
-    if needs_tokenizer and tokenizer is None:
+    if needs_tokenizer(cfg) and tokenizer is None:
         raise UsageError(f"model kind {kind!r} with this composer needs a "
                          "subword tokenizer")
     kw = {}
@@ -314,19 +319,16 @@ def build_model(cfg: TrainConfig, vocab: Vocabulary,
 # artifact persistence
 
 
-def _table_entry(table: EmbeddingTable | None):
-    if table is None:
-        return None
-    return {"vocab": table.vocab, "dim": table.dim,
-            "pad_id": table.pad_id, "unk_id": table.unk_id}
-
-
-def _table_from_entry(entry) -> EmbeddingTable | None:
-    if entry is None:
-        return None
-    return EmbeddingTable({k: int(v) for k, v in entry["vocab"].items()},
-                          int(entry["dim"]), int(entry["pad_id"]),
-                          int(entry["unk_id"]))
+def _table_entries(model: SequenceTagger) -> dict:
+    """The manifest's tables block: each embedding table's token ids, width
+    and reserved ids, or None for a table the model does not have."""
+    tables = {name: getattr(model.composer, name + "_table", None)
+              for name in ("word", "char", "morph", "piece")}
+    tables["transformer_piece"] = getattr(model.transformer, "piece_table", None)
+    return {name: None if table is None else
+            {"vocab": table.vocab, "dim": table.dim,
+             "pad_id": table.pad_id, "unk_id": table.unk_id}
+            for name, table in tables.items()}
 
 
 def save_model(model: SequenceTagger, path) -> None:
@@ -341,14 +343,7 @@ def save_model(model: SequenceTagger, path) -> None:
         "hidden_dim": model.hidden_dim,
         "composer": asdict(model.composer.cfg) if model.composer else None,
         "transformer": asdict(model.transformer_cfg) if model.transformer_cfg else None,
-        "tables": {
-            "word": _table_entry(model.composer.word_table) if model.composer else None,
-            "char": _table_entry(model.composer.char_table) if model.composer else None,
-            "morph": _table_entry(model.composer.morph_table) if model.composer else None,
-            "piece": _table_entry(model.composer.piece_table) if model.composer else None,
-            "transformer_piece": _table_entry(model.transformer.piece_table)
-                                 if model.transformer else None,
-        },
+        "tables": _table_entries(model),
         "tensors": sorted(named),
     }
     buf = io.BytesIO()
@@ -359,51 +354,6 @@ def save_model(model: SequenceTagger, path) -> None:
         if model.tokenizer is not None:
             zf.writestr("tokenizer.tsv", vocab_to_text(model.tokenizer))
         zf.writestr("tensors.npz", buf.getvalue())
-
-
-def _skeleton_from_manifest(manifest, tokenizer) -> SequenceTagger:
-    rng = np.random.default_rng(0)  # placeholder values, overwritten below
-    tags = TagSet(list(manifest["tags"]))
-    kind = manifest["kind"]
-    tables = manifest["tables"]
-    kw = {}
-    if kind.startswith("bilstm"):
-        ccfg = ComposerConfig(**manifest["composer"])
-        composer = InputComposer(
-            ccfg,
-            word_table=_table_from_entry(tables["word"]),
-            char_table=_table_from_entry(tables["char"]),
-            morph_table=_table_from_entry(tables["morph"]),
-            piece_table=_table_from_entry(tables["piece"]),
-            char_bilstm=BiLSTM.init(ccfg.char_dim, ccfg.char_hidden, rng)
-                        if ccfg.use_char else None,
-            morph_bilstm=BiLSTM.init(ccfg.morph_dim, ccfg.morph_hidden, rng)
-                         if ccfg.use_morph else None,
-            subword_bilstm=BiLSTM.init(ccfg.subword_dim, ccfg.subword_hidden, rng)
-                           if ccfg.use_subword else None)
-        hidden_dim = int(manifest["hidden_dim"])
-        encoder = BiLSTM.init(ccfg.output_dim, hidden_dim, rng)
-        feature_dim = 2 * hidden_dim
-        kw.update(composer=composer, encoder=encoder, hidden_dim=hidden_dim,
-                  tokenizer=tokenizer if ccfg.use_subword else None)
-    else:
-        tcfg = ToyTransformerConfig(**manifest["transformer"])
-        transformer = TransformerParams(
-            piece_table=_table_from_entry(tables["transformer_piece"]),
-            positions=Tensor(np.zeros((tcfg.max_len, tcfg.hidden_units)),
-                             requires_grad=True),
-            layers=[TransformerLayer.init(tcfg, rng)
-                    for _ in range(tcfg.num_layers)])
-        feature_dim = tcfg.hidden_units
-        kw.update(transformer_cfg=tcfg, transformer=transformer,
-                  tokenizer=tokenizer)
-    T = len(tags)
-    w_out = Tensor(np.zeros((T, feature_dim)), requires_grad=True)
-    b_out = Tensor(np.zeros(T), requires_grad=True)
-    crf = CRFParams.init(T, rng) if kind.endswith("-crf") else None
-    return SequenceTagger(kind, tags, float(manifest["dropout_p"]),
-                          bool(manifest["mask_illegal"]), w_out, b_out,
-                          crf=crf, **kw)
 
 
 def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
@@ -428,7 +378,11 @@ def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
 
 def load_model(path) -> SequenceTagger:
     """Read a model artifact of version 1 or 2; raises ArtifactError on
-    anything malformed."""
+    anything malformed.
+
+    build_model makes the model from the config, tags and tables the
+    manifest names; the stored tensors then replace its initial weights.
+    The rebuilt tables must reproduce the manifest's exactly."""
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
@@ -450,9 +404,27 @@ def load_model(path) -> SequenceTagger:
                             f"supported; this build reads versions 1 and "
                             f"{ARTIFACT_VERSION}")
     try:
-        model = _skeleton_from_manifest(manifest, tokenizer)
-    except (KeyError, TypeError) as exc:
-        raise ArtifactError(f"corrupt artifact manifest: {exc}") from exc
+        tables = manifest["tables"]
+        cfg = TrainConfig(
+            model_kind=manifest["kind"],
+            composer=ComposerConfig(**(manifest["composer"] or {})),
+            transformer=ToyTransformerConfig(**(manifest["transformer"] or {})),
+            # transformer kinds do not use hidden_dim; earlier builds that
+            # loaded and re-saved such an artifact stored 0 there
+            hidden_dim=manifest["hidden_dim"] or TrainConfig.hidden_dim,
+            dropout_p=manifest["dropout_p"],
+            mask_illegal=bool(manifest["mask_illegal"]))
+        word, char, morph = (tables[name]["vocab"] if tables[name] else {}
+                             for name in ("word", "char", "morph"))
+        vocab = Vocabulary(word, char, morph, TagSet(list(manifest["tags"])))
+        # placeholder weights, overwritten below
+        model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ArtifactError(f"artifact manifest does not describe a model "
+                            f"build_model can make: {exc!r}") from exc
+    if _table_entries(model) != tables:
+        raise ArtifactError("artifact tables do not match the tables its "
+                            "config, vocabulary and tokenizer give")
     try:
         with np.load(io.BytesIO(npz_bytes)) as npz:
             arrays = {name: npz[name] for name in npz.files}

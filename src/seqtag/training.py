@@ -14,7 +14,8 @@ from .crf import l2_penalty
 from .data import CorpusSplit, LabeledSentence, build_vocab
 from .errors import DivergenceError, UsageError
 from .evaluation import EvalReport, score
-from .models import SequenceTagger, TrainConfig, build_model, tag_corpus
+from .models import (SequenceTagger, TrainConfig, build_model,
+                     needs_tokenizer, tag_corpus)
 from .optim import AdamDecoupled, SGDMomentum, clip_gradients, lr_schedule
 from .subword import UnigramVocab, train_unigram
 
@@ -56,10 +57,6 @@ def evaluate_model(model: SequenceTagger, sentences: list[LabeledSentence],
     return score([s.tags for s in sentences], [s.tags for s in predicted])
 
 
-def _needs_tokenizer(cfg: TrainConfig) -> bool:
-    return cfg.model_kind.startswith("transformer") or cfg.composer.use_subword
-
-
 def _batches(order, size):
     for start in range(0, len(order), size):
         yield order[start:start + size]
@@ -82,7 +79,7 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         raise UsageError("training needs non-empty train and valid splits")
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(split.train, cfg.min_count)
-    if tokenizer is None and _needs_tokenizer(cfg):
+    if tokenizer is None and needs_tokenizer(cfg):
         text = [" ".join(s.surfaces) for s in split.train]
         tokenizer = train_unigram(text, cfg.subword_vocab_size, seed=cfg.seed)
     model = build_model(cfg, vocab, rng, tokenizer)

@@ -441,6 +441,15 @@ def test_transformer_config_head_divisibility():
         enc.ToyTransformerConfig(num_heads=3, hidden_units=64)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_heads", 0), ("num_heads", -1), ("num_heads", True),
+    ("dropout_p", 1.0), ("dropout_p", -0.1),
+])
+def test_transformer_config_rejects_values_no_model_runs_with(field, value):
+    with pytest.raises(ConfigError):
+        tiny_cfg(**{field: value})
+
+
 def test_softmax_rows_match_numpy_and_sum_to_one():
     rng = np.random.default_rng(30)
     for _ in range(10):

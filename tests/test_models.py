@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
-from seqtag.data import LabeledSentence, Token, build_vocab, split_corpus, validate_bio2
+from seqtag.cli import main
+from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
+                         split_corpus, validate_bio2)
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import ArtifactError, ConfigError, UsageError
 from seqtag.models import (MODEL_KINDS, SequenceTagger, TrainConfig,
@@ -358,11 +360,12 @@ def test_loading_zip_without_members_raises(tmp_path):
         load_model(path)
 
 
-def _tamper(src, dst, edit_manifest=None, edit_npz=None):
+def _tamper(src, dst, edit_manifest=None, edit_npz=None, keep_tokenizer=True):
     with zipfile.ZipFile(src) as zf:
         manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
         npz = zf.read("tensors.npz")
-        tok = zf.read("tokenizer.tsv") if "tokenizer.tsv" in zf.namelist() else None
+        tok = (zf.read("tokenizer.tsv")
+               if keep_tokenizer and "tokenizer.tsv" in zf.namelist() else None)
     if edit_manifest:
         edit_manifest(manifest)
     if edit_npz:
@@ -427,6 +430,58 @@ def test_malformed_tensors_are_reported(tmp_path, vocab, edit_npz, match):
     _tamper(src, dst, edit_npz=edit_npz)
     with pytest.raises(ArtifactError, match=match):
         load_model(dst)
+
+
+def _rename_first_piece(manifest):
+    vocab = manifest["tables"]["transformer_piece"]["vocab"]
+    piece = next(p for p in vocab if p not in ("<pad>", "<unk>"))
+    manifest["tables"]["transformer_piece"]["vocab"] = {
+        ("renamed" if p == piece else p): i for p, i in vocab.items()}
+
+
+SUBWORD = dict(composer=ComposerConfig(use_subword=True, word_dim=16,
+                                       char_dim=8, char_hidden=6,
+                                       subword_dim=8, subword_hidden=4))
+
+
+@pytest.mark.parametrize("kind,cfg_kw,edit_manifest,keep_tokenizer", [
+    ("transformer-crf", {}, None, False),
+    ("bilstm-crf", SUBWORD, None, False),
+    ("transformer-crf", {}, lambda m: m["transformer"].update(num_heads=5), True),
+    ("bilstm-crf", {}, lambda m: m["composer"].update(
+        use_word=False, use_char=False, use_morph=False, use_subword=False), True),
+    ("bilstm-crf", {}, lambda m: m["composer"].update(use_morph=True), True),
+    ("transformer-crf", {}, _rename_first_piece, True),
+], ids=["transformer-without-tokenizer", "subword-composer-without-tokenizer",
+        "heads-not-dividing-hidden-units", "no-composer-source",
+        "morph-without-morph-table", "piece-table-disagrees-with-tokenizer"])
+def test_manifest_that_describes_no_buildable_model_is_an_artifact_error(
+        tmp_path, corpus, vocab, tokenizer, kind, cfg_kw, edit_manifest,
+        keep_tokenizer):
+    model = build_model(tiny_cfg(kind, **cfg_kw), vocab,
+                        np.random.default_rng(0), tokenizer)
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "bad.zip"
+    _tamper(src, dst, edit_manifest=edit_manifest, keep_tokenizer=keep_tokenizer)
+    with pytest.raises(ArtifactError):
+        load_model(dst)
+    data = tmp_path / "data.conll"
+    data.write_text(serialize_conll(corpus[:3]), encoding="utf-8")
+    assert main(["evaluate", "--model", str(dst), "--data", str(data)]) == 2
+
+
+def test_transformer_artifact_with_hidden_dim_zero_loads(tmp_path, corpus,
+                                                         vocab, tokenizer):
+    """Transformer kinds do not use hidden_dim, and builds that loaded and
+    re-saved such an artifact stored 0 there."""
+    model = build_model(tiny_cfg("transformer-crf"), vocab,
+                        np.random.default_rng(0), tokenizer)
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "zero.zip"
+    _tamper(src, dst, edit_manifest=lambda m: m.update(hidden_dim=0))
+    assert_same_predictions(model, load_model(dst), corpus[:4])
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
