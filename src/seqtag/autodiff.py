@@ -463,38 +463,45 @@ def stack(rows: list[Tensor]) -> Tensor:
 
 
 def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
-              b_h: Tensor) -> Tensor:
-    """A length-masked LSTM over a padded batch, as one node.
+              b_h: Tensor, reverse: bool = False) -> Tensor:
+    """An LSTM over each of several packed sequences, as one node.
 
-    x is (B, L, D); sequence b occupies x[b, :lengths[b]] and every length
-    lies in [1, L].  The gate weights are stacked blocks of four row bands,
-    for the input, forget, cell and output gates in that order: w_x (4H, D),
-    w_h (4H, H), b_x (4H,) and b_h (4H,).  From a zero initial state, step t
-    computes
+    x is (n, D) with the sequences back to back, lengths[b] rows each.  The
+    gate weights are stacked blocks of four row bands, for the input, forget,
+    cell and output gates in that order: w_x (4H, D), w_h (4H, H), b_x (4H,)
+    and b_h (4H,).  From a zero initial state, step t of a sequence computes
 
         z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
         c = f * c + i * g,                      h = o * tanh(c)
 
-    Returns the hidden states (B, L, H).  Past its length a sequence keeps its
-    state, so out[:, -1] holds every sequence's final state.  Backward runs
+    reading its rows first to last, or last to first when reverse is set.
+    Returns the (n, H) hidden states, row for row: a sequence's final state
+    sits on its last row, or on its first when reverse is set.  All
+    sequences step together in one zero-padded batch; a finished sequence
+    runs on over padding, but no output reads those states.  Backward runs
     through time by hand.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"lstm_scan expects a (batch, steps, dim) input, got {x.shape}")
-    B, L, D = x.shape
-    lengths = np.asarray(lengths)
-    if lengths.shape != (B,):
-        raise ShapeError(f"lstm_scan got {lengths.shape} lengths for batch {B}")
-    if B and not (1 <= lengths.min() and lengths.max() <= L):
-        raise UsageError(f"lstm_scan lengths must lie in [1, {L}]")
+    if x.data.ndim != 2:
+        raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
+    n, D = x.shape
+    lengths = np.asarray([int(k) for k in lengths], dtype=np.intp)
+    if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
+        raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
     H = b_h.size // 4
     for t, shape in zip((w_x, w_h, b_x, b_h), ((4 * H, D), (4 * H, H), (4 * H,), (4 * H,))):
         if t.shape != shape:
             raise ShapeError(f"lstm_scan weight has shape {t.shape}, expected {shape}")
     Wx, Wh, bx, bh = w_x.data, w_h.data, b_x.data, b_h.data
+    B, L = lengths.size, int(lengths.max())
+    # the (sequence, step) of every packed row
+    seq = np.repeat(np.arange(B), lengths)
+    step = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    if reverse:
+        step = lengths[seq] - 1 - step
+    at = (seq, step)
 
-    xp = x.data @ Wx.T  # (B, L, 4H): the input side of every step at once
-    active = np.arange(L)[:, None] < lengths[None, :]  # (L, B)
+    xp = np.zeros((B, L, 4 * H))  # the input side of every step at once
+    xp[at] = x.data @ Wx.T
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     out = np.empty((B, L, H))
@@ -507,41 +514,39 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         saved.append((h, c, i, f, g, o, tc))
-        m = active[t][:, None]
-        h, c = np.where(m, o * tc, h), np.where(m, c_new, c)
+        h, c = o * tc, c_new
         out[:, t] = h
 
     def _bw(gout):
-        dz_all = np.zeros((B, L, 4 * H))
+        g_pad = np.zeros((B, L, H))
+        g_pad[at] = gout
+        dz_all = np.empty((B, L, 4 * H))
         dWh = np.zeros_like(Wh)
         dh = np.zeros((B, H))
         dc = np.zeros((B, H))
         for t in range(L - 1, -1, -1):
             h_prev, c_prev, i, f, g, o, tc = saved[t]
-            m = active[t][:, None]
-            dh = dh + gout[:, t]
+            dh = dh + g_pad[:, t]
             dc_new = dc + dh * o * (1.0 - tc * tc)
             dz = np.concatenate([dc_new * g * i * (1.0 - i),
                                  dc_new * c_prev * f * (1.0 - f),
                                  dc_new * i * (1.0 - g * g),
                                  dh * tc * o * (1.0 - o)], axis=1)
-            # a finished sequence passes its adjoints straight through
-            dz *= m
             dz_all[:, t] = dz
             dWh += dz.T @ h_prev
-            dh = np.where(m, dz @ Wh, dh)
-            dc = np.where(m, dc_new * f, dc)
-        flat = dz_all.reshape(B * L, 4 * H)
-        db = flat.sum(axis=0)
+            dh = dz @ Wh
+            dc = dc_new * f
+        dz = dz_all[at]
+        db = dz.sum(axis=0)
         if w_x.requires_grad:
-            w_x.grad += flat.T @ x.data.reshape(B * L, D)
+            w_x.grad += dz.T @ x.data
         for t, grad in ((w_h, dWh), (b_x, db), (b_h, db)):
             if t.requires_grad:
                 t.grad += grad
         if x.requires_grad:
-            x.grad += dz_all @ Wx
+            x.grad += dz @ Wx
 
-    return _result(out, (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
+    return _result(out[at], (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
 
 
 def crf_forward(emissions: Tensor, transition: Tensor,

@@ -196,36 +196,6 @@ def validate_bio2(sentence: LabeledSentence, mode: str = "strict") -> LabeledSen
     return sentence.with_tags(fixed)
 
 
-def split_long_sentence(sentence: LabeledSentence, max_len: int = 512) -> list[LabeledSentence]:
-    """Split an over-long sentence into pieces of at most max_len tokens.
-
-    The cut lands on the O tag nearest the limit; failing that, on an entity
-    boundary; failing that, hard at the limit.
-    """
-    if max_len < 1:
-        raise ConfigError("max_len must be positive")
-    out = []
-    rest = list(sentence.tokens)
-    while len(rest) > max_len:
-        cut = None
-        for i in range(max_len - 1, -1, -1):
-            if rest[i].gold_tag == "O":
-                cut = i + 1
-                break
-        if cut is None:
-            for i in range(max_len - 1, 0, -1):
-                if not rest[i].gold_tag.startswith("I-"):
-                    cut = i
-                    break
-        if cut is None:
-            cut = max_len
-        out.append(LabeledSentence(tuple(rest[:cut])))
-        rest = rest[cut:]
-    if rest:
-        out.append(LabeledSentence(tuple(rest)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # splitting and vocabularies
 

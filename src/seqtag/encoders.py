@@ -5,10 +5,11 @@ a character-BiLSTM summary, a morphological-analysis-BiLSTM summary, and a
 subword-piece-BiLSTM summary.  Sentences are then encoded either by a
 bidirectional LSTM or by a small trainable transformer encoder.
 
-Every LSTM runs as one fused autodiff op (autodiff.lstm_scan) per direction:
-the composers summarize all words they are given in one padded batch, and
-the sentence encoder scans every sentence of a mini-batch in one padded
-batch.  The transformer packs the pieces of a mini-batch into one matrix.
+Every LSTM runs as one fused autodiff op (autodiff.lstm_scan) per direction
+over sequences packed back to back: the composers summarize all words they
+are given in one scan, and the sentence encoder scans every sentence of a
+mini-batch in one.  The transformer packs the pieces of a mini-batch into
+one matrix the same way.
 """
 
 from __future__ import annotations
@@ -66,58 +67,9 @@ class EmbeddingTable:
         return self.vocab.get(token, self.unk_id)
 
 
-def load_pretrained_vectors(table: EmbeddingTable, lines, rng: np.random.Generator) -> float:
-    """Copy vectors for vocabulary hits from a word2vec-style text stream.
-
-    The stream holds an optional "V d" header line, then one token per line
-    followed by its components.  Misses keep their random initialization.
-    Returns the fraction of vocabulary entries found in the file.
-    """
-    hits = 0
-    lookup_total = len(table.vocab)
-    first = True
-    for raw in lines:
-        parts = raw.rstrip("\n").split(" ")
-        if first:
-            first = False
-            if len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    if int(parts[1]) != table.dim:
-                        raise ConfigError(
-                            f"pretrained dimension {parts[1]} != table dimension {table.dim}")
-                    continue
-                except ValueError:
-                    pass
-        if not parts or parts == [""]:
-            continue
-        token, comps = parts[0], parts[1:]
-        if len(comps) != table.dim:
-            raise ConfigError(
-                f"pretrained vector for {token!r} has {len(comps)} components, "
-                f"table dimension is {table.dim}")
-        idx = table.vocab.get(token)
-        if idx is not None:
-            table.matrix.data[idx] = np.array([float(c) for c in comps])
-            hits += 1
-    return hits / lookup_total if lookup_total else 0.0
-
-
-def init_embeddings(table: EmbeddingTable, source: str, rng: np.random.Generator,
-                    path=None) -> EmbeddingTable:
-    """Initialize the table in place: uniform [-0.1, 0.1], optionally
-    overwritten by pretrained vectors for vocabulary hits."""
+def init_embeddings(table: EmbeddingTable, rng: np.random.Generator) -> None:
+    """Initialize the table in place, uniform in [-0.1, 0.1]."""
     table.matrix.data[...] = rng.uniform(-0.1, 0.1, size=table.matrix.shape)
-    if source == "random":
-        return table
-    if source == "pretrained-file":
-        if path is None:
-            raise ConfigError("pretrained-file init requires a path")
-        with open(path, encoding="utf-8") as fh:
-            rate = load_pretrained_vectors(table, fh, rng)
-        log.info("pretrained embeddings: %.1f%% vocabulary hit rate", 100.0 * rate)
-        return table
-    raise ConfigError(f"unknown embedding source {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +109,9 @@ class LSTMCellParams:
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {prefix + n: getattr(self, n) for n in ("W_x", "W_h", "b_x", "b_h")}
 
-    def scan(self, x: Tensor, lengths) -> Tensor:
-        """Hidden states (B, L, H) of this direction over a padded batch."""
-        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
+    def scan(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
+        """Hidden states (n, H) of this direction over packed sequences."""
+        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h, reverse)
 
 
 def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor,
@@ -167,32 +119,10 @@ def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor,
     """Per-position concatenation of forward and backward hidden states.
 
     x is (n, D): the rows of one sequence, or of several back to back, with
-    lengths giving each one's row count.  All sequences run through one
-    padded scan per direction; the backward one reads each sequence's rows
-    reversed.  The result is (n, 2H), row for row.
+    lengths giving each one's row count.  The result is (n, 2H), row for row.
     """
-    if x.data.ndim != 2 or x.shape[0] == 0:
-        raise UsageError(f"bilstm_encode requires a non-empty (n, D) sequence, "
-                         f"got shape {x.shape}")
-    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
-    if lengths.ndim != 1 or lengths.min() < 1 or lengths.sum() != x.shape[0]:
-        raise UsageError(f"sequence lengths {lengths.tolist()} do not split "
-                         f"{x.shape[0]} rows")
-    B, L = lengths.size, int(lengths.max())
-    steps = np.arange(L)
-    valid = steps < lengths[:, None]  # (B, L)
-    ends = np.cumsum(lengths)
-    # padded steps read row 0; the scan ignores them
-    fwd_rows = np.where(valid, (ends - lengths)[:, None] + steps, 0)
-    bwd_rows = np.where(valid, (ends - 1)[:, None] - steps, 0)
-    # row r of sequence b is forward step t and backward step lengths[b]-1-t
-    b, t = np.nonzero(valid)
-    states = []
-    for cell, rows, out_steps in ((fwd, fwd_rows, t), (bwd, bwd_rows, lengths[b] - 1 - t)):
-        h = cell.scan(ad.gather_rows(x, rows), lengths)
-        h = ad.reshape(h, (B * L, cell.hidden_dim))
-        states.append(ad.gather_rows(h, b * L + out_steps))
-    return ad.concat(states, axis=1)
+    lengths = [x.shape[0]] if lengths is None else lengths
+    return ad.concat([fwd.scan(x, lengths), bwd.scan(x, lengths, reverse=True)], axis=1)
 
 
 @dataclass
@@ -210,22 +140,14 @@ class BiLSTM:
 
     def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
         """concat(last forward hidden, last backward hidden) of each id
-        sequence, embedded from the rows of table; (len(sequences), 2H).
-
-        All sequences run through one scan per direction; the backward one
-        reads each sequence's ids reversed.
-        """
+        sequence, embedded from the rows of table; (len(sequences), 2H)."""
         if not sequences or not all(sequences):
             raise UsageError("final_states needs at least one sequence and no empty one")
         lengths = [len(s) for s in sequences]
-        ids = np.zeros((len(sequences), max(lengths)), dtype=np.intp)
-        reverse = np.zeros_like(ids)
-        for b, s in enumerate(sequences):
-            ids[b, :len(s)] = s
-            reverse[b, :len(s)] = s[::-1]
-        last = (slice(None), -1)
-        h_f = ad.take(self.fwd.scan(ad.gather_rows(table, ids), lengths), last)
-        h_b = ad.take(self.bwd.scan(ad.gather_rows(table, reverse), lengths), last)
+        x = ad.gather_rows(table, np.concatenate(sequences))
+        ends = np.cumsum(lengths)
+        h_f = ad.gather_rows(self.fwd.scan(x, lengths), ends - 1)
+        h_b = ad.gather_rows(self.bwd.scan(x, lengths, reverse=True), ends - lengths)
         return ad.concat([h_f, h_b], axis=1)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -262,6 +184,13 @@ def subword_compose(piece_table: EmbeddingTable, sw_bilstm: BiLSTM,
     return _compose(piece_table, sw_bilstm, pieces)
 
 
+def _require_positive_ints(cfg, names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is not int or value < 1:  # a bool such as JSON true is no width
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass
 class ComposerConfig:
     use_word: bool = True
@@ -277,6 +206,8 @@ class ComposerConfig:
     subword_hidden: int = 150
 
     def __post_init__(self):
+        _require_positive_ints(self, ("word_dim", "subword_dim", "char_dim", "morph_dim",
+                                      "char_hidden", "morph_hidden", "subword_hidden"))
         if not (self.use_word or self.use_char or self.use_morph or self.use_subword):
             raise ConfigError("at least one embedding source must be enabled")
 
@@ -319,18 +250,18 @@ class InputComposer:
         kw = {}
         if cfg.use_word:
             kw["word_table"] = EmbeddingTable.from_tokens(word_vocab, cfg.word_dim)
-            init_embeddings(kw["word_table"], "random", rng)
+            init_embeddings(kw["word_table"], rng)
         if cfg.use_char:
             kw["char_table"] = EmbeddingTable.from_tokens(char_vocab, cfg.char_dim)
-            init_embeddings(kw["char_table"], "random", rng)
+            init_embeddings(kw["char_table"], rng)
             kw["char_bilstm"] = BiLSTM.init(cfg.char_dim, cfg.char_hidden, rng)
         if cfg.use_morph:
             kw["morph_table"] = EmbeddingTable.from_tokens(morph_char_vocab, cfg.morph_dim)
-            init_embeddings(kw["morph_table"], "random", rng)
+            init_embeddings(kw["morph_table"], rng)
             kw["morph_bilstm"] = BiLSTM.init(cfg.morph_dim, cfg.morph_hidden, rng)
         if cfg.use_subword:
             kw["piece_table"] = EmbeddingTable.from_tokens(piece_vocab, cfg.subword_dim)
-            init_embeddings(kw["piece_table"], "random", rng)
+            init_embeddings(kw["piece_table"], rng)
             kw["subword_bilstm"] = BiLSTM.init(cfg.subword_dim, cfg.subword_hidden, rng)
         return cls(cfg, **kw)
 
@@ -394,9 +325,8 @@ class ToyTransformerConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if type(self.num_heads) is not int or self.num_heads < 1:
-            raise ConfigError(f"num_heads must be a positive integer, "
-                              f"got {self.num_heads!r}")
+        _require_positive_ints(self, ("num_layers", "num_heads", "hidden_units",
+                                      "ff_units", "max_len"))
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.hidden_units % self.num_heads != 0:
@@ -462,7 +392,7 @@ class TransformerParams:
     @classmethod
     def init(cls, cfg: ToyTransformerConfig, piece_vocab, rng: np.random.Generator) -> "TransformerParams":
         table = EmbeddingTable.from_tokens(piece_vocab, cfg.hidden_units)
-        init_embeddings(table, "random", rng)
+        init_embeddings(table, rng)
         positions = Tensor(rng.uniform(-0.1, 0.1, size=(cfg.max_len, cfg.hidden_units)),
                            requires_grad=True)
         layers = [TransformerLayer.init(cfg, rng) for _ in range(cfg.num_layers)]

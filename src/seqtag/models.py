@@ -27,7 +27,8 @@ from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
                        transformer_encode, xavier_uniform)
-from .errors import ArtifactError, ConfigError, UsageError
+from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
+                     ValidationError)
 from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
 
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
@@ -392,7 +393,10 @@ def load_model(path) -> SequenceTagger:
             manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
             tokenizer = None
             if "tokenizer.tsv" in names:
-                tokenizer = vocab_from_text(zf.read("tokenizer.tsv").decode("utf-8"))
+                try:
+                    tokenizer = vocab_from_text(zf.read("tokenizer.tsv").decode("utf-8"))
+                except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+                    raise ArtifactError(f"corrupt artifact tokenizer: {exc}") from exc
             npz_bytes = zf.read("tensors.npz")
     except zipfile.BadZipFile as exc:
         raise ArtifactError(f"not a model artifact: {exc}") from exc

@@ -234,31 +234,46 @@ def _scan_weights(rng, d, h):
             Tensor(rng.standard_normal(4 * h)), Tensor(rng.standard_normal(4 * h)))
 
 
-def test_lstm_scan_carries_state_past_each_length():
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_of_a_packed_batch_equals_each_sequence_alone(reverse):
     rng = np.random.default_rng(13)
     weights = _scan_weights(rng, 3, 2)
-    x = rng.standard_normal((2, 4, 3))
-    out = ad.lstm_scan(Tensor(x), [2, 4], *weights).data
-    alone = ad.lstm_scan(Tensor(x[:1, :2]), [2], *weights).data
-    assert np.max(np.abs(out[0, :2] - alone[0])) <= 1e-12
-    assert np.array_equal(out[0, 2], out[0, 1]) and np.array_equal(out[0, 3], out[0, 1])
+    lengths = [2, 4, 1]
+    x = rng.standard_normal((7, 3))
+    out = ad.lstm_scan(Tensor(x), lengths, *weights, reverse=reverse).data
+    starts = np.cumsum([0] + lengths)
+    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], *weights,
+                                         reverse=reverse).data
+                            for a, b in zip(starts, starts[1:])])
+    assert out.shape == (7, 2)
+    assert np.max(np.abs(out - alone)) <= 1e-12
+
+
+@pytest.mark.parametrize("lengths", [[5], [2, 3]])
+def test_lstm_scan_reverse_is_a_forward_scan_of_the_flipped_rows(lengths):
+    rng = np.random.default_rng(15)
+    weights = _scan_weights(rng, 3, 2)
+    x = rng.standard_normal((5, 3))
+    starts = np.cumsum([0] + lengths)
+    flip = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(starts, starts[1:])])
+    backward = ad.lstm_scan(Tensor(x), lengths, *weights, reverse=True).data
+    forward = ad.lstm_scan(Tensor(x[flip]), lengths, *weights).data
+    assert np.max(np.abs(backward - forward[flip])) <= 1e-12
 
 
 def test_lstm_scan_rejects_bad_lengths_and_shapes():
     rng = np.random.default_rng(14)
     w_x, w_h, b_x, b_h = _scan_weights(rng, 3, 2)
-    x = Tensor(np.zeros((2, 4, 3)))
-    for lengths in ([0, 4], [1, 5]):
+    x = Tensor(np.zeros((5, 3)))
+    for lengths in ([0, 5], [1, 5], [4], []):
         with pytest.raises(UsageError):
             ad.lstm_scan(x, lengths, w_x, w_h, b_x, b_h)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(x, [4], w_x, w_h, b_x, b_h)
+        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], w_x, w_h, b_x, b_h)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((2, 4))), [4, 4], w_x, w_h, b_x, b_h)
+        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], w_x, w_h, b_x, b_h)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((2, 4, 2))), [4, 4], w_x, w_h, b_x, b_h)
-    with pytest.raises(ShapeError):
-        ad.lstm_scan(x, [4, 4], Tensor(w_x.data[:6]), w_h, b_x, b_h)
+        ad.lstm_scan(x, [5], Tensor(w_x.data[:6]), w_h, b_x, b_h)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +444,12 @@ def _op_cases(rng):
     # projections of the newer ops come from their own generator, so the
     # draws of the older cases stay as they were
     side = np.random.default_rng(12)
-    p_scan = proj(side, (3, 4, 2))
+    side.standard_normal(24)  # spent, so the projections after it keep their values
     p_gather = proj(side, (2, 2, 3))
     p_take = proj(side, 3)
     p_attn = proj(side, (6, 4))
+    p_scan = proj(side, (8, 2))
+    p_scan_reverse = proj(side, (8, 2))
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
@@ -474,11 +491,16 @@ def _op_cases(rng):
                       lambda: [rng.standard_normal((3, 2))]),
         "sum_axis": (lambda a: ad.tensor_sum(ad.mul(ad.tensor_sum(a, axis=0), p4)),
                      lambda: [rng.standard_normal((3, 4))]),
-        # ragged batch with lengths 1 and L, padded positions included in the
-        # loss; gradients w.r.t. x and the four stacked gate blocks
+        # three packed sequences of 4, 1 and 3 rows, read in each direction;
+        # gradients w.r.t. x and the four stacked gate blocks
         "lstm_scan": (lambda x, *w: ad.tensor_sum(ad.mul(
             ad.lstm_scan(x, [4, 1, 3], *w), p_scan)),
-            lambda: [rng.standard_normal((3, 4, 3)), rng.standard_normal((8, 3)),
+            lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
+                     rng.standard_normal((8, 2)), rng.standard_normal(8),
+                     rng.standard_normal(8)]),
+        "lstm_scan_reverse": (lambda x, *w: ad.tensor_sum(ad.mul(
+            ad.lstm_scan(x, [4, 1, 3], *w, reverse=True), p_scan_reverse)),
+            lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
                      rng.standard_normal((8, 2)), rng.standard_normal(8),
                      rng.standard_normal(8)]),
         "gather_rows": (lambda t: ad.tensor_sum(ad.mul(

@@ -141,6 +141,12 @@ def test_zero_attention_heads_exit_one(tmp_path, corpus_file):
     assert code == 1
 
 
+def test_zero_hidden_units_exit_one(tmp_path, corpus_file):
+    code = main(["train", "--train", corpus_file, "--out", str(tmp_path / "m.zip"),
+                 "--model-kind", "transformer-crf", "--hidden-units", "0"])
+    assert code == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_three(tmp_path, corpus_file):
     code = main(["train", "--train", corpus_file, "--valid-fraction", "0.25",

@@ -4,7 +4,7 @@ import pytest
 from seqtag import data
 from seqtag.data import (CorpusSplit, LabeledSentence, TagSet, Token,
                          build_vocab, parse_conll, serialize_conll,
-                         split_corpus, split_long_sentence, validate_bio2)
+                         split_corpus, validate_bio2)
 from seqtag.errors import ConfigError, ParseError, UsageError, ValidationError
 
 from oracles import naive_spans
@@ -154,50 +154,6 @@ def test_repair_then_strict_always_passes():
         s = sent([(f"w{i}", t) for i, t in enumerate(seq)])
         repaired = validate_bio2(s, "repair")
         validate_bio2(repaired, "strict")
-
-
-# ---------------------------------------------------------------------------
-# long-sentence splitting
-
-
-def long_sentence(tags):
-    return sent([(f"w{i}", t) for i, t in enumerate(tags)])
-
-
-def test_split_long_sentence_cuts_at_o():
-    tags = ["O"] * 5 + ["B-PER", "I-PER"] + ["O"] * 5
-    parts = split_long_sentence(long_sentence(tags), max_len=8)
-    assert all(len(p) <= 8 for p in parts)
-    joined = [t for p in parts for t in p.tags]
-    assert joined == tags
-    for p in parts:
-        validate_bio2(p, "strict")
-    # the cut lands after the last O inside the first 8 tokens, not mid-entity
-    assert parts[0].tags[-1] == "O"
-
-
-def test_split_long_sentence_entity_straddles_limit():
-    tags = ["O"] * 6 + ["B-PER", "I-PER", "I-PER", "O"]
-    parts = split_long_sentence(long_sentence(tags), max_len=8)
-    assert [len(p) for p in parts] == [6, 4]
-    for p in parts:
-        validate_bio2(p, "strict")
-
-
-def test_split_long_sentence_no_o_falls_back_to_entity_boundary():
-    tags = ["B-A", "I-A", "B-B", "I-B", "I-B", "B-C"]
-    parts = split_long_sentence(long_sentence(tags), max_len=4)
-    assert all(len(p) <= 4 for p in parts)
-    assert [t for p in parts for t in p.tags] == tags
-    for p in parts:
-        validate_bio2(p, "strict")
-
-
-def test_split_long_sentence_short_input_unchanged():
-    s = long_sentence(["O", "B-A"])
-    assert split_long_sentence(s, max_len=512) == [s]
-    with pytest.raises(ConfigError):
-        split_long_sentence(s, max_len=0)
 
 
 # ---------------------------------------------------------------------------

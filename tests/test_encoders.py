@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -272,62 +271,16 @@ def test_embedding_table_reserved_ids_and_unknown_lookup():
     assert table.size == 4
     assert table.id_of("yok") == table.unk_id
     rng = np.random.default_rng(0)
-    enc.init_embeddings(table, "random", rng)
+    enc.init_embeddings(table, rng)
     assert np.array_equal(ad.gather_rows(table.matrix, [table.id_of("yok")]).data[0],
                           table.matrix.data[1])
 
 
 def test_init_embeddings_random_within_bounds():
     table = enc.EmbeddingTable.from_tokens([f"w{i}" for i in range(50)], 8)
-    enc.init_embeddings(table, "random", np.random.default_rng(3))
+    enc.init_embeddings(table, np.random.default_rng(3))
     assert np.all(table.matrix.data >= -0.1) and np.all(table.matrix.data <= 0.1)
     assert np.std(table.matrix.data) > 0.01
-
-
-def test_init_embeddings_unknown_source():
-    table = enc.EmbeddingTable.from_tokens(["a"], 2)
-    with pytest.raises(ConfigError):
-        enc.init_embeddings(table, "oracle", np.random.default_rng(0))
-
-
-def test_pretrained_vectors_full_hit_rate_and_values():
-    table = enc.EmbeddingTable.from_tokens(["ev", "kedi"], 3)
-    enc.init_embeddings(table, "random", np.random.default_rng(4))
-    text = "4 3\nev 1.0 2.0 3.0\nkedi -1.0 0.5 0.25\n<pad> 0 0 0\n<unk> 0 0 0\n"
-    rate = enc.load_pretrained_vectors(table, io.StringIO(text), np.random.default_rng(5))
-    assert rate == 1.0
-    assert np.array_equal(table.matrix.data[table.vocab["ev"]], [1.0, 2.0, 3.0])
-    assert np.array_equal(table.matrix.data[table.vocab["kedi"]], [-1.0, 0.5, 0.25])
-
-
-def test_pretrained_vectors_partial_hits_keep_random_fill():
-    table = enc.EmbeddingTable.from_tokens(["ev", "kedi", "su", "dag"], 2)
-    enc.init_embeddings(table, "random", np.random.default_rng(6))
-    before = table.matrix.data.copy()
-    text = "ev 9.0 9.0\nbilinmeyen 1.0 1.0\n"  # no header line
-    rate = enc.load_pretrained_vectors(table, io.StringIO(text), np.random.default_rng(7))
-    assert rate == pytest.approx(1 / 6)
-    assert np.array_equal(table.matrix.data[table.vocab["ev"]], [9.0, 9.0])
-    miss = table.vocab["kedi"]
-    assert np.array_equal(table.matrix.data[miss], before[miss])
-
-
-def test_pretrained_vectors_dimension_conflicts():
-    table = enc.EmbeddingTable.from_tokens(["ev"], 3)
-    with pytest.raises(ConfigError):
-        enc.load_pretrained_vectors(table, io.StringIO("5 4\n"), np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        enc.load_pretrained_vectors(table, io.StringIO("ev 1.0 2.0\n"), np.random.default_rng(0))
-
-
-def test_init_embeddings_pretrained_file(tmp_path):
-    path = tmp_path / "vecs.txt"
-    path.write_text("ev 1.5 2.5\n", encoding="utf-8")
-    table = enc.EmbeddingTable.from_tokens(["ev", "su"], 2)
-    enc.init_embeddings(table, "pretrained-file", np.random.default_rng(1), path=str(path))
-    assert np.array_equal(table.matrix.data[table.vocab["ev"]], [1.5, 2.5])
-    with pytest.raises(ConfigError):
-        enc.init_embeddings(table, "pretrained-file", np.random.default_rng(1))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +401,17 @@ def test_transformer_config_head_divisibility():
 def test_transformer_config_rejects_values_no_model_runs_with(field, value):
     with pytest.raises(ConfigError):
         tiny_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.5, True, "8"])
+def test_configs_reject_widths_that_are_not_positive_integers(value):
+    for field in ("num_layers", "num_heads", "hidden_units", "ff_units", "max_len"):
+        with pytest.raises(ConfigError, match=field):
+            tiny_cfg(**{field: value})
+    for field in ("word_dim", "subword_dim", "char_dim", "morph_dim", "char_hidden",
+                  "morph_hidden", "subword_hidden"):
+        with pytest.raises(ConfigError, match=field):
+            enc.ComposerConfig(**{field: value})
 
 
 def test_softmax_rows_match_numpy_and_sum_to_one():

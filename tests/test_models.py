@@ -471,6 +471,26 @@ def test_manifest_that_describes_no_buildable_model_is_an_artifact_error(
     assert main(["evaluate", "--model", str(dst), "--data", str(data)]) == 2
 
 
+@pytest.mark.parametrize("text", [b"bad line", b"a\t-5.0\n", b"\xff\t0.0\n"],
+                         ids=["unparsable", "probabilities-not-summing-to-one",
+                              "not-utf-8"])
+def test_malformed_tokenizer_is_an_artifact_error(tmp_path, corpus, vocab, tokenizer,
+                                                  text):
+    model = build_model(tiny_cfg("transformer-crf"), vocab,
+                        np.random.default_rng(0), tokenizer)
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "bad.zip"
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            zout.writestr(name, text if name == "tokenizer.tsv" else zin.read(name))
+    with pytest.raises(ArtifactError, match="tokenizer"):
+        load_model(dst)
+    data = tmp_path / "data.conll"
+    data.write_text(serialize_conll(corpus[:3]), encoding="utf-8")
+    assert main(["evaluate", "--model", str(dst), "--data", str(data)]) == 2
+
+
 def test_transformer_artifact_with_hidden_dim_zero_loads(tmp_path, corpus,
                                                          vocab, tokenizer):
     """Transformer kinds do not use hidden_dim, and builds that loaded and
