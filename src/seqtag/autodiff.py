@@ -462,6 +462,18 @@ def stack(rows: list[Tensor]) -> Tensor:
 # fused recurrent operations
 
 
+def packed_steps(lengths, n: int):
+    """Sequence lengths that split n packed rows, as an int array, plus the
+    sequence and the step within it of every row.  UsageError unless the
+    lengths are non-empty, each at least 1, and sum to n."""
+    lengths = np.asarray([int(k) for k in lengths], dtype=np.intp)
+    if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
+        raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    step = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return lengths, seq, step
+
+
 def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
               b_h: Tensor, reverse: bool = False) -> Tensor:
     """An LSTM over each of several packed sequences, as one node.
@@ -484,18 +496,13 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
     n, D = x.shape
-    lengths = np.asarray([int(k) for k in lengths], dtype=np.intp)
-    if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
-        raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
+    lengths, seq, step = packed_steps(lengths, n)
     H = b_h.size // 4
     for t, shape in zip((w_x, w_h, b_x, b_h), ((4 * H, D), (4 * H, H), (4 * H,), (4 * H,))):
         if t.shape != shape:
             raise ShapeError(f"lstm_scan weight has shape {t.shape}, expected {shape}")
     Wx, Wh, bx, bh = w_x.data, w_h.data, b_x.data, b_h.data
     B, L = lengths.size, int(lengths.max())
-    # the (sequence, step) of every packed row
-    seq = np.repeat(np.arange(B), lengths)
-    step = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     if reverse:
         step = lengths[seq] - 1 - step
     at = (seq, step)
@@ -550,17 +557,20 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
 
 
 def crf_forward(emissions: Tensor, transition: Tensor,
-                mask: np.ndarray | None = None) -> Tensor:
-    """Log-partition of a linear-chain CRF by the forward algorithm, as one
-    node.
+                mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """Summed log-partition of linear-chain CRF sequences by the forward
+    algorithm, as one node.
 
-    emissions is (n, T) with n >= 1; transition is (T+1, T+1), row T holding
-    the begin-of-sentence and column T the end-of-sentence scores.  mask, if
-    given, is a constant (T+1, T+1) additive table (0 or -inf per cell).
-    Backward is forward-backward: the emission adjoint is the per-position
-    tag marginals and the transition adjoint the expected transition counts.
-    When the mask forbids every path the value is -inf and every gradient is
-    zero.
+    emissions is (n, T) with n >= 1: one sequence, or several packed back
+    to back with lengths[b] rows each, as for lstm_scan.  transition is
+    (T+1, T+1), row T holding the begin-of-sentence and column T the
+    end-of-sentence scores.  mask, if given, is a constant (T+1, T+1)
+    additive table (0 or -inf per cell) shared by every sequence.  All
+    sequences step together in one zero-padded (B, L, T) batch.  Backward
+    is forward-backward: the emission adjoint is the per-position tag
+    marginals and the transition adjoint the expected transition counts,
+    summed over the sequences.  A sequence whose mask forbids every path
+    adds -inf to the value and nothing to any gradient.
     """
     if emissions.data.ndim != 2 or emissions.shape[0] == 0:
         raise ShapeError(f"crf_forward expects non-empty (n, T) emissions, "
@@ -569,33 +579,43 @@ def crf_forward(emissions: Tensor, transition: Tensor,
     square = (T + 1, T + 1)
     if transition.shape != square or (mask is not None and np.shape(mask) != square):
         raise ShapeError(f"crf_forward needs a {square} transition table and mask")
-    e = emissions.data
+    lengths, seq, step = packed_steps([n] if lengths is None else lengths, n)
+    B, L = lengths.size, int(lengths.max())
+    at = (seq, step)
+    e = np.zeros((B, L, T))
+    e[at] = emissions.data
     trans = transition.data if mask is None else transition.data + mask
     inner, eos = trans[:T, :T], trans[:T, T]
-    alpha = np.empty((n, T))  # alpha[t, j]: log-sum of the prefixes ending in j at t
-    alpha[0] = trans[T, :T] + e[0]
-    for t in range(1, n):
-        alpha[t] = _stable_lse(alpha[t - 1][:, None] + inner, 0)[0] + e[t]
-    log_z = _stable_lse(alpha[-1] + eos, 0)[0]
+    alpha = np.empty((B, L, T))  # alpha[b, t, j]: log-sum of the prefixes ending in j at t
+    alpha[:, 0] = trans[T, :T] + e[:, 0]
+    for t in range(1, L):
+        alpha[:, t] = _stable_lse(alpha[:, t - 1, :, None] + inner, 1)[0] + e[:, t]
+    last = lengths - 1
+    log_z = _stable_lse(alpha[np.arange(B), last] + eos, 1)[0]
 
     def _bw(g):
-        if not np.isfinite(log_z):
-            return  # no path is allowed: nothing depends on the inputs
-        beta = np.empty((n, T))  # beta[t, i]: log-sum of the suffixes after i at t
-        beta[-1] = eos
-        for t in range(n - 2, -1, -1):
-            beta[t] = _stable_lse(inner + (e[t + 1] + beta[t + 1]), 1)[0]
-        marginals = np.exp(alpha + beta - log_z)
+        beta = np.empty((B, L, T))  # beta[b, t, i]: log-sum of the suffixes after i at t
+        beta[:, -1] = eos
+        for t in range(L - 2, -1, -1):
+            after = _stable_lse(inner + (e[:, t + 1] + beta[:, t + 1])[:, None, :], 2)[0]
+            beta[:, t] = np.where((t >= last)[:, None], eos, after)
+        alpha_p, beta_p = alpha[at], beta[at]
+        # a sequence with no allowed path has alpha + beta = -inf everywhere,
+        # so with its -inf log_z replaced by 0 its marginals come out 0
+        z = np.where(np.isfinite(log_z), log_z, 0.0)[seq, None]
+        marginals = np.exp(alpha_p + beta_p - z)
         if emissions.requires_grad:
             emissions.grad += g * marginals
         if transition.requires_grad:
-            pairs = np.exp(alpha[:-1, :, None] + inner
-                           + (e[1:] + beta[1:])[:, None, :] - log_z).sum(axis=0)
+            r = np.flatnonzero(step[1:])  # rows followed by their sequence's next step
+            pairs = np.exp(alpha_p[r, :, None] + inner
+                           + (emissions.data[r + 1] + beta_p[r + 1])[:, None, :]
+                           - z[r, :, None]).sum(axis=0)
             transition.grad[:T, :T] += g * pairs
-            transition.grad[T, :T] += g * marginals[0]
-            transition.grad[:T, T] += g * marginals[-1]
+            transition.grad[T, :T] += g * marginals[step == 0].sum(axis=0)
+            transition.grad[:T, T] += g * marginals[np.cumsum(lengths) - 1].sum(axis=0)
 
-    return _result(log_z, (emissions, transition), "crf_forward", _bw)
+    return _result(np.sum(log_z), (emissions, transition), "crf_forward", _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +639,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, num_heads: int):
     N, d = q.shape
     if num_heads < 1 or d % num_heads:
         raise ShapeError(f"attention cannot split width {d} into {num_heads} heads")
-    lengths = [int(n) for n in lengths]
-    if not lengths or min(lengths) < 1 or sum(lengths) != N:
-        raise UsageError(f"sequence lengths {lengths} do not split {N} rows")
+    lengths = packed_steps(lengths, N)[0].tolist()
     dk = d // num_heads
     c = 1.0 / math.sqrt(dk)
     qd, kd, vd = q.data, k.data, v.data

@@ -62,51 +62,62 @@ def _check_mask(num_tags: int, mask: np.ndarray | None) -> None:
 
 
 def score_sequence(crf: CRFParams, emissions: Tensor, labels,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """Unnormalized path score of one labeling."""
+                   mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """Unnormalized path score of one labeling.
+
+    With lengths, emissions and labels hold several sequences back to back
+    (lengths[b] rows each, as for crf_forward) and the result is the sum
+    of their scores: one pick-matrix product for the emissions and one
+    table of transition counts over every sequence.
+    """
     n = _check_emissions(crf, emissions)
     _check_labels(crf, labels, n)
     _check_mask(crf.num_tags, mask)
     T = crf.num_tags
+    lengths = ad.packed_steps([n] if lengths is None else lengths, n)[0]
+    labels = np.asarray(labels, dtype=np.intp)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
     emit = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
+    # every transition taken: into each label from its predecessor, or from
+    # BOS at a sequence start, and from each sequence's last label to EOS
+    ends = np.cumsum(lengths)
+    prev = np.concatenate(([T], labels[:-1]))
+    prev[ends[:-1]] = T
+    rows = np.concatenate((prev, labels[ends - 1]))
+    cols = np.concatenate((labels, np.full(lengths.size, T)))
     counts = np.zeros((T + 1, T + 1))
-    prev = T
-    penalty = 0.0
-    for lab in labels:
-        counts[prev, lab] += 1.0
-        if mask is not None:
-            penalty += mask[prev, lab]
-        prev = lab
-    counts[prev, T] += 1.0
-    if mask is not None:
-        penalty += mask[prev, T]
+    np.add.at(counts, (rows, cols), 1.0)
     trans = ad.tensor_sum(ad.mul(crf.transition, Tensor(counts)))
     total = emit + trans
+    penalty = 0.0 if mask is None else float(np.sum(mask[rows, cols]))
     if penalty != 0.0:
         total = total + Tensor(np.float64(penalty))
     return total
 
 
 def log_partition(crf: CRFParams, emissions: Tensor,
-                  mask: np.ndarray | None = None) -> Tensor:
+                  mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Log of the summed exp-scores of all labelings: the forward algorithm,
-    as one autodiff node."""
+    as one autodiff node.  With lengths, the summed log-partitions of the
+    sequences packed in emissions, still one node."""
     _check_emissions(crf, emissions)
     _check_mask(crf.num_tags, mask)
-    return ad.crf_forward(emissions, crf.transition, mask)
+    return ad.crf_forward(emissions, crf.transition, mask, lengths)
 
 
 def log_prob(crf: CRFParams, emissions: Tensor, labels,
-             mask: np.ndarray | None = None) -> Tensor:
-    return score_sequence(crf, emissions, labels, mask) - log_partition(crf, emissions, mask)
+             mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    return (score_sequence(crf, emissions, labels, mask, lengths)
+            - log_partition(crf, emissions, mask, lengths))
 
 
 def crf_nll(crf: CRFParams, emissions: Tensor, labels,
-            mask: np.ndarray | None = None) -> Tensor:
-    """Negative log-likelihood of one labeled sequence."""
-    return -log_prob(crf, emissions, labels, mask)
+            mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """Negative log-likelihood of one labeled sequence, or with lengths the
+    summed negative log-likelihood of the sequences packed in emissions and
+    labels."""
+    return -log_prob(crf, emissions, labels, mask, lengths)
 
 
 def viterbi_decode(crf: CRFParams, emissions: Tensor,

@@ -406,14 +406,6 @@ class TransformerParams:
         return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
-    n = x.shape[0]
-    lse = ad.log_sum_exp(x, axis=1)
-    shifted = x - ad.broadcast_to(ad.reshape(lse, (n, 1)), x.shape)
-    return ad.exp(shifted)
-
-
 def gelu(x: Tensor) -> Tensor:
     """tanh approximation of the Gaussian error linear unit."""
     cubed = x * x * x

@@ -11,7 +11,6 @@ does not describe a model build_model can make is an ArtifactError.
 
 from __future__ import annotations
 
-import bisect
 import io
 import json
 import zipfile
@@ -213,29 +212,24 @@ class SequenceTagger:
         """Summed negative log-likelihood of the sentences' gold labelings.
 
         The whole mini-batch is one graph: one encoder pass over all its
-        sentences, then one CRF or softmax loss per sentence, added in order.
+        sentences, then one CRF or softmax loss over all of their emission
+        rows, with the CRF reading each sentence's covered words as one
+        packed sequence.
         """
         if not sentences:
             raise UsageError("loss needs at least one sentence")
         words = [w for s in sentences for w in s.surfaces]
         morphs = [m for s in sentences for m in s.morphs]
         gold = [t for s in sentences for t in s.tags]
-        rows, covered = self.emission_rows(words, morphs, training, rng,
-                                           [len(s) for s in sentences])
-        total = None
-        first = end = 0
-        for s in sentences:
-            end += len(s)
-            last = bisect.bisect_left(covered, end)
-            emissions = ad.stack(rows[first:last])
-            labels = [self.tags.id_of(gold[w]) for w in covered[first:last]]
-            if self.crf is not None:
-                nll = crf_nll(self.crf, emissions, labels, self._mask)
-            else:
-                nll = linear_nll(emissions, labels)
-            total = nll if total is None else total + nll
-            first = last
-        return total
+        sizes = [len(s) for s in sentences]
+        rows, covered = self.emission_rows(words, morphs, training, rng, sizes)
+        emissions = ad.stack(rows)
+        labels = [self.tags.id_of(gold[w]) for w in covered]
+        if self.crf is None:
+            return linear_nll(emissions, labels)
+        # covered words per sentence: all of them, unless max_len cut it short
+        lengths = np.diff(np.searchsorted(covered, np.cumsum(sizes)), prepend=0)
+        return crf_nll(self.crf, emissions, labels, self._mask, lengths)
 
     def predict(self, words: list[str], morphs=None,
                 mask_illegal: bool | None = None) -> list[str]:
@@ -377,13 +371,62 @@ def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
     return out
 
 
+# the stored tensor whose rows each manifest table's vocabulary gives
+_TABLE_TENSORS = {"word": "composer.word_table", "char": "composer.char_table",
+                  "morph": "composer.morph_table", "piece": "composer.piece_table",
+                  "transformer_piece": "transformer.piece_table"}
+
+
+def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
+                 arrays: dict) -> None:
+    """Raise ArtifactError unless every size the manifest gives to a tensor
+    build_model allocates, a configured dimension, the tag count or a
+    table's vocabulary size, equals that tensor's stored extent.  So a
+    manifest cannot make load_model allocate more than its tensors hold."""
+    checks = [("tag count", num_tags, "b_out", 0)]  # (size, given, tensor, axis)
+    checks += [(f"tables.{name} size", size, _TABLE_TENSORS.get(name), 0)
+               for name, size in table_sizes.items()]
+    if cfg.model_kind.startswith("transformer"):
+        t = cfg.transformer
+        layers = sum(1 for name in arrays
+                     if name.startswith("transformer.layer") and name.endswith(".Wq"))
+        if t.num_layers != layers:
+            raise ArtifactError(f"manifest transformer.num_layers is {t.num_layers!r}, "
+                                f"but {layers} layers are stored")
+        checks += [("transformer.max_len", t.max_len, "transformer.positions", 0),
+                   ("transformer.hidden_units", t.hidden_units, "transformer.positions", 1),
+                   ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 0)]
+    else:
+        c = cfg.composer
+        checks.append(("hidden_dim", cfg.hidden_dim, "encoder.fwd.W_h", 1))
+        for source, table, bilstm in (("word", "word_table", None),
+                                      ("char", "char_table", "char_bilstm"),
+                                      ("morph", "morph_table", "morph_bilstm"),
+                                      ("subword", "piece_table", "subword_bilstm")):
+            if not getattr(c, "use_" + source):
+                continue
+            checks.append((f"composer.{source}_dim", getattr(c, source + "_dim"),
+                           f"composer.{table}", 1))
+            if bilstm:
+                checks.append((f"composer.{source}_hidden", getattr(c, source + "_hidden"),
+                               f"composer.{bilstm}.fwd.W_h", 1))
+    for size, given, tensor, axis in checks:
+        arr = arrays.get(tensor)
+        if arr is None or arr.ndim <= axis or arr.shape[axis] != given:
+            stored = "is missing" if arr is None else f"has shape {arr.shape}"
+            raise ArtifactError(f"manifest {size} is {given!r}, but stored tensor "
+                                f"{tensor!r} {stored}")
+
+
 def load_model(path) -> SequenceTagger:
     """Read a model artifact of version 1 or 2; raises ArtifactError on
     anything malformed.
 
-    build_model makes the model from the config, tags and tables the
-    manifest names; the stored tensors then replace its initial weights.
-    The rebuilt tables must reproduce the manifest's exactly."""
+    The stored tensors are read first, and every size the manifest gives
+    to one of them must match it.  build_model then makes the model from
+    the config, tags and tables the manifest names, and the stored tensors
+    replace its initial weights.  The rebuilt tables must reproduce the
+    manifest's exactly."""
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
@@ -400,15 +443,16 @@ def load_model(path) -> SequenceTagger:
             npz_bytes = zf.read("tensors.npz")
     except zipfile.BadZipFile as exc:
         raise ArtifactError(f"not a model artifact: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"corrupt artifact manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ArtifactError("corrupt artifact manifest: not a JSON object")
     version = manifest.get("format_version")
     if type(version) is not int or version not in (1, ARTIFACT_VERSION):
         raise ArtifactError(f"artifact format version {version!r} is not "
                             f"supported; this build reads versions 1 and "
                             f"{ARTIFACT_VERSION}")
     try:
-        tables = manifest["tables"]
         cfg = TrainConfig(
             model_kind=manifest["kind"],
             composer=ComposerConfig(**(manifest["composer"] or {})),
@@ -418,9 +462,24 @@ def load_model(path) -> SequenceTagger:
             hidden_dim=manifest["hidden_dim"] or TrainConfig.hidden_dim,
             dropout_p=manifest["dropout_p"],
             mask_illegal=bool(manifest["mask_illegal"]))
+        tables = manifest["tables"]
+        table_sizes = {name: len(tables[name]["vocab"]) for name in tables
+                       if tables[name]}
         word, char, morph = (tables[name]["vocab"] if tables[name] else {}
                              for name in ("word", "char", "morph"))
         vocab = Vocabulary(word, char, morph, TagSet(list(manifest["tags"])))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ArtifactError(f"artifact manifest does not describe a model "
+                            f"build_model can make: {exc!r}") from exc
+    try:
+        with np.load(io.BytesIO(npz_bytes)) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        if version == 1:
+            arrays = _stack_v1_tensors(arrays, cfg.transformer.num_heads)
+    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
+        raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
+    _check_sizes(cfg, len(vocab.tags), table_sizes, arrays)
+    try:
         # placeholder weights, overwritten below
         model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -429,14 +488,6 @@ def load_model(path) -> SequenceTagger:
     if _table_entries(model) != tables:
         raise ArtifactError("artifact tables do not match the tables its "
                             "config, vocabulary and tokenizer give")
-    try:
-        with np.load(io.BytesIO(npz_bytes)) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        if version == 1:
-            heads = model.transformer_cfg.num_heads if model.transformer_cfg else 0
-            arrays = _stack_v1_tensors(arrays, heads)
-    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
-        raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
     named = model.named_parameters()
     if set(arrays) != set(named):
         missing = sorted(set(named) - set(arrays))

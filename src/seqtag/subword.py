@@ -28,9 +28,15 @@ _UNK_PENALTY = 10.0
 
 @dataclass
 class UnigramVocab:
+    """A piece inventory.  The segmentation constants derived from it, the
+    longest piece's length and the score of a character outside it, are
+    computed once here; the inventory is not changed after construction."""
+
     pieces: dict[str, float]  # piece -> log probability
     marker: str = MARKER
     target_size: int | None = None
+    max_piece_len: int = field(init=False, repr=False, compare=False)
+    unk_logprob: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -38,13 +44,11 @@ class UnigramVocab:
         total = sum(math.exp(lp) for lp in self.pieces.values())
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(f"piece probabilities sum to {total!r}, not 1")
+        self.max_piece_len = max(len(p) for p in self.pieces)
+        self.unk_logprob = min(self.pieces.values()) - _UNK_PENALTY
 
     def __len__(self):
         return len(self.pieces)
-
-    @property
-    def max_piece_len(self) -> int:
-        return max(len(p) for p in self.pieces)
 
     def logprob(self, piece: str) -> float:
         return self.pieces[piece]
@@ -244,10 +248,10 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
 def segment(v: UnigramVocab, text: str) -> list[str]:
     """Maximum-likelihood pieces of the whitespace-collapsed text, the
     word-initial piece of every word carrying the boundary marker."""
-    unk = min(v.pieces.values()) - _UNK_PENALTY
     out = []
     for word in text.split():
-        pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len, unk_logprob=unk)
+        pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len,
+                                  unk_logprob=v.unk_logprob)
         out.append(v.marker + pieces[0])
         out.extend(pieces[1:])
     return out
@@ -269,10 +273,9 @@ def decode(v: UnigramVocab, pieces: list[str]) -> str:
 def segmentation_score(v: UnigramVocab, pieces: list[str]) -> float:
     """Summed log-probability of already-segmented pieces (markers ignored)."""
     total = 0.0
-    unk = min(v.pieces.values()) - _UNK_PENALTY
     for piece in pieces:
         core = piece[len(v.marker):] if piece.startswith(v.marker) else piece
-        total += v.pieces.get(core, unk)
+        total += v.pieces.get(core, v.unk_logprob)
     return total
 
 

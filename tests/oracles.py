@@ -3,8 +3,8 @@
 Everything here is deliberately written the slow, obvious way (finite
 differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
-reference composes the library's primitive autodiff ops, never the fused
-lstm_scan it checks.
+reference and the row softmax compose the library's primitive autodiff
+ops, never the fused lstm_scan and attention they check.
 """
 
 import itertools
@@ -117,6 +117,45 @@ def best_segmentation(word, vocab):
     return best, best_lp
 
 
+UNK_PENALTY = 10.0  # a character outside the inventory scores this below its rarest piece
+
+
+def segment_rescanning(v, text):
+    """Marked maximum-likelihood pieces of each word of text, recomputing the
+    unknown-character score and the longest piece length on every call.
+
+    Viterbi over end positions, candidate starts in increasing order, and a
+    candidate replaces the best only when strictly better, so ties go as
+    in the library's lattice."""
+    unk = min(v.pieces.values()) - UNK_PENALTY
+    max_len = max(len(p) for p in v.pieces)
+    out = []
+    for word in text.split():
+        n = len(word)
+        best = [0.0] + [-np.inf] * n
+        back = [None] * (n + 1)
+        for i in range(1, n + 1):
+            for j in range(max(0, i - max_len), i):
+                score = v.pieces.get(word[j:i], unk if i - j == 1 else None)
+                if score is not None and best[j] + score > best[i]:
+                    best[i], back[i] = best[j] + score, j
+        cuts = [n]
+        while cuts[-1] > 0:
+            cuts.append(back[cuts[-1]])
+        cuts.reverse()
+        pieces = [word[a:b] for a, b in zip(cuts, cuts[1:])]
+        out += [v.marker + pieces[0]] + pieces[1:]
+    return out
+
+
+def segmentation_score_rescanning(v, pieces):
+    """Summed log-probability of marked pieces, an unknown piece scoring
+    UNK_PENALTY below the rarest piece, recomputed on every call."""
+    unk = min(v.pieces.values()) - UNK_PENALTY
+    return sum(v.pieces.get(p[len(v.marker):] if p.startswith(v.marker) else p, unk)
+               for p in pieces)
+
+
 # ---------------------------------------------------------------------------
 # entity scoring oracle: direct span counting
 
@@ -211,3 +250,15 @@ def lstm_run(p, xs):
         h, c = lstm_step(p, x, h, c)
         out.append(h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# row softmax from primitive ops, the reference for fused attention's weights
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
+    n = x.shape[0]
+    lse = ad.log_sum_exp(x, axis=1)
+    shifted = x - ad.broadcast_to(ad.reshape(lse, (n, 1)), x.shape)
+    return ad.exp(shifted)

@@ -23,7 +23,7 @@ import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
 from seqtag.crf import CRFParams, log_partition, log_prob, score_sequence, viterbi_decode
 from seqtag.data import build_vocab, parse_conll, serialize_conll, split_corpus
-from seqtag.encoders import ComposerConfig, ToyTransformerConfig, gelu, layer_norm, softmax_rows
+from seqtag.encoders import ComposerConfig, ToyTransformerConfig, gelu, layer_norm
 from seqtag.evaluation import report_keyvalues, score
 from seqtag.models import TrainConfig, build_model, load_model, save_model, tag_corpus
 from seqtag.optim import lr_schedule
@@ -32,7 +32,7 @@ from seqtag.synth import generate_corpus
 from seqtag.training import bench, bench_table, evaluate_model, train
 
 from oracles import (all_segmentations, best_segmentation, crf_brute_argmax,
-                     crf_brute_log_partition, finite_diff, max_rel_error)
+                     crf_brute_log_partition, finite_diff, max_rel_error, softmax_rows)
 from test_autodiff import _op_cases, check_grad
 from test_evaluation import EXHIBIT_TAGS, random_corpus
 

@@ -1,10 +1,11 @@
 """Property test of load_model on artifacts whose manifest has one field
 deleted or replaced: it returns a model that tags a sentence, or it raises
-ArtifactError."""
+ArtifactError, and either way it allocates little."""
 
 import copy
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -20,10 +21,14 @@ from seqtag.models import TrainConfig, build_model, load_model, save_model
 from seqtag.subword import train_unigram
 from seqtag.synth import generate_corpus
 
-# Small values only: a manifest that names a huge dimension makes build_model
-# allocate it before any tensor shape is checked.
-VALUES = [None, 0, -1, 3, 1.5, "x", [], {}, True]
+# The large values would ask for gigabytes if a dimension they name were
+# allocated before it is checked against the stored tensors.
+LARGE = [400_000, 10**9]
+VALUES = [None, 0, -1, 3, 1.5, "x", [], {}, True] + LARGE
 DELETE = "<delete>"
+# peak bytes one load may allocate; loading either artifact unchanged takes
+# about 0.2 MB
+LOAD_BUDGET = 2_000_000
 
 CONFIGS = {
     "bilstm-crf": TrainConfig(
@@ -81,14 +86,69 @@ def test_mutated_manifest_loads_a_working_model_or_raises_artifact_error(
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    try:
+        model = _load_measured(manifest, members)
+    except ArtifactError:
+        return
+    tags = model.predict(sentence.surfaces, sentence.morphs)
+    assert len(tags) == len(sentence) and set(tags) <= set(model.tags)
+
+
+def _load_measured(manifest, members):
+    """load_model on an artifact with this manifest and these other members,
+    asserting that it allocates at most LOAD_BUDGET bytes at its peak,
+    whether it returns or raises."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         zf.writestr("manifest.json", json.dumps(manifest))
         for name, raw in members.items():
             zf.writestr(name, raw)
+    raw = buf.getvalue()
+    tracemalloc.start()
     try:
-        model = load_model(io.BytesIO(buf.getvalue()))
-    except ArtifactError:
-        return
-    tags = model.predict(sentence.surfaces, sentence.morphs)
-    assert len(tags) == len(sentence) and set(tags) <= set(model.tags)
+        return load_model(io.BytesIO(raw))
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= LOAD_BUDGET, f"load_model allocated {peak} bytes"
+
+
+# every manifest field that sizes a tensor of the model kind
+DIMENSIONS = {
+    "bilstm-crf": [("hidden_dim",)] + [
+        ("composer", f"{source}_{part}") for source in ("word", "char", "morph", "subword")
+        for part in ("dim", "hidden") if (source, part) != ("word", "hidden")],
+    "transformer-crf": [("transformer", name) for name in
+                        ("num_layers", "num_heads", "hidden_units", "ff_units", "max_len")],
+}
+
+
+@pytest.mark.parametrize("kind,path,value", [
+    (kind, path, value) for kind, paths in DIMENSIONS.items() for path in paths
+    for value in LARGE])
+def test_a_large_dimension_fails_before_it_is_allocated(artifacts, kind, path, value):
+    manifest, members, _ = artifacts[kind]
+    manifest = copy.deepcopy(manifest)
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ArtifactError):
+        _load_measured(manifest, members)
+
+
+def test_a_long_tag_list_fails_before_it_is_allocated(artifacts):
+    """Two thousand tags would make a 32 MB transition table."""
+    manifest, members, _ = artifacts["transformer-crf"]
+    manifest = dict(manifest, tags=["O"] + [f"B-X{i}" for i in range(2000)])
+    with pytest.raises(ArtifactError, match="tag count"):
+        _load_measured(manifest, members)
+
+
+def test_a_table_vocabulary_longer_than_its_stored_rows_is_rejected_first(artifacts):
+    manifest, members, _ = artifacts["bilstm-crf"]
+    manifest = copy.deepcopy(manifest)
+    vocab = manifest["tables"]["word"]["vocab"]
+    vocab.update({f"extra{i}": len(vocab) + i for i in range(1000)})
+    with pytest.raises(ArtifactError, match="tables.word size"):
+        _load_measured(manifest, members)

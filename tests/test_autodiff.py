@@ -518,6 +518,10 @@ def _op_cases(rng):
         "crf_forward_masked": (lambda e, t: ad.scale(ad.crf_forward(e, t, bio2), 1.3),
                                lambda: [rng.standard_normal((rng.integers(1, 6), 3)),
                                         rng.standard_normal((4, 4))]),
+        # three packed sequences of 3, 1 and 2 positions under the BIO2 mask
+        "crf_forward_packed": (lambda e, t: ad.scale(
+            ad.crf_forward(e, t, bio2, [3, 1, 2]), 1.3),
+            lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
         # heads of width 2, w.r.t. q, k and v
         "attention": (lambda q, k, v: ad.tensor_sum(ad.mul(

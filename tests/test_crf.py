@@ -120,6 +120,51 @@ def test_log_partition_is_one_node_over_emissions_and_transition():
         assert [node._op for node in graph] == ["leaf", "leaf", "crf_forward"]
 
 
+def test_packed_score_partition_and_nll_are_sums_over_their_sequences():
+    """One call over sequences packed back to back equals the sum of one
+    call per sequence, in value and in every gradient, and builds one
+    crf_forward node."""
+    rng = np.random.default_rng(59)
+    mask = crf_mod.illegal_mask(["O", "B-X", "I-X"])
+    for m in (None, mask):
+        c = random_crf(rng, 3)
+        lengths = [3, 1, 4, 2]
+        e = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
+        labels = [0, 1, 2, 1, 0, 0, 1, 2, 1, 0]
+        packed = crf_mod.crf_nll(c, e, labels, m, lengths)
+        assert [n._op for n in ad.trace(packed)].count("crf_forward") == 1
+        ad.backward(packed)
+        got = (packed.item(), e.grad.copy(), c.transition.grad.copy())
+        e.zero_grad()
+        c.transition.zero_grad()
+        want = 0.0
+        for start, n in zip(np.cumsum([0] + lengths), lengths):
+            rows = ad.take(e, slice(start, start + n))
+            nll = crf_mod.crf_nll(c, rows, labels[start:start + n], m)
+            ad.backward(nll)
+            want += nll.item()
+        assert abs(got[0] - want) <= 1e-10
+        assert np.max(np.abs(got[1] - e.grad)) <= 1e-10
+        assert np.max(np.abs(got[2] - c.transition.grad)) <= 1e-10
+        c.transition.zero_grad()
+        score = crf_mod.score_sequence(c, e, labels, m, lengths).item()
+        want_score = sum(crf_mod.score_sequence(c, Tensor(e.data[a:a + n]),
+                                                labels[a:a + n], m).item()
+                         for a, n in zip(np.cumsum([0] + lengths), lengths))
+        assert abs(score - want_score) <= 1e-10
+
+
+@pytest.mark.parametrize("lengths", [[], [2, 0, 3], [2, 2], [3, 3], [-1, 6]])
+def test_packed_calls_reject_lengths_that_do_not_split_the_rows(lengths):
+    rng = np.random.default_rng(60)
+    c = random_crf(rng, 2)
+    e = random_emissions(rng, 5, 2)
+    with pytest.raises(UsageError):
+        crf_mod.log_partition(c, e, lengths=lengths)
+    with pytest.raises(UsageError):
+        crf_mod.score_sequence(c, e, [0] * 5, lengths=lengths)
+
+
 def test_a_mask_of_the_wrong_shape_is_rejected_everywhere():
     rng = np.random.default_rng(67)
     c = random_crf(rng, 3)

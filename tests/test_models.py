@@ -159,6 +159,14 @@ def test_batched_loss_equals_the_sum_of_sentence_losses(corpus, vocab, tokenizer
         assert np.max(np.abs(got_grads[name] - grad)) <= 1e-10, name
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batched_loss_has_one_crf_or_softmax_node(corpus, vocab, tokenizer, kind):
+    model = build_model(tiny_cfg(kind), vocab, np.random.default_rng(0), tokenizer)
+    ops = [node._op for node in ad.trace(model.loss(*corpus[:5], training=False))]
+    head = "crf_forward" if kind.endswith("-crf") else "log_sum_exp"
+    assert ops.count(head) == 1
+
+
 def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, tokenizer):
     cfg = tiny_cfg("transformer-crf")
     model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
@@ -485,6 +493,24 @@ def test_malformed_tokenizer_is_an_artifact_error(tmp_path, corpus, vocab, token
         for name in zin.namelist():
             zout.writestr(name, text if name == "tokenizer.tsv" else zin.read(name))
     with pytest.raises(ArtifactError, match="tokenizer"):
+        load_model(dst)
+    data = tmp_path / "data.conll"
+    data.write_text(serialize_conll(corpus[:3]), encoding="utf-8")
+    assert main(["evaluate", "--model", str(dst), "--data", str(data)]) == 2
+
+
+@pytest.mark.parametrize("manifest", [b"\xff{}", b"[]"],
+                         ids=["not-utf-8", "not-an-object"])
+def test_manifest_that_is_no_json_object_is_an_artifact_error(tmp_path, corpus, vocab,
+                                                              manifest):
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+    dst = tmp_path / "bad.zip"
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            zout.writestr(name, manifest if name == "manifest.json" else zin.read(name))
+    with pytest.raises(ArtifactError, match="manifest"):
         load_model(dst)
     data = tmp_path / "data.conll"
     data.write_text(serialize_conll(corpus[:3]), encoding="utf-8")

@@ -10,7 +10,8 @@ from seqtag.subword import (PAD, UnigramVocab, align_labels, decode,
                             load_vocab, project_predictions, save_vocab,
                             segment, train_unigram)
 
-from oracles import all_segmentations, best_segmentation
+from oracles import (all_segmentations, best_segmentation, segment_rescanning,
+                     segmentation_score_rescanning)
 
 
 def make_vocab(items):
@@ -139,6 +140,30 @@ def test_segment_matches_enumeration_on_small_vocabs():
         got = sum(v.logprob(p) for p in stripped)
         _, want = best_segmentation(word, v.pieces)
         assert abs(got - want) <= 1e-12
+
+
+def test_segment_and_score_equal_the_rescanning_oracle():
+    """The unknown-character score and the longest piece length are computed
+    once per vocabulary; segmenting and scoring must give what recomputing
+    them on every call gives, for words with characters outside the
+    inventory too."""
+    rng = np.random.default_rng(84)
+    letters = "abcdeqxy"  # q, x and y are never in the inventory
+    for _ in range(40):
+        pieces = {ch: float(rng.integers(1, 10)) for ch in "abcde"}
+        for _ in range(int(rng.integers(0, 8))):
+            n = int(rng.integers(2, 7))
+            pieces["".join("abcde"[i] for i in rng.integers(0, 5, size=n))] = float(
+                rng.integers(1, 30))
+        v = make_vocab(pieces)
+        assert v.max_piece_len == max(len(p) for p in v.pieces)
+        for _ in range(10):
+            words = ["".join(letters[i] for i in rng.integers(0, 8, size=rng.integers(1, 12)))
+                     for _ in range(int(rng.integers(1, 4)))]
+            text = " ".join(words)
+            got = segment(v, text)
+            assert got == segment_rescanning(v, text)
+            assert sw.segmentation_score(v, got) == segmentation_score_rescanning(v, got)
 
 
 def test_segment_marks_exactly_word_initial_pieces():
