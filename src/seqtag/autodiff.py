@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 
 _grad_enabled = True
 
@@ -259,15 +259,42 @@ def exp(x: Tensor) -> Tensor:
     return _result(e, (x,), "exp", _bw)
 
 
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive values")
+def gelu(x: Tensor) -> Tensor:
+    """tanh approximation of the Gaussian error linear unit,
+    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    d, c = x.data, math.sqrt(2.0 / math.pi)
+    t = np.tanh((d + d * d * d * 0.044715) * c)
 
     def _bw(g):
         if x.requires_grad:
-            x.grad += g / x.data
+            x.grad += g * 0.5 * (1.0 + t + d * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * d * d))
 
-    return _result(np.log(x.data), (x,), "log", _bw)
+    return _result(d * (t + 1.0) * 0.5, (x,), "gelu", _bw)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Row-wise layer normalization of (n, d) rows as one node: each row is
+    centred, divided by sqrt(its variance + eps), then scaled by the (d,)
+    gain and shifted by the (d,) bias."""
+    if x.data.ndim != 2 or gain.shape != x.shape[1:] or bias.shape != x.shape[1:]:
+        raise ShapeError(f"layer_norm expects (n, d) rows with (d,) gain and bias, "
+                         f"got {x.shape}, {gain.shape}, {bias.shape}")
+    d = x.shape[1]
+    centered = x.data - np.sum(x.data, axis=1, keepdims=True) * (1.0 / d)
+    inv_std = 1.0 / np.sqrt(np.sum(centered * centered, axis=1, keepdims=True) * (1.0 / d) + eps)
+    normed = centered * inv_std
+
+    def _bw(g):
+        if gain.requires_grad:
+            gain.grad += np.sum(g * normed, axis=0)
+        if bias.requires_grad:
+            bias.grad += np.sum(g, axis=0)
+        if x.requires_grad:
+            dn = g * gain.data
+            x.grad += inv_std * (dn - np.mean(dn, axis=1, keepdims=True)
+                                 - normed * np.mean(dn * normed, axis=1, keepdims=True))
+
+    return _result(normed * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:

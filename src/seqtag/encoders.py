@@ -406,26 +406,6 @@ class TransformerParams:
         return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh approximation of the Gaussian error linear unit."""
-    cubed = x * x * x
-    inner = ad.scale(x + ad.scale(cubed, 0.044715), math.sqrt(2.0 / math.pi))
-    one = Tensor(np.ones(x.shape))
-    return ad.scale(x * (ad.tanh(inner) + one), 0.5)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization of an (n, d) matrix."""
-    n, d = x.shape
-    mean = ad.scale(ad.tensor_sum(x, axis=1), 1.0 / d)
-    centered = x - ad.broadcast_to(ad.reshape(mean, (n, 1)), (n, d))
-    var = ad.scale(ad.tensor_sum(centered * centered, axis=1), 1.0 / d)
-    var_eps = var + Tensor(np.full(n, eps))
-    inv_std = ad.exp(ad.scale(ad.log(var_eps), -0.5))
-    normed = centered * ad.broadcast_to(ad.reshape(inv_std, (n, 1)), (n, d))
-    return normed * ad.broadcast_to(gain, (n, d)) + ad.broadcast_to(bias, (n, d))
-
-
 def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
                          lengths=None):
     """Scaled dot-product self-attention over the rows of x.
@@ -446,13 +426,13 @@ def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Ten
                       training: bool, rng, lengths=None) -> Tensor:
     attn_out, _ = multi_head_attention(layer, x, cfg.num_heads, lengths)
     attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
-    x = layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
+    x = ad.layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
     n = x.shape[0]
     b1 = ad.broadcast_to(layer.b_ff1, (n, layer.b_ff1.size))
     b2 = ad.broadcast_to(layer.b_ff2, (n, layer.b_ff2.size))
-    ff = gelu(x @ ad.transpose(layer.W_ff1) + b1) @ ad.transpose(layer.W_ff2) + b2
+    ff = ad.gelu(x @ ad.transpose(layer.W_ff1) + b1) @ ad.transpose(layer.W_ff2) + b2
     ff = ad.dropout(ff, cfg.dropout_p, training, rng)
-    return layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
+    return ad.layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
 
 
 def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
@@ -468,14 +448,10 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
     matrix; each piece takes the position of its offset in its own sequence
     and attends only to the pieces of its own sequence.
     """
-    if not piece_ids:
-        raise UsageError("transformer_encode requires a non-empty sequence")
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
-    lengths = [len(piece_ids)] if lengths is None else [int(n) for n in lengths]
-    if min(lengths) < 1 or sum(lengths) != len(piece_ids):
-        raise UsageError(f"sequence lengths {lengths} do not split "
-                         f"{len(piece_ids)} pieces")
+    lengths = ad.packed_steps([len(piece_ids)] if lengths is None else lengths,
+                              len(piece_ids))[0].tolist()
     ids, positions, kept = [], [], []
     start = 0
     for n in lengths:

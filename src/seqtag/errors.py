@@ -13,10 +13,6 @@ class ShapeError(SeqtagError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class DomainError(SeqtagError, ValueError):
-    """Value outside the mathematical domain of an operation (e.g. log of 0)."""
-
-
 class ConfigError(SeqtagError, ValueError):
     """Invalid configuration value."""
 

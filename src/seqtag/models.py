@@ -188,11 +188,8 @@ class SequenceTagger:
         giving each one's word count; morphs, if given, runs parallel to
         words.  All sentences are encoded in one graph.
         """
-        if not words:
-            raise UsageError("cannot compute emissions for an empty sentence")
-        lengths = [len(words)] if lengths is None else list(lengths)
-        if min(lengths) < 1 or sum(lengths) != len(words):
-            raise UsageError(f"sentence lengths {lengths} do not split {len(words)} words")
+        lengths = ad.packed_steps([len(words)] if lengths is None else lengths,
+                                  len(words))[0].tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
@@ -418,15 +415,35 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
                                 f"{tensor!r} {stored}")
 
 
+def _read_tokenizer(cfg: TrainConfig, raw: bytes | None, arrays: dict) -> UnigramVocab | None:
+    """The artifact's tokenizer, or None.  Each piece takes a row of its own
+    in the piece table build_model makes from it, so a tokenizer.tsv of more
+    lines than the stored table has rows is rejected before it is parsed."""
+    if raw is None:
+        return None
+    if needs_tokenizer(cfg):
+        name = ("transformer" if cfg.model_kind.startswith("transformer")
+                else "composer") + ".piece_table"
+        rows = arrays[name].shape[0] if name in arrays and arrays[name].ndim else 0
+        if raw.count(b"\n") > rows:
+            raise ArtifactError(f"artifact tokenizer has more pieces than the "
+                                f"{rows} rows of stored tensor {name!r}")
+    try:
+        return vocab_from_text(raw.decode("utf-8"))
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        raise ArtifactError(f"corrupt artifact tokenizer: {exc}") from exc
+
+
 def load_model(path) -> SequenceTagger:
     """Read a model artifact of version 1 or 2; raises ArtifactError on
     anything malformed.
 
     The stored tensors are read first, and every size the manifest gives
-    to one of them must match it.  build_model then makes the model from
-    the config, tags and tables the manifest names, and the stored tensors
-    replace its initial weights.  The rebuilt tables must reproduce the
-    manifest's exactly."""
+    to one of them must match it; the tokenizer may list no more pieces
+    than the stored piece table has rows.  build_model then makes the
+    model from the config, tags and tables the manifest names, and the
+    stored tensors replace its initial weights.  The rebuilt tables must
+    reproduce the manifest's exactly."""
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
@@ -434,12 +451,7 @@ def load_model(path) -> SequenceTagger:
                 raise ArtifactError("artifact is missing manifest.json or "
                                     "tensors.npz")
             manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-            tokenizer = None
-            if "tokenizer.tsv" in names:
-                try:
-                    tokenizer = vocab_from_text(zf.read("tokenizer.tsv").decode("utf-8"))
-                except (ParseError, ValidationError, UnicodeDecodeError) as exc:
-                    raise ArtifactError(f"corrupt artifact tokenizer: {exc}") from exc
+            raw_tokenizer = zf.read("tokenizer.tsv") if "tokenizer.tsv" in names else None
             npz_bytes = zf.read("tensors.npz")
     except zipfile.BadZipFile as exc:
         raise ArtifactError(f"not a model artifact: {exc}") from exc
@@ -479,6 +491,7 @@ def load_model(path) -> SequenceTagger:
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
         raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
     _check_sizes(cfg, len(vocab.tags), table_sizes, arrays)
+    tokenizer = _read_tokenizer(cfg, raw_tokenizer, arrays)
     try:
         # placeholder weights, overwritten below
         model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)

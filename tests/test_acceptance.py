@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 import seqtag.autodiff as ad
-from seqtag.autodiff import Tensor
+from seqtag.autodiff import Tensor, gelu, layer_norm
 from seqtag.crf import CRFParams, log_partition, log_prob, score_sequence, viterbi_decode
 from seqtag.data import build_vocab, parse_conll, serialize_conll, split_corpus
-from seqtag.encoders import ComposerConfig, ToyTransformerConfig, gelu, layer_norm
+from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.evaluation import report_keyvalues, score
 from seqtag.models import TrainConfig, build_model, load_model, save_model, tag_corpus
 from seqtag.optim import lr_schedule

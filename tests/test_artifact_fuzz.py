@@ -5,6 +5,7 @@ ArtifactError, and either way it allocates little."""
 import copy
 import io
 import json
+import math
 import tracemalloc
 import zipfile
 
@@ -152,3 +153,12 @@ def test_a_table_vocabulary_longer_than_its_stored_rows_is_rejected_first(artifa
     vocab.update({f"extra{i}": len(vocab) + i for i in range(1000)})
     with pytest.raises(ArtifactError, match="tables.word size"):
         _load_measured(manifest, members)
+
+
+def test_a_tokenizer_longer_than_the_stored_piece_table_is_rejected_first(artifacts):
+    """Twenty thousand pieces would make a piece table of 40,002 rows."""
+    manifest, members, _ = artifacts["transformer-crf"]
+    logprob = -math.log(20_000)
+    pieces = "".join(f"p{i}\t{logprob!r}\n" for i in range(20_000))
+    with pytest.raises(ArtifactError, match="tokenizer"):
+        _load_measured(manifest, {**members, "tokenizer.tsv": pieces.encode()})

@@ -1,10 +1,13 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
 from seqtag.crf import illegal_mask
-from seqtag.errors import ConfigError, DomainError, ShapeError, UsageError
+from seqtag.errors import ConfigError, ShapeError, UsageError
 
 from oracles import finite_diff, max_rel_error
 
@@ -96,11 +99,15 @@ def test_binary_ops_require_equal_shapes():
         ad.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
 
 
-def test_log_domain_error():
-    with pytest.raises(DomainError):
-        ad.log(Tensor([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        ad.log(Tensor([0.0]))
+def test_layer_norm_rejects_other_than_rows_with_row_wide_gain_and_bias():
+    ones, zeros = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    for x, gain, bias in ((Tensor(np.zeros(4)), ones, zeros),
+                          (Tensor(np.zeros((2, 3, 4))), ones, zeros),
+                          (Tensor(np.zeros((3, 4))), Tensor(np.ones(3)), zeros),
+                          (Tensor(np.zeros((3, 4))), ones, Tensor(np.zeros((1, 4)))),
+                          (Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))), zeros)):
+        with pytest.raises(ShapeError):
+            ad.layer_norm(x, gain, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +457,9 @@ def _op_cases(rng):
     p_attn = proj(side, (6, 4))
     p_scan = proj(side, (8, 2))
     p_scan_reverse = proj(side, (8, 2))
+    p_norm = proj(side, (3, 4))
+    p_gelu = proj(side, (2, 3))
+    p_stack = proj(side, (3, 4))
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
@@ -474,8 +484,14 @@ def _op_cases(rng):
                  lambda: [rng.standard_normal(4) * 2]),
         "exp": (lambda a: ad.tensor_sum(ad.mul(ad.exp(a), p4)),
                 lambda: [rng.standard_normal(4)]),
-        "log": (lambda a: ad.tensor_sum(ad.mul(ad.log(a), p4)),
-                lambda: [rng.random(4) + 0.5]),
+        "gelu": (lambda a: ad.tensor_sum(ad.mul(ad.gelu(a), p_gelu)),
+                 lambda: [rng.standard_normal((2, 3)) * 2]),
+        # w.r.t. the rows, the gain and the bias
+        "layer_norm": (lambda x, g, b: ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b), p_norm)),
+                       lambda: [rng.standard_normal((3, 4)) * 2, rng.standard_normal(4),
+                                rng.standard_normal(4)]),
+        "stack": (lambda a, b, c: ad.tensor_sum(ad.mul(ad.stack([a, b, c]), p_stack)),
+                  lambda: [rng.standard_normal(4) for _ in range(3)]),
         "concat": (lambda a, b: ad.tensor_sum(ad.mul(ad.concat([a, b], axis=1), pm)),
                    lambda: [rng.standard_normal((3, 1)), rng.standard_normal((3, 3))]),
         "log_sum_exp": (lambda a: ad.tensor_sum(ad.mul(ad.log_sum_exp(a, axis=1), Tensor(np.ones(2)))),
@@ -537,3 +553,16 @@ def test_gradient_suite_per_op(name):
     build, make = _op_cases(rng)[name]
     for _ in range(50):
         check_grad(build, make())
+
+
+def test_every_op_has_a_gradient_case():
+    """Every op name autodiff.py gives _result is the op of a node in one of
+    the _op_cases graphs."""
+    ops = {call.args[2].value for call in ast.walk(ast.parse(inspect.getsource(ad)))
+           if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_result"}
+    assert len(ops) > 20
+    seen = set()
+    for build, make in _op_cases(np.random.default_rng(0)).values():
+        root = build(*[Tensor(a, requires_grad=True) for a in make()])
+        seen.update(node._op for node in ad.trace(root))
+    assert ops <= seen, f"ops without a gradient case: {sorted(ops - seen)}"

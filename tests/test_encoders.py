@@ -428,19 +428,24 @@ def test_softmax_rows_match_numpy_and_sum_to_one():
 def test_gelu_matches_reference_formula():
     rng = np.random.default_rng(31)
     x = rng.normal(scale=2.0, size=(3, 4))
-    out = enc.gelu(Tensor(x)).data
+    out = ad.gelu(Tensor(x)).data
     ref = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
     assert np.max(np.abs(out - ref)) <= 1e-12
-    assert enc.gelu(Tensor(np.zeros((1, 1)))).data[0, 0] == 0.0
+    assert ad.gelu(Tensor(np.zeros((1, 1)))).data[0, 0] == 0.0
 
 
 def test_layer_norm_zero_mean_unit_variance():
     rng = np.random.default_rng(32)
     x = rng.normal(loc=3.0, scale=2.0, size=(5, 6))
     d = x.shape[1]
-    out = enc.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d))).data
-    assert np.max(np.abs(out.mean(axis=1))) <= 1e-12
-    assert np.max(np.abs(out.var(axis=1) - 1.0)) <= 1e-4  # eps shifts variance slightly
+    gain = rng.normal(loc=1.0, scale=0.5, size=d)
+    bias = rng.normal(size=d)
+    out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    ref = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    assert np.max(np.abs(out - (ref * gain + bias))) <= 1e-12
+    normed = (out - bias) / gain
+    assert np.max(np.abs(normed.mean(axis=1))) <= 1e-12
+    assert np.max(np.abs(normed.var(axis=1) - 1.0)) <= 1e-4  # eps shifts variance slightly
 
 
 def test_layer_norm_gradient_matches_finite_differences():
@@ -454,7 +459,7 @@ def test_layer_norm_gradient_matches_finite_differences():
         xt = Tensor(xa, requires_grad=True)
         gt = Tensor(ga, requires_grad=True)
         bt = Tensor(ba, requires_grad=True)
-        loss = ad.tensor_sum(ad.mul(enc.layer_norm(xt, gt, bt), Tensor(proj)))
+        loss = ad.tensor_sum(ad.mul(ad.layer_norm(xt, gt, bt), Tensor(proj)))
         return xt, gt, bt, loss
 
     xt, gt, bt, loss = build(x, gain, bias)

@@ -168,7 +168,8 @@ def test_batched_loss_has_one_crf_or_softmax_node(corpus, vocab, tokenizer, kind
 
 
 def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, tokenizer):
-    cfg = tiny_cfg("transformer-crf")
+    cfg = tiny_cfg("transformer-crf", transformer=ToyTransformerConfig(
+        num_layers=2, num_heads=2, hidden_units=12, ff_units=16, max_len=32, dropout_p=0.0))
     model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
 
     def masked_nodes(loss):
@@ -180,7 +181,13 @@ def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, 
     loss = model.loss(*corpus[:2], training=False)
     assert masked_nodes(loss) == []
     nodes = ad.trace(loss)
-    assert [n._op for n in nodes].count("attention") == cfg.transformer.num_layers
+    ops = [n._op for n in nodes]
+    layers = cfg.transformer.num_layers
+    assert ops.count("attention") == layers
+    # each sublayer is one fused node, with no primitive left over from it
+    assert ops.count("layer_norm") == 2 * layers
+    assert ops.count("gelu") == layers
+    assert not {"exp", "log", "reshape", "tanh"} & set(ops)
     n_pieces = max(n.shape[0] for n in nodes if n._op == "attention")
     assert n_pieces not in (12, 16)  # no weight matrix is (n_pieces, n_pieces)
     assert not any(n.shape == (n_pieces, n_pieces) for n in nodes)
