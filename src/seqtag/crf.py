@@ -209,14 +209,3 @@ def constrained_decode(emissions: Tensor, mask: np.ndarray) -> list[int]:
         prev = best
     return path
 
-
-def l2_penalty(tensors, lam: float) -> Tensor:
-    """(lam / 2) * sum of squared entries over all given tensors."""
-    if lam < 0:
-        raise UsageError("l2 strength must be non-negative")
-    total = Tensor(np.float64(0.0))
-    if lam == 0.0:
-        return total
-    for t in tensors:
-        total = total + ad.tensor_sum(ad.mul(t, t))
-    return ad.scale(total, 0.5 * lam)

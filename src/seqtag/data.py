@@ -12,7 +12,7 @@ to Unicode NFC, so a decomposed letter such as Turkish dotted capital I
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,7 +234,6 @@ class Vocabulary:
     char: dict[str, int]
     morph_char: dict[str, int]
     tags: TagSet
-    word_counts: dict[str, int] = field(default_factory=dict)
 
 
 def build_vocab(sentences: list[LabeledSentence], min_count: int = 1) -> Vocabulary:
@@ -276,5 +275,4 @@ def build_vocab(sentences: list[LabeledSentence], min_count: int = 1) -> Vocabul
     return Vocabulary(word=reserved_map(word_counts, word_first, min_count),
                       char=reserved_map(char_counts, char_first),
                       morph_char=reserved_map(morph_counts, morph_first),
-                      tags=tags,
-                      word_counts=dict(word_counts))
+                      tags=tags)

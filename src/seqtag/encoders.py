@@ -37,31 +37,24 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 
 class EmbeddingTable:
-    """Token-to-vector map with reserved padding and unknown entries."""
+    """Token-to-vector map; row 0 is padding and row 1 the unknown token."""
 
-    def __init__(self, vocab: dict[str, int], dim: int, pad_id: int, unk_id: int):
-        size = max(vocab.values()) + 1 if vocab else 0
-        size = max(size, pad_id + 1, unk_id + 1)
-        if pad_id == unk_id:
-            raise ConfigError("pad and unk ids must be distinct")
+    pad_id = 0
+    unk_id = 1
+
+    def __init__(self, vocab: dict[str, int], dim: int):
         self.vocab = vocab
         self.dim = dim
-        self.pad_id = pad_id
-        self.unk_id = unk_id
-        self.matrix = Tensor(np.zeros((size, dim)), requires_grad=True)
+        self.matrix = Tensor(np.zeros((len(vocab), dim)), requires_grad=True)
 
     @classmethod
     def from_tokens(cls, tokens, dim: int) -> "EmbeddingTable":
-        """Table over the given token iterable; ids 0/1 reserved for pad/unk."""
-        vocab = {"<pad>": 0, "<unk>": 1}
+        """Table over <pad>, <unk> and then the given tokens, each once."""
+        vocab = {"<pad>": cls.pad_id, "<unk>": cls.unk_id}
         for tok in tokens:
             if tok not in vocab:
                 vocab[tok] = len(vocab)
-        return cls(vocab, dim, pad_id=0, unk_id=1)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+        return cls(vocab, dim)
 
     def id_of(self, token: str) -> int:
         return self.vocab.get(token, self.unk_id)

@@ -25,7 +25,8 @@ from .crf import (CRFParams, constrained_decode, crf_nll, illegal_mask,
 from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
-                       transformer_encode, xavier_uniform)
+                       _require_positive_ints, transformer_encode,
+                       xavier_uniform)
 from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
                      ValidationError)
 from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
@@ -72,18 +73,13 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim"))
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.lambda_l2 < 0:
             raise ConfigError("lambda_l2 must be non-negative")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be positive")
 
 
 class SequenceTagger:

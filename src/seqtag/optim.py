@@ -1,7 +1,9 @@
-"""Optimizers, learning-rate decay, and gradient clipping.
+"""Optimizers, learning-rate decay, L2 regularisation and gradient clipping.
 
 Both optimizers mutate parameter data in place and keep their own state
-buffers aligned with the parameter list they were built with.
+buffers aligned with the parameter list they were built with.  The L2
+penalty is added to the gradients after the backward pass, so it never
+enters the autodiff graph.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 0.01
+
 
 def lr_schedule(lr_initial: float, epoch: int) -> float:
     """Learning rate after the given number of completed epochs under the
@@ -23,6 +30,23 @@ def lr_schedule(lr_initial: float, epoch: int) -> float:
     for k in range(1, epoch + 1):
         lr = lr / (1.0 + 0.05 * k)
     return lr
+
+
+def add_l2_gradients(params: list[Tensor], lam: float) -> float:
+    """Add lam * theta to the gradient of every parameter theta.
+
+    Returns the penalty those gradients belong to, (lam / 2) times the sum
+    of squared entries, for the caller to add to the loss it reports.
+    """
+    if lam < 0:
+        raise ConfigError("l2 strength must be non-negative")
+    if lam == 0.0:
+        return 0.0
+    total = 0.0
+    for p in params:
+        total += float(np.sum(p.data * p.data))
+        p.grad += lam * p.data
+    return total * (0.5 * lam)
 
 
 def clip_gradients(params: list[Tensor], clip_norm: float) -> float:
@@ -66,27 +90,17 @@ class SGDMomentum:
 
 class AdamDecoupled:
     """Adaptive-moment update with bias correction and decoupled weight
-    decay applied directly to the parameters."""
+    decay applied directly to the parameters; the hyper-parameters other
+    than the learning rate are the ADAM_* module constants."""
 
-    def __init__(self, params: list[Tensor], betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError("betas must be in [0, 1)")
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
-        if weight_decay < 0:
-            raise ConfigError("weight decay must be non-negative")
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.betas = (b1, b2)
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, lr: float):
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
@@ -96,10 +110,8 @@ class AdamDecoupled:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            p.data -= lr * (update + ADAM_WEIGHT_DECAY * p.data)
 
     def zero_grad(self):
         for p in self.params:

@@ -1,6 +1,8 @@
 """Unigram subword tokenizer: EM training with likelihood-based pruning,
-Viterbi segmentation, and the first-subword label alignment rule used by the
-transformer pipeline.
+Viterbi segmentation, and first-subword label alignment with its inverse
+projection.  The tagging models do not call the alignment helpers: a
+transformer tagger reads each word's features off the hidden row of its
+first piece (SequenceTagger._transformer_features in models.py).
 
 Pieces are stored without the word-boundary marker; segment() renders the
 marker ("▁" by default) onto each word-initial piece.  Text normalization is
@@ -18,7 +20,7 @@ from .errors import AlignmentError, ConfigError, ParseError, UsageError, Validat
 
 MARKER = "▁"
 
-# sentinel label carried by non-word-initial pieces; masked out of every loss
+# label align_labels gives every piece that does not start a word
 PAD = None
 
 _EM_ROUNDS = 2

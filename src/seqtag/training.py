@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .crf import l2_penalty
 from .data import CorpusSplit, LabeledSentence, build_vocab
 from .errors import DivergenceError, UsageError
 from .evaluation import EvalReport, score
 from .models import (SequenceTagger, TrainConfig, build_model,
                      needs_tokenizer, tag_corpus)
-from .optim import AdamDecoupled, SGDMomentum, clip_gradients, lr_schedule
+from .optim import (AdamDecoupled, SGDMomentum, add_l2_gradients,
+                    clip_gradients, lr_schedule)
 from .subword import UnigramVocab, train_unigram
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,8 @@ def train(cfg: TrainConfig, split: CorpusSplit,
 
     Each epoch visits the training sentences in a fresh seeded shuffle;
     each mini-batch is one graph whose summed sentence losses drive one
-    clipped update.
+    clipped update, with the L2 penalty's gradient added after the backward
+    pass and its value added to the reported loss.
     The parameters kept at the end are those of the best-validation epoch.
     A non-finite loss or gradient norm aborts with DivergenceError before
     the update.  target_f1, when given, stops early once validation F1
@@ -101,13 +102,11 @@ def train(cfg: TrainConfig, split: CorpusSplit,
             opt.zero_grad()
             loss = model.loss(*(split.train[int(i)] for i in batch),
                               training=True, rng=rng)
-            if cfg.lambda_l2 > 0:
-                loss = loss + l2_penalty(params, cfg.lambda_l2)
-            value = float(loss.data)
+            ad.backward(loss)
+            value = float(loss.data) + add_l2_gradients(params, cfg.lambda_l2)
+            del loss  # free this graph before the next one is built
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            ad.backward(loss)
-            del loss  # free this graph before the next one is built
             norm = clip_gradients(params, cfg.clip_norm)
             if not np.isfinite(norm):
                 raise DivergenceError(f"non-finite gradient norm at epoch {epoch}")

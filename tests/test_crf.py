@@ -423,43 +423,6 @@ def test_linear_nll_validation():
         crf_mod.linear_nll(Tensor(np.zeros((2, 3))), [0])
 
 
-# ---------------------------------------------------------------------------
-# L2 penalty
-
-
-def test_l2_penalty_value_and_gradient():
-    rng = np.random.default_rng(67)
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=4), requires_grad=True)
-    lam = 0.3
-    out = crf_mod.l2_penalty([a, b], lam)
-    want = 0.5 * lam * (np.sum(a.data ** 2) + np.sum(b.data ** 2))
-    assert abs(float(out.data) - want) <= 1e-12
-    ad.backward(out)
-    assert np.max(np.abs(a.grad - lam * a.data)) <= 1e-12
-    assert np.max(np.abs(b.grad - lam * b.data)) <= 1e-12
-
-
-def test_l2_penalty_zero_strength_contributes_nothing():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = crf_mod.l2_penalty([a], 0.0)
-    assert float(out.data) == 0.0
-    with pytest.raises(UsageError):
-        crf_mod.l2_penalty([a], -1.0)
-
-
-def test_nll_with_l2_composes():
-    rng = np.random.default_rng(68)
-    c = random_crf(rng, 3)
-    e = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    labels = [0, 1, 2]
-    lam = 1e-2
-    plain = crf_mod.crf_nll(c, e, labels)
-    reg = plain + crf_mod.l2_penalty([c.transition], lam)
-    want = float(plain.data) + 0.5 * lam * np.sum(c.transition.data ** 2)
-    assert abs(float(reg.data) - want) <= 1e-12
-
-
 def test_constrained_decode_matches_linear_decode_under_a_free_mask():
     rng = np.random.default_rng(71)
     e = Tensor(rng.normal(size=(6, 5)))

@@ -268,7 +268,7 @@ def test_embedding_table_reserved_ids_and_unknown_lookup():
     table = enc.EmbeddingTable.from_tokens(["ev", "kedi", "ev"], 4)
     assert table.pad_id == 0 and table.unk_id == 1
     assert table.vocab["ev"] == 2 and table.vocab["kedi"] == 3
-    assert table.size == 4
+    assert table.matrix.shape == (4, 4)
     assert table.id_of("yok") == table.unk_id
     rng = np.random.default_rng(0)
     enc.init_embeddings(table, rng)

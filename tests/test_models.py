@@ -65,6 +65,8 @@ def test_config_rejects_unknown_kind_and_optimizer():
     ("lr", 0.0), ("lr", -1.0), ("dropout_p", 1.0), ("dropout_p", -0.1),
     ("epochs", 0), ("batch_size", 0), ("clip_norm", 0.0),
     ("momentum", 1.0), ("lambda_l2", -1e-9), ("hidden_dim", 0),
+    *((name, value) for name in ("epochs", "batch_size", "hidden_dim")
+      for value in (1.5, True, "8")),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ from seqtag import autodiff as ad
 from seqtag.data import CorpusSplit, split_corpus
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import DivergenceError, UsageError
-from seqtag.models import TrainConfig
+from seqtag.models import SequenceTagger, TrainConfig
 from seqtag.synth import generate_corpus
 from seqtag.training import (METRICS_HEADER, bench, bench_table,
                              evaluate_model, train)
@@ -92,6 +92,26 @@ def test_l2_strength_raises_the_reported_training_loss(split):
     plain = train(tiny_cfg(epochs=1, lambda_l2=0.0), split)
     heavy = train(tiny_cfg(epochs=1, lambda_l2=1.0), split)
     assert heavy.history[0].train_loss > plain.history[0].train_loss
+
+
+def test_l2_stays_out_of_the_graph_train_differentiates(split, monkeypatch):
+    losses, roots = [], []
+    real_loss, real_backward = SequenceTagger.loss, ad.backward
+
+    def recording_loss(self, *args, **kw):
+        losses.append(real_loss(self, *args, **kw))
+        return losses[-1]
+
+    def recording_backward(root):
+        roots.append(root)
+        real_backward(root)
+
+    monkeypatch.setattr(SequenceTagger, "loss", recording_loss)
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    cfg = tiny_cfg(epochs=1, lambda_l2=0.1)
+    train(cfg, split)
+    assert len(roots) == len(losses) == -(-len(split.train) // cfg.batch_size)
+    assert all(root is loss for root, loss in zip(roots, losses))
 
 
 def test_target_f1_stops_training_early(split):
