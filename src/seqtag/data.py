@@ -189,7 +189,8 @@ def validate_bio2(sentence: LabeledSentence, mode: str = "strict") -> LabeledSen
             if prev not in (f"B-{kind}", f"I-{kind}"):
                 if mode == "strict":
                     raise ValidationError(
-                        f"orphan {tag} at token index {i} (follows {prev})")
+                        f"orphan {tag} at token index {i} "
+                        f"({sentence.tokens[i].surface!r}, follows {prev})")
                 tag = f"B-{kind}"
         fixed.append(tag)
         prev = tag

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -35,6 +36,12 @@ MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
 ARTIFACT_VERSION = 2
+# load_model reads no artifact member past these sizes: manifest.json and
+# tensors.npz have fixed caps, and tokenizer.tsv may hold one line of at
+# most TOKENIZER_LINE_MAX_BYTES per row of the stored piece table
+MANIFEST_MAX_BYTES = 16 * 2**20
+TENSORS_MAX_BYTES = 512 * 2**20
+TOKENIZER_LINE_MAX_BYTES = 1024
 
 
 @dataclass
@@ -411,19 +418,42 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
                                 f"{tensor!r} {stored}")
 
 
-def _read_tokenizer(cfg: TrainConfig, raw: bytes | None, arrays: dict) -> UnigramVocab | None:
+def _read_member(zf: zipfile.ZipFile, name: str, cap: int) -> bytes:
+    """The bytes of member name, refused before decompression when its
+    stored size exceeds cap, and read no further than cap + 1 bytes."""
+    size = zf.getinfo(name).file_size
+    if size > cap:
+        raise ArtifactError(f"artifact member {name!r} holds {size} bytes, "
+                            f"more than the {cap} it may")
+    try:
+        with zf.open(name) as fh:
+            raw = fh.read(cap + 1)
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise ArtifactError(f"not a model artifact: {exc}") from exc
+    if len(raw) > cap:
+        raise ArtifactError(f"artifact member {name!r} holds more than "
+                            f"{cap} bytes")
+    return raw
+
+
+def _read_tokenizer(cfg: TrainConfig, zf: zipfile.ZipFile,
+                    arrays: dict) -> UnigramVocab | None:
     """The artifact's tokenizer, or None.  Each piece takes a row of its own
-    in the piece table build_model makes from it, so a tokenizer.tsv of more
-    lines than the stored table has rows is rejected before it is parsed."""
-    if raw is None:
+    in the piece table build_model makes from it, so tokenizer.tsv is read
+    no further than TOKENIZER_LINE_MAX_BYTES per stored row, and a file of
+    more lines than the stored table has rows is rejected before it is
+    parsed.  A model without a piece table takes no tokenizer."""
+    if "tokenizer.tsv" not in zf.namelist():
         return None
-    if needs_tokenizer(cfg):
-        name = ("transformer" if cfg.model_kind.startswith("transformer")
-                else "composer") + ".piece_table"
-        rows = arrays[name].shape[0] if name in arrays and arrays[name].ndim else 0
-        if raw.count(b"\n") > rows:
-            raise ArtifactError(f"artifact tokenizer has more pieces than the "
-                                f"{rows} rows of stored tensor {name!r}")
+    name = ("transformer" if cfg.model_kind.startswith("transformer")
+            else "composer") + ".piece_table"
+    rows = 0
+    if needs_tokenizer(cfg) and name in arrays and arrays[name].ndim:
+        rows = arrays[name].shape[0]
+    raw = _read_member(zf, "tokenizer.tsv", rows * TOKENIZER_LINE_MAX_BYTES)
+    if raw.count(b"\n") > rows:
+        raise ArtifactError(f"artifact tokenizer has more pieces than the "
+                            f"{rows} rows of stored tensor {name!r}")
     try:
         return vocab_from_text(raw.decode("utf-8"))
     except (ParseError, ValidationError, UnicodeDecodeError) as exc:
@@ -436,23 +466,31 @@ def load_model(path) -> SequenceTagger:
 
     The stored tensors are read first, and every size the manifest gives
     to one of them must match it; the tokenizer may list no more pieces
-    than the stored piece table has rows.  build_model then makes the
-    model from the config, tags and tables the manifest names, and the
-    stored tensors replace its initial weights.  The rebuilt tables must
-    reproduce the manifest's exactly."""
+    than the stored piece table has rows.  No member is read past its cap
+    (MANIFEST_MAX_BYTES, TENSORS_MAX_BYTES, and TOKENIZER_LINE_MAX_BYTES
+    per piece-table row).  build_model then makes the model from the
+    config, tags and tables the manifest names, and the stored tensors
+    replace its initial weights.  The rebuilt tables must reproduce the
+    manifest's exactly."""
     try:
-        with zipfile.ZipFile(path) as zf:
-            names = set(zf.namelist())
-            if "manifest.json" not in names or "tensors.npz" not in names:
-                raise ArtifactError("artifact is missing manifest.json or "
-                                    "tensors.npz")
-            manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-            raw_tokenizer = zf.read("tokenizer.tsv") if "tokenizer.tsv" in names else None
-            npz_bytes = zf.read("tensors.npz")
+        zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile as exc:
         raise ArtifactError(f"not a model artifact: {exc}") from exc
+    with zf:
+        return _load_zip(zf)
+
+
+def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
+    names = set(zf.namelist())
+    if "manifest.json" not in names or "tensors.npz" not in names:
+        raise ArtifactError("artifact is missing manifest.json or "
+                            "tensors.npz")
+    try:
+        manifest = json.loads(_read_member(zf, "manifest.json",
+                                           MANIFEST_MAX_BYTES).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"corrupt artifact manifest: {exc}") from exc
+    npz_bytes = _read_member(zf, "tensors.npz", TENSORS_MAX_BYTES)
     if not isinstance(manifest, dict):
         raise ArtifactError("corrupt artifact manifest: not a JSON object")
     version = manifest.get("format_version")
@@ -487,7 +525,7 @@ def load_model(path) -> SequenceTagger:
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
         raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
     _check_sizes(cfg, len(vocab.tags), table_sizes, arrays)
-    tokenizer = _read_tokenizer(cfg, raw_tokenizer, arrays)
+    tokenizer = _read_tokenizer(cfg, zf, arrays)
     try:
         # placeholder weights, overwritten below
         model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)

@@ -4,6 +4,14 @@ projection.  The tagging models do not call the alignment helpers: a
 transformer tagger reads each word's features off the hidden row of its
 first piece (SequenceTagger._transformer_features in models.py).
 
+Training finds every occurrence of a seed piece in every distinct word once
+(_Lattice), and each EM round runs its forward, backward and posterior
+passes as numpy steps over all words, one step per (start, end) span.  A
+pruned piece scores -inf rather than leaving the lattice.  The arc and word
+counts size every array, so on corpora of a few hundred distinct words none
+reaches glibc's 128 KB mmap threshold; freeing one that did would raise the
+threshold and keep later arrays resident on the heap.
+
 Pieces are stored without the word-boundary marker; segment() renders the
 marker ("▁" by default) onto each word-initial piece.  Text normalization is
 whitespace collapsing only.
@@ -57,60 +65,7 @@ class UnigramVocab:
 
 
 # ---------------------------------------------------------------------------
-# lattice primitives over one word
-
-_LN2 = math.log(2.0)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """log(exp(x) + exp(y)) for two floats by numpy's own formula, so it
-    equals np.logaddexp bitwise at a fraction of a ufunc call's cost."""
-    if x == y:  # also equal infinities
-        return x + _LN2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d  # NaN
-
-
-def _forward(word: str, lp: dict[str, float], max_len: int):
-    n = len(word)
-    alpha = [-math.inf] * (n + 1)
-    alpha[0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(max(0, i - max_len), i):
-            piece = word[j:i]
-            if piece in lp and alpha[j] != -math.inf:
-                alpha[i] = _logaddexp(alpha[i], alpha[j] + lp[piece])
-    return alpha
-
-
-def _expected_counts(word: str, count: int, lp: dict[str, float], max_len: int,
-                     acc: dict[str, float]) -> float:
-    """Accumulate posterior piece counts for one word type; returns its
-    log-likelihood contribution."""
-    n = len(word)
-    alpha = _forward(word, lp, max_len)
-    if alpha[n] == -math.inf:
-        raise UsageError(f"word {word!r} cannot be segmented with current pieces")
-    beta = [-math.inf] * (n + 1)
-    beta[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, min(n, i + max_len) + 1):
-            piece = word[i:j]
-            if piece in lp and beta[j] != -math.inf:
-                beta[i] = _logaddexp(beta[i], lp[piece] + beta[j])
-    for i in range(n):
-        if alpha[i] == -math.inf:
-            continue
-        for j in range(i + 1, min(n, i + max_len) + 1):
-            piece = word[i:j]
-            if piece in lp and beta[j] != -math.inf:
-                post = math.exp(alpha[i] + lp[piece] + beta[j] - alpha[n])
-                acc[piece] = acc.get(piece, 0.0) + count * post
-    return count * alpha[n]
+# Viterbi over one word
 
 
 def _viterbi_word(word: str, lp: dict[str, float], max_len: int,
@@ -183,20 +138,130 @@ def _seed_pieces(words: dict[str, int], vocab_size: int, max_piece_len: int) -> 
     return {p: math.log(c / total) for p, c in sorted(counts.items())}
 
 
-def _em_round(lp: dict[str, float], words: dict[str, int], max_len: int) -> dict[str, float]:
-    acc: dict[str, float] = {}
-    for word, count in words.items():
-        _expected_counts(word, count, lp, max_len, acc)
-    eps = 1e-12
-    total = sum(acc.get(p, 0.0) + eps for p in lp)
-    return {p: math.log((acc.get(p, 0.0) + eps) / total) for p in lp}
+class _Lattice:
+    """Every occurrence of a seed piece in every distinct word, found once
+    per train_unigram call.  Pruning only removes pieces, and a pruned piece
+    scores -inf, so the arcs never change; only their scores do.
+
+    The arcs are intp columns in (word, start, end) order.  A second copy
+    of their words and pieces lays the (start, end) spans end to end, each
+    span holding a word at most once.  The forward pass visits the spans by
+    end, then start, and the backward pass by start descending, then end;
+    each span is one numpy step over all the words that hold it.  That is
+    the order of a per-word scalar recursion, and np.logaddexp and IEEE
+    additions give its bits, so the inventory does not depend on the
+    vectorization.  Posteriors are taken with math.exp per arc, as np.exp
+    can differ from it in the last bit, and summed in (word, start, end)
+    order.
+
+    Memory: alpha and beta are allocated once and reused by every round.
+    The spans are grouped as the arcs are found, so no numpy sort runs (a
+    sort touches numpy code pages nothing else in a training run uses).
+    Each span's step holds views, not arrays of its own: numpy caches freed
+    buffers under 1 KB, and that cache would outlive the lattice.
+    """
+
+    def __init__(self, words: dict[str, int], pieces: list[str], max_len: int):
+        index = {p: k for k, p in enumerate(pieces)}
+        self.words = list(words)
+        cols: tuple[list[int], ...] = ([], [], [], [])  # word, start, end, piece
+        spans: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        for w, word in enumerate(self.words):
+            n = len(word)
+            for i in range(n):
+                for j in range(i + 1, min(n, i + max_len) + 1):
+                    k = index.get(word[i:j])
+                    if k is not None:
+                        cols[0].append(w)
+                        cols[1].append(i)
+                        cols[2].append(j)
+                        cols[3].append(k)
+                        span = spans.setdefault((i, j), ([], []))
+                        span[0].append(w)
+                        span[1].append(k)
+        self.word, self.start, self.end, self.piece = (np.array(c, dtype=np.intp)
+                                                       for c in cols)
+        self.weight = np.array(list(words.values()), dtype=float)[self.word]
+        self.rows = np.arange(len(self.words))
+        self.lengths = np.array([len(w) for w in self.words], dtype=np.intp)
+        width = int(self.lengths.max()) + 1
+        self.alpha = np.empty((len(self.words), width))
+        self.beta = np.empty((len(self.words), width))
+        order = sorted(spans, key=lambda se: se[::-1])
+        span_word, span_piece = (np.array([x for se in order for x in spans[se][c]],
+                                          dtype=np.intp) for c in (0, 1))
+        self.forward, lo = [], 0
+        for s, e in order:
+            hi = lo + len(spans[s, e][0])
+            self.forward.append((s, e, span_word[lo:hi], span_piece[lo:hi]))
+            lo = hi
+        self.backward = sorted(self.forward, key=lambda step: (-step[0], step[1]))
+
+    def expected_counts(self, lp: np.ndarray) -> np.ndarray:
+        """Posterior count of every piece summed over the corpus, each word
+        weighted by its count, under piece log-probabilities lp (-inf for a
+        pruned piece).  Raises UsageError naming the first word lp cannot
+        cover."""
+        alpha, beta = self.alpha, self.beta
+        alpha.fill(-math.inf)
+        alpha[:, 0] = 0.0
+        for s, e, w, p in self.forward:
+            alpha[w, e] = np.logaddexp(alpha[w, e], alpha[w, s] + lp[p])
+        z = alpha[self.rows, self.lengths]
+        stuck = np.flatnonzero(z == -math.inf)
+        if len(stuck):
+            raise UsageError(f"word {self.words[stuck[0]]!r} cannot be "
+                             f"segmented with current pieces")
+        beta.fill(-math.inf)
+        beta[self.rows, self.lengths] = 0.0
+        for s, e, w, p in self.backward:
+            beta[w, s] = np.logaddexp(beta[w, s], lp[p] + beta[w, e])
+        x = alpha[self.word, self.start]
+        x += lp[self.piece]
+        x += beta[self.word, self.end]
+        x -= z[self.word]
+        post = np.fromiter(map(math.exp, x.data), dtype=float, count=len(x))
+        post *= self.weight
+        counts = np.zeros(len(lp))
+        np.add.at(counts, self.piece, post)
+        return counts
 
 
-def _renormalize(lp: dict[str, float]) -> dict[str, float]:
-    logs = np.array(list(lp.values()))
+def _em_round(lattice: _Lattice, lp: np.ndarray, alive: np.ndarray) -> None:
+    """One EM update, in place, of the log-probabilities of the alive pieces."""
+    mass = (lattice.expected_counts(lp)[alive] + 1e-12).tolist()
+    total = sum(mass)
+    lp[alive] = [math.log(m / total) for m in mass]
+
+
+def _renormalize(lp: np.ndarray, alive: np.ndarray) -> None:
+    logs = lp[alive]
     m = float(logs.max())
     log_total = m + math.log(float(np.exp(logs - m).sum()))
-    return {p: float(v) - log_total for p, v in lp.items()}
+    lp[alive] = logs - log_total
+
+
+def _cheapest(lattice: _Lattice, lp: np.ndarray, alive: np.ndarray,
+              pieces: list[str], max_len: int, most: int) -> list[int]:
+    """Ids of the alive multi-character pieces whose removal costs the least
+    likelihood: a fifth of them, at least one and at most most.  A piece's
+    cost is its expected count times the score it loses to its best
+    segmentation into the other pieces."""
+    usage = lattice.expected_counts(lp).tolist()
+    ids = alive.tolist()
+    live = dict(zip([pieces[k] for k in ids], lp[alive].tolist()))
+    losses = []
+    for k in ids:
+        p = pieces[k]
+        if len(p) == 1:
+            continue
+        own = live.pop(p)  # skip the piece's own whole-word arc
+        _, alt = _viterbi_word(p, live, max_len)
+        live[p] = own
+        losses.append((usage[k] * (own - alt), p, k))
+    losses.sort()
+    drop = min(max(1, int(_PRUNE_FRACTION * len(losses))), most)
+    return [k for _, _, k in losses[:drop]]
 
 
 def train_unigram(corpus, vocab_size: int, seed: int = 0,
@@ -216,31 +281,24 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
     if vocab_size < len(alphabet):
         raise ConfigError(f"vocab_size {vocab_size} below alphabet size "
                           f"{len(alphabet)}")
-    lp = _seed_pieces(words, vocab_size, max_piece_len)
-    max_len = max(len(p) for p in lp)
-    while len(lp) > vocab_size:
+    seed_lp = _seed_pieces(words, vocab_size, max_piece_len)
+    pieces = list(seed_lp)
+    lp = np.array(list(seed_lp.values()))
+    alive = np.arange(len(pieces))
+    max_len = max(len(p) for p in pieces)
+    lattice = _Lattice(words, pieces, max_len)
+    while len(alive) > vocab_size:
         for _ in range(_EM_ROUNDS):
-            lp = _em_round(lp, words, max_len)
-        usage: dict[str, float] = {}
-        for word, count in words.items():
-            _expected_counts(word, count, lp, max_len, usage)
-        removable = [p for p in lp if len(p) > 1]
-        losses = []
-        for p in removable:
-            rest = dict(lp)
-            del rest[p]
-            _, alt = _viterbi_word(p, rest, max_len)
-            losses.append((usage.get(p, 0.0) * (lp[p] - alt), p))
-        losses.sort(key=lambda t: (t[0], t[1]))
-        k = min(max(1, int(_PRUNE_FRACTION * len(removable))),
-                len(lp) - vocab_size)
-        for _, p in losses[:k]:
-            del lp[p]
-        lp = _renormalize(lp)
+            _em_round(lattice, lp, alive)
+        lp[_cheapest(lattice, lp, alive, pieces, max_len, len(alive) - vocab_size)] = -math.inf
+        alive = np.flatnonzero(lp > -math.inf)
+        _renormalize(lp, alive)
     for _ in range(_EM_ROUNDS):
-        lp = _em_round(lp, words, max_len)
-    lp = _renormalize(lp)
-    return UnigramVocab(pieces=lp, target_size=vocab_size)
+        _em_round(lattice, lp, alive)
+    _renormalize(lp, alive)
+    values = lp.tolist()
+    return UnigramVocab(pieces={pieces[k]: values[k] for k in alive.tolist()},
+                        target_size=vocab_size)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import CorpusSplit, LabeledSentence, build_vocab
-from .errors import DivergenceError, UsageError
+from .data import CorpusSplit, LabeledSentence, build_vocab, validate_bio2
+from .errors import DivergenceError, UsageError, ValidationError
 from .evaluation import EvalReport, score
 from .models import (SequenceTagger, TrainConfig, build_model,
                      needs_tokenizer, tag_corpus)
@@ -62,6 +62,18 @@ def _batches(order, size):
         yield order[start:start + size]
 
 
+def _check_bio2(split: CorpusSplit) -> None:
+    """Raise ValidationError at the first orphan I-X gold tag in the train
+    or valid split.  The BIO2 mask scores such a gold path -inf, so training
+    would otherwise stop on a non-finite loss, as if it had diverged."""
+    for name, sentences in (("train", split.train), ("valid", split.valid)):
+        for i, sentence in enumerate(sentences):
+            try:
+                validate_bio2(sentence, "strict")
+            except ValidationError as exc:
+                raise ValidationError(f"{name} sentence {i}: {exc}") from None
+
+
 def train(cfg: TrainConfig, split: CorpusSplit,
           tokenizer: UnigramVocab | None = None,
           on_epoch=None, target_f1: float | None = None) -> TrainResult:
@@ -72,12 +84,16 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     clipped update, with the L2 penalty's gradient added after the backward
     pass and its value added to the reported loss.
     The parameters kept at the end are those of the best-validation epoch.
+    With cfg.mask_illegal, gold tags that break BIO2 raise ValidationError
+    before training starts.
     A non-finite loss or gradient norm aborts with DivergenceError before
     the update.  target_f1, when given, stops early once validation F1
     reaches it.
     """
     if not split.train or not split.valid:
         raise UsageError("training needs non-empty train and valid splits")
+    if cfg.mask_illegal:
+        _check_bio2(split)
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(split.train, cfg.min_count)
     if tokenizer is None and needs_tokenizer(cfg):

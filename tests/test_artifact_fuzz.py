@@ -97,10 +97,10 @@ def test_mutated_manifest_loads_a_working_model_or_raises_artifact_error(
 
 def _load_measured(manifest, members):
     """load_model on an artifact with this manifest and these other members,
-    asserting that it allocates at most LOAD_BUDGET bytes at its peak,
-    whether it returns or raises."""
+    deflated as save_model deflates them, asserting that it allocates at most
+    LOAD_BUDGET bytes at its peak, whether it returns or raises."""
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
         zf.writestr("manifest.json", json.dumps(manifest))
         for name, raw in members.items():
             zf.writestr(name, raw)
@@ -162,3 +162,11 @@ def test_a_tokenizer_longer_than_the_stored_piece_table_is_rejected_first(artifa
     pieces = "".join(f"p{i}\t{logprob!r}\n" for i in range(20_000))
     with pytest.raises(ArtifactError, match="tokenizer"):
         _load_measured(manifest, {**members, "tokenizer.tsv": pieces.encode()})
+
+
+def test_a_deflated_tokenizer_bomb_is_rejected_before_it_is_inflated(artifacts):
+    """Twenty megabytes of spaces deflate to about 20 KB; the stored piece
+    table allows the tokenizer a few kilobytes."""
+    manifest, members, _ = artifacts["transformer-crf"]
+    with pytest.raises(ArtifactError, match="tokenizer.tsv"):
+        _load_measured(manifest, {**members, "tokenizer.tsv": b" " * 20_000_000})

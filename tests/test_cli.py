@@ -157,6 +157,19 @@ def test_divergence_exits_three(tmp_path, corpus_file):
     assert code == 3
 
 
+def test_orphan_gold_tag_under_the_mask_exits_two(tmp_path, corpus_file, capsys):
+    lines = open(corpus_file, encoding="utf-8").read().split("\n")
+    cols = lines[0].split("\t")
+    cols[-1] = "I-PERSON"
+    lines[0] = "\t".join(cols)
+    bad = tmp_path / "orphan.conll"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    code = main(["train", "--train", str(bad), "--valid-fraction", "0.25",
+                 "--out", str(tmp_path / "m.zip"), "--mask-illegal", "true"] + FAST)
+    assert code == 2
+    assert "orphan I-PERSON" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # tag
 

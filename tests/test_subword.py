@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from seqtag.errors import (AlignmentError, ConfigError, ParseError, UsageError,
 from seqtag.subword import (PAD, UnigramVocab, align_labels, decode,
                             load_vocab, project_predictions, save_vocab,
                             segment, train_unigram)
+from seqtag.synth import generate_corpus
 
 from oracles import (all_segmentations, best_segmentation, segment_rescanning,
                      segmentation_score_rescanning)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def make_vocab(items):
@@ -24,17 +28,54 @@ def make_vocab(items):
 # training
 
 
-def test_scalar_logaddexp_equals_numpy_bitwise():
-    rng = np.random.default_rng(5)
-    xs = rng.normal(size=2000) * rng.choice([0.01, 1.0, 30.0, 800.0], size=2000)
-    ys = rng.normal(size=2000) * rng.choice([0.01, 1.0, 30.0, 800.0], size=2000)
-    pairs = list(zip(xs.tolist(), ys.tolist())) + [(x, x) for x in xs[:50].tolist()]
-    inf = math.inf
-    pairs += [(inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf), (-inf, 2.5),
-              (2.5, -inf), (inf, 2.5), (-1.0, inf), (0.0, -0.0), (-745.0, 0.0)]
-    for x, y in pairs:
-        got = sw._logaddexp(x, y)
-        assert np.float64(got).tobytes() == np.logaddexp(x, y).tobytes(), (x, y)
+def test_lattice_expected_counts_equal_enumeration():
+    """On random small inventories, some pieces pruned to -inf, the array EM
+    gives every piece the posterior count that weighting every segmentation
+    of every word by its probability gives."""
+    pool = ["a", "b", "c", "ab", "bc", "ca", "abc", "bca", "aa", "cab", "abca"]
+    for trial in range(40):
+        rng = np.random.default_rng(200 + trial)
+        lp = np.log(rng.random(len(pool)) + 0.05)
+        pruned = [k for k in range(3, len(pool)) if rng.random() < 0.3]
+        lp[pruned] = -math.inf
+        alive = {p: float(v) for p, v in zip(pool, lp) if v > -math.inf}
+        words = {}
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 8))
+            words["".join("abc"[i] for i in rng.integers(0, 3, size=n))] = int(rng.integers(1, 5))
+        lattice = sw._Lattice(words, pool, max(map(len, pool)))
+        got = lattice.expected_counts(lp)
+        want = np.zeros(len(pool))
+        for word, count in words.items():
+            segs = list(all_segmentations(word, alive))
+            log_z = np.logaddexp.reduce([score for _, score in segs])
+            for pieces, score in segs:
+                for piece in pieces:
+                    want[pool.index(piece)] += count * math.exp(score - log_z)
+        assert np.all(got[pruned] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_lattice_names_a_word_the_inventory_cannot_cover():
+    pool = ["a", "b", "ab"]
+    lattice = sw._Lattice({"ab": 2, "ba": 1}, pool, 2)
+    lp = np.log(np.array([0.5, 0.25, 0.25]))
+    lp[1] = -math.inf  # "ab" is still covered by its own piece, "ba" is not
+    with pytest.raises(UsageError, match="'ba'"):
+        lattice.expected_counts(lp)
+
+
+def test_train_reproduces_the_pinned_inventory():
+    """The inventory of test 7's corpus, pinned by
+    tests/fixtures/make_unigram_fixture.py: the same pieces in the same
+    order, with log-probabilities equal up to a libm's last bit."""
+    pinned = [line.split("\t") for line in
+              (FIXTURES / "unigram_gen2000_v200.tsv").read_text(encoding="utf-8").splitlines()]
+    corpus = generate_corpus(2000, seed=0)
+    v = train_unigram([" ".join(s.surfaces) for s in corpus], 200, seed=0)
+    assert list(v.pieces) == [piece for piece, _ in pinned]
+    for piece, lp in pinned:
+        assert abs(v.pieces[piece] - float(lp)) <= 1e-12, piece
 
 
 def test_train_two_symbol_corpus_promotes_multichar_piece():

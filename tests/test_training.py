@@ -4,7 +4,7 @@ import pytest
 from seqtag import autodiff as ad
 from seqtag.data import CorpusSplit, split_corpus
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
-from seqtag.errors import DivergenceError, UsageError
+from seqtag.errors import DivergenceError, UsageError, ValidationError
 from seqtag.models import SequenceTagger, TrainConfig
 from seqtag.synth import generate_corpus
 from seqtag.training import (METRICS_HEADER, bench, bench_table,
@@ -139,6 +139,23 @@ def test_non_finite_gradient_raises_divergence_error(split, monkeypatch):
     monkeypatch.setattr(ad, "backward", nan_backward)
     with pytest.raises(DivergenceError, match="gradient"):
         train(tiny_cfg(epochs=1, batch_size=len(split.train)), split)
+
+
+def test_an_orphan_gold_tag_under_the_mask_is_a_data_error(split):
+    """Under the BIO2 mask an orphan I-X gold path scores -inf; training
+    names the sentence and token instead of reporting a divergence."""
+    k = 3
+    bad = split.train[k].with_tags(["I-PERSON"] + split.train[k].tags[1:])
+    train_set = split.train[:k] + [bad] + split.train[k + 1:]
+    word = bad.surfaces[0]
+    with pytest.raises(ValidationError, match=f"train sentence {k}: orphan I-PERSON "
+                                              f"at token index 0 \\({word!r}"):
+        train(tiny_cfg(mask_illegal=True, epochs=1),
+              CorpusSplit(train=train_set, valid=split.valid, test=[], seed=0))
+    valid_set = [bad] + split.valid[1:]
+    with pytest.raises(ValidationError, match="valid sentence 0: orphan I-PERSON"):
+        train(tiny_cfg(mask_illegal=True, epochs=1),
+              CorpusSplit(train=split.train, valid=valid_set, test=[], seed=0))
 
 
 def test_empty_splits_are_rejected(split):
