@@ -10,13 +10,17 @@ import numpy as np
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
 
-# scalars first: d/dx of x*y + tanh(x) at (2, 3)
+# scalars first: d/dx of x*y + gelu(x) at (2, 3), where
+# gelu(x) = x/2 (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3)
 x = Tensor(2.0, requires_grad=True)
 y = Tensor(3.0, requires_grad=True)
-out = ad.add(ad.mul(x, y), ad.tanh(x))
+out = ad.add(ad.mul(x, y), ad.gelu(x))
 ad.backward(out)
+c = np.sqrt(2.0 / np.pi)
+t = np.tanh(c * (2.0 + 0.044715 * 2.0 ** 3))
+dgelu = 0.5 * (1 + t) + 0.5 * 2.0 * (1 - t * t) * c * (1 + 3 * 0.044715 * 2.0 ** 2)
 print("out  =", float(out.data))
-print("dx   =", float(x.grad), " (expect y + 1 - tanh(x)^2 =", 3 + 1 - np.tanh(2.0) ** 2, ")")
+print("dx   =", float(x.grad), " (expect y + gelu'(x) =", 3 + dgelu, ")")
 print("dy   =", float(y.grad), " (expect x = 2)")
 
 # the same machinery drives matrices: a tiny linear layer with a

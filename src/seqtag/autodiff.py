@@ -223,42 +223,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _result(x.data * c, (x,), "scale", _bw)
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g * s * (1.0 - s)
-
-    return _result(s, (x,), "sigmoid", _bw)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g * (1.0 - t * t)
-
-    return _result(t, (x,), "tanh", _bw)
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g * e
-
-    return _result(e, (x,), "exp", _bw)
-
-
 def gelu(x: Tensor) -> Tensor:
     """tanh approximation of the Gaussian error linear unit,
     0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
@@ -421,16 +385,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 # structural operations used by the encoders and the CRF
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g.reshape(x.shape)
-
-    return _result(x.data.reshape(shape), (x,), "reshape", _bw)
-
-
 def broadcast_to(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     try:
@@ -514,11 +468,14 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
         c = f * c + i * g,                      h = o * tanh(c)
 
     reading its rows first to last, or last to first when reverse is set.
+    As sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of W_x, W_h
+    and b_x + b_h are halved once per call, and one tanh per step, then one
+    multiply and one add, give all four gates.
     Returns the (n, H) hidden states, row for row: a sequence's final state
     sits on its last row, or on its first when reverse is set.  All
     sequences step together in one zero-padded batch; a finished sequence
     runs on over padding, but no output reads those states.  Backward runs
-    through time by hand.
+    through time by hand; under no_grad nothing is kept for it.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
@@ -528,26 +485,27 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
     for t, shape in zip((w_x, w_h, b_x, b_h), ((4 * H, D), (4 * H, H), (4 * H,), (4 * H,))):
         if t.shape != shape:
             raise ShapeError(f"lstm_scan weight has shape {t.shape}, expected {shape}")
-    Wx, Wh, bx, bh = w_x.data, w_h.data, b_x.data, b_h.data
+    Wx, Wh = w_x.data, w_h.data
     B, L = lengths.size, int(lengths.max())
     if reverse:
         step = lengths[seq] - 1 - step
     at = (seq, step)
 
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], H)  # 1/2 on the sigmoid bands, 1 on g
+    shift = 1.0 - half
+    wh_half = (Wh * half[:, None]).T
     xp = np.zeros((B, L, 4 * H))  # the input side of every step at once
-    xp[at] = x.data @ Wx.T
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    xp[at] = x.data @ (Wx * half[:, None]).T + (b_x.data + b_h.data) * half
+    h = c = np.zeros((B, H))
     out = np.empty((B, L, H))
-    saved = []  # per step: previous state, gate activations, tanh(new cell)
+    saved = [] if _grad_enabled else None  # per step: previous state, gates, tanh(new cell)
     for t in range(L):
-        z = xp[:, t] + bx + h @ Wh.T + bh
-        s = _sigmoid(z)
-        i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
-        g = np.tanh(z[:, 2 * H:3 * H])
+        a = np.tanh(xp[:, t] + h @ wh_half) * half + shift
+        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         c_new = f * c + i * g
         tc = np.tanh(c_new)
-        saved.append((h, c, i, f, g, o, tc))
+        if saved is not None:
+            saved.append((h, c, a, tc))
         h, c = o * tc, c_new
         out[:, t] = h
 
@@ -556,17 +514,17 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
         g_pad[at] = gout
         dz_all = np.empty((B, L, 4 * H))
         dWh = np.zeros_like(Wh)
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        dh = dc = np.zeros((B, H))
         for t in range(L - 1, -1, -1):
-            h_prev, c_prev, i, f, g, o, tc = saved[t]
+            h_prev, c_prev, a, tc = saved[t]
+            i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
             dh = dh + g_pad[:, t]
             dc_new = dc + dh * o * (1.0 - tc * tc)
-            dz = np.concatenate([dc_new * g * i * (1.0 - i),
-                                 dc_new * c_prev * f * (1.0 - f),
-                                 dc_new * i * (1.0 - g * g),
-                                 dh * tc * o * (1.0 - o)], axis=1)
-            dz_all[:, t] = dz
+            dz = dz_all[:, t]
+            dz[:, :H] = dc_new * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc_new * c_prev * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dc_new * i * (1.0 - g * g)
+            dz[:, 3 * H:] = dh * tc * o * (1.0 - o)
             dWh += dz.T @ h_prev
             dh = dz @ Wh
             dc = dc_new * f

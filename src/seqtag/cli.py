@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--vocab-size", required=True, type=int)
     p.add_argument("--max-piece-len", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_tokenizer_train)
 

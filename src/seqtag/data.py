@@ -12,6 +12,7 @@ to Unicode NFC, so a decomposed letter such as Turkish dotted capital I
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,10 +226,6 @@ def split_corpus(sentences: list[LabeledSentence], valid_fraction: float = 0.2,
     return CorpusSplit(train=train, valid=valid, test=list(test), seed=seed)
 
 
-def _frequency_order(counts: dict, first_seen: dict) -> list:
-    return sorted(counts, key=lambda k: (-counts[k], first_seen[k]))
-
-
 @dataclass
 class Vocabulary:
     word: dict[str, int]
@@ -238,42 +235,32 @@ class Vocabulary:
 
 
 def build_vocab(sentences: list[LabeledSentence], min_count: int = 1) -> Vocabulary:
-    """Frequency-ordered vocabularies with pad=0 / unk=1 reserved, plus the
-    tag inventory.  min_count filters word types only."""
+    """Vocabularies by falling count, ties in first-seen order, with pad=0 /
+    unk=1 reserved, plus the tag inventory.  min_count filters word types only."""
     if not sentences:
         raise UsageError("cannot build vocabulary from an empty corpus")
-    word_counts, char_counts, morph_counts, tag_counts = {}, {}, {}, {}
-    word_first, char_first, morph_first, tag_first = {}, {}, {}, {}
-    pos = 0
+    words, chars, morph_chars, tag_counts = Counter(), Counter(), Counter(), Counter()
     for s in sentences:
         for t in s.tokens:
-            pos += 1
-            word_counts[t.surface] = word_counts.get(t.surface, 0) + 1
-            word_first.setdefault(t.surface, pos)
-            for ch in t.surface:
-                char_counts[ch] = char_counts.get(ch, 0) + 1
-                char_first.setdefault(ch, pos)
-            if t.morph_analysis:
-                for ch in t.morph_analysis:
-                    morph_counts[ch] = morph_counts.get(ch, 0) + 1
-                    morph_first.setdefault(ch, pos)
-            tag_counts[t.gold_tag] = tag_counts.get(t.gold_tag, 0) + 1
-            tag_first.setdefault(t.gold_tag, pos)
+            words[t.surface] += 1
+            chars.update(t.surface)
+            morph_chars.update(t.morph_analysis or "")
+            tag_counts[t.gold_tag] += 1
 
-    def reserved_map(counts, first, minimum=1):
+    def reserved_map(counts, minimum=1):
         vocab = {"<pad>": 0, "<unk>": 1}
-        for key in _frequency_order(counts, first):
-            if counts[key] >= minimum:
+        for key, n in counts.most_common():
+            if n >= minimum:
                 vocab[key] = len(vocab)
         return vocab
 
-    tag_list = _frequency_order(tag_counts, tag_first)
+    tag_list = [tag for tag, _ in tag_counts.most_common()]
     if "O" not in tag_list:
         tag_list.append("O")
     # a missing B-X for a seen I-X means the data is BIO2-invalid; TagSet
     # surfaces that here
     tags = TagSet(tag_list)
-    return Vocabulary(word=reserved_map(word_counts, word_first, min_count),
-                      char=reserved_map(char_counts, char_first),
-                      morph_char=reserved_map(morph_counts, morph_first),
+    return Vocabulary(word=reserved_map(words, min_count),
+                      char=reserved_map(chars),
+                      morph_char=reserved_map(morph_chars),
                       tags=tags)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -436,6 +437,33 @@ def _read_member(zf: zipfile.ZipFile, name: str, cap: int) -> bytes:
     return raw
 
 
+def _read_tensors(npz_bytes: bytes) -> dict:
+    """The arrays of tensors.npz, as np.load gives them, each .npy header
+    read before its data: a shape and dtype that ask for more bytes than
+    the member stores, or for more than TENSORS_MAX_BYTES over all members,
+    raise ArtifactError before anything is allocated for them."""
+    readers = {(1, 0): np.lib.format.read_array_header_1_0,
+               (2, 0): np.lib.format.read_array_header_2_0}
+    arrays, total = {}, 0
+    with zipfile.ZipFile(io.BytesIO(npz_bytes)) as npz:
+        for info in npz.infolist():
+            with npz.open(info) as fh:
+                try:
+                    shape, fortran, dtype = readers[np.lib.format.read_magic(fh)](fh)
+                except (KeyError, ValueError) as exc:
+                    raise ArtifactError(f"artifact tensor {info.filename!r} is not "
+                                        f"a .npy array: {exc!r}") from exc
+                size = math.prod(shape) * dtype.itemsize
+                total += size
+                if size > info.file_size or total > TENSORS_MAX_BYTES:
+                    raise ArtifactError(f"artifact tensor {info.filename!r} declares "
+                                        f"{size} bytes in a member of {info.file_size}")
+                data = bytearray(fh.read(size))  # a short read fails the reshape
+            arrays[info.filename.removesuffix(".npy")] = np.frombuffer(
+                data, dtype).reshape(shape, order="F" if fortran else "C")
+    return arrays
+
+
 def _read_tokenizer(cfg: TrainConfig, zf: zipfile.ZipFile,
                     arrays: dict) -> UnigramVocab | None:
     """The artifact's tokenizer, or None.  Each piece takes a row of its own
@@ -518,11 +546,13 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
         raise ArtifactError(f"artifact manifest does not describe a model "
                             f"build_model can make: {exc!r}") from exc
     try:
-        with np.load(io.BytesIO(npz_bytes)) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        arrays = _read_tensors(npz_bytes)
         if version == 1:
             arrays = _stack_v1_tensors(arrays, cfg.transformer.num_heads)
-    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
+    except ArtifactError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError,
+            ValueError) as exc:
         raise ArtifactError(f"corrupt artifact tensors: {exc!r}") from exc
     _check_sizes(cfg, len(vocab.tags), table_sizes, arrays)
     tokenizer = _read_tokenizer(cfg, zf, arrays)

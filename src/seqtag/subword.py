@@ -271,7 +271,7 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
     Training alternates EM probability estimates with pruning rounds that
     drop the pieces whose removal costs the least likelihood; single
     characters are never pruned.  The procedure is deterministic; seed is
-    recorded for provenance only.
+    accepted and ignored.
     """
     del seed
     words = _word_counts(corpus)

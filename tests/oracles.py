@@ -3,8 +3,10 @@
 Everything here is deliberately written the slow, obvious way (finite
 differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
-reference and the row softmax compose the library's primitive autodiff
-ops, never the fused lstm_scan and attention they check.
+reference and the row softmax compose primitive autodiff ops, never the
+fused lstm_scan and attention they check.  The element-wise primitives only
+these references need (sigmoid, tanh, exp and reshape) are defined here, as
+nodes of the library's graph.
 """
 
 import itertools
@@ -211,6 +213,52 @@ def naive_entity_scores(gold_corpus, pred_corpus):
 
 
 # ---------------------------------------------------------------------------
+# element-wise primitives of the references below, as autodiff nodes
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    # split by sign so that exp never overflows
+    e = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * s * (1.0 - s)
+
+    return ad._result(s, (x,), "sigmoid", _bw)
+
+
+def tanh(x: Tensor) -> Tensor:
+    t = np.tanh(x.data)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * (1.0 - t * t)
+
+    return ad._result(t, (x,), "tanh", _bw)
+
+
+def exp(x: Tensor) -> Tensor:
+    e = np.exp(x.data)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * e
+
+    return ad._result(e, (x,), "exp", _bw)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    shape = tuple(shape)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g.reshape(x.shape)
+
+    return ad._result(x.data.reshape(shape), (x,), "reshape", _bw)
+
+
+# ---------------------------------------------------------------------------
 # LSTM reference: one cell update per graph step, from primitive ops
 
 
@@ -232,12 +280,12 @@ def lstm_step(p, x_t, h_prev, c_prev):
         return (ad.take(p.W_x, band) @ x_t + ad.take(p.b_x, band)
                 + ad.take(p.W_h, band) @ h_prev + ad.take(p.b_h, band))
 
-    i = ad.sigmoid(gate(0))
-    f = ad.sigmoid(gate(1))
-    g = ad.tanh(gate(2))
-    o = ad.sigmoid(gate(3))
+    i = sigmoid(gate(0))
+    f = sigmoid(gate(1))
+    g = tanh(gate(2))
+    o = sigmoid(gate(3))
     c_t = f * c_prev + i * g
-    h_t = o * ad.tanh(c_t)
+    h_t = o * tanh(c_t)
     return h_t, c_t
 
 
@@ -260,5 +308,5 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
     n = x.shape[0]
     lse = ad.log_sum_exp(x, axis=1)
-    shifted = x - ad.broadcast_to(ad.reshape(lse, (n, 1)), x.shape)
-    return ad.exp(shifted)
+    shifted = x - ad.broadcast_to(reshape(lse, (n, 1)), x.shape)
+    return exp(shifted)

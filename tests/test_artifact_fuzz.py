@@ -170,3 +170,33 @@ def test_a_deflated_tokenizer_bomb_is_rejected_before_it_is_inflated(artifacts):
     manifest, members, _ = artifacts["transformer-crf"]
     with pytest.raises(ArtifactError, match="tokenizer.tsv"):
         _load_measured(manifest, {**members, "tokenizer.tsv": b" " * 20_000_000})
+
+
+def _with_member(npz_bytes, name, raw):
+    """tensors.npz bytes with member name replaced by raw, stored as
+    np.savez stores its members."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(npz_bytes)) as src, \
+            zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, raw if info.filename == name else src.read(info))
+    return buf.getvalue()
+
+
+def test_an_npy_header_larger_than_its_data_is_rejected_before_it_is_allocated(artifacts):
+    """b_out.npy declares ten million floats, 80 MB, and stores one."""
+    manifest, members, _ = artifacts["bilstm-crf"]
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (10_000_000,)})
+    tensors = _with_member(members["tensors.npz"], "b_out.npy",
+                           header.getvalue() + bytes(8))
+    with pytest.raises(ArtifactError, match="b_out"):
+        _load_measured(manifest, {**members, "tensors.npz": tensors})
+
+
+def test_a_member_of_tensors_npz_that_is_not_an_npy_file_is_rejected(artifacts):
+    manifest, members, _ = artifacts["bilstm-crf"]
+    tensors = _with_member(members["tensors.npz"], "b_out.npy", b"not an array")
+    with pytest.raises(ArtifactError, match="b_out"):
+        _load_measured(manifest, {**members, "tensors.npz": tensors})

@@ -260,6 +260,57 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("reach", [40.0, 800.0])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, reverse):
+    """Weights scaled so that half the first step's pre-activations lie
+    beyond +-reach; beyond about 709 an exp taken without splitting by sign
+    overflows.  The oracle's sigmoid splits by sign, lstm_scan's runs
+    through tanh."""
+    rng = np.random.default_rng(17)
+    p = random_cell(rng, 3, 4)
+    x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    z0 = x.data @ p.W_x.data.T + p.b_x.data + p.b_h.data
+    for t in p.named_parameters().values():
+        t.data *= reach / np.median(np.abs(z0))
+    z0 *= reach / np.median(np.abs(z0))
+    assert np.any(z0 < -reach) and np.any(z0 > reach)
+    lengths = [4, 2]
+    proj = Tensor(rng.normal(size=(6, 4)))
+
+    def oracle():
+        out = []
+        for a, b in ((0, 4), (4, 6)):
+            rows = [ad.take(x, r) for r in range(a, b)]
+            hs = lstm_run(p, rows[::-1] if reverse else rows)
+            out += hs[::-1] if reverse else hs
+        return ad.stack(out)
+
+    tensors = [x] + list(p.named_parameters().values())
+    results = []
+    for build in (lambda: p.scan(x, lengths, reverse=reverse), oracle):
+        for t in tensors:
+            t.zero_grad()
+        out = build()
+        ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+        results.append([out.data.copy()] + [t.grad.copy() for t in tensors])
+    for got, want in zip(*results):
+        assert np.all(np.isfinite(got))
+        assert max_rel_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(reverse):
+    rng = np.random.default_rng(18)
+    p = random_cell(rng, 3, 4)
+    x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    recorded = p.scan(x, [3, 1, 3], reverse=reverse)
+    with ad.no_grad():
+        bare = p.scan(x, [3, 1, 3], reverse=reverse)
+    assert recorded._backward is not None and bare._backward is None
+    assert np.array_equal(bare.data, recorded.data)
+
+
 # ---------------------------------------------------------------------------
 # embedding tables
 

@@ -169,6 +169,24 @@ def test_batched_loss_has_one_crf_or_softmax_node(corpus, vocab, tokenizer, kind
     assert ops.count(head) == 1
 
 
+def test_every_engine_op_is_a_node_of_some_model_loss(corpus, vocab, tokenizer):
+    """autodiff.py keeps no op that no model builds: with every input
+    source and dropout on, the training losses of the model kinds hold a
+    node of every op it gives _result."""
+    from test_autodiff import _result_ops
+
+    seen = set()
+    for kind in MODEL_KINDS:
+        cfg = tiny_cfg(kind, dropout_p=0.2, composer=ComposerConfig(
+            word_dim=8, char_dim=4, char_hidden=3, use_morph=True, morph_dim=4,
+            morph_hidden=3, use_subword=True, subword_dim=4, subword_hidden=3))
+        model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
+        loss = model.loss(*corpus[:2], training=True, rng=np.random.default_rng(1))
+        seen.update(node._op for node in ad.trace(loss))
+    ops = _result_ops(ad)
+    assert ops <= seen, f"ops no model builds: {sorted(ops - seen)}"
+
+
 def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, tokenizer):
     cfg = tiny_cfg("transformer-crf", transformer=ToyTransformerConfig(
         num_layers=2, num_heads=2, hidden_units=12, ff_units=16, max_len=32, dropout_p=0.0))
