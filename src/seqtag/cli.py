@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import typing
 import unicodedata
 
 from .data import (load_conll, serialize_conll, split_corpus,
@@ -30,29 +31,28 @@ log = logging.getLogger(__name__)
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
-# every trainable knob, flat; these are the config file keys and the
-# train/bench flag names
-_CONFIG_TYPES = {
-    "model_kind": str, "optimizer": str, "lr": float, "momentum": float,
-    "clip_norm": float, "dropout_p": float, "epochs": int, "lambda_l2": float,
-    "seed": int, "batch_size": int, "hidden_dim": int,
-    "subword_vocab_size": int, "min_count": int, "mask_illegal": bool,
-    "use_word": bool, "use_char": bool, "use_morph": bool, "use_subword": bool,
-    "word_dim": int, "char_dim": int, "morph_dim": int, "subword_dim": int,
-    "char_hidden": int, "morph_hidden": int, "subword_hidden": int,
-    "num_layers": int, "num_heads": int, "hidden_units": int, "ff_units": int,
-    "max_len": int, "transformer_dropout": float,
-}
-_COMPOSER_KEYS = {"use_word", "use_char", "use_morph", "use_subword",
-                  "word_dim", "char_dim", "morph_dim", "subword_dim",
-                  "char_hidden", "morph_hidden", "subword_hidden"}
-_TRANSFORMER_KEYS = {"num_layers": "num_layers", "num_heads": "num_heads",
-                     "hidden_units": "hidden_units", "ff_units": "ff_units",
-                     "max_len": "max_len", "transformer_dropout": "dropout_p"}
+
+def _config_keys() -> dict:
+    """Every trainable knob, flat, as key -> (section or None, field, type):
+    the config file keys and train/bench flag names are the scalar fields of
+    TrainConfig, its composer and its transformer, whose dropout_p is keyed
+    transformer_dropout."""
+    keys = {}
+    for section, cls in ((None, TrainConfig), ("composer", ComposerConfig),
+                         ("transformer", ToyTransformerConfig)):
+        for name, hint in typing.get_type_hints(cls).items():
+            typ = (typing.get_args(hint) or (hint,))[0]  # float | None reads as float
+            if typ in (str, float, int, bool):
+                renamed = section == "transformer" and name == "dropout_p"
+                keys["transformer_dropout" if renamed else name] = (section, name, typ)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def _convert(key: str, text: str):
-    typ = _CONFIG_TYPES[key]
+    typ = _CONFIG_KEYS[key][2]
     if typ is bool:
         try:
             return _BOOL_WORDS[text.strip().lower()]
@@ -76,33 +76,33 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"line {lineno}: expected key=value")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
             values[key] = _convert(key, text.strip())
     return values
 
 
 def make_train_config(values: dict) -> TrainConfig:
-    composer = {k: v for k, v in values.items() if k in _COMPOSER_KEYS}
-    transformer = {_TRANSFORMER_KEYS[k]: v for k, v in values.items()
-                   if k in _TRANSFORMER_KEYS}
-    top = {k: v for k, v in values.items()
-           if k not in _COMPOSER_KEYS and k not in _TRANSFORMER_KEYS}
-    return TrainConfig(composer=ComposerConfig(**composer),
-                       transformer=ToyTransformerConfig(**transformer), **top)
+    sections = {None: {}, "composer": {}, "transformer": {}}
+    for key, value in values.items():
+        section, name, _ = _CONFIG_KEYS[key]
+        sections[section][name] = value
+    return TrainConfig(composer=ComposerConfig(**sections["composer"]),
+                       transformer=ToyTransformerConfig(**sections["transformer"]),
+                       **sections[None])
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="flat key=value configuration file")
-    for key in _CONFIG_TYPES:
+    for key in _CONFIG_KEYS:
         flag = "--" + key.replace("_", "-")
         sub.add_argument(flag, dest="cfg_" + key, metavar="V", default=None)
 
 
 def _merged_config(args) -> TrainConfig:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_TYPES:
+    for key in _CONFIG_KEYS:
         text = getattr(args, "cfg_" + key)
         if text is not None:
             values[key] = _convert(key, text)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -107,17 +107,6 @@ class LSTMCellParams:
         return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h, reverse)
 
 
-def bilstm_encode(fwd: LSTMCellParams, bwd: LSTMCellParams, x: Tensor,
-                  lengths=None) -> Tensor:
-    """Per-position concatenation of forward and backward hidden states.
-
-    x is (n, D): the rows of one sequence, or of several back to back, with
-    lengths giving each one's row count.  The result is (n, 2H), row for row.
-    """
-    lengths = [x.shape[0]] if lengths is None else lengths
-    return ad.concat([fwd.scan(x, lengths), bwd.scan(x, lengths, reverse=True)], axis=1)
-
-
 @dataclass
 class BiLSTM:
     fwd: LSTMCellParams
@@ -129,7 +118,14 @@ class BiLSTM:
                    bwd=LSTMCellParams.init(input_dim, hidden_dim, rng))
 
     def encode(self, x: Tensor, lengths=None) -> Tensor:
-        return bilstm_encode(self.fwd, self.bwd, x, lengths)
+        """Per-position concatenation of forward and backward hidden states.
+
+        x is (n, D): the rows of one sequence, or of several back to back, with
+        lengths giving each one's row count.  The result is (n, 2H), row for row.
+        """
+        lengths = [x.shape[0]] if lengths is None else lengths
+        return ad.concat([self.fwd.scan(x, lengths),
+                          self.bwd.scan(x, lengths, reverse=True)], axis=1)
 
     def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
         """concat(last forward hidden, last backward hidden) of each id
@@ -184,6 +180,16 @@ def _require_positive_ints(cfg, names) -> None:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
+# The embedding sources, in concatenation and seeded draw order: (name, table
+# attribute, BiLSTM attribute or None).  ComposerConfig reads use_<name>,
+# <name>_dim and, for a BiLSTM source, <name>_hidden; InputComposer holds the
+# source's table and BiLSTM under the given attributes.
+SOURCES = (("word", "word_table", None),
+           ("char", "char_table", "char_bilstm"),
+           ("morph", "morph_table", "morph_bilstm"),
+           ("subword", "piece_table", "subword_bilstm"))
+
+
 @dataclass
 class ComposerConfig:
     use_word: bool = True
@@ -201,61 +207,49 @@ class ComposerConfig:
     def __post_init__(self):
         _require_positive_ints(self, ("word_dim", "subword_dim", "char_dim", "morph_dim",
                                       "char_hidden", "morph_hidden", "subword_hidden"))
-        if not (self.use_word or self.use_char or self.use_morph or self.use_subword):
+        if not self.sources:
             raise ConfigError("at least one embedding source must be enabled")
 
     @property
+    def sources(self) -> list[tuple]:
+        """The enabled entries of SOURCES, in concatenation order."""
+        return [source for source in SOURCES if getattr(self, "use_" + source[0])]
+
+    @property
     def output_dim(self) -> int:
-        total = 0
-        if self.use_word:
-            total += self.word_dim
-        if self.use_char:
-            total += 2 * self.char_hidden
-        if self.use_morph:
-            total += 2 * self.morph_hidden
-        if self.use_subword:
-            total += 2 * self.subword_hidden
-        return total
+        return sum(2 * getattr(self, name + "_hidden") if bilstm
+                   else getattr(self, name + "_dim") for name, _, bilstm in self.sources)
 
 
+@dataclass(eq=False)
 class InputComposer:
     """Bundles the embedding tables and composer BiLSTMs for one model.
 
-    compose_input concatenates the enabled sources in the fixed order
-    word, char, morph, subword.
+    compose_input concatenates the enabled sources in the order SOURCES
+    lists them.
     """
 
-    def __init__(self, cfg: ComposerConfig, word_table=None, char_table=None,
-                 morph_table=None, piece_table=None, char_bilstm=None,
-                 morph_bilstm=None, subword_bilstm=None):
-        self.cfg = cfg
-        self.word_table = word_table
-        self.char_table = char_table
-        self.morph_table = morph_table
-        self.piece_table = piece_table
-        self.char_bilstm = char_bilstm
-        self.morph_bilstm = morph_bilstm
-        self.subword_bilstm = subword_bilstm
+    cfg: ComposerConfig
+    word_table: EmbeddingTable | None = None
+    char_table: EmbeddingTable | None = None
+    morph_table: EmbeddingTable | None = None
+    piece_table: EmbeddingTable | None = None
+    char_bilstm: BiLSTM | None = None
+    morph_bilstm: BiLSTM | None = None
+    subword_bilstm: BiLSTM | None = None
 
     @classmethod
     def build(cls, cfg: ComposerConfig, rng: np.random.Generator, word_vocab=(),
               char_vocab=(), morph_char_vocab=(), piece_vocab=()) -> "InputComposer":
+        vocabs = {"word": word_vocab, "char": char_vocab, "morph": morph_char_vocab,
+                  "subword": piece_vocab}
         kw = {}
-        if cfg.use_word:
-            kw["word_table"] = EmbeddingTable.from_tokens(word_vocab, cfg.word_dim)
-            init_embeddings(kw["word_table"], rng)
-        if cfg.use_char:
-            kw["char_table"] = EmbeddingTable.from_tokens(char_vocab, cfg.char_dim)
-            init_embeddings(kw["char_table"], rng)
-            kw["char_bilstm"] = BiLSTM.init(cfg.char_dim, cfg.char_hidden, rng)
-        if cfg.use_morph:
-            kw["morph_table"] = EmbeddingTable.from_tokens(morph_char_vocab, cfg.morph_dim)
-            init_embeddings(kw["morph_table"], rng)
-            kw["morph_bilstm"] = BiLSTM.init(cfg.morph_dim, cfg.morph_hidden, rng)
-        if cfg.use_subword:
-            kw["piece_table"] = EmbeddingTable.from_tokens(piece_vocab, cfg.subword_dim)
-            init_embeddings(kw["piece_table"], rng)
-            kw["subword_bilstm"] = BiLSTM.init(cfg.subword_dim, cfg.subword_hidden, rng)
+        for name, table, bilstm in cfg.sources:
+            dim = getattr(cfg, name + "_dim")
+            kw[table] = EmbeddingTable.from_tokens(vocabs[name], dim)
+            init_embeddings(kw[table], rng)
+            if bilstm:
+                kw[bilstm] = BiLSTM.init(dim, getattr(cfg, name + "_hidden"), rng)
         return cls(cfg, **kw)
 
     def compose_input(self, words: list[str], analyses: list | None = None,
@@ -290,17 +284,10 @@ class InputComposer:
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
-        if self.cfg.use_word:
-            out[prefix + "word_table"] = self.word_table.matrix
-        if self.cfg.use_char:
-            out[prefix + "char_table"] = self.char_table.matrix
-            out.update(self.char_bilstm.named_parameters(prefix + "char_bilstm."))
-        if self.cfg.use_morph:
-            out[prefix + "morph_table"] = self.morph_table.matrix
-            out.update(self.morph_bilstm.named_parameters(prefix + "morph_bilstm."))
-        if self.cfg.use_subword:
-            out[prefix + "piece_table"] = self.piece_table.matrix
-            out.update(self.subword_bilstm.named_parameters(prefix + "subword_bilstm."))
+        for _, table, bilstm in self.cfg.sources:
+            out[prefix + table] = getattr(self, table).matrix
+            if bilstm:
+                out.update(getattr(self, bilstm).named_parameters(f"{prefix}{bilstm}."))
         return out
 
 
@@ -371,9 +358,7 @@ class TransformerLayer:
         )
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {prefix + name: getattr(self, name)
-                for name in ("Wq", "Wk", "Wv", "Wo", "ln1_gain", "ln1_bias", "W_ff1",
-                             "b_ff1", "W_ff2", "b_ff2", "ln2_gain", "ln2_bias")}
+        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -437,19 +422,21 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
 
     piece_ids holds one sequence, or several back to back, with lengths
     giving each one's piece count.  A sequence longer than max_len keeps its
-    first max_len pieces, with a warning.  All sequences are packed into one
-    matrix; each piece takes the position of its offset in its own sequence
-    and attends only to the pieces of its own sequence.
+    first max_len pieces; one warning per call counts them.  All sequences
+    are packed into one matrix; each piece takes the position of its offset
+    in its own sequence and attends only to the pieces of its own sequence.
     """
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
     lengths = ad.packed_steps([len(piece_ids)] if lengths is None else lengths,
                               len(piece_ids))[0].tolist()
+    truncated = sum(n > cfg.max_len for n in lengths)
+    if truncated:
+        log.warning("%d of %d sequences truncated to max_len %d", truncated,
+                    len(lengths), cfg.max_len)
     ids, positions, kept = [], [], []
     start = 0
     for n in lengths:
-        if n > cfg.max_len:
-            log.warning("sequence of %d pieces truncated to max_len %d", n, cfg.max_len)
         kept.append(min(n, cfg.max_len))
         ids.extend(piece_ids[start:start + kept[-1]])
         positions.extend(range(kept[-1]))

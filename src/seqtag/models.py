@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .crf import (CRFParams, constrained_decode, crf_nll, illegal_mask,
                   linear_decode, linear_nll, viterbi_decode)
 from .data import LabeledSentence, TagSet, Vocabulary
-from .encoders import (BiLSTM, ComposerConfig, InputComposer,
+from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
                        _require_positive_ints, transformer_encode,
                        xavier_uniform)
@@ -77,19 +77,19 @@ class TrainConfig:
             self.lr = 0.05 if self.optimizer == "sgd-momentum" else 5e-5
         if self.batch_size is None:
             self.batch_size = 1 if self.model_kind.startswith("bilstm") else 32
-        if not self.lr > 0:
-            raise ConfigError("lr must be positive")
+        for name in ("lr", "clip_norm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
         _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim"))
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.lambda_l2 < 0:
-            raise ConfigError("lambda_l2 must be non-negative")
+        if not 0.0 <= self.lambda_l2 < math.inf:
+            raise ConfigError("lambda_l2 must be non-negative and finite")
 
 
+@dataclass(eq=False)
 class SequenceTagger:
     """One trained (or trainable) tagging model.
 
@@ -99,45 +99,34 @@ class SequenceTagger:
     self-attention, and read word features off each word's first piece.
     """
 
-    def __init__(self, kind: str, tags: TagSet, dropout_p: float,
-                 mask_illegal: bool, w_out: Tensor, b_out: Tensor,
-                 composer: InputComposer | None = None,
-                 encoder: BiLSTM | None = None,
-                 crf: CRFParams | None = None,
-                 tokenizer: UnigramVocab | None = None,
-                 transformer_cfg: ToyTransformerConfig | None = None,
-                 transformer: TransformerParams | None = None,
-                 hidden_dim: int = 0):
-        self.kind = kind
-        self.tags = tags
-        self.dropout_p = dropout_p
-        self.mask_illegal = mask_illegal
-        self.w_out = w_out
-        self.b_out = b_out
-        self.composer = composer
-        self.encoder = encoder
-        self.crf = crf
-        self.tokenizer = tokenizer
-        self.transformer_cfg = transformer_cfg
-        self.transformer = transformer
-        self.hidden_dim = hidden_dim
-        self._mask = illegal_mask(list(tags)) if mask_illegal else None
+    kind: str
+    tags: TagSet
+    dropout_p: float
+    mask_illegal: bool
+    w_out: Tensor
+    b_out: Tensor
+    composer: InputComposer | None = None
+    encoder: BiLSTM | None = None
+    crf: CRFParams | None = None
+    tokenizer: UnigramVocab | None = None
+    transformer_cfg: ToyTransformerConfig | None = None
+    transformer: TransformerParams | None = None
+    hidden_dim: int = 0
+
+    def __post_init__(self):
+        self._mask = illegal_mask(list(self.tags)) if self.mask_illegal else None
 
     # ------------------------------------------------------------------
     # parameters
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        if self.composer is not None:
-            out.update(self.composer.named_parameters("composer."))
-        if self.encoder is not None:
-            out.update(self.encoder.named_parameters("encoder."))
-        if self.transformer is not None:
-            out.update(self.transformer.named_parameters("transformer."))
-        out["w_out"] = self.w_out
-        out["b_out"] = self.b_out
-        if self.crf is not None:
-            out.update(self.crf.named_parameters("crf."))
+        for name in ("composer", "encoder", "transformer", "w_out", "b_out", "crf"):
+            part = getattr(self, name)
+            if isinstance(part, Tensor):
+                out[name] = part
+            elif part is not None:
+                out.update(part.named_parameters(name + "."))
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -318,8 +307,8 @@ def build_model(cfg: TrainConfig, vocab: Vocabulary,
 def _table_entries(model: SequenceTagger) -> dict:
     """The manifest's tables block: each embedding table's token ids, width
     and reserved ids, or None for a table the model does not have."""
-    tables = {name: getattr(model.composer, name + "_table", None)
-              for name in ("word", "char", "morph", "piece")}
+    tables = {table.removesuffix("_table"): getattr(model.composer, table, None)
+              for _, table, _ in SOURCES}
     tables["transformer_piece"] = getattr(model.transformer, "piece_table", None)
     return {name: None if table is None else
             {"vocab": table.vocab, "dim": table.dim,
@@ -373,9 +362,8 @@ def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
 
 
 # the stored tensor whose rows each manifest table's vocabulary gives
-_TABLE_TENSORS = {"word": "composer.word_table", "char": "composer.char_table",
-                  "morph": "composer.morph_table", "piece": "composer.piece_table",
-                  "transformer_piece": "transformer.piece_table"}
+_TABLE_TENSORS = {table.removesuffix("_table"): "composer." + table for _, table, _ in SOURCES}
+_TABLE_TENSORS["transformer_piece"] = "transformer.piece_table"
 
 
 def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
@@ -400,12 +388,7 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
     else:
         c = cfg.composer
         checks.append(("hidden_dim", cfg.hidden_dim, "encoder.fwd.W_h", 1))
-        for source, table, bilstm in (("word", "word_table", None),
-                                      ("char", "char_table", "char_bilstm"),
-                                      ("morph", "morph_table", "morph_bilstm"),
-                                      ("subword", "piece_table", "subword_bilstm")):
-            if not getattr(c, "use_" + source):
-                continue
+        for source, table, bilstm in c.sources:
             checks.append((f"composer.{source}_dim", getattr(c, source + "_dim"),
                            f"composer.{table}", 1))
             if bilstm:

@@ -38,8 +38,8 @@ def add_l2_gradients(params: list[Tensor], lam: float) -> float:
     Returns the penalty those gradients belong to, (lam / 2) times the sum
     of squared entries, for the caller to add to the loss it reports.
     """
-    if lam < 0:
-        raise ConfigError("l2 strength must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError("l2 strength must be non-negative and finite")
     if lam == 0.0:
         return 0.0
     total = 0.0
@@ -54,8 +54,8 @@ def clip_gradients(params: list[Tensor], clip_norm: float) -> float:
 
     Returns the pre-clip global norm.
     """
-    if clip_norm <= 0:
-        raise ConfigError("clip_norm must be positive")
+    if not 0.0 < clip_norm < math.inf:
+        raise ConfigError("clip_norm must be positive and finite")
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))

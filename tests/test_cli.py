@@ -1,13 +1,16 @@
+import dataclasses
 import io
 import zipfile
 
 import numpy as np
 import pytest
 
-from seqtag.cli import main, make_train_config, parse_config_file
+from seqtag.cli import (_merged_config, build_parser, main, make_train_config,
+                        parse_config_file)
 from seqtag.data import load_conll, parse_conll, validate_bio2
+from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import ConfigError
-from seqtag.models import load_model
+from seqtag.models import TrainConfig, load_model
 from seqtag.subword import load_vocab
 
 
@@ -108,6 +111,67 @@ def test_config_file_round_trip_through_parser(tmp_path):
     assert tc.composer.char_hidden == 7
 
 
+# every config key, a value other than its default, and the field it sets
+# ("" for TrainConfig itself)
+EVERY_KEY = {
+    "model_kind": ("transformer-linear", "", "model_kind"),
+    "optimizer": ("adam-decoupled-decay", "", "optimizer"),
+    "lr": (0.125, "", "lr"),
+    "momentum": (0.5, "", "momentum"),
+    "clip_norm": (2.5, "", "clip_norm"),
+    "dropout_p": (0.25, "", "dropout_p"),
+    "epochs": (3, "", "epochs"),
+    "lambda_l2": (0.001, "", "lambda_l2"),
+    "seed": (9, "", "seed"),
+    "batch_size": (5, "", "batch_size"),
+    "hidden_dim": (7, "", "hidden_dim"),
+    "subword_vocab_size": (90, "", "subword_vocab_size"),
+    "min_count": (2, "", "min_count"),
+    "mask_illegal": (True, "", "mask_illegal"),
+    "use_word": (False, "composer", "use_word"),
+    "use_char": (False, "composer", "use_char"),
+    "use_morph": (True, "composer", "use_morph"),
+    "use_subword": (True, "composer", "use_subword"),
+    "word_dim": (11, "composer", "word_dim"),
+    "subword_dim": (12, "composer", "subword_dim"),
+    "char_dim": (13, "composer", "char_dim"),
+    "morph_dim": (14, "composer", "morph_dim"),
+    "char_hidden": (15, "composer", "char_hidden"),
+    "morph_hidden": (16, "composer", "morph_hidden"),
+    "subword_hidden": (17, "composer", "subword_hidden"),
+    "num_layers": (3, "transformer", "num_layers"),
+    "num_heads": (4, "transformer", "num_heads"),
+    "hidden_units": (20, "transformer", "hidden_units"),
+    "ff_units": (21, "transformer", "ff_units"),
+    "max_len": (22, "transformer", "max_len"),
+    "transformer_dropout": (0.3, "transformer", "dropout_p"),
+}
+
+
+def test_every_config_key_reaches_its_field_from_file_and_flag(tmp_path):
+    scalar_fields = {("", f.name) for f in dataclasses.fields(TrainConfig)
+                     if f.name not in ("composer", "transformer")}
+    scalar_fields |= {(section, f.name) for section, cls in (
+        ("composer", ComposerConfig), ("transformer", ToyTransformerConfig))
+        for f in dataclasses.fields(cls)}
+    assert {(s, name) for _, s, name in EVERY_KEY.values()} == scalar_fields
+    assert len(EVERY_KEY) == len(scalar_fields) == 31
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}={str(value).lower()}\n"
+                           for key, (value, _, _) in EVERY_KEY.items()))
+    flags = [text for key, (value, _, _) in EVERY_KEY.items()
+             for text in ("--" + key.replace("_", "-"), str(value).lower())]
+    args = build_parser().parse_args(["train", "--train", "c.conll", "--out", "m.zip"]
+                                     + flags)
+    default = TrainConfig()
+    for tc in (make_train_config(parse_config_file(cfg)), _merged_config(args)):
+        for key, (value, section, name) in EVERY_KEY.items():
+            got = getattr(getattr(tc, section) if section else tc, name)
+            was = getattr(getattr(default, section) if section else default, name)
+            assert got == value and type(got) is type(value) and got != was, key
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, corpus_file):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate=0.1\n")
@@ -130,9 +194,11 @@ def test_bad_flag_value_exits_one(tmp_path, corpus_file):
 
 
 def test_invalid_config_value_exits_one(tmp_path, corpus_file):
-    code = main(["train", "--train", corpus_file,
-                 "--out", str(tmp_path / "m.zip"), "--lr", "-1"])
-    assert code == 1
+    for flag, value in (("--lr", "-1"), ("--lr", "inf"), ("--clip-norm", "nan"),
+                        ("--lambda-l2", "nan"), ("--lambda-l2", "inf")):
+        code = main(["train", "--train", corpus_file,
+                     "--out", str(tmp_path / "m.zip"), flag, value])
+        assert code == 1, (flag, value)
 
 
 def test_zero_attention_heads_exit_one(tmp_path, corpus_file):

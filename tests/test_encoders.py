@@ -133,7 +133,7 @@ def test_bilstm_encode_matches_manual_unroll():
     fwd = random_cell(rng, 3, 2)
     bwd = random_cell(rng, 3, 2)
     xs_np = [rng.normal(size=3) for _ in range(3)]
-    out = enc.bilstm_encode(fwd, bwd, Tensor(np.stack(xs_np)))
+    out = enc.BiLSTM(fwd, bwd).encode(Tensor(np.stack(xs_np)))
     assert out.shape == (3, 4)
 
     wf, wb = cell_arrays(fwd), cell_arrays(bwd)
@@ -179,7 +179,7 @@ def test_bilstm_encode_rejects_empty_sequence():
     fwd = enc.LSTMCellParams.init(3, 2, rng)
     bwd = enc.LSTMCellParams.init(3, 2, rng)
     with pytest.raises(UsageError):
-        enc.bilstm_encode(fwd, bwd, Tensor(np.zeros((0, 3))))
+        enc.BiLSTM(fwd, bwd).encode(Tensor(np.zeros((0, 3))))
 
 
 def test_bilstm_final_states_are_last_hidden_of_each_direction():
@@ -642,6 +642,11 @@ def test_transformer_encode_truncates_with_warning(caplog):
         out = enc.transformer_encode(cfg, params, ids)
     assert out.shape[0] == 3
     assert any("truncated" in rec.message for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        enc.transformer_encode(cfg, params, ids * 3, lengths=[5, 2, 8])
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "2 of 3 sequences truncated to max_len 3"]
 
 
 def test_transformer_encode_packs_sequences_apart():

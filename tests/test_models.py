@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import pathlib
 import zipfile
 
@@ -67,6 +68,8 @@ def test_config_rejects_unknown_kind_and_optimizer():
     ("momentum", 1.0), ("lambda_l2", -1e-9), ("hidden_dim", 0),
     *((name, value) for name in ("epochs", "batch_size", "hidden_dim")
       for value in (1.5, True, "8")),
+    *((name, value) for name in ("lr", "clip_norm", "lambda_l2")
+      for value in (math.nan, math.inf)),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError):

@@ -66,8 +66,9 @@ def test_l2_gradients_zero_strength_contributes_nothing():
     before = a.grad.copy()
     assert add_l2_gradients([a], 0.0) == 0.0
     assert np.array_equal(a.grad, before)
-    with pytest.raises(ConfigError):
-        add_l2_gradients([a], -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            add_l2_gradients([a], bad)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,9 @@ def test_clip_post_norm_never_exceeds_threshold():
         clip_gradients(ps, clip)
         post = math.sqrt(sum(float(np.sum(p.grad ** 2)) for p in ps))
         assert post <= clip + 1e-12
-    with pytest.raises(ConfigError):
-        clip_gradients(ps, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            clip_gradients(ps, bad)
 
 
 # ---------------------------------------------------------------------------
