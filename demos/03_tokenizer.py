@@ -6,8 +6,7 @@ is reached.  Segmentation picks the maximum-likelihood pieces with a
 Viterbi pass over the piece lattice.
 """
 
-from seqtag.subword import (align_labels, decode, project_predictions,
-                            segment, train_unigram)
+from seqtag.subword import decode, segment, train_unigram
 from seqtag.synth import generate_corpus
 
 corpus = [" ".join(s.surfaces) for s in generate_corpus(300, seed=0)]
@@ -24,12 +23,3 @@ for text in ["Ankara'da hava güzel", "Ayşe Demir TCDD Müzesi'ne gitti"]:
     print(f"  -> {pieces}")
     assert decode(tok, pieces) == text
 
-# labels ride on the first piece of each word; the rest are padding that the
-# training loss masks out.  Projecting back recovers the word-level tags.
-words = ["Ayşe", "Demir", "geldi"]
-tags = ["B-PERSON", "I-PERSON", "O"]
-pieces = segment(tok, " ".join(words))
-aligned = align_labels(words, tags, pieces)
-print("\npieces:        ", aligned.pieces)
-print("aligned labels:", aligned.labels)
-print("projected back:", project_predictions(aligned, aligned.labels))

@@ -6,7 +6,7 @@ Library layout:
 - encoders:    embedding composition, BiLSTM, and a small transformer encoder
 - crf:         linear-chain CRF scoring, partition, Viterbi, and linear head
 - data:        CoNLL/BIO2 parsing, validation, splitting, vocabularies
-- subword:     unigram subword tokenizer (train/segment) and label alignment
+- subword:     unigram subword tokenizer (train/segment/decode)
 - evaluation:  entity-level precision/recall/F1 and token accuracy
 - optim:       SGD with momentum, Adam with decoupled decay, LR decay, clipping
 - synth:       seeded synthetic corpus generator

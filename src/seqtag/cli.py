@@ -24,7 +24,7 @@ from .evaluation import report_keyvalues, report_table, score
 from .models import TrainConfig, load_model, save_model
 from .subword import load_vocab, save_vocab, train_unigram
 from .synth import generate_corpus
-from .training import bench, bench_table, evaluate_model, train
+from .training import _check_bio2, bench, bench_table, evaluate_model, train
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +178,8 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     sentences = load_conll(args.data)
     mask = True if args.mask_illegal else None
+    if args.mask_illegal or model.mask_illegal:
+        _check_bio2([(args.data, sentences)])
     report = evaluate_model(model, sentences, mask)
     render = report_keyvalues if args.format == "keyvalues" else report_table
     print(render(report))

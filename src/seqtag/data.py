@@ -215,6 +215,8 @@ def split_corpus(sentences: list[LabeledSentence], valid_fraction: float = 0.2,
     """Deterministic shuffle split of sentences into train and valid parts."""
     if not 0.0 < valid_fraction < 1.0:
         raise ConfigError(f"valid fraction {valid_fraction} outside (0, 1)")
+    if seed < 0:
+        raise ConfigError(f"split seed must be non-negative, got {seed}")
     n = len(sentences)
     n_valid = int(round(n * valid_fraction))
     if n_valid == 0 or n - n_valid == 0:

@@ -14,7 +14,6 @@ one matrix the same way.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, fields
 
@@ -23,8 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, UsageError
-
-log = logging.getLogger(__name__)
 
 
 def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -418,32 +415,25 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
                        rng: np.random.Generator | None = None,
                        lengths=None) -> Tensor:
     """Encode piece-id sequences; returns the hidden vectors, one row per
-    kept piece.
+    piece.
 
     piece_ids holds one sequence, or several back to back, with lengths
-    giving each one's piece count.  A sequence longer than max_len keeps its
-    first max_len pieces; one warning per call counts them.  All sequences
-    are packed into one matrix; each piece takes the position of its offset
-    in its own sequence and attends only to the pieces of its own sequence.
+    giving each one's piece count.  The position table has max_len rows, so
+    a sequence longer than max_len raises UsageError; the caller decides
+    what to cut.  All sequences are packed into one matrix; each piece takes
+    the position of its offset in its own sequence and attends only to the
+    pieces of its own sequence.
     """
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
-    lengths = ad.packed_steps([len(piece_ids)] if lengths is None else lengths,
-                              len(piece_ids))[0].tolist()
-    truncated = sum(n > cfg.max_len for n in lengths)
-    if truncated:
-        log.warning("%d of %d sequences truncated to max_len %d", truncated,
-                    len(lengths), cfg.max_len)
-    ids, positions, kept = [], [], []
-    start = 0
-    for n in lengths:
-        kept.append(min(n, cfg.max_len))
-        ids.extend(piece_ids[start:start + kept[-1]])
-        positions.extend(range(kept[-1]))
-        start += n
-    x = (ad.gather_rows(params.piece_table.matrix, ids)
+    lengths, _, positions = ad.packed_steps(
+        [len(piece_ids)] if lengths is None else lengths, len(piece_ids))
+    if lengths.max() > cfg.max_len:
+        raise UsageError(f"a sequence of {lengths.max()} pieces is longer than "
+                         f"max_len {cfg.max_len}")
+    x = (ad.gather_rows(params.piece_table.matrix, piece_ids)
          + ad.gather_rows(params.positions, positions))
     x = ad.dropout(x, cfg.dropout_p, training, rng)
     for layer in params.layers:
-        x = transformer_block(cfg, layer, x, training, rng, kept)
+        x = transformer_block(cfg, layer, x, training, rng, lengths)
     return x

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 import zipfile
 import zlib
@@ -32,6 +33,8 @@ from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
 from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
                      ValidationError)
 from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
+
+log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
@@ -82,7 +85,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim"))
+        _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim", "min_count"))
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0.0 <= self.lambda_l2 < math.inf:
@@ -149,28 +154,32 @@ class SequenceTagger:
         return self.encoder.encode(x, lengths), list(range(len(words)))
 
     def _transformer_features(self, words, lengths, training, rng):
+        # each sentence keeps its first max_len pieces; one warning per call
+        # counts the sentences cut
         table = self.transformer.piece_table
         max_len = self.transformer_cfg.max_len
-        ids: list[int] = []
-        counts: list[int] = []  # pieces per sentence
+        ids: list[int] = []  # kept pieces of all sentences, back to back
+        kept: list[int] = []  # kept pieces per sentence
         covered: list[int] = []
         first_rows: list[int] = []  # hidden row of each covered word's first piece
-        start = rows = 0  # words and hidden rows of the earlier sentences
+        start = truncated = 0  # words of the earlier sentences, sentences cut
         for n in lengths:
-            count = 0
+            sentence: list[int] = []
             for w in range(start, start + n):
                 # a word whose first piece falls past the length limit gets no emissions
-                if count < max_len:
+                if len(sentence) < max_len:
                     covered.append(w)
-                    first_rows.append(rows + count)
-                pieces = segment(self.tokenizer, words[w])
-                ids.extend(table.id_of(p) for p in pieces)
-                count += len(pieces)
-            counts.append(count)
+                    first_rows.append(len(ids) + len(sentence))
+                sentence.extend(table.id_of(p) for p in segment(self.tokenizer, words[w]))
+            truncated += len(sentence) > max_len
+            kept.append(min(len(sentence), max_len))
+            ids.extend(sentence[:max_len])
             start += n
-            rows += min(count, max_len)
+        if truncated:
+            log.warning("%d of %d sequences truncated to max_len %d", truncated,
+                        len(lengths), max_len)
         hidden = transformer_encode(self.transformer_cfg, self.transformer,
-                                    ids, training, rng, counts)
+                                    ids, training, rng, kept)
         return ad.gather_rows(hidden, first_rows), covered
 
     def emission_rows(self, words: list[str], morphs=None, training: bool = False,

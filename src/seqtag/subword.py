@@ -1,8 +1,7 @@
 """Unigram subword tokenizer: EM training with likelihood-based pruning,
-Viterbi segmentation, and first-subword label alignment with its inverse
-projection.  The tagging models do not call the alignment helpers: a
-transformer tagger reads each word's features off the hidden row of its
-first piece (SequenceTagger._transformer_features in models.py).
+Viterbi segmentation, and its inverse.  A transformer tagger reads each
+word's features off the hidden row of its first piece
+(SequenceTagger._transformer_features in models.py).
 
 Training finds every occurrence of a seed piece in every distinct word once
 (_Lattice), and each EM round runs its forward, backward and posterior
@@ -27,9 +26,6 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, ParseError, UsageError, ValidationError
 
 MARKER = "▁"
-
-# label align_labels gives every piece that does not start a word
-PAD = None
 
 _EM_ROUNDS = 2
 _PRUNE_FRACTION = 0.2
@@ -328,81 +324,6 @@ def decode(v: UnigramVocab, pieces: list[str]) -> str:
                 raise AlignmentError("first piece must carry the boundary marker")
             words[-1] += piece
     return " ".join(words)
-
-
-def segmentation_score(v: UnigramVocab, pieces: list[str]) -> float:
-    """Summed log-probability of already-segmented pieces (markers ignored)."""
-    total = 0.0
-    for piece in pieces:
-        core = piece[len(v.marker):] if piece.startswith(v.marker) else piece
-        total += v.pieces.get(core, v.unk_logprob)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# label alignment
-
-
-@dataclass
-class AlignedSequence:
-    pieces: list[str]
-    word_index: list[int]
-    is_word_initial: list[bool]
-    labels: list = field(default_factory=list)
-
-
-def align_labels(words: list[str], word_tags: list, pieces: list[str],
-                 marker: str = MARKER) -> AlignedSequence:
-    """Assign each word's tag to its first piece; the rest get the PAD
-    sentinel.  The pieces must exactly partition the words."""
-    if len(words) != len(word_tags):
-        raise AlignmentError(f"{len(word_tags)} tags for {len(words)} words")
-    word_index: list[int] = []
-    initials: list[bool] = []
-    labels: list = []
-    w = -1
-    pos = 0
-    for k, piece in enumerate(pieces):
-        initial = piece.startswith(marker)
-        core = piece[len(marker):] if initial else piece
-        if not core:
-            raise AlignmentError(f"piece {k} is empty")
-        if initial:
-            if w >= 0 and pos != len(words[w]):
-                raise AlignmentError(
-                    f"word {w} ({words[w]!r}) incomplete at piece {k}")
-            w += 1
-            pos = 0
-            if w >= len(words):
-                raise AlignmentError(f"piece {k} starts word {w} but only "
-                                     f"{len(words)} words given")
-        elif w < 0:
-            raise AlignmentError("first piece lacks the boundary marker")
-        if words[w][pos:pos + len(core)] != core:
-            raise AlignmentError(
-                f"piece {k} ({piece!r}) does not continue word {words[w]!r} "
-                f"at offset {pos}")
-        pos += len(core)
-        word_index.append(w)
-        initials.append(initial)
-        labels.append(word_tags[w] if initial else PAD)
-    if w != len(words) - 1 or pos != len(words[w]):
-        raise AlignmentError("pieces do not cover all words")
-    return AlignedSequence(pieces=list(pieces), word_index=word_index,
-                           is_word_initial=initials, labels=labels)
-
-
-def project_predictions(aligned: AlignedSequence, piece_tags: list) -> list:
-    """Word-level tags from per-piece predictions: each word takes the tag
-    predicted on its word-initial piece."""
-    if len(piece_tags) != len(aligned.pieces):
-        raise AlignmentError(f"{len(piece_tags)} predictions for "
-                             f"{len(aligned.pieces)} pieces")
-    out = []
-    for tag, initial in zip(piece_tags, aligned.is_word_initial):
-        if initial:
-            out.append(tag)
-    return out
 
 
 # ---------------------------------------------------------------------------

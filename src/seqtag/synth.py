@@ -128,6 +128,8 @@ def generate_corpus(n_sentences: int, seed: int = 0) -> list[LabeledSentence]:
     """n_sentences templated sentences; deterministic under seed."""
     if n_sentences < 1:
         raise ConfigError("corpus size must be positive")
+    if seed < 0:
+        raise ConfigError(f"corpus seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_sentences):

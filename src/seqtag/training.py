@@ -62,11 +62,12 @@ def _batches(order, size):
         yield order[start:start + size]
 
 
-def _check_bio2(split: CorpusSplit) -> None:
-    """Raise ValidationError at the first orphan I-X gold tag in the train
-    or valid split.  The BIO2 mask scores such a gold path -inf, so training
-    would otherwise stop on a non-finite loss, as if it had diverged."""
-    for name, sentences in (("train", split.train), ("valid", split.valid)):
+def _check_bio2(named) -> None:
+    """Raise ValidationError at the first orphan I-X gold tag of the
+    (name, sentences) pairs in named.  The BIO2 mask scores such a gold path
+    -inf, so training would otherwise stop on a non-finite loss, as if it
+    had diverged, and evaluation would score ill-formed gold tags."""
+    for name, sentences in named:
         for i, sentence in enumerate(sentences):
             try:
                 validate_bio2(sentence, "strict")
@@ -93,7 +94,7 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     if not split.train or not split.valid:
         raise UsageError("training needs non-empty train and valid splits")
     if cfg.mask_illegal:
-        _check_bio2(split)
+        _check_bio2((("train", split.train), ("valid", split.valid)))
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(split.train, cfg.min_count)
     if tokenizer is None and needs_tokenizer(cfg):

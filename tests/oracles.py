@@ -10,12 +10,14 @@ nodes of the library's graph.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
-from seqtag.errors import ShapeError
+from seqtag.errors import AlignmentError, ShapeError
+from seqtag.subword import MARKER
 
 
 def finite_diff(f, arrays, step=1e-5):
@@ -156,6 +158,76 @@ def segmentation_score_rescanning(v, pieces):
     unk = min(v.pieces.values()) - UNK_PENALTY
     return sum(v.pieces.get(p[len(v.marker):] if p.startswith(v.marker) else p, unk)
                for p in pieces)
+
+
+# ---------------------------------------------------------------------------
+# first-piece label alignment, at the string level: the reference for the
+# rows SequenceTagger._transformer_features reads off each word's first piece
+
+# label align_labels gives every piece that does not start a word
+PAD = None
+
+
+@dataclass
+class AlignedSequence:
+    pieces: list[str]
+    word_index: list[int]
+    is_word_initial: list[bool]
+    labels: list = field(default_factory=list)
+
+
+def align_labels(words: list[str], word_tags: list, pieces: list[str],
+                 marker: str = MARKER) -> AlignedSequence:
+    """Assign each word's tag to its first piece; the rest get the PAD
+    sentinel.  The pieces must exactly partition the words."""
+    if len(words) != len(word_tags):
+        raise AlignmentError(f"{len(word_tags)} tags for {len(words)} words")
+    word_index: list[int] = []
+    initials: list[bool] = []
+    labels: list = []
+    w = -1
+    pos = 0
+    for k, piece in enumerate(pieces):
+        initial = piece.startswith(marker)
+        core = piece[len(marker):] if initial else piece
+        if not core:
+            raise AlignmentError(f"piece {k} is empty")
+        if initial:
+            if w >= 0 and pos != len(words[w]):
+                raise AlignmentError(
+                    f"word {w} ({words[w]!r}) incomplete at piece {k}")
+            w += 1
+            pos = 0
+            if w >= len(words):
+                raise AlignmentError(f"piece {k} starts word {w} but only "
+                                     f"{len(words)} words given")
+        elif w < 0:
+            raise AlignmentError("first piece lacks the boundary marker")
+        if words[w][pos:pos + len(core)] != core:
+            raise AlignmentError(
+                f"piece {k} ({piece!r}) does not continue word {words[w]!r} "
+                f"at offset {pos}")
+        pos += len(core)
+        word_index.append(w)
+        initials.append(initial)
+        labels.append(word_tags[w] if initial else PAD)
+    if w != len(words) - 1 or pos != len(words[w]):
+        raise AlignmentError("pieces do not cover all words")
+    return AlignedSequence(pieces=list(pieces), word_index=word_index,
+                           is_word_initial=initials, labels=labels)
+
+
+def project_predictions(aligned: AlignedSequence, piece_tags: list) -> list:
+    """Word-level tags from per-piece predictions: each word takes the tag
+    predicted on its word-initial piece."""
+    if len(piece_tags) != len(aligned.pieces):
+        raise AlignmentError(f"{len(piece_tags)} predictions for "
+                             f"{len(aligned.pieces)} pieces")
+    out = []
+    for tag, initial in zip(piece_tags, aligned.is_word_initial):
+        if initial:
+            out.append(tag)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from seqtag.cli import (_merged_config, build_parser, main, make_train_config,
 from seqtag.data import load_conll, parse_conll, validate_bio2
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import ConfigError
-from seqtag.models import TrainConfig, load_model
+from seqtag.models import TrainConfig, load_model, save_model
 from seqtag.subword import load_vocab
 
 
@@ -193,12 +193,26 @@ def test_bad_flag_value_exits_one(tmp_path, corpus_file):
     assert code == 1
 
 
-def test_invalid_config_value_exits_one(tmp_path, corpus_file):
+def test_invalid_config_value_exits_one(tmp_path, corpus_file, capsys):
     for flag, value in (("--lr", "-1"), ("--lr", "inf"), ("--clip-norm", "nan"),
-                        ("--lambda-l2", "nan"), ("--lambda-l2", "inf")):
+                        ("--lambda-l2", "nan"), ("--lambda-l2", "inf"),
+                        ("--seed", "-1"), ("--min-count", "-3"), ("--min-count", "0")):
         code = main(["train", "--train", corpus_file,
                      "--out", str(tmp_path / "m.zip"), flag, value])
         assert code == 1, (flag, value)
+        assert "error: " in capsys.readouterr().err, (flag, value)
+    assert main(["bench", "--train", corpus_file, "--seeds=-1"]) == 1
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_split_and_synth_seeds_exit_one(tmp_path, corpus_file, capsys):
+    code = main(["train", "--train", corpus_file, "--out", str(tmp_path / "m.zip"),
+                 "--split-seed", "-1"])
+    assert code == 1
+    assert "error: split seed must be non-negative" in capsys.readouterr().err
+    assert main(["synth", "--size", "3", "--seed", "-1",
+                 "--out", str(tmp_path / "c.conll")]) == 1
+    assert "error: corpus seed must be non-negative" in capsys.readouterr().err
 
 
 def test_zero_attention_heads_exit_one(tmp_path, corpus_file):
@@ -332,6 +346,23 @@ def test_evaluate_keyvalues_output(capsys, model_file, corpus_file):
                   if "=" in line)
     for key in ("precision", "recall", "f1", "token_accuracy"):
         assert 0.0 <= float(values[key]) <= 100.0
+
+
+def test_evaluate_checks_gold_bio2_under_the_mask(tmp_path, model_file, capsys):
+    bad = tmp_path / "orphan.conll"
+    bad.write_text("Meliha\tB-PERSON\ngeldi\tO\n\nAnkara\tI-LOCATION\n\n",
+                   encoding="utf-8")
+    assert main(["evaluate", "--model", model_file, "--data", str(bad)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", model_file, "--data", str(bad),
+                 "--mask-illegal"]) == 2
+    assert "sentence 1: orphan I-LOCATION at token index 0" in capsys.readouterr().err
+    # a model trained under the mask decodes under it without the flag
+    model = load_model(model_file)
+    model.mask_illegal = True
+    masked = tmp_path / "masked.zip"
+    save_model(model, masked)
+    assert main(["evaluate", "--model", str(masked), "--data", str(bad)]) == 2
 
 
 def test_score_reports_the_half_credit_case(tmp_path, capsys):

@@ -6,7 +6,10 @@ import pytest
 from seqtag import autodiff as ad
 from seqtag import encoders as enc
 from seqtag.autodiff import Tensor
+from seqtag.data import TagSet, Vocabulary
 from seqtag.errors import ConfigError, ShapeError, UsageError
+from seqtag.models import TrainConfig, build_model
+from seqtag.subword import UnigramVocab
 
 from oracles import finite_diff, lstm_run, lstm_step, max_rel_error, softmax_rows
 
@@ -633,27 +636,34 @@ def test_transformer_encode_shapes_and_determinism():
     assert np.array_equal(out1.data, out2.data)
 
 
-def test_transformer_encode_truncates_with_warning(caplog):
+def test_transformer_encode_rejects_over_long_and_the_tagger_cuts_them(caplog):
     rng = np.random.default_rng(39)
     cfg = tiny_cfg(max_len=3)
     params = enc.TransformerParams.init(cfg, ["a"], rng)
     ids = [params.piece_table.id_of("a")] * 5
-    with caplog.at_level("WARNING"):
-        out = enc.transformer_encode(cfg, params, ids)
-    assert out.shape[0] == 3
-    assert any("truncated" in rec.message for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level("WARNING"):
+    # the position table has max_len rows, so the encoder cuts nothing
+    with pytest.raises(UsageError):
+        enc.transformer_encode(cfg, params, ids)
+    with pytest.raises(UsageError):
         enc.transformer_encode(cfg, params, ids * 3, lengths=[5, 2, 8])
+    # the tagger keeps each sentence's first max_len pieces, one piece per "a"
+    model = build_model(TrainConfig(model_kind="transformer-crf", transformer=cfg),
+                        Vocabulary({}, {}, {}, TagSet(["O", "B-X"])), rng,
+                        UnigramVocab({"a": 0.0}))
+    words = ["aaaaa", "a", "a", "aaaa", "aaaa"]  # 5, 2 and 8 pieces
+    with caplog.at_level("WARNING"):
+        rows, covered = model.emission_rows(words, lengths=[1, 2, 2])
     assert [rec.getMessage() for rec in caplog.records] == [
         "2 of 3 sequences truncated to max_len 3"]
+    assert covered == [0, 1, 2, 3]  # word 4 starts at piece 4
+    assert len(rows) == 4
 
 
 def test_transformer_encode_packs_sequences_apart():
     rng = np.random.default_rng(45)
     cfg = tiny_cfg(max_len=4)
     params = enc.TransformerParams.init(cfg, ["a", "b", "c"], rng)
-    seqs = [[2, 3, 4], [4, 4, 2, 3, 2, 3], [3]]  # the middle one is cut to 4
+    seqs = [[2, 3, 4], [4, 4, 2, 3], [3]]
     packed = enc.transformer_encode(cfg, params, sum(seqs, []),
                                     lengths=[len(s) for s in seqs])
     alone = np.concatenate([enc.transformer_encode(cfg, params, s).data for s in seqs])

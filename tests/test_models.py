@@ -12,13 +12,15 @@ from seqtag import autodiff as ad
 from seqtag.cli import main
 from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
                          split_corpus, validate_bio2)
-from seqtag.encoders import ComposerConfig, ToyTransformerConfig
+from seqtag.encoders import ComposerConfig, ToyTransformerConfig, transformer_encode
 from seqtag.errors import ArtifactError, ConfigError, UsageError
 from seqtag.models import (MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
 from seqtag.subword import segment, train_unigram
 from seqtag.synth import generate_corpus
 from seqtag.training import train
+
+from oracles import align_labels
 
 
 def tiny_cfg(kind="bilstm-crf", **kw):
@@ -66,6 +68,7 @@ def test_config_rejects_unknown_kind_and_optimizer():
     ("lr", 0.0), ("lr", -1.0), ("dropout_p", 1.0), ("dropout_p", -0.1),
     ("epochs", 0), ("batch_size", 0), ("clip_norm", 0.0),
     ("momentum", 1.0), ("lambda_l2", -1e-9), ("hidden_dim", 0),
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("min_count", 0), ("min_count", -3),
     *((name, value) for name in ("epochs", "batch_size", "hidden_dim")
       for value in (1.5, True, "8")),
     *((name, value) for name in ("lr", "clip_norm", "lambda_l2")
@@ -281,6 +284,40 @@ def test_mask_override_at_predict_time(corpus, vocab):
         tagged = sentence.with_tags(
             model.predict(sentence.surfaces, mask_illegal=True))
         validate_bio2(tagged, mode="strict")
+
+
+def test_transformer_rows_are_the_first_pieces_the_oracle_aligns(corpus, vocab, tokenizer):
+    """Row w of the emissions is the projected encoder row of the w-th
+    word-initial piece of the string-level alignment, and a sentence cut at
+    max_len covers exactly the words whose first piece comes before the cut."""
+    model = build_model(tiny_cfg("transformer-crf"), vocab, np.random.default_rng(0),
+                        tokenizer)
+    table, max_len = model.transformer.piece_table, model.transformer_cfg.max_len
+
+    def first_pieces(sentence):
+        pieces = segment(tokenizer, " ".join(sentence.surfaces))
+        aligned = align_labels(sentence.surfaces, sentence.tags, pieces)
+        return pieces, [k for k, first in enumerate(aligned.is_word_initial) if first]
+
+    whole = [s for s in corpus if len(first_pieces(s)[0]) <= max_len]
+    assert len(whole) > 30
+    for sentence in whole:
+        pieces, initial = first_pieces(sentence)
+        rows, covered = model.emission_rows(sentence.surfaces)
+        hidden = transformer_encode(model.transformer_cfg, model.transformer,
+                                    [table.id_of(p) for p in pieces])
+        projected = model._project(hidden).data
+        assert covered == list(range(len(sentence)))
+        for w, row in enumerate(rows):
+            assert np.max(np.abs(row.data - projected[initial[w]])) <= 1e-12
+
+    model.transformer_cfg.max_len = max_len = 10
+    cut = [s for s in corpus if len(first_pieces(s)[0]) > max_len]
+    assert len(cut) > 5
+    for sentence in cut:
+        _, initial = first_pieces(sentence)
+        _, covered = model.emission_rows(sentence.surfaces)
+        assert covered == [w for w, k in enumerate(initial) if k < max_len]
 
 
 def test_truncated_words_fall_back_to_outside(vocab, tokenizer):
