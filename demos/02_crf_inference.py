@@ -12,7 +12,7 @@ import numpy as np
 
 from seqtag.autodiff import Tensor
 from seqtag.crf import (CRFParams, illegal_mask, log_partition, log_prob,
-                        viterbi_decode)
+                        score_sequence, viterbi_decode)
 
 TAGS = ["O", "B-PER", "I-PER"]
 
@@ -47,3 +47,17 @@ for i, row in enumerate(mask[:len(TAGS), :len(TAGS)]):
 eager = Tensor(np.tile([0.0, 0.0, 5.0], (4, 1)))
 print("\nunmasked decode:", [TAGS[i] for i in viterbi_decode(crf, eager)])
 print("masked decode:  ", [TAGS[i] for i in viterbi_decode(crf, eager, mask)])
+
+# a linear (softmax) head has no transitions; it decodes as a CRF whose
+# transition table is all zeros.  Under the mask that is still a search for
+# the best legal path: taking each token's best legal tag left to right
+# would pick O (1.0 beats 0.9) and then be barred from I-X, scoring 1.0
+TAGS_X = ["O", "B-X", "I-X"]
+zero = CRFParams(Tensor(np.zeros((4, 4))), num_tags=3)
+mask_x = illegal_mask(TAGS_X)
+close = Tensor(np.array([[1.0, 0.9, -5.0],
+                         [0.0, -5.0, 10.0]]))
+path = viterbi_decode(zero, close, mask_x)
+print("\nlinear head, masked:", [TAGS_X[i] for i in path],
+      f"score {float(score_sequence(zero, close, path, mask_x).data):.1f}"
+      "  (greedy would give ['O', 'O'], score 1.0)")

@@ -177,10 +177,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     sentences = load_conll(args.data)
-    mask = True if args.mask_illegal else None
-    if args.mask_illegal or model.mask_illegal:
+    model.mask_illegal |= args.mask_illegal
+    if model.mask_illegal:
         _check_bio2([(args.data, sentences)])
-    report = evaluate_model(model, sentences, mask)
+    report = evaluate_model(model, sentences)
     render = report_keyvalues if args.format == "keyvalues" else report_table
     print(render(report))
     return 0
@@ -188,13 +188,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_tag(args) -> int:
     model = load_model(args.model)
-    mask = True if args.mask_illegal else None
+    model.mask_illegal |= args.mask_illegal
     out_lines = []
     for line in unicodedata.normalize("NFC", _read_text(args.input)).split("\n"):
         words = line.split()
         if not words:
             continue
-        tags = model.predict(words, mask_illegal=mask)
+        tags = model.predict(words)
         out_lines.extend(f"{w}\t{t}" for w, t in zip(words, tags))
         out_lines.append("")
     _write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--input", default="-", metavar="FILE")
     p.add_argument("--out", default="-", metavar="FILE")
-    p.add_argument("--mask-illegal", action="store_true")
+    p.add_argument("--mask-illegal", action="store_true",
+                   help="forbid label bigrams that are invalid in BIO2")
     p.set_defaults(func=_cmd_tag)
 
     p = subs.add_parser("tokenizer-train",

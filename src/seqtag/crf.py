@@ -1,5 +1,6 @@
-"""Linear-chain CRF scoring, partition, decoding, and the per-token
-softmax head that replaces it in the non-structured model variants.
+"""Linear-chain CRF scoring, partition, decoding, and the per-token softmax
+loss of the non-structured model variants, which decode with viterbi_decode
+over an all-zero transition table.
 
 Conventions: for T tags the transition matrix is (T+1) x (T+1) with row T
 holding begin-of-sentence transitions and column T end-of-sentence
@@ -37,22 +38,22 @@ class CRFParams:
         return {prefix + "transition": self.transition}
 
 
-def _check_emissions(crf: CRFParams, emissions: Tensor) -> int:
-    if emissions.data.ndim != 2 or emissions.shape[1] != crf.num_tags:
+def _check_emissions(num_tags: int, emissions: Tensor) -> int:
+    if emissions.data.ndim != 2 or emissions.shape[1] != num_tags:
         raise ShapeError(f"emissions shape {emissions.shape} does not match "
-                         f"(n, {crf.num_tags})")
+                         f"(n, {num_tags})")
     n = emissions.shape[0]
     if n == 0:
         raise UsageError("empty emission sequence")
     return n
 
 
-def _check_labels(crf: CRFParams, labels, n: int):
+def _check_labels(num_tags: int, labels, n: int):
     if len(labels) != n:
         raise ShapeError(f"{len(labels)} labels for {n} positions")
     for lab in labels:
-        if not 0 <= lab < crf.num_tags:
-            raise UsageError(f"label {lab} outside [0, {crf.num_tags})")
+        if not 0 <= lab < num_tags:
+            raise UsageError(f"label {lab} outside [0, {num_tags})")
 
 
 def _check_mask(num_tags: int, mask: np.ndarray | None) -> None:
@@ -70,8 +71,8 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     of their scores: one pick-matrix product for the emissions and one
     table of transition counts over every sequence.
     """
-    n = _check_emissions(crf, emissions)
-    _check_labels(crf, labels, n)
+    n = _check_emissions(crf.num_tags, emissions)
+    _check_labels(crf.num_tags, labels, n)
     _check_mask(crf.num_tags, mask)
     T = crf.num_tags
     lengths = ad.packed_steps([n] if lengths is None else lengths, n)[0]
@@ -101,7 +102,7 @@ def log_partition(crf: CRFParams, emissions: Tensor,
     """Log of the summed exp-scores of all labelings: the forward algorithm,
     as one autodiff node.  With lengths, the summed log-partitions of the
     sequences packed in emissions, still one node."""
-    _check_emissions(crf, emissions)
+    _check_emissions(crf.num_tags, emissions)
     _check_mask(crf.num_tags, mask)
     return ad.crf_forward(emissions, crf.transition, mask, lengths)
 
@@ -123,7 +124,7 @@ def crf_nll(crf: CRFParams, emissions: Tensor, labels,
 def viterbi_decode(crf: CRFParams, emissions: Tensor,
                    mask: np.ndarray | None = None) -> list[int]:
     """Highest-scoring labeling; pure array math, no gradient graph."""
-    n = _check_emissions(crf, emissions)
+    n = _check_emissions(crf.num_tags, emissions)
     _check_mask(crf.num_tags, mask)
     T = crf.num_tags
     e = emissions.data
@@ -168,44 +169,10 @@ def illegal_mask(tags: list[str]) -> np.ndarray:
 
 def linear_nll(emissions: Tensor, labels) -> Tensor:
     """Summed softmax cross-entropy of independent per-token predictions."""
-    if emissions.data.ndim != 2:
-        raise ShapeError(f"emissions must be 2-D, got {emissions.shape}")
-    n, T = emissions.shape
-    if n == 0:
-        raise UsageError("empty emission sequence")
-    if len(labels) != n:
-        raise ShapeError(f"{len(labels)} labels for {n} positions")
-    for lab in labels:
-        if not 0 <= lab < T:
-            raise UsageError(f"label {lab} outside [0, {T})")
+    T = emissions.shape[-1] if emissions.shape else 0
+    n = _check_emissions(T, emissions)
+    _check_labels(T, labels, n)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
     picked = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
     return ad.tensor_sum(ad.log_sum_exp(emissions, axis=1)) - picked
-
-
-def linear_decode(emissions: Tensor) -> list[int]:
-    """Per-token argmax; ties go to the lowest tag index."""
-    if emissions.data.ndim != 2 or emissions.shape[0] == 0:
-        raise ShapeError(f"emissions must be non-empty 2-D, got {emissions.shape}")
-    return [int(i) for i in np.argmax(emissions.data, axis=1)]
-
-
-def constrained_decode(emissions: Tensor, mask: np.ndarray) -> list[int]:
-    """Greedy left-to-right argmax restricted to transitions the mask allows.
-
-    For heads without a transition table this is how an additive 0/-inf
-    mask is honored; an all-zero mask reduces to linear_decode.
-    """
-    if emissions.data.ndim != 2 or emissions.shape[0] == 0:
-        raise ShapeError(f"emissions must be non-empty 2-D, got {emissions.shape}")
-    T = emissions.shape[1]
-    _check_mask(T, mask)
-    prev = T  # start-of-sequence row
-    path = []
-    for row in emissions.data:
-        best = int(np.argmax(row + mask[prev, :T]))
-        path.append(best)
-        prev = best
-    return path
-

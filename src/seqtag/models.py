@@ -2,9 +2,9 @@
 
 Four model kinds share one interface: a recurrent or attention encoder over
 composed token inputs feeds a per-position linear projection to tag scores,
-decoded either jointly (structured transition layer) or independently
-(per-position argmax).  Trained models round-trip through a versioned zip
-artifact with named float64 tensors and UTF-8 vocabulary tables.
+decoded by Viterbi over a learned transition table (structured kinds) or an
+all-zero one (per-position argmax).  Trained models round-trip through a
+versioned zip artifact with named float64 tensors and UTF-8 vocabulary tables.
 load_model rebuilds a saved model with build_model, so a manifest that
 does not describe a model build_model can make is an ArtifactError.
 """
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .crf import (CRFParams, constrained_decode, crf_nll, illegal_mask,
-                  linear_decode, linear_nll, viterbi_decode)
+from .crf import CRFParams, crf_nll, illegal_mask, linear_nll, viterbi_decode
 from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
@@ -102,6 +101,7 @@ class SequenceTagger:
     sentence with a bidirectional recurrent pass; transformer kinds segment
     each word into subword pieces, encode the piece sequence with
     self-attention, and read word features off each word's first piece.
+    mask_illegal is read whenever a loss is built or a sentence decoded.
     """
 
     kind: str
@@ -119,7 +119,14 @@ class SequenceTagger:
     hidden_dim: int = 0
 
     def __post_init__(self):
-        self._mask = illegal_mask(list(self.tags)) if self.mask_illegal else None
+        T = len(self.tags)
+        # linear kinds decode as a CRF with constant zero transitions
+        self._zero_crf = CRFParams(Tensor(np.zeros((T + 1, T + 1))), T)
+        self._illegal = illegal_mask(list(self.tags))
+
+    def _mask(self) -> np.ndarray | None:
+        """The BIO2 mask if mask_illegal is set now, else None."""
+        return self._illegal if self.mask_illegal else None
 
     # ------------------------------------------------------------------
     # parameters
@@ -228,36 +235,25 @@ class SequenceTagger:
             return linear_nll(emissions, labels)
         # covered words per sentence: all of them, unless max_len cut it short
         lengths = np.diff(np.searchsorted(covered, np.cumsum(sizes)), prepend=0)
-        return crf_nll(self.crf, emissions, labels, self._mask, lengths)
+        return crf_nll(self.crf, emissions, labels, self._mask(), lengths)
 
-    def predict(self, words: list[str], morphs=None,
-                mask_illegal: bool | None = None) -> list[str]:
+    def predict(self, words: list[str], morphs=None) -> list[str]:
         """Tag strings for one sentence, in word order."""
         if not words:
             return []
         with ad.no_grad():
             rows, covered = self.emission_rows(words, morphs, training=False)
             emissions = ad.stack(rows)
-        if mask_illegal is None:
-            mask = self._mask
-        else:
-            mask = illegal_mask(list(self.tags)) if mask_illegal else None
-        if self.crf is not None:
-            ids = viterbi_decode(self.crf, emissions, mask)
-        elif mask is not None:
-            ids = constrained_decode(emissions, mask)
-        else:
-            ids = linear_decode(emissions)
+        ids = viterbi_decode(self.crf or self._zero_crf, emissions, self._mask())
         out = ["O"] * len(words)
         for w, idx in zip(covered, ids):
             out[w] = self.tags.tag_of(idx)
         return out
 
 
-def tag_corpus(model: SequenceTagger, sentences: list[LabeledSentence],
-               mask_illegal: bool | None = None) -> list[LabeledSentence]:
-    return [s.with_tags(model.predict(s.surfaces, s.morphs, mask_illegal))
-            for s in sentences]
+def tag_corpus(model: SequenceTagger,
+               sentences: list[LabeledSentence]) -> list[LabeledSentence]:
+    return [s.with_tags(model.predict(s.surfaces, s.morphs)) for s in sentences]
 
 
 def _marked_piece_tokens(tokenizer: UnigramVocab) -> list[str]:

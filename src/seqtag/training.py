@@ -51,9 +51,9 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_model(model: SequenceTagger, sentences: list[LabeledSentence],
-                   mask_illegal: bool | None = None) -> EvalReport:
-    predicted = tag_corpus(model, sentences, mask_illegal)
+def evaluate_model(model: SequenceTagger,
+                   sentences: list[LabeledSentence]) -> EvalReport:
+    predicted = tag_corpus(model, sentences)
     return score([s.tags for s in sentences], [s.tags for s in predicted])
 
 
@@ -172,10 +172,15 @@ def bench(configs, split: CorpusSplit, seeds=(0, 1, 2, 3, 4),
     """Train every labeled config under every seed; score the held-out split.
 
     configs is an iterable of (label, TrainConfig) pairs.  Evaluation uses
-    split.test when present, split.valid otherwise.  Row metrics depend only
+    split.test when present, split.valid otherwise.  If any config sets
+    mask_illegal, gold tags of split.test that break BIO2 raise
+    ValidationError before anything is trained.  Row metrics depend only
     on config and seed, so reruns of identical configs reproduce them.
     """
+    configs = list(configs)
     held_out = list(split.test) if split.test else list(split.valid)
+    if any(cfg.mask_illegal for _, cfg in configs):
+        _check_bio2((("test", split.test),))  # train() checks the other splits
     results = []
     for label, cfg in configs:
         result = BenchResult(label=label, seeds=list(seeds))

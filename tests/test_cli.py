@@ -436,6 +436,16 @@ def test_bench_with_explicit_config_files(capsys, tmp_path, corpus_file):
     assert "wordonly" in capsys.readouterr().out
 
 
+def test_bench_checks_held_out_gold_bio2_under_the_mask(tmp_path, corpus_file, capsys):
+    test = tmp_path / "orphan.conll"
+    test.write_text("Meliha\tB-PERSON\ngeldi\tO\n\nAnkara\tI-LOCATION\n\n",
+                    encoding="utf-8")
+    args = ["bench", "--train", corpus_file, "--valid-fraction", "0.25",
+            "--test", str(test), "--seeds", "0"] + FAST
+    assert main(args + ["--mask-illegal", "true"]) == 2
+    assert "test sentence 1: orphan I-LOCATION at token index 0" in capsys.readouterr().err
+
+
 def test_bench_without_seeds_exits_one(corpus_file):
     assert main(["bench", "--train", corpus_file, "--seeds", ","]) == 1
 

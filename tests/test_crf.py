@@ -176,8 +176,6 @@ def test_a_mask_of_the_wrong_shape_is_rejected_everywhere():
             crf_mod.score_sequence(c, e, [0, 1], mask)
         with pytest.raises(ShapeError):
             crf_mod.log_partition(c, e, mask)
-        with pytest.raises(ShapeError):
-            crf_mod.constrained_decode(e, mask)
 
 
 def test_path_probabilities_sum_to_one():
@@ -405,13 +403,36 @@ def test_linear_nll_gradient_matches_finite_differences():
     assert max_rel_error(e.grad, numeric[0]) <= 1e-6
 
 
+def zero_crf(num_tags):
+    """The transition table a linear head decodes with: all zeros, constant."""
+    return CRFParams(Tensor(np.zeros((num_tags + 1, num_tags + 1))), num_tags)
+
+
+def random_bio2_tags(rng):
+    """O and a random subset of B-/I- tags of three types, shuffled."""
+    tags = ["O"] + [f"{p}-{k}" for k in "XYZ" for p in "BI" if rng.random() < 0.6]
+    return [tags[i] for i in rng.permutation(len(tags))]
+
+
 def test_linear_decode_argmax_and_tie_to_lowest():
     e = Tensor(np.array([[0.1, 0.9, 0.3],
                          [2.0, 2.0, 1.0],
                          [-1.0, -2.0, -0.5]]))
-    assert crf_mod.linear_decode(e) == [1, 0, 2]
+    assert crf_mod.viterbi_decode(zero_crf(3), e) == [1, 0, 2]
     with pytest.raises(ShapeError):
-        crf_mod.linear_decode(Tensor(np.zeros(3)))
+        crf_mod.viterbi_decode(zero_crf(3), Tensor(np.zeros(3)))
+
+
+def test_linear_decode_is_per_token_argmax_on_random_emissions():
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        n, T = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        e = Tensor(rng.normal(scale=float(rng.choice([0.1, 1.0, 100.0])), size=(n, T)))
+        assert crf_mod.viterbi_decode(zero_crf(T), e) == list(np.argmax(e.data, axis=1))
+    # exact ties, many of them: integer-valued emissions
+    for _ in range(100):
+        e = Tensor(rng.integers(-2, 3, size=(int(rng.integers(1, 8)), 4)).astype(float))
+        assert crf_mod.viterbi_decode(zero_crf(4), e) == list(np.argmax(e.data, axis=1))
 
 
 def test_linear_nll_validation():
@@ -421,13 +442,18 @@ def test_linear_nll_validation():
         crf_mod.linear_nll(Tensor(np.zeros((2, 3))), [0, 3])
     with pytest.raises(ShapeError):
         crf_mod.linear_nll(Tensor(np.zeros((2, 3))), [0])
+    with pytest.raises(ShapeError):
+        crf_mod.linear_nll(Tensor(np.float64(1.0)), [0])
+    with pytest.raises(UsageError):
+        crf_mod.linear_nll(Tensor(np.zeros((0, 3))), [])
 
 
 def test_constrained_decode_matches_linear_decode_under_a_free_mask():
     rng = np.random.default_rng(71)
     e = Tensor(rng.normal(size=(6, 5)))
     free = np.zeros((6, 6))
-    assert crf_mod.constrained_decode(e, free) == crf_mod.linear_decode(e)
+    assert (crf_mod.viterbi_decode(zero_crf(5), e, free)
+            == crf_mod.viterbi_decode(zero_crf(5), e))
 
 
 def test_constrained_decode_skips_forbidden_start():
@@ -436,7 +462,7 @@ def test_constrained_decode_skips_forbidden_start():
     # the raw argmax would open with I-PER, which nothing precedes
     e = Tensor(np.array([[0.0, 1.0, 5.0],
                          [0.0, 0.0, 4.0]]))
-    path = crf_mod.constrained_decode(e, mask)
+    path = crf_mod.viterbi_decode(zero_crf(3), e, mask)
     assert path[0] in (0, 1)
     assert path == [1, 2]  # B-PER is the runner-up, then I-PER is legal
 
@@ -447,8 +473,31 @@ def test_constrained_decode_walks_only_legal_bigrams():
     rng = np.random.default_rng(72)
     for _ in range(50):
         e = Tensor(rng.normal(size=(rng.integers(1, 8), 5)))
-        path = crf_mod.constrained_decode(e, mask)
+        path = crf_mod.viterbi_decode(zero_crf(5), e, mask)
         prev = 5
         for idx in path:
             assert mask[prev, idx] == 0.0
             prev = idx
+
+
+def test_constrained_decode_finds_the_best_legal_path_not_a_greedy_one():
+    # greedy left-to-right decoding takes O (1.0 > 0.9) and then cannot
+    # enter I-X, scoring 1.0; the best legal path is B-X I-X at 10.9
+    mask = crf_mod.illegal_mask(["O", "B-X", "I-X"])
+    e = Tensor(np.array([[1.0, 0.9, -5.0],
+                         [0.0, -5.0, 10.0]]))
+    assert crf_mod.viterbi_decode(zero_crf(3), e, mask) == [1, 2]
+
+
+def test_constrained_decode_matches_brute_force_on_random_bio2_tag_sets():
+    rng = np.random.default_rng(74)
+    for _ in range(150):
+        tags = random_bio2_tags(rng)
+        T, n = len(tags), int(rng.integers(1, 5))
+        mask = crf_mod.illegal_mask(tags)
+        e = Tensor(rng.normal(scale=3.0, size=(n, T)))
+        got = crf_mod.viterbi_decode(zero_crf(T), e, mask)
+        want, want_score = crf_brute_argmax(e.data, np.zeros((T + 1, T + 1)) + mask)
+        assert got == want
+        assert np.isfinite(want_score)
+        assert abs(crf_path_score(e.data, mask, got) - want_score) <= 1e-12

@@ -278,12 +278,26 @@ def test_masked_predictions_are_always_valid_bio2(corpus, vocab):
 
 
 def test_mask_override_at_predict_time(corpus, vocab):
+    # the mask is read when predict runs, not fixed when the model is built
     model = build_model(tiny_cfg("bilstm-linear"), vocab,
                         np.random.default_rng(3))
-    for sentence in corpus[:10]:
-        tagged = sentence.with_tags(
-            model.predict(sentence.surfaces, mask_illegal=True))
+    model.mask_illegal = True
+    for sentence in corpus:
+        tagged = sentence.with_tags(model.predict(sentence.surfaces))
         validate_bio2(tagged, mode="strict")
+
+
+@pytest.mark.parametrize("kind", ["bilstm-linear", "transformer-linear"])
+def test_unmasked_linear_predict_is_the_per_word_argmax(corpus, vocab, tokenizer, kind):
+    model = build_model(tiny_cfg(kind), vocab, np.random.default_rng(4), tokenizer)
+    assert model.crf is None
+    assert all(not name.startswith("crf") for name in model.named_parameters())
+    for sentence in corpus:
+        rows, covered = model.emission_rows(sentence.surfaces, sentence.morphs)
+        want = ["O"] * len(sentence)
+        for w, row in zip(covered, rows):
+            want[w] = model.tags.tag_of(int(np.argmax(row.data)))
+        assert model.predict(sentence.surfaces, sentence.morphs) == want
 
 
 def test_transformer_rows_are_the_first_pieces_the_oracle_aligns(corpus, vocab, tokenizer):
