@@ -23,17 +23,23 @@ print("out  =", float(out.data))
 print("dx   =", float(x.grad), " (expect y + gelu'(x) =", 3 + dgelu, ")")
 print("dy   =", float(y.grad), " (expect x = 2)")
 
-# the same machinery drives matrices: a tiny linear layer with a
-# log-sum-exp readout, the building block of the CRF forward algorithm
+# the same machinery drives matrices: a tiny linear layer scoring three
+# tags, read out by the CRF forward algorithm over one position and an
+# all-zero transition table, which is a plain log-sum-exp: the normalizer
+# of the linear head's softmax loss
 rng = np.random.default_rng(0)
 W = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-v = Tensor(rng.standard_normal(4), requires_grad=True)
-score = ad.log_sum_exp(ad.matmul(W, v), axis=0)
-ad.backward(score)
-print("\nlog_sum_exp(W @ v) =", float(score.data))
-print("dW row sums        =", W.grad.sum(axis=1).round(4))
-print("softmax(W @ v)     =", np.exp(W.data @ v.data - float(score.data)).round(4))
-# the gradient w.r.t. the logits IS the softmax; the two lines above agree
+x = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+scores = ad.matmul(x, ad.transpose(W))  # (1, 3): one position, three tags
+log_z = ad.crf_forward(scores, Tensor(np.zeros((4, 4))))
+ad.backward(log_z)
+softmax = np.exp(scores.data[0] - float(log_z.data))
+print("\nlog-sum-exp of x W^T =", float(log_z.data))
+print("softmax(x W^T)       =", softmax.round(4))
+print("d/dx                 =", x.grad[0].round(4))
+print("softmax @ W          =", (softmax @ W.data).round(4))
+# the gradient w.r.t. x is the softmax-weighted mean of W's rows; the two
+# lines above agree
 
 # gradients accumulate across repeated use of the same tensor
 emb = Tensor(np.eye(3), requires_grad=True)

@@ -166,23 +166,17 @@ def backward(root: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; b may be 1-D for a matrix-vector product."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 2-D @ 1-or-2-D, got {a.shape} @ {b.shape}")
+    """Product of two matrices."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def _bw(g):
-        if b.data.ndim == 1:
-            if a.requires_grad:
-                a.grad += np.outer(g, b.data)
-            if b.requires_grad:
-                b.grad += a.data.T @ g
-        else:
-            if a.requires_grad:
-                a.grad += g @ b.data.T
-            if b.requires_grad:
-                b.grad += a.data.T @ g
+        if a.requires_grad:
+            a.grad += g @ b.data.T
+        if b.requires_grad:
+            b.grad += a.data.T @ g
 
     return _result(a.data @ b.data, (a, b), "matmul", _bw)
 
@@ -289,36 +283,15 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
                    "concat", _bw)
 
 
-def _stable_lse(d: np.ndarray, axis: int):
-    """log(sum(exp(d))) along axis, with the shifted exponentials e and their
-    sums s.  -inf entries contribute nothing; an all--inf slice gives -inf."""
+def _stable_lse(d: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(d))) along axis.  -inf entries contribute nothing; an
+    all--inf slice gives -inf."""
     m = np.max(d, axis=axis)
     finite = np.isfinite(m)
     m_safe = np.where(finite, m, 0.0)
-    shifted = d - np.expand_dims(m_safe, axis)
-    e = np.where(np.isneginf(d), 0.0, np.exp(shifted))
+    e = np.where(np.isneginf(d), 0.0, np.exp(d - np.expand_dims(m_safe, axis)))
     s = np.sum(e, axis=axis)
-    value = np.where(finite, m_safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-    return value, e, s
-
-
-def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
-    """Numerically stable log(sum(exp(x))) along axis.
-
-    -inf entries contribute nothing; an all--inf slice reduces to -inf.
-    """
-    d = x.data
-    if not -d.ndim <= axis < d.ndim:
-        raise UsageError(f"log_sum_exp axis {axis} invalid for shape {x.shape}")
-    value, e, s = _stable_lse(d, axis)
-
-    def _bw(g):
-        if x.requires_grad:
-            denom = np.where(s > 0.0, s, 1.0)
-            p = e / np.expand_dims(denom, axis)
-            x.grad += np.expand_dims(g, axis) * p
-
-    return _result(value, (x,), "log_sum_exp", _bw)
+    return np.where(finite, m_safe + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -414,12 +387,13 @@ def transpose(x: Tensor) -> Tensor:
     return _result(x.data.T.copy(), (x,), "transpose", _bw)
 
 
-def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
+def tensor_sum(x: Tensor) -> Tensor:
+    """Sum of all entries, as a scalar."""
     def _bw(g):
         if x.requires_grad:
-            x.grad += g if axis is None else np.expand_dims(g, axis)
+            x.grad += g
 
-    return _result(np.sum(x.data, axis=axis), (x,), "sum", _bw)
+    return _result(np.sum(x.data), (x,), "sum", _bw)
 
 
 def stack(rows: list[Tensor]) -> Tensor:
@@ -574,15 +548,15 @@ def crf_forward(emissions: Tensor, transition: Tensor,
     alpha = np.empty((B, L, T))  # alpha[b, t, j]: log-sum of the prefixes ending in j at t
     alpha[:, 0] = trans[T, :T] + e[:, 0]
     for t in range(1, L):
-        alpha[:, t] = _stable_lse(alpha[:, t - 1, :, None] + inner, 1)[0] + e[:, t]
+        alpha[:, t] = _stable_lse(alpha[:, t - 1, :, None] + inner, 1) + e[:, t]
     last = lengths - 1
-    log_z = _stable_lse(alpha[np.arange(B), last] + eos, 1)[0]
+    log_z = _stable_lse(alpha[np.arange(B), last] + eos, 1)
 
     def _bw(g):
         beta = np.empty((B, L, T))  # beta[b, t, i]: log-sum of the suffixes after i at t
         beta[:, -1] = eos
         for t in range(L - 2, -1, -1):
-            after = _stable_lse(inner + (e[:, t + 1] + beta[:, t + 1])[:, None, :], 2)[0]
+            after = _stable_lse(inner + (e[:, t + 1] + beta[:, t + 1])[:, None, :], 2)
             beta[:, t] = np.where((t >= last)[:, None], eos, after)
         alpha_p, beta_p = alpha[at], beta[at]
         # a sequence with no allowed path has alpha + beta = -inf everywhere,
@@ -637,7 +611,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, num_heads: int):
         w = np.empty((num_heads, n, n))
         for h, cols in enumerate(bands):
             scores = (qd[rows, cols] @ kd[rows, cols].T) * c
-            w[h] = np.exp(scores - _stable_lse(scores, 1)[0][:, None])
+            w[h] = np.exp(scores - _stable_lse(scores, 1)[:, None])
             out[rows, cols] = w[h] @ vd[rows, cols]
         weights.append(w)
 

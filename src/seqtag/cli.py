@@ -220,12 +220,16 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"--seeds must be comma-separated integers, "
+                         f"got {args.seeds!r}") from None
+    if not seeds:
+        raise UsageError("--seeds must name at least one seed")
     base = _merged_config(args)
     split = _build_split(args)
     tokenizer = load_vocab(args.tokenizer) if args.tokenizer else None
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise UsageError("--seeds must name at least one seed")
     if args.config_files:
         configs = []
         for path in args.config_files:

@@ -1,6 +1,6 @@
-"""Linear-chain CRF scoring, partition, decoding, and the per-token softmax
-loss of the non-structured model variants, which decode with viterbi_decode
-over an all-zero transition table.
+"""Linear-chain CRF scoring, partition, loss and decoding for both tag heads.
+The per-token softmax head is a CRF over a constant all-zero transition
+table; its loss is crf_nll over it with each word a one-row sequence.
 
 Conventions: for T tags the transition matrix is (T+1) x (T+1) with row T
 holding begin-of-sentence transitions and column T end-of-sentence
@@ -162,17 +162,3 @@ def illegal_mask(tags: list[str]) -> np.ndarray:
         mask[T, j] = NEG_INF  # sentence cannot open inside an entity
     return mask
 
-
-# ---------------------------------------------------------------------------
-# per-token softmax head
-
-
-def linear_nll(emissions: Tensor, labels) -> Tensor:
-    """Summed softmax cross-entropy of independent per-token predictions."""
-    T = emissions.shape[-1] if emissions.shape else 0
-    n = _check_emissions(T, emissions)
-    _check_labels(T, labels, n)
-    pick = np.zeros((n, T))
-    pick[np.arange(n), labels] = 1.0
-    picked = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
-    return ad.tensor_sum(ad.log_sum_exp(emissions, axis=1)) - picked

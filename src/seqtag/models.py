@@ -2,11 +2,12 @@
 
 Four model kinds share one interface: a recurrent or attention encoder over
 composed token inputs feeds a per-position linear projection to tag scores,
-decoded by Viterbi over a learned transition table (structured kinds) or an
-all-zero one (per-position argmax).  Trained models round-trip through a
-versioned zip artifact with named float64 tensors and UTF-8 vocabulary tables.
-load_model rebuilds a saved model with build_model, so a manifest that
-does not describe a model build_model can make is an ArtifactError.
+trained by crf_nll and decoded by Viterbi over a learned transition table
+(structured kinds) or an all-zero one (per-position softmax).  Trained
+models round-trip through a versioned zip artifact with named float64
+tensors and UTF-8 vocabulary tables.  load_model rebuilds a saved model
+with build_model, so a manifest that does not describe a model build_model
+can make is an ArtifactError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .crf import CRFParams, crf_nll, illegal_mask, linear_nll, viterbi_decode
+from .crf import CRFParams, crf_nll, illegal_mask, viterbi_decode
 from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
@@ -120,7 +121,7 @@ class SequenceTagger:
 
     def __post_init__(self):
         T = len(self.tags)
-        # linear kinds decode as a CRF with constant zero transitions
+        # linear kinds train and decode as a CRF with constant zero transitions
         self._zero_crf = CRFParams(Tensor(np.zeros((T + 1, T + 1))), T)
         self._illegal = illegal_mask(list(self.tags))
 
@@ -218,9 +219,10 @@ class SequenceTagger:
         """Summed negative log-likelihood of the sentences' gold labelings.
 
         The whole mini-batch is one graph: one encoder pass over all its
-        sentences, then one CRF or softmax loss over all of their emission
-        rows, with the CRF reading each sentence's covered words as one
-        packed sequence.
+        sentences, then one crf_nll over all of their emission rows.  A CRF
+        kind reads each sentence's covered words as one packed sequence; a
+        linear kind reads each word as a one-row sequence over the zero
+        transitions, unmasked, which is the summed softmax cross-entropy.
         """
         if not sentences:
             raise UsageError("loss needs at least one sentence")
@@ -232,7 +234,7 @@ class SequenceTagger:
         emissions = ad.stack(rows)
         labels = [self.tags.id_of(gold[w]) for w in covered]
         if self.crf is None:
-            return linear_nll(emissions, labels)
+            return crf_nll(self._zero_crf, emissions, labels, None, [1] * len(covered))
         # covered words per sentence: all of them, unless max_len cut it short
         lengths = np.diff(np.searchsorted(covered, np.cumsum(sizes)), prepend=0)
         return crf_nll(self.crf, emissions, labels, self._mask(), lengths)
@@ -338,12 +340,16 @@ def save_model(model: SequenceTagger, path) -> None:
     }
     buf = io.BytesIO()
     np.savez(buf, **{name: t.data for name, t in named.items()})
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("manifest.json",
-                    json.dumps(manifest, ensure_ascii=False, indent=1))
-        if model.tokenizer is not None:
-            zf.writestr("tokenizer.tsv", vocab_to_text(model.tokenizer))
-        zf.writestr("tensors.npz", buf.getvalue())
+    members = {"manifest.json": json.dumps(manifest, ensure_ascii=False, indent=1)}
+    if model.tokenizer is not None:
+        members["tokenizer.tsv"] = vocab_to_text(model.tokenizer)
+    members["tensors.npz"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, content in members.items():
+            # a fixed date, as np.savez gives its members: equal models, equal bytes
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o600 << 16  # rw-------, as writestr gives a bare name
+            zf.writestr(info, content, zipfile.ZIP_DEFLATED)
 
 
 def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:

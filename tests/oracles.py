@@ -4,9 +4,9 @@ Everything here is deliberately written the slow, obvious way (finite
 differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
 reference and the row softmax compose primitive autodiff ops, never the
-fused lstm_scan and attention they check.  The element-wise primitives only
-these references need (sigmoid, tanh, exp and reshape) are defined here, as
-nodes of the library's graph.
+fused lstm_scan and attention they check.  The primitives only these
+references need (sigmoid, tanh, exp, reshape, log_sum_exp and the
+matrix-vector product) are defined here, as nodes of the library's graph.
 """
 
 import itertools
@@ -330,6 +330,39 @@ def reshape(x: Tensor, shape) -> Tensor:
     return ad._result(x.data.reshape(shape), (x,), "reshape", _bw)
 
 
+def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:
+    """Numerically stable log(sum(exp(x))) along axis.
+
+    -inf entries contribute nothing; an all--inf slice reduces to -inf.
+    """
+    d = x.data
+    value = ad._stable_lse(d, axis)
+
+    def _bw(g):
+        if x.requires_grad:
+            # exp(d - value) is the softmax; an all--inf slice passes nothing
+            v = np.expand_dims(np.where(np.isfinite(value), value, 0.0), axis)
+            x.grad += np.expand_dims(g, axis) * np.exp(d - v)
+
+    return ad._result(value, (x,), "log_sum_exp", _bw)
+
+
+def softmax_nll(emissions: Tensor, labels) -> Tensor:
+    """Summed softmax cross-entropy of independent per-row predictions of
+    (n, T) emissions: the reference for the linear head's loss."""
+    n, T = emissions.shape
+    pick = np.zeros((n, T))
+    pick[np.arange(n), labels] = 1.0
+    picked = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
+    return ad.tensor_sum(log_sum_exp(emissions, axis=1)) - picked
+
+
+def matvec(a: Tensor, v: Tensor) -> Tensor:
+    """Matrix a times vector v, through the engine's matrix product with v
+    as a one-column matrix."""
+    return reshape(ad.matmul(a, reshape(v, (v.size, 1))), (a.shape[0],))
+
+
 # ---------------------------------------------------------------------------
 # LSTM reference: one cell update per graph step, from primitive ops
 
@@ -349,8 +382,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
     def gate(k):
         band = slice(k * H, (k + 1) * H)
-        return (ad.take(p.W_x, band) @ x_t + ad.take(p.b_x, band)
-                + ad.take(p.W_h, band) @ h_prev + ad.take(p.b_h, band))
+        return (matvec(ad.take(p.W_x, band), x_t) + ad.take(p.b_x, band)
+                + matvec(ad.take(p.W_h, band), h_prev) + ad.take(p.b_h, band))
 
     i = sigmoid(gate(0))
     f = sigmoid(gate(1))
@@ -379,6 +412,6 @@ def lstm_run(p, xs):
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
     n = x.shape[0]
-    lse = ad.log_sum_exp(x, axis=1)
+    lse = log_sum_exp(x, axis=1)
     shifted = x - ad.broadcast_to(reshape(lse, (n, 1)), x.shape)
     return exp(shifted)

@@ -450,6 +450,11 @@ def test_bench_without_seeds_exits_one(corpus_file):
     assert main(["bench", "--train", corpus_file, "--seeds", ","]) == 1
 
 
+def test_bench_with_a_seed_that_is_no_integer_exits_one(corpus_file, capsys):
+    assert main(["bench", "--train", corpus_file, "--seeds", "0,a"]) == 1
+    assert "error: --seeds must be comma-separated integers, got '0,a'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -11,7 +11,7 @@ from seqtag.crf import CRFParams
 from seqtag.errors import ShapeError, UsageError
 
 from oracles import (crf_brute_argmax, crf_brute_log_partition, crf_enumerate,
-                     crf_path_score, finite_diff, max_rel_error)
+                     crf_path_score, finite_diff, max_rel_error, softmax_nll)
 
 
 def random_crf(rng, num_tags, scale=1.0):
@@ -373,6 +373,12 @@ def test_crf_nll_gradient_with_mask_keeps_masked_cells_silent():
 # softmax head
 
 
+def linear_nll(e, labels):
+    """The linear head's loss: crf_nll over zero transitions, each row its
+    own one-row sequence, unmasked."""
+    return crf_mod.crf_nll(zero_crf(e.shape[1]), e, labels, None, [1] * len(labels))
+
+
 def test_linear_nll_matches_numpy_cross_entropy():
     rng = np.random.default_rng(65)
     for _ in range(20):
@@ -380,7 +386,7 @@ def test_linear_nll_matches_numpy_cross_entropy():
         T = int(rng.integers(2, 5))
         e = rng.normal(scale=2.0, size=(n, T))
         labels = [int(x) for x in rng.integers(0, T, size=n)]
-        got = float(crf_mod.linear_nll(Tensor(e), labels).data)
+        got = float(linear_nll(Tensor(e), labels).data)
         m = e.max(axis=1, keepdims=True)
         logits = e - m
         lse = np.log(np.exp(logits).sum(axis=1)) + m[:, 0]
@@ -395,12 +401,27 @@ def test_linear_nll_gradient_matches_finite_differences():
 
     def build(ea):
         e = Tensor(ea, requires_grad=True)
-        return e, crf_mod.linear_nll(e, labels)
+        return e, linear_nll(e, labels)
 
     e, loss = build(e0)
     ad.backward(loss)
     numeric = finite_diff(lambda ea: build(ea)[1].data, [e0])
     assert max_rel_error(e.grad, numeric[0]) <= 1e-6
+
+
+def test_linear_nll_is_bitwise_the_softmax_cross_entropy():
+    rng = np.random.default_rng(67)
+    for _ in range(300):
+        n, T = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        scale = float(rng.choice([0.1, 1.0, 10.0]))
+        e0 = rng.normal(scale=scale, size=(n, T))
+        labels = [int(x) for x in rng.integers(0, T, size=n)]
+        got, want = Tensor(e0.copy(), requires_grad=True), Tensor(e0.copy(), requires_grad=True)
+        loss, ref = linear_nll(got, labels), softmax_nll(want, labels)
+        assert loss.item() == ref.item()
+        ad.backward(loss)
+        ad.backward(ref)
+        assert np.max(np.abs(got.grad - want.grad)) <= 1e-12
 
 
 def zero_crf(num_tags):
@@ -436,16 +457,19 @@ def test_linear_decode_is_per_token_argmax_on_random_emissions():
 
 
 def test_linear_nll_validation():
+    def nll(e, labels):
+        return crf_mod.crf_nll(zero_crf(3), Tensor(e), labels, None, [1] * len(labels))
+
     with pytest.raises(ShapeError):
-        crf_mod.linear_nll(Tensor(np.zeros(3)), [0])
+        nll(np.zeros(3), [0])
     with pytest.raises(UsageError):
-        crf_mod.linear_nll(Tensor(np.zeros((2, 3))), [0, 3])
+        nll(np.zeros((2, 3)), [0, 3])
     with pytest.raises(ShapeError):
-        crf_mod.linear_nll(Tensor(np.zeros((2, 3))), [0])
+        nll(np.zeros((2, 3)), [0])
     with pytest.raises(ShapeError):
-        crf_mod.linear_nll(Tensor(np.float64(1.0)), [0])
+        nll(np.float64(1.0), [0])
     with pytest.raises(UsageError):
-        crf_mod.linear_nll(Tensor(np.zeros((0, 3))), [])
+        nll(np.zeros((0, 3)), [])
 
 
 def test_constrained_decode_matches_linear_decode_under_a_free_mask():

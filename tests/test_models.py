@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import time
 import zipfile
 
 import numpy as np
@@ -20,7 +21,7 @@ from seqtag.subword import segment, train_unigram
 from seqtag.synth import generate_corpus
 from seqtag.training import train
 
-from oracles import align_labels
+from oracles import align_labels, softmax_nll
 
 
 def tiny_cfg(kind="bilstm-crf", **kw):
@@ -171,8 +172,37 @@ def test_batched_loss_equals_the_sum_of_sentence_losses(corpus, vocab, tokenizer
 def test_batched_loss_has_one_crf_or_softmax_node(corpus, vocab, tokenizer, kind):
     model = build_model(tiny_cfg(kind), vocab, np.random.default_rng(0), tokenizer)
     ops = [node._op for node in ad.trace(model.loss(*corpus[:5], training=False))]
-    head = "crf_forward" if kind.endswith("-crf") else "log_sum_exp"
-    assert ops.count(head) == 1
+    assert ops.count("crf_forward") == 1
+
+
+@pytest.mark.parametrize("mask_illegal", [False, True])
+@pytest.mark.parametrize("kind", ["bilstm-linear", "transformer-linear"])
+def test_linear_loss_is_bitwise_the_softmax_cross_entropy(corpus, vocab, tokenizer,
+                                                          kind, mask_illegal):
+    """The BIO2 mask leaves the linear loss alone: each word is a one-row
+    sequence, so under the mask every gold I-X would open after BOS."""
+    cfg = tiny_cfg(kind, mask_illegal=mask_illegal)
+    cfg.transformer.max_len = 10  # the longest sentence below is cut short
+    model = build_model(cfg, vocab, np.random.default_rng(3), tokenizer)
+    batch = sorted(corpus[:12], key=len)[::3]
+    words = [w for s in batch for w in s.surfaces]
+    morphs = [m for s in batch for m in s.morphs]
+    gold = [t for s in batch for t in s.tags]
+    sizes = [len(s) for s in batch]
+
+    def reference():
+        rows, covered = model.emission_rows(words, morphs, lengths=sizes)
+        return softmax_nll(ad.stack(rows), [model.tags.id_of(gold[w]) for w in covered])
+
+    covered = model.emission_rows(words, morphs, lengths=sizes)[1]
+    assert any(gold[w].startswith("I-") for w in covered)
+    if kind.startswith("transformer"):
+        assert len(covered) < len(words)
+    got, got_grads = _loss_and_gradients(model, lambda: model.loss(*batch, training=False))
+    want, want_grads = _loss_and_gradients(model, reference)
+    assert got == want
+    for name, grad in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name
 
 
 def test_every_engine_op_is_a_node_of_some_model_loss(corpus, vocab, tokenizer):
@@ -432,6 +462,17 @@ def test_artifact_keeps_the_tokenizer(tmp_path, vocab, tokenizer):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.tokenizer.pieces == tokenizer.pieces
+
+
+def test_saving_one_model_twice_gives_the_same_bytes(tmp_path, vocab, tokenizer,
+                                                     monkeypatch):
+    model = build_model(tiny_cfg("transformer-crf"), vocab,
+                        np.random.default_rng(0), tokenizer)
+    save_model(model, tmp_path / "first.zip")
+    an_hour_later = time.time() + 3600.0
+    monkeypatch.setattr(time, "time", lambda: an_hour_later)
+    save_model(model, tmp_path / "second.zip")
+    assert (tmp_path / "first.zip").read_bytes() == (tmp_path / "second.zip").read_bytes()
 
 
 def test_loading_garbage_raises_artifact_error(tmp_path):
