@@ -53,7 +53,7 @@ print("masked decode:  ", [TAGS[i] for i in viterbi_decode(crf, eager, mask)])
 # the best legal path: taking each token's best legal tag left to right
 # would pick O (1.0 beats 0.9) and then be barred from I-X, scoring 1.0
 TAGS_X = ["O", "B-X", "I-X"]
-zero = CRFParams(Tensor(np.zeros((4, 4))), num_tags=3)
+zero = CRFParams(Tensor(np.zeros((4, 4))))  # three tags: (T+1, T+1)
 mask_x = illegal_mask(TAGS_X)
 close = Tensor(np.array([[1.0, 0.9, -5.0],
                          [0.0, -5.0, 10.0]]))

@@ -14,6 +14,10 @@ keeps variable-length sequence models simple.
 Inside a no_grad() block operations only compute values: their results carry
 no parents, no closure and no gradient buffer.
 
+There is no element-wise product of two graph tensors and no broadcast op: a
+bias row goes to every row of a matrix through add, and a tensor is reduced
+to a scalar by inner, its weighted sum against a constant array.
+
 All arithmetic is 64-bit.  Gradients accumulate additively; callers zero them
 between optimization steps.
 """
@@ -87,20 +91,17 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    # operator sugar; binary ops take Tensors, scalars go through scale()
+    # operator sugar: + and - take Tensors, * takes a scalar (scale())
     def __add__(self, other):
         return add(self, other)
 
     def __sub__(self, other):
         return add(self, scale(other, -1.0))
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
+    def __mul__(self, c):
+        return scale(self, c)
 
-    def __rmul__(self, other):
-        return scale(self, other)
+    __rmul__ = __mul__
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -182,29 +183,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add requires equal shapes, got {a.shape} and {b.shape}")
+    """a + b for equal shapes, or for an (n, d) matrix a and a (d,) row b
+    added to every row of it (a bias)."""
+    row = a.data.ndim == 2 and b.shape == a.shape[1:]
+    if a.shape != b.shape and not row:
+        raise ShapeError(f"add requires equal shapes or an (n, d) + (d,) row, "
+                         f"got {a.shape} and {b.shape}")
 
     def _bw(g):
         if a.requires_grad:
             a.grad += g
         if b.requires_grad:
-            b.grad += g
+            b.grad += g.sum(axis=0) if row else g
 
     return _result(a.data + b.data, (a, b), "add", _bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
-
-    def _bw(g):
-        if a.requires_grad:
-            a.grad += g * b.data
-        if b.requires_grad:
-            b.grad += g * a.data
-
-    return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -215,6 +207,20 @@ def scale(x: Tensor, c: float) -> Tensor:
             x.grad += g * c
 
     return _result(x.data * c, (x,), "scale", _bw)
+
+
+def inner(x: Tensor, c) -> Tensor:
+    """Sum of x * c over all entries, as a scalar, for a constant array c of
+    x's shape: a weighted sum, such as a path score's picked cells."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != x.shape:
+        raise ShapeError(f"inner needs a constant of shape {x.shape}, got {c.shape}")
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * c
+
+    return _result(np.sum(x.data * c), (x,), "inner", _bw)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -358,24 +364,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 # structural operations used by the encoders and the CRF
 
 
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    try:
-        data = np.broadcast_to(x.data, shape)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from None
-    extra = len(shape) - x.data.ndim
-    summed_axes = tuple(range(extra)) + tuple(
-        extra + i for i, n in enumerate(x.shape) if n == 1 and shape[extra + i] != 1)
-
-    def _bw(g):
-        if x.requires_grad:
-            g = g.sum(axis=summed_axes) if summed_axes else g
-            x.grad += g.reshape(x.shape)
-
-    return _result(data.copy(), (x,), "broadcast", _bw)
-
-
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
@@ -385,15 +373,6 @@ def transpose(x: Tensor) -> Tensor:
             x.grad += g.T
 
     return _result(x.data.T.copy(), (x,), "transpose", _bw)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar."""
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g
-
-    return _result(np.sum(x.data), (x,), "sum", _bw)
 
 
 def stack(rows: list[Tensor]) -> Tensor:

@@ -2,6 +2,11 @@
 The per-token softmax head is a CRF over a constant all-zero transition
 table; its loss is crf_nll over it with each word a one-row sequence.
 
+A loss graph over the emissions is six nodes however many sequences it
+packs: the crf_forward node of the log-partition, two inner nodes and an
+add for the gold path score, and a scale and an add for their difference
+(a constant and one more add if the mask forbids a gold transition).
+
 Conventions: for T tags the transition matrix is (T+1) x (T+1) with row T
 holding begin-of-sentence transitions and column T end-of-sentence
 transitions.  Probabilities are normalized over the full augmented space, so
@@ -24,15 +29,27 @@ NEG_INF = float("-inf")
 
 @dataclass
 class CRFParams:
+    """The (T+1, T+1) transition table of a CRF over T tags; ShapeError
+    unless it is square with T >= 1."""
+
     transition: Tensor
-    num_tags: int
+
+    def __post_init__(self):
+        shape = self.transition.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+            raise ShapeError(f"a CRF transition table is (T+1, T+1) with T >= 1, "
+                             f"got {shape}")
+
+    @property
+    def num_tags(self) -> int:
+        return self.transition.shape[0] - 1
 
     @classmethod
     def init(cls, num_tags: int, rng: np.random.Generator) -> "CRFParams":
         if num_tags < 1:
             raise UsageError("CRF needs at least one tag")
         data = rng.uniform(-0.1, 0.1, size=(num_tags + 1, num_tags + 1))
-        return cls(transition=Tensor(data, requires_grad=True), num_tags=num_tags)
+        return cls(Tensor(data, requires_grad=True))
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {prefix + "transition": self.transition}
@@ -68,8 +85,9 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
 
     With lengths, emissions and labels hold several sequences back to back
     (lengths[b] rows each, as for crf_forward) and the result is the sum
-    of their scores: one pick-matrix product for the emissions and one
-    table of transition counts over every sequence.
+    of their scores: one inner product of the emissions with a constant
+    0/1 table of the picked cells, and one of the transition table with a
+    constant table of the transitions taken over every sequence.
     """
     n = _check_emissions(crf.num_tags, emissions)
     _check_labels(crf.num_tags, labels, n)
@@ -79,7 +97,6 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     labels = np.asarray(labels, dtype=np.intp)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
-    emit = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
     # every transition taken: into each label from its predecessor, or from
     # BOS at a sequence start, and from each sequence's last label to EOS
     ends = np.cumsum(lengths)
@@ -89,8 +106,7 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     cols = np.concatenate((labels, np.full(lengths.size, T)))
     counts = np.zeros((T + 1, T + 1))
     np.add.at(counts, (rows, cols), 1.0)
-    trans = ad.tensor_sum(ad.mul(crf.transition, Tensor(counts)))
-    total = emit + trans
+    total = ad.inner(emissions, pick) + ad.inner(crf.transition, counts)
     penalty = 0.0 if mask is None else float(np.sum(mask[rows, cols]))
     if penalty != 0.0:
         total = total + Tensor(np.float64(penalty))
@@ -117,8 +133,9 @@ def crf_nll(crf: CRFParams, emissions: Tensor, labels,
             mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Negative log-likelihood of one labeled sequence, or with lengths the
     summed negative log-likelihood of the sequences packed in emissions and
-    labels."""
-    return -log_prob(crf, emissions, labels, mask, lengths)
+    labels: the log-partition minus the gold path score."""
+    score = score_sequence(crf, emissions, labels, mask, lengths)  # bad labels raise first
+    return log_partition(crf, emissions, mask, lengths) - score
 
 
 def viterbi_decode(crf: CRFParams, emissions: Tensor,

@@ -402,10 +402,8 @@ def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Ten
     attn_out, _ = multi_head_attention(layer, x, cfg.num_heads, lengths)
     attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
     x = ad.layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
-    n = x.shape[0]
-    b1 = ad.broadcast_to(layer.b_ff1, (n, layer.b_ff1.size))
-    b2 = ad.broadcast_to(layer.b_ff2, (n, layer.b_ff2.size))
-    ff = ad.gelu(x @ ad.transpose(layer.W_ff1) + b1) @ ad.transpose(layer.W_ff2) + b2
+    ff = (ad.gelu(x @ ad.transpose(layer.W_ff1) + layer.b_ff1) @ ad.transpose(layer.W_ff2)
+          + layer.b_ff2)
     ff = ad.dropout(ff, cfg.dropout_p, training, rng)
     return ad.layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
 

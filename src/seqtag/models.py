@@ -32,7 +32,7 @@ from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        xavier_uniform)
 from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
                      ValidationError)
-from .subword import UnigramVocab, segment, vocab_from_text, vocab_to_text
+from .subword import MARKER, UnigramVocab, segment, vocab_from_text, vocab_to_text
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ class SequenceTagger:
     def __post_init__(self):
         T = len(self.tags)
         # linear kinds train and decode as a CRF with constant zero transitions
-        self._zero_crf = CRFParams(Tensor(np.zeros((T + 1, T + 1))), T)
+        self._zero_crf = CRFParams(Tensor(np.zeros((T + 1, T + 1))))
         self._illegal = illegal_mask(list(self.tags))
 
     def _mask(self) -> np.ndarray | None:
@@ -150,8 +150,7 @@ class SequenceTagger:
 
     def _project(self, h: Tensor) -> Tensor:
         """Emission rows (n, T) of the (n, F) feature rows h."""
-        n, T = h.shape[0], self.b_out.size
-        return ad.matmul(h, ad.transpose(self.w_out)) + ad.broadcast_to(self.b_out, (n, T))
+        return ad.matmul(h, ad.transpose(self.w_out)) + self.b_out
 
     def _bilstm_features(self, words, morphs, lengths, training, rng):
         pieces = None
@@ -262,7 +261,7 @@ def _marked_piece_tokens(tokenizer: UnigramVocab) -> list[str]:
     """Embedding entries for every piece in both word-initial and inner form."""
     out = []
     for piece in tokenizer.pieces:
-        out.append(tokenizer.marker + piece)
+        out.append(MARKER + piece)
         out.append(piece)
     return out
 

@@ -11,8 +11,8 @@ counts size every array, so on corpora of a few hundred distinct words none
 reaches glibc's 128 KB mmap threshold; freeing one that did would raise the
 threshold and keep later arrays resident on the heap.
 
-Pieces are stored without the word-boundary marker; segment() renders the
-marker ("▁" by default) onto each word-initial piece.  Text normalization is
+Pieces are stored without the word-boundary marker; segment() puts the
+marker, MARKER ("▁"), onto each word-initial piece.  Text normalization is
 whitespace collapsing only.
 """
 
@@ -36,11 +36,10 @@ _UNK_PENALTY = 10.0
 class UnigramVocab:
     """A piece inventory.  The segmentation constants derived from it, the
     longest piece's length and the score of a character outside it, are
-    computed once here; the inventory is not changed after construction."""
+    computed once here; the inventory is not changed after construction.
+    The pieces are all it holds, so vocab_to_text stores it whole."""
 
     pieces: dict[str, float]  # piece -> log probability
-    marker: str = MARKER
-    target_size: int | None = None
     max_piece_len: int = field(init=False, repr=False, compare=False)
     unk_logprob: float = field(init=False, repr=False, compare=False)
 
@@ -293,8 +292,7 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
         _em_round(lattice, lp, alive)
     _renormalize(lp, alive)
     values = lp.tolist()
-    return UnigramVocab(pieces={pieces[k]: values[k] for k in alive.tolist()},
-                        target_size=vocab_size)
+    return UnigramVocab(pieces={pieces[k]: values[k] for k in alive.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ def segment(v: UnigramVocab, text: str) -> list[str]:
     for word in text.split():
         pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len,
                                   unk_logprob=v.unk_logprob)
-        out.append(v.marker + pieces[0])
+        out.append(MARKER + pieces[0])
         out.extend(pieces[1:])
     return out
 
@@ -317,8 +315,8 @@ def decode(v: UnigramVocab, pieces: list[str]) -> str:
     """Inverse of segment up to whitespace normalization."""
     words: list[str] = []
     for piece in pieces:
-        if piece.startswith(v.marker):
-            words.append(piece[len(v.marker):])
+        if piece.startswith(MARKER):
+            words.append(piece[len(MARKER):])
         else:
             if not words:
                 raise AlignmentError("first piece must carry the boundary marker")

@@ -5,8 +5,9 @@ differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
 reference and the row softmax compose primitive autodiff ops, never the
 fused lstm_scan and attention they check.  The primitives only these
-references need (sigmoid, tanh, exp, reshape, log_sum_exp and the
-matrix-vector product) are defined here, as nodes of the library's graph.
+references need (the element-wise product, broadcast, sigmoid, tanh, exp,
+reshape, log_sum_exp and the matrix-vector product) are defined here, as
+nodes of the library's graph.
 """
 
 import itertools
@@ -148,7 +149,7 @@ def segment_rescanning(v, text):
             cuts.append(back[cuts[-1]])
         cuts.reverse()
         pieces = [word[a:b] for a, b in zip(cuts, cuts[1:])]
-        out += [v.marker + pieces[0]] + pieces[1:]
+        out += [MARKER + pieces[0]] + pieces[1:]
     return out
 
 
@@ -156,7 +157,7 @@ def segmentation_score_rescanning(v, pieces):
     """Summed log-probability of marked pieces, an unknown piece scoring
     UNK_PENALTY below the rarest piece, recomputed on every call."""
     unk = min(v.pieces.values()) - UNK_PENALTY
-    return sum(v.pieces.get(p[len(v.marker):] if p.startswith(v.marker) else p, unk)
+    return sum(v.pieces.get(p[len(MARKER):] if p.startswith(MARKER) else p, unk)
                for p in pieces)
 
 
@@ -288,6 +289,37 @@ def naive_entity_scores(gold_corpus, pred_corpus):
 # element-wise primitives of the references below, as autodiff nodes
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
+
+    def _bw(g):
+        if a.requires_grad:
+            a.grad += g * b.data
+        if b.requires_grad:
+            b.grad += g * a.data
+
+    return ad._result(a.data * b.data, (a, b), "mul", _bw)
+
+
+def broadcast_to(x: Tensor, shape) -> Tensor:
+    shape = tuple(shape)
+    try:
+        data = np.broadcast_to(x.data, shape)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from None
+    extra = len(shape) - x.data.ndim
+    summed_axes = tuple(range(extra)) + tuple(
+        extra + i for i, n in enumerate(x.shape) if n == 1 and shape[extra + i] != 1)
+
+    def _bw(g):
+        if x.requires_grad:
+            g = g.sum(axis=summed_axes) if summed_axes else g
+            x.grad += g.reshape(x.shape)
+
+    return ad._result(data.copy(), (x,), "broadcast", _bw)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     # split by sign so that exp never overflows
     e = np.exp(-np.abs(x.data))
@@ -353,8 +385,7 @@ def softmax_nll(emissions: Tensor, labels) -> Tensor:
     n, T = emissions.shape
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
-    picked = ad.tensor_sum(ad.mul(emissions, Tensor(pick)))
-    return ad.tensor_sum(log_sum_exp(emissions, axis=1)) - picked
+    return ad.inner(log_sum_exp(emissions, axis=1), np.ones(n)) - ad.inner(emissions, pick)
 
 
 def matvec(a: Tensor, v: Tensor) -> Tensor:
@@ -389,8 +420,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
     f = sigmoid(gate(1))
     g = tanh(gate(2))
     o = sigmoid(gate(3))
-    c_t = f * c_prev + i * g
-    h_t = o * tanh(c_t)
+    c_t = mul(f, c_prev) + mul(i, g)
+    h_t = mul(o, tanh(c_t))
     return h_t, c_t
 
 
@@ -413,5 +444,5 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
     n = x.shape[0]
     lse = log_sum_exp(x, axis=1)
-    shifted = x - ad.broadcast_to(reshape(lse, (n, 1)), x.shape)
+    shifted = x - broadcast_to(reshape(lse, (n, 1)), x.shape)
     return exp(shifted)

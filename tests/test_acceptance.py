@@ -27,7 +27,7 @@ from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.evaluation import report_keyvalues, score
 from seqtag.models import TrainConfig, build_model, load_model, save_model, tag_corpus
 from seqtag.optim import lr_schedule
-from seqtag.subword import UnigramVocab, decode, segment, train_unigram
+from seqtag.subword import MARKER, UnigramVocab, decode, segment, train_unigram
 from seqtag.synth import generate_corpus
 from seqtag.training import bench, bench_table, evaluate_model, train
 
@@ -58,8 +58,7 @@ def random_chain(rng, max_len=5, max_tags=4):
     num_tags = int(rng.integers(1, max_tags + 1))
     emissions = rng.standard_normal((n, num_tags)) * 2.0
     transition = rng.standard_normal((num_tags + 1, num_tags + 1))
-    crf = CRFParams(transition=Tensor(transition.copy(), requires_grad=True),
-                    num_tags=num_tags)
+    crf = CRFParams(Tensor(transition.copy(), requires_grad=True))
     return crf, emissions, transition
 
 
@@ -91,17 +90,17 @@ def test_2_gradients_match_finite_differences(capsys):
                 check_grad(build, make())
 
         rng = np.random.default_rng(6)
-        pv = Tensor(rng.standard_normal(4))
-        pm = Tensor(rng.standard_normal((3, 5)))
-        ps = Tensor(rng.standard_normal((3, 4)))
+        pv = rng.standard_normal(4)
+        pm = rng.standard_normal((3, 5))
+        ps = rng.standard_normal((3, 4))
         for _ in range(10):
-            check_grad(lambda a: ad.tensor_sum(ad.mul(gelu(a), pv)),
+            check_grad(lambda a: ad.inner(gelu(a), pv),
                        [rng.standard_normal(4) * 2])
-            check_grad(lambda x, g, b: ad.tensor_sum(ad.mul(layer_norm(x, g, b), pm)),
+            check_grad(lambda x, g, b: ad.inner(layer_norm(x, g, b), pm),
                        [rng.standard_normal((3, 5)),
                         rng.standard_normal(5) * 0.5 + 1.0,
                         rng.standard_normal(5) * 0.5])
-            check_grad(lambda x: ad.tensor_sum(ad.mul(softmax_rows(x), ps)),
+            check_grad(lambda x: ad.inner(softmax_rows(x), ps),
                        [rng.standard_normal((3, 4)) * 2])
 
         # end to end: sequence nll of a two-token tagger, differentiated
@@ -272,7 +271,7 @@ def test_7_tokenizer_properties(capsys):
             total = sum(raw.values())
             vocab = UnigramVocab({p: math.log(v / total) for p, v in raw.items()})
             word = "".join("ab"[i] for i in rng2.integers(0, 2, size=int(rng2.integers(1, 9))))
-            got = [p.removeprefix(vocab.marker) for p in segment(vocab, word)]
+            got = [p.removeprefix(MARKER) for p in segment(vocab, word)]
             assert "".join(got) == word
             best, best_lp = best_segmentation(word, vocab.pieces)
             assert abs(segmentation_score_rescanning(vocab, got) - best_lp) <= 1e-12

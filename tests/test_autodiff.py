@@ -10,8 +10,8 @@ from seqtag.crf import illegal_mask
 from seqtag.errors import ConfigError, ShapeError, UsageError
 
 import oracles
-from oracles import (exp, finite_diff, log_sum_exp, matvec, max_rel_error, reshape,
-                     sigmoid, tanh)
+from oracles import (broadcast_to, exp, finite_diff, log_sum_exp, matvec, max_rel_error,
+                     mul, reshape, sigmoid, tanh)
 
 TOL = 1e-4
 
@@ -33,8 +33,14 @@ def check_grad(build, arrays, tol=TOL):
 
 
 def proj(rng, shape):
-    """Fixed random projection tensor used to scalarize multi-dim outputs."""
-    return Tensor(rng.standard_normal(shape))
+    """Fixed random projection used to scalarize multi-dim outputs through
+    ad.inner."""
+    return rng.standard_normal(shape)
+
+
+def total(x):
+    """Sum of all entries of x, as a scalar node."""
+    return ad.inner(x, np.ones(x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +69,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    check_grad(lambda x, y: ad.tensor_sum(ad.matmul(x, y)), [a, b])
+    check_grad(lambda x, y: total(ad.matmul(x, y)), [a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +90,41 @@ def test_tanh_at_zero_with_unit_derivative():
 
 def test_sigmoid_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
-    check_grad(lambda x: ad.tensor_sum(sigmoid(x)), [rng.standard_normal(7)])
+    check_grad(lambda x: total(sigmoid(x)), [rng.standard_normal(7)])
 
 
 def test_binary_ops_require_equal_shapes():
     with pytest.raises(ShapeError):
         ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
-        ad.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
+        mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
+    # add takes a bias row, but no column and no row of another width
+    for a, b in (((3, 4), (3,)), ((3, 4), (5,)), ((3,), (3, 4)), ((2, 3, 4), (4,))):
+        with pytest.raises(ShapeError):
+            ad.add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+    for c in (np.ones(4), np.ones((4, 3)), np.ones((1, 3, 4)), 1.0):
+        with pytest.raises(ShapeError):
+            ad.inner(Tensor(np.zeros((3, 4))), c)
+
+
+def test_add_of_a_bias_row_adds_it_to_every_row_and_sums_its_gradient():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor([10.0, 20.0, 30.0], requires_grad=True)
+    out = ad.add(a, b)
+    assert np.array_equal(out.data, [[10.0, 21.0, 32.0], [13.0, 24.0, 35.0]])
+    ad.backward(ad.inner(out, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    assert np.array_equal(a.grad, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert np.array_equal(b.grad, [5.0, 7.0, 9.0])
+
+
+def test_inner_is_the_sum_of_the_product_with_the_constant_as_gradient():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = rng.standard_normal((3, 4))
+    out = ad.inner(x, c)
+    assert out.shape == () and out.item() == np.sum(x.data * c)
+    ad.backward(ad.scale(out, 2.0))
+    assert np.array_equal(x.grad, 2.0 * c)
 
 
 def test_layer_norm_rejects_other_than_rows_with_row_wide_gain_and_bias():
@@ -122,7 +155,7 @@ def test_concat_single_part_identity():
 def test_concat_backward_splits_gradient():
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
-    ad.backward(ad.tensor_sum(ad.concat([a, b])))
+    ad.backward(total(ad.concat([a, b])))
     assert np.array_equal(a.grad, np.ones(3))
     assert np.array_equal(b.grad, np.ones(2))
 
@@ -190,13 +223,13 @@ def test_take_identity_row():
 def test_take_repeated_row_accumulates():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
     out = ad.add(ad.take(table, 2), ad.take(table, 2))
-    ad.backward(ad.tensor_sum(out))
+    ad.backward(total(out))
     assert np.array_equal(table.grad[2], [2.0, 2.0])
 
 
 def test_take_untouched_rows_stay_zero():
     table = Tensor(np.ones((4, 2)), requires_grad=True)
-    ad.backward(ad.tensor_sum(ad.take(table, 1)))
+    ad.backward(total(ad.take(table, 1)))
     assert np.array_equal(table.grad[[0, 2, 3]], np.zeros((3, 2)))
 
 
@@ -324,7 +357,7 @@ def test_dropout_is_unbiased():
 
 def test_backward_of_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    ad.backward(ad.tensor_sum(x))
+    ad.backward(total(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -332,7 +365,7 @@ def test_backward_of_dot_swaps_operands():
     rng = np.random.default_rng(6)
     xv, yv = rng.standard_normal(4), rng.standard_normal(4)
     x, y = Tensor(xv, requires_grad=True), Tensor(yv, requires_grad=True)
-    ad.backward(ad.tensor_sum(ad.mul(x, y)))
+    ad.backward(total(mul(x, y)))
     assert np.allclose(x.grad, yv)
     assert np.allclose(y.grad, xv)
 
@@ -359,7 +392,7 @@ def test_backward_is_linear():
     xv = rng.standard_normal(5)
 
     def parts(x):
-        return ad.tensor_sum(sigmoid(x)), ad.tensor_sum(ad.mul(x, x))
+        return total(sigmoid(x)), total(mul(x, x))
 
     x1 = Tensor(xv.copy(), requires_grad=True)
     a, b = parts(x1)
@@ -380,7 +413,7 @@ def test_forward_backward_deterministic():
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         h = ad.dropout(sigmoid(x), 0.3, training=True, rng=rng)
-        out = ad.tensor_sum(log_sum_exp(h, axis=1))
+        out = total(log_sum_exp(h, axis=1))
         ad.backward(out)
         return out.item(), x.grad.copy()
 
@@ -393,7 +426,7 @@ def test_forward_backward_deterministic():
 def test_grad_zero_after_creation_and_zero_grad():
     x = Tensor(np.ones(4), requires_grad=True)
     assert np.array_equal(x.grad, np.zeros(4))
-    ad.backward(ad.tensor_sum(x))
+    ad.backward(total(x))
     x.zero_grad()
     assert np.array_equal(x.grad, np.zeros(4))
     constant = Tensor(np.ones(4))  # no buffer unless a gradient is wanted
@@ -405,7 +438,7 @@ def test_grad_zero_after_creation_and_zero_grad():
 def test_forward_allocates_no_adjoints_and_backward_keeps_only_leaves():
     x = Tensor(np.arange(3.0), requires_grad=True)
     h = tanh(ad.scale(x, 2.0))
-    loss = ad.tensor_sum(ad.mul(h, h))
+    loss = total(mul(h, h))
     nodes = ad.trace(loss)
     assert all(n._grad is None for n in nodes)
     ad.backward(loss)
@@ -430,7 +463,7 @@ def test_no_grad_records_no_graph_and_restores_on_exit():
 
 def test_trace_topological_order():
     x = Tensor(np.ones(3), requires_grad=True)
-    y = ad.tensor_sum(ad.mul(sigmoid(x), tanh(x)))
+    y = total(mul(sigmoid(x), tanh(x)))
     order = ad.trace(y)
     seen = set()
     for node in order:
@@ -458,6 +491,8 @@ def _op_cases(rng):
     p_norm = proj(side, (3, 4))
     p_gelu = proj(side, (2, 3))
     p_stack = proj(side, (3, 4))
+    p_inner = proj(side, (3, 4))
+    p_row = proj(side, (3, 4))
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
@@ -466,59 +501,61 @@ def _op_cases(rng):
     p4 = proj(rng, 4)
     pm = proj(rng, (3, 4))
     return {
-        "matmul": (lambda a, b: ad.tensor_sum(ad.mul(ad.matmul(a, b), p2)),
+        "matmul": (lambda a, b: ad.inner(ad.matmul(a, b), p2),
                    lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]),
-        "add": (lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), p4)),
+        "add": (lambda a, b: ad.inner(ad.add(a, b), p4),
                 lambda: [rng.standard_normal(4), rng.standard_normal(4)]),
-        "mul": (lambda a, b: ad.tensor_sum(ad.mul(ad.mul(a, b), p4)),
+        # a (4,) bias row added to every row of a (3, 4) matrix
+        "add_row": (lambda a, b: ad.inner(ad.add(a, b), p_row),
+                    lambda: [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
+        "inner": (lambda a: ad.inner(a, p_inner),
+                  lambda: [rng.standard_normal((3, 4))]),
+        "mul": (lambda a, b: ad.inner(mul(a, b), p4),
                 lambda: [rng.standard_normal(4), rng.standard_normal(4)]),
-        "scale": (lambda a: ad.tensor_sum(ad.mul(ad.scale(a, -1.7), p4)),
+        "scale": (lambda a: ad.inner(ad.scale(a, -1.7), p4),
                   lambda: [rng.standard_normal(4)]),
-        "sigmoid": (lambda a: ad.tensor_sum(ad.mul(sigmoid(a), p4)),
+        "sigmoid": (lambda a: ad.inner(sigmoid(a), p4),
                     lambda: [rng.standard_normal(4) * 2]),
-        "tanh": (lambda a: ad.tensor_sum(ad.mul(tanh(a), p4)),
+        "tanh": (lambda a: ad.inner(tanh(a), p4),
                  lambda: [rng.standard_normal(4) * 2]),
-        "exp": (lambda a: ad.tensor_sum(ad.mul(exp(a), p4)),
+        "exp": (lambda a: ad.inner(exp(a), p4),
                 lambda: [rng.standard_normal(4)]),
-        "gelu": (lambda a: ad.tensor_sum(ad.mul(ad.gelu(a), p_gelu)),
+        "gelu": (lambda a: ad.inner(ad.gelu(a), p_gelu),
                  lambda: [rng.standard_normal((2, 3)) * 2]),
         # w.r.t. the rows, the gain and the bias
-        "layer_norm": (lambda x, g, b: ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b), p_norm)),
+        "layer_norm": (lambda x, g, b: ad.inner(ad.layer_norm(x, g, b), p_norm),
                        lambda: [rng.standard_normal((3, 4)) * 2, rng.standard_normal(4),
                                 rng.standard_normal(4)]),
-        "stack": (lambda a, b, c: ad.tensor_sum(ad.mul(ad.stack([a, b, c]), p_stack)),
+        "stack": (lambda a, b, c: ad.inner(ad.stack([a, b, c]), p_stack),
                   lambda: [rng.standard_normal(4) for _ in range(3)]),
-        "concat": (lambda a, b: ad.tensor_sum(ad.mul(ad.concat([a, b], axis=1), pm)),
+        "concat": (lambda a, b: ad.inner(ad.concat([a, b], axis=1), pm),
                    lambda: [rng.standard_normal((3, 1)), rng.standard_normal((3, 3))]),
-        "log_sum_exp": (lambda a: ad.tensor_sum(ad.mul(log_sum_exp(a, axis=1), Tensor(np.ones(2)))),
+        "log_sum_exp": (lambda a: ad.inner(log_sum_exp(a, axis=1), np.ones(2)),
                         lambda: [rng.standard_normal((2, 5)) * 3]),
-        "dropout": (lambda a: ad.tensor_sum(ad.mul(
-            ad.dropout(a, 0.4, True, np.random.default_rng(11)), p4)),
+        "dropout": (lambda a: ad.inner(
+            ad.dropout(a, 0.4, True, np.random.default_rng(11)), p4),
             lambda: [rng.standard_normal(4)]),
-        "reshape": (lambda a: ad.tensor_sum(ad.mul(reshape(a, (2, 2)), p22)),
+        "reshape": (lambda a: ad.inner(reshape(a, (2, 2)), p22),
                     lambda: [rng.standard_normal(4)]),
-        "broadcast_to": (lambda a: ad.tensor_sum(ad.mul(ad.broadcast_to(a, (3, 4)), pm)),
+        "broadcast_to": (lambda a: ad.inner(broadcast_to(a, (3, 4)), pm),
                          lambda: [rng.standard_normal((1, 4))]),
-        "transpose": (lambda a: ad.tensor_sum(ad.mul(ad.transpose(a), p23)),
+        "transpose": (lambda a: ad.inner(ad.transpose(a), p23),
                       lambda: [rng.standard_normal((3, 2))]),
         # three packed sequences of 4, 1 and 3 rows, read in each direction;
         # gradients w.r.t. x and the four stacked gate blocks
-        "lstm_scan": (lambda x, *w: ad.tensor_sum(ad.mul(
-            ad.lstm_scan(x, [4, 1, 3], *w), p_scan)),
+        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], *w), p_scan),
+                      lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
+                               rng.standard_normal((8, 2)), rng.standard_normal(8),
+                               rng.standard_normal(8)]),
+        "lstm_scan_reverse": (lambda x, *w: ad.inner(
+            ad.lstm_scan(x, [4, 1, 3], *w, reverse=True), p_scan_reverse),
             lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
                      rng.standard_normal((8, 2)), rng.standard_normal(8),
                      rng.standard_normal(8)]),
-        "lstm_scan_reverse": (lambda x, *w: ad.tensor_sum(ad.mul(
-            ad.lstm_scan(x, [4, 1, 3], *w, reverse=True), p_scan_reverse)),
-            lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
-                     rng.standard_normal((8, 2)), rng.standard_normal(8),
-                     rng.standard_normal(8)]),
-        "gather_rows": (lambda t: ad.tensor_sum(ad.mul(
-            ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather)),
-            lambda: [rng.standard_normal((4, 3))]),
-        "take": (lambda a: ad.tensor_sum(ad.mul(
-            ad.take(a, (slice(None, None, -1), 1)), p_take)),
-            lambda: [rng.standard_normal((3, 4))]),
+        "gather_rows": (lambda t: ad.inner(ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather),
+                        lambda: [rng.standard_normal((4, 3))]),
+        "take": (lambda a: ad.inner(ad.take(a, (slice(None, None, -1), 1)), p_take),
+                 lambda: [rng.standard_normal((3, 4))]),
         # the fused forward algorithm over 1 to 5 positions and 3 tags,
         # w.r.t. the emissions and the whole transition table, free and
         # under the BIO2 mask of O, B-X, I-X
@@ -534,9 +571,8 @@ def _op_cases(rng):
             lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
         # heads of width 2, w.r.t. q, k and v
-        "attention": (lambda q, k, v: ad.tensor_sum(ad.mul(
-            ad.attention(q, k, v, [3, 1, 2], 2)[0], p_attn)),
-            lambda: [rng.standard_normal((6, 4)) for _ in range(3)]),
+        "attention": (lambda q, k, v: ad.inner(ad.attention(q, k, v, [3, 1, 2], 2)[0], p_attn),
+                      lambda: [rng.standard_normal((6, 4)) for _ in range(3)]),
     }
 
 
@@ -556,11 +592,17 @@ def _result_ops(module):
             and "_result" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
+ENGINE_OPS = {"matmul", "add", "scale", "gelu", "layer_norm", "concat", "gather_rows",
+              "take", "dropout", "transpose", "stack", "lstm_scan", "crf_forward",
+              "attention", "inner"}
+
+
 def test_every_op_has_a_gradient_case():
-    """Every op name autodiff.py or the test oracles give _result is the op
-    of a node in one of the _op_cases graphs."""
-    ops = _result_ops(ad) | _result_ops(oracles)
-    assert len(ops) > 20
+    """autodiff.py gives _result exactly the 15 engine op names, and every
+    op name it or the test oracles give _result is the op of a node in one
+    of the _op_cases graphs."""
+    assert _result_ops(ad) == ENGINE_OPS
+    ops = ENGINE_OPS | _result_ops(oracles)
     seen = set()
     for build, make in _op_cases(np.random.default_rng(0)).values():
         root = build(*[Tensor(a, requires_grad=True) for a in make()])

@@ -120,6 +120,40 @@ def test_log_partition_is_one_node_over_emissions_and_transition():
         assert [node._op for node in graph] == ["leaf", "leaf", "crf_forward"]
 
 
+def test_loss_graph_above_the_emissions_is_one_forward_and_two_inner_nodes():
+    """The gold path score is an inner product of the emissions and one of
+    the transition table with constant count tables: no element-wise
+    product, sum or broadcast node, one or many sequences."""
+    rng = np.random.default_rng(61)
+    c = random_crf(rng, 3)
+    mask = crf_mod.illegal_mask(["O", "B-X", "I-X"])
+    for m, lengths in ((None, None), (mask, [2, 1, 2])):
+        e = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        loss = crf_mod.crf_nll(c, e, [0, 1, 0, 1, 2], m, lengths)
+        ops = [n._op for n in ad.trace(loss)]
+        assert sorted(ops) == ["add", "add", "crf_forward", "inner", "inner",
+                               "leaf", "leaf", "scale"]
+        assert not {"mul", "sum", "broadcast"} & set(ops)
+
+
+def test_the_crf_table_decides_the_tag_count():
+    """CRFParams holds only its (T+1, T+1) table; a table that is not square
+    or smaller than 2 x 2 is refused, and emissions of another width are
+    refused by every call."""
+    assert CRFParams(Tensor(np.zeros((5, 5)))).num_tags == 4
+    for shape in ((5, 4), (1, 1), (0, 0), (5,), (2, 2, 2)):
+        with pytest.raises(ShapeError):
+            CRFParams(Tensor(np.zeros(shape)))
+    c = CRFParams(Tensor(np.zeros((5, 5))))
+    e = Tensor(np.zeros((1, 3)))
+    with pytest.raises(ShapeError):
+        crf_mod.viterbi_decode(c, e)
+    with pytest.raises(ShapeError):
+        crf_mod.crf_nll(c, e, [0])
+    with pytest.raises(ShapeError):
+        crf_mod.score_sequence(c, e, [0])
+
+
 def test_packed_score_partition_and_nll_are_sums_over_their_sequences():
     """One call over sequences packed back to back equals the sum of one
     call per sequence, in value and in every gradient, and builds one
@@ -426,7 +460,7 @@ def test_linear_nll_is_bitwise_the_softmax_cross_entropy():
 
 def zero_crf(num_tags):
     """The transition table a linear head decodes with: all zeros, constant."""
-    return CRFParams(Tensor(np.zeros((num_tags + 1, num_tags + 1))), num_tags)
+    return CRFParams(Tensor(np.zeros((num_tags + 1, num_tags + 1))))
 
 
 def random_bio2_tags(rng):

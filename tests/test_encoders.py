@@ -110,8 +110,7 @@ def test_lstm_step_gradients_match_finite_differences():
             getattr(q, k).data[...] = a
         xt = Tensor(arrays[-1], requires_grad=True)
         h, c = lstm_step(q, xt, Tensor(h0), Tensor(c0))
-        return q, xt, (ad.tensor_sum(ad.mul(h, Tensor(proj)))
-                       + ad.tensor_sum(ad.mul(c, Tensor(proj))))
+        return q, xt, ad.inner(h, proj) + ad.inner(c, proj)
 
     inputs = [base[k] for k in names] + [x]
     q, xt, loss = rebuild(inputs)
@@ -161,7 +160,7 @@ def test_bilstm_encode_of_a_batch_equals_each_sequence_alone():
     bi = enc.BiLSTM.init(3, 2, rng)
     lengths = [2, 5, 1, 3]
     x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
-    proj = Tensor(rng.normal(size=(sum(lengths), 4)))
+    proj = rng.normal(size=(sum(lengths), 4))
 
     def one_by_one():
         starts = np.cumsum([0] + lengths)
@@ -202,7 +201,8 @@ def test_bilstm_gradient_reaches_both_directions():
     rng = np.random.default_rng(14)
     bi = enc.BiLSTM.init(2, 2, rng)
     xs = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    loss = ad.tensor_sum(bi.encode(xs))
+    out = bi.encode(xs)
+    loss = ad.inner(out, np.ones(out.shape))
     ad.backward(loss)
     assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("fwd."))
     assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("bwd."))
@@ -216,7 +216,7 @@ def _outputs_and_grads(bi, inputs, build, proj):
     for t in tensors:
         t.zero_grad()
     out = build()
-    ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+    ad.backward(ad.inner(out, proj))
     return [out.data.copy()] + [t.grad.copy() for t in tensors]
 
 
@@ -243,7 +243,7 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
             out.append(ad.concat([hs_f[-1], hs_b[-1]]))
         return ad.stack(out)
 
-    proj = Tensor(rng.normal(size=(3, 8)))
+    proj = rng.normal(size=(3, 8))
     fused = _outputs_and_grads(bi, [table], lambda: bi.final_states(table, words), proj)
     oracle = _outputs_and_grads(bi, [table], oracle_final_states, proj)
     for got, want in zip(fused, oracle):
@@ -256,7 +256,7 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
         hs_f, hs_b = _oracle_bilstm(bi, [ad.take(x, t) for t in range(5)])
         return ad.stack([ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
 
-    proj = Tensor(rng.normal(size=(5, 8)))
+    proj = rng.normal(size=(5, 8))
     fused = _outputs_and_grads(bi, [x], lambda: bi.encode(x), proj)
     oracle = _outputs_and_grads(bi, [x], oracle_encode, proj)
     for got, want in zip(fused, oracle):
@@ -279,7 +279,7 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, reve
     z0 *= reach / np.median(np.abs(z0))
     assert np.any(z0 < -reach) and np.any(z0 > reach)
     lengths = [4, 2]
-    proj = Tensor(rng.normal(size=(6, 4)))
+    proj = rng.normal(size=(6, 4))
 
     def oracle():
         out = []
@@ -295,7 +295,7 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, reve
         for t in tensors:
             t.zero_grad()
         out = build()
-        ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+        ad.backward(ad.inner(out, proj))
         results.append([out.data.copy()] + [t.grad.copy() for t in tensors])
     for got, want in zip(*results):
         assert np.all(np.isfinite(got))
@@ -426,7 +426,7 @@ def test_composer_gradient_reaches_every_enabled_table():
     composer = make_composer(cfg, np.random.default_rng(26))
     x = composer.compose_input(["meliha"], analyses=["meliha+noun"],
                                pieces=[["me", "li", "ha"]])
-    ad.backward(ad.tensor_sum(x))
+    ad.backward(ad.inner(x, np.ones(x.shape)))
     for name in ("word_table", "char_table", "morph_table", "piece_table"):
         table = getattr(composer, name)
         assert np.any(table.matrix.grad != 0), name
@@ -513,7 +513,7 @@ def test_layer_norm_gradient_matches_finite_differences():
         xt = Tensor(xa, requires_grad=True)
         gt = Tensor(ga, requires_grad=True)
         bt = Tensor(ba, requires_grad=True)
-        loss = ad.tensor_sum(ad.mul(ad.layer_norm(xt, gt, bt), Tensor(proj)))
+        loss = ad.inner(ad.layer_norm(xt, gt, bt), proj)
         return xt, gt, bt, loss
 
     xt, gt, bt, loss = build(x, gain, bias)
@@ -566,7 +566,7 @@ def test_attention_gradient_matches_finite_differences():
         layer.Wq.data[...] = qa
         xt = Tensor(xa, requires_grad=True)
         out, _ = enc.multi_head_attention(layer, xt, 2)
-        return xt, ad.tensor_sum(ad.mul(out, Tensor(proj)))
+        return xt, ad.inner(out, proj)
 
     xt, loss = build(x, q0)
     for t in layer.named_parameters().values():
@@ -598,13 +598,13 @@ def test_fused_attention_matches_per_sequence_oracle():
     rng = np.random.default_rng(39)
     lengths = [4, 1, 3, 2]
     qkv = [rng.normal(size=(10, 6)) for _ in range(3)]
-    proj = Tensor(rng.normal(size=(10, 6)))
+    proj = rng.normal(size=(10, 6))
     results = []
     for fused in (True, False):
         ts = [Tensor(a.copy(), requires_grad=True) for a in qkv]
         out = (ad.attention(*ts, lengths, 3)[0] if fused
                else _attention_oracle(*ts, lengths, 3))
-        ad.backward(ad.tensor_sum(ad.mul(out, proj)))
+        ad.backward(ad.inner(out, proj))
         results.append([out.data] + [t.grad for t in ts])
     for got, want in zip(*results):
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -701,8 +701,8 @@ def test_transformer_encode_backward_reaches_embeddings_and_all_layers():
     ids = [params.piece_table.id_of("a"), params.piece_table.id_of("b")]
     out = enc.transformer_encode(cfg, params, ids)
     # plain summation is constant under layer norm, so project randomly
-    proj = Tensor(rng.normal(size=(2, 4)))
-    loss = ad.tensor_sum(ad.mul(out, proj))
+    proj = rng.normal(size=(2, 4))
+    loss = ad.inner(out, proj)
     ad.backward(loss)
     named = params.named_parameters()
     assert np.any(named["piece_table"].grad != 0)

@@ -8,7 +8,7 @@ from seqtag import subword as sw
 from seqtag.errors import (AlignmentError, ConfigError, ParseError, UsageError,
                            ValidationError)
 from seqtag.subword import (UnigramVocab, decode, load_vocab, save_vocab,
-                            segment, train_unigram)
+                            segment, train_unigram, vocab_from_text, vocab_to_text)
 from seqtag.synth import generate_corpus
 
 from oracles import (PAD, align_labels, all_segmentations, best_segmentation,
@@ -129,7 +129,7 @@ def test_trained_probabilities_are_normalized():
         v = train_unigram("paris parte partizan pazar pazartesi", size, seed=0)
         total = sum(math.exp(lp) for lp in v.pieces.values())
         assert abs(total - 1.0) <= 1e-9
-        assert v.target_size == size
+        assert len(v) <= size
 
 
 def test_frequent_word_becomes_single_piece():
@@ -327,6 +327,13 @@ def test_vocab_file_round_trip_is_exact(tmp_path):
     loaded = load_vocab(path)
     assert loaded.pieces == v.pieces
     assert list(loaded.pieces) == list(v.pieces)
+
+
+def test_trained_tokenizer_equals_its_own_text_round_trip():
+    """The text form stores all a tokenizer holds."""
+    for size in (9, 16):
+        v = train_unigram("evler evlerde evde kedi kediler", vocab_size=size, seed=0)
+        assert vocab_from_text(vocab_to_text(v)) == v
 
 
 def test_vocab_file_parse_errors(tmp_path):
