@@ -123,12 +123,6 @@ def log_partition(crf: CRFParams, emissions: Tensor,
     return ad.crf_forward(emissions, crf.transition, mask, lengths)
 
 
-def log_prob(crf: CRFParams, emissions: Tensor, labels,
-             mask: np.ndarray | None = None, lengths=None) -> Tensor:
-    return (score_sequence(crf, emissions, labels, mask, lengths)
-            - log_partition(crf, emissions, mask, lengths))
-
-
 def crf_nll(crf: CRFParams, emissions: Tensor, labels,
             mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Negative log-likelihood of one labeled sequence, or with lengths the
@@ -136,6 +130,12 @@ def crf_nll(crf: CRFParams, emissions: Tensor, labels,
     labels: the log-partition minus the gold path score."""
     score = score_sequence(crf, emissions, labels, mask, lengths)  # bad labels raise first
     return log_partition(crf, emissions, mask, lengths) - score
+
+
+def log_prob(crf: CRFParams, emissions: Tensor, labels,
+             mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """Log-probability of the labeling: the negated training loss."""
+    return -crf_nll(crf, emissions, labels, mask, lengths)
 
 
 def viterbi_decode(crf: CRFParams, emissions: Tensor,

@@ -302,6 +302,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return ad._result(a.data * b.data, (a, b), "mul", _bw)
 
 
+def total(x: Tensor) -> Tensor:
+    """Sum of all entries of x, as a scalar node."""
+    return ad.inner(x, np.ones(x.shape))
+
+
 def broadcast_to(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     try:

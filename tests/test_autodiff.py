@@ -11,7 +11,7 @@ from seqtag.errors import ConfigError, ShapeError, UsageError
 
 import oracles
 from oracles import (broadcast_to, exp, finite_diff, log_sum_exp, matvec, max_rel_error,
-                     mul, reshape, sigmoid, tanh)
+                     mul, reshape, sigmoid, tanh, total)
 
 TOL = 1e-4
 
@@ -36,11 +36,6 @@ def proj(rng, shape):
     """Fixed random projection used to scalarize multi-dim outputs through
     ad.inner."""
     return rng.standard_normal(shape)
-
-
-def total(x):
-    """Sum of all entries of x, as a scalar node."""
-    return ad.inner(x, np.ones(x.shape))
 
 
 # ---------------------------------------------------------------------------
