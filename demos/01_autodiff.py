@@ -35,20 +35,20 @@ print("d/dv        =", v.grad, " (expect w)")
 # of the linear head's softmax loss.  add takes the (3,) bias as a row
 # added to every row of the (1, 3) product
 rng = np.random.default_rng(0)
-W = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)  # (in, out)
 b = Tensor(np.zeros(3), requires_grad=True)
 x = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
-scores = ad.matmul(x, ad.transpose(W)) + b  # (1, 3): one position, three tags
+scores = x @ W + b  # (1, 3): one position, three tags
 log_z = ad.crf_forward(scores, Tensor(np.zeros((4, 4))))
 ad.backward(log_z)
 softmax = np.exp(scores.data[0] - float(log_z.data))
-print("\nlog-sum-exp of x W^T =", float(log_z.data))
-print("softmax(x W^T)       =", softmax.round(4))
-print("d/dx                 =", x.grad[0].round(4))
-print("softmax @ W          =", (softmax @ W.data).round(4))
-print("d/db                 =", b.grad.round(4), " (the softmax)")
-# the gradient w.r.t. x is the softmax-weighted mean of W's rows; the two
-# lines above agree
+print("\nlog-sum-exp of x W =", float(log_z.data))
+print("softmax(x W)       =", softmax.round(4))
+print("d/dx               =", x.grad[0].round(4))
+print("W @ softmax        =", (W.data @ softmax).round(4))
+print("d/db               =", b.grad.round(4), " (the softmax)")
+# the gradient w.r.t. x is the softmax-weighted mean of W's columns; the
+# two lines above agree
 
 # gradients accumulate across repeated use of the same tensor
 emb = Tensor(np.eye(3), requires_grad=True)

@@ -364,17 +364,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 # structural operations used by the encoders and the CRF
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g.T
-
-    return _result(x.data.T.copy(), (x,), "transpose", _bw)
-
-
 def stack(rows: list[Tensor]) -> Tensor:
     """Stack 1-D tensors of equal length into a matrix, one per row."""
     if not rows:

@@ -314,7 +314,7 @@ class ToyTransformerConfig:
 
 @dataclass
 class TransformerLayer:
-    Wq: Tensor  # (hidden, hidden); head h owns rows h*dk:(h+1)*dk
+    Wq: Tensor  # (hidden, hidden), (in, out); head h owns columns h*dk:(h+1)*dk
     Wk: Tensor
     Wv: Tensor
     Wo: Tensor
@@ -331,24 +331,25 @@ class TransformerLayer:
     def init(cls, cfg: ToyTransformerConfig, rng: np.random.Generator) -> "TransformerLayer":
         d, heads = cfg.hidden_units, cfg.num_heads
 
-        def mat(rows, cols):
-            return Tensor(xavier_uniform(rng, rows, cols), requires_grad=True)
+        def mat(draw):
+            # drawn (out, in), stored (in, out) for x @ W
+            return Tensor(np.ascontiguousarray(draw.T), requires_grad=True)
 
         def per_head():
             # drawn head by head, each with its own (dk, d) Xavier range
-            return Tensor(np.concatenate([xavier_uniform(rng, d // heads, d)
-                                          for _ in range(heads)]), requires_grad=True)
+            return mat(np.concatenate([xavier_uniform(rng, d // heads, d)
+                                       for _ in range(heads)]))
 
         return cls(
             Wq=per_head(),
             Wk=per_head(),
             Wv=per_head(),
-            Wo=mat(d, d),
+            Wo=mat(xavier_uniform(rng, d, d)),
             ln1_gain=Tensor(np.ones(d), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d), requires_grad=True),
-            W_ff1=mat(cfg.ff_units, d),
+            W_ff1=mat(xavier_uniform(rng, cfg.ff_units, d)),
             b_ff1=Tensor(np.zeros(cfg.ff_units), requires_grad=True),
-            W_ff2=mat(d, cfg.ff_units),
+            W_ff2=mat(xavier_uniform(rng, d, cfg.ff_units)),
             b_ff2=Tensor(np.zeros(d), requires_grad=True),
             ln2_gain=Tensor(np.ones(d), requires_grad=True),
             ln2_bias=Tensor(np.zeros(d), requires_grad=True),
@@ -391,10 +392,10 @@ def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
     own sequence.  Returns the projected output and one (num_heads, L, L)
     array of attention weights per sequence; weight rows sum to one.
     """
-    q, k, v = (x @ ad.transpose(w) for w in (layer.Wq, layer.Wk, layer.Wv))
+    q, k, v = (x @ w for w in (layer.Wq, layer.Wk, layer.Wv))
     combined, weights = ad.attention(q, k, v, [x.shape[0]] if lengths is None
                                      else lengths, num_heads)
-    return combined @ ad.transpose(layer.Wo), weights
+    return combined @ layer.Wo, weights
 
 
 def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Tensor,
@@ -402,8 +403,7 @@ def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Ten
     attn_out, _ = multi_head_attention(layer, x, cfg.num_heads, lengths)
     attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
     x = ad.layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
-    ff = (ad.gelu(x @ ad.transpose(layer.W_ff1) + layer.b_ff1) @ ad.transpose(layer.W_ff2)
-          + layer.b_ff2)
+    ff = ad.gelu(x @ layer.W_ff1 + layer.b_ff1) @ layer.W_ff2 + layer.b_ff2
     ff = ad.dropout(ff, cfg.dropout_p, training, rng)
     return ad.layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
 

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 # load_model reads no artifact member past these sizes: manifest.json and
 # tensors.npz have fixed caps, and tokenizer.tsv may hold one line of at
 # most TOKENIZER_LINE_MAX_BYTES per row of the stored piece table
@@ -109,7 +109,7 @@ class SequenceTagger:
     tags: TagSet
     dropout_p: float
     mask_illegal: bool
-    w_out: Tensor
+    w_out: Tensor  # (features, tags): (in, out), as every matmul weight
     b_out: Tensor
     composer: InputComposer | None = None
     encoder: BiLSTM | None = None
@@ -150,7 +150,7 @@ class SequenceTagger:
 
     def _project(self, h: Tensor) -> Tensor:
         """Emission rows (n, T) of the (n, F) feature rows h."""
-        return ad.matmul(h, ad.transpose(self.w_out)) + self.b_out
+        return ad.matmul(h, self.w_out) + self.b_out
 
     def _bilstm_features(self, words, morphs, lengths, training, rng):
         pieces = None
@@ -299,7 +299,8 @@ def build_model(cfg: TrainConfig, vocab: Vocabulary,
         feature_dim = cfg.transformer.hidden_units
         kw.update(transformer_cfg=cfg.transformer, transformer=transformer,
                   tokenizer=tokenizer)
-    w_out = Tensor(xavier_uniform(rng, T, feature_dim), requires_grad=True)
+    w_out = Tensor(np.ascontiguousarray(xavier_uniform(rng, T, feature_dim).T),
+                   requires_grad=True)  # drawn (T, F), stored (F, T)
     b_out = Tensor(np.zeros(T), requires_grad=True)
     crf = CRFParams.init(T, rng) if kind.endswith("-crf") else None
     return SequenceTagger(kind, tags, cfg.dropout_p, cfg.mask_illegal,
@@ -351,11 +352,14 @@ def save_model(model: SequenceTagger, path) -> None:
             zf.writestr(info, content, zipfile.ZIP_DEFLATED)
 
 
-def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
-    """Version-1 tensors in the version-2 layout.  Version 1 kept sixteen
-    per-gate tensors per LSTM direction (W_ii, W_hi, ..., b_ho) and one
-    attention projection per head (Wq.0, Wq.1, ...); each group is
-    concatenated in gate or head order into its stacked block."""
+def _upgrade_tensors(arrays: dict, num_heads: int) -> dict:
+    """Tensors of a version-1 or version-2 artifact in the current layout.
+
+    Version 1 kept sixteen per-gate tensors per LSTM direction (W_ii, W_hi,
+    ..., b_ho) and one attention projection per head (Wq.0, Wq.1, ...); each
+    group is concatenated in gate or head order into its stacked block.
+    Versions 1 and 2 stored w_out and each transformer layer's Wq, Wk, Wv,
+    Wo, W_ff1 and W_ff2 as (out, in); each is transposed to (in, out)."""
     out = dict(arrays)
     for name in arrays:
         if name.endswith("W_ii"):
@@ -368,6 +372,9 @@ def _stack_v1_tensors(arrays: dict, num_heads: int) -> dict:
             for proj in ("Wq", "Wk", "Wv"):
                 out[prefix + proj] = np.concatenate(
                     [out.pop(f"{prefix}{proj}.{h}") for h in range(num_heads)])
+    for name, arr in out.items():
+        if name.rpartition(".")[2] in ("w_out", "Wq", "Wk", "Wv", "Wo", "W_ff1", "W_ff2"):
+            out[name] = np.ascontiguousarray(arr.T)
     return out
 
 
@@ -394,7 +401,7 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
                                 f"but {layers} layers are stored")
         checks += [("transformer.max_len", t.max_len, "transformer.positions", 0),
                    ("transformer.hidden_units", t.hidden_units, "transformer.positions", 1),
-                   ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 0)]
+                   ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 1)]
     else:
         c = cfg.composer
         checks.append(("hidden_dim", cfg.hidden_dim, "encoder.fwd.W_h", 1))
@@ -482,7 +489,7 @@ def _read_tokenizer(cfg: TrainConfig, zf: zipfile.ZipFile,
 
 
 def load_model(path) -> SequenceTagger:
-    """Read a model artifact of version 1 or 2; raises ArtifactError on
+    """Read a model artifact of version 1, 2 or 3; raises ArtifactError on
     anything malformed.
 
     The stored tensors are read first, and every size the manifest gives
@@ -490,9 +497,9 @@ def load_model(path) -> SequenceTagger:
     than the stored piece table has rows.  No member is read past its cap
     (MANIFEST_MAX_BYTES, TENSORS_MAX_BYTES, and TOKENIZER_LINE_MAX_BYTES
     per piece-table row).  build_model then makes the model from the
-    config, tags and tables the manifest names, and the stored tensors
-    replace its initial weights.  The rebuilt tables must reproduce the
-    manifest's exactly."""
+    config, tags and tables the manifest names, and the stored tensors, in
+    the current layout (_upgrade_tensors), replace its initial weights.
+    The rebuilt tables must reproduce the manifest's exactly."""
     try:
         zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile as exc:
@@ -515,9 +522,9 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
     if not isinstance(manifest, dict):
         raise ArtifactError("corrupt artifact manifest: not a JSON object")
     version = manifest.get("format_version")
-    if type(version) is not int or version not in (1, ARTIFACT_VERSION):
+    if type(version) is not int or not 1 <= version <= ARTIFACT_VERSION:
         raise ArtifactError(f"artifact format version {version!r} is not "
-                            f"supported; this build reads versions 1 and "
+                            f"supported; this build reads versions 1 to "
                             f"{ARTIFACT_VERSION}")
     try:
         cfg = TrainConfig(
@@ -540,8 +547,8 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
                             f"build_model can make: {exc!r}") from exc
     try:
         arrays = _read_tensors(npz_bytes)
-        if version == 1:
-            arrays = _stack_v1_tensors(arrays, cfg.transformer.num_heads)
+        if version < ARTIFACT_VERSION:
+            arrays = _upgrade_tensors(arrays, cfg.transformer.num_heads)
     except ArtifactError:
         raise
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError,

@@ -269,6 +269,8 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
     accepted and ignored.
     """
     del seed
+    if type(max_piece_len) is not int or max_piece_len < 1:
+        raise ConfigError(f"max_piece_len must be a positive integer, got {max_piece_len!r}")
     words = _word_counts(corpus)
     if not words:
         raise UsageError("empty training corpus")

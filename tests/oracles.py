@@ -6,8 +6,8 @@ time) and shares no code with the implementation under test; the LSTM
 reference and the row softmax compose primitive autodiff ops, never the
 fused lstm_scan and attention they check.  The primitives only these
 references need (the element-wise product, broadcast, sigmoid, tanh, exp,
-reshape, log_sum_exp and the matrix-vector product) are defined here, as
-nodes of the library's graph.
+reshape, transpose, log_sum_exp and the matrix-vector product) are defined
+here, as nodes of the library's graph.
 """
 
 import itertools
@@ -365,6 +365,17 @@ def reshape(x: Tensor, shape) -> Tensor:
             x.grad += g.reshape(x.shape)
 
     return ad._result(x.data.reshape(shape), (x,), "reshape", _bw)
+
+
+def transpose(x: Tensor) -> Tensor:
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g.T
+
+    return ad._result(x.data.T.copy(), (x,), "transpose", _bw)
 
 
 def log_sum_exp(x: Tensor, axis: int = 0) -> Tensor:

@@ -238,7 +238,8 @@ def test_divergence_exits_three(tmp_path, corpus_file):
 
 
 def test_orphan_gold_tag_under_the_mask_exits_two(tmp_path, corpus_file, capsys):
-    lines = open(corpus_file, encoding="utf-8").read().split("\n")
+    with open(corpus_file, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     cols = lines[0].split("\t")
     cols[-1] = "I-PERSON"
     lines[0] = "\t".join(cols)
@@ -408,6 +409,17 @@ def test_tokenizer_train_writes_a_loadable_vocab(tmp_path):
                  "--vocab-size", "15", "--out", str(out)]) == 0
     vocab = load_vocab(out)
     assert len(vocab) == 15
+
+
+@pytest.mark.parametrize("max_piece_len", ["0", "-2"])
+def test_tokenizer_train_rejects_a_max_piece_len_below_one(tmp_path, capsys, max_piece_len):
+    text = tmp_path / "text.txt"
+    text.write_text("paris pazar pazartesi\nparis parti\n")
+    out = tmp_path / "pieces.tsv"
+    assert main(["tokenizer-train", "--input", str(text), "--vocab-size", "10",
+                 "--max-piece-len", max_piece_len, "--out", str(out)]) == 1
+    assert "error: max_piece_len must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from seqtag.errors import ConfigError, ShapeError, UsageError
 from seqtag.models import TrainConfig, build_model
 from seqtag.subword import UnigramVocab
 
-from oracles import finite_diff, lstm_run, lstm_step, max_rel_error, softmax_rows, total
+from oracles import (finite_diff, lstm_run, lstm_step, max_rel_error, softmax_rows, total,
+                     transpose)
 
 
 def sig(z):
@@ -587,7 +588,7 @@ def _attention_oracle(q, k, v, lengths, num_heads):
         heads = []
         for h in range(num_heads):
             band = (slice(a, b), slice(h * dk, (h + 1) * dk))
-            scores = ad.scale(ad.take(q, band) @ ad.transpose(ad.take(k, band)),
+            scores = ad.scale(ad.take(q, band) @ transpose(ad.take(k, band)),
                               1.0 / math.sqrt(dk))
             heads.append(softmax_rows(scores) @ ad.take(v, band))
         blocks.append(ad.concat(heads, axis=1))

@@ -104,6 +104,38 @@ def test_parameter_names_are_unique_and_trainable(vocab, tokenizer):
         assert model.parameters() == list(named.values())
 
 
+# (out, in) shape and entries [0, 1], [-1, 0], [-1, -2] of each matmul weight
+# of the seed-0 tiny transformer-crf, as artifact version 2 stored them
+_OUT_IN_DRAWS = {
+    "transformer.layer0.Wq": ((12, 12), 0.09099989916719609, 0.3084982463820144,
+                              0.4952686566916433),
+    "transformer.layer0.Wk": ((12, 12), -0.13681911883491082, 0.4497268024822514,
+                              -0.18335982936301404),
+    "transformer.layer0.Wv": ((12, 12), -0.5601677584525295, -0.08076314577790805,
+                              0.24879238568029538),
+    "transformer.layer0.Wo": ((12, 12), -0.49623797161629535, -0.11792490687774748,
+                              0.28394914736763976),
+    "transformer.layer0.W_ff1": ((16, 12), 0.22728264233073092, 0.1196104525721311,
+                                 -0.0617609527263282),
+    "transformer.layer0.W_ff2": ((12, 16), -0.15543145670785824, 0.05138985738496371,
+                                 0.32142671931078837),
+    "w_out": ((6, 12), -0.09458907406827222, -0.5639654304969823, -0.5395451206706988),
+}
+
+
+def test_matmul_weights_are_stored_in_out_with_the_out_in_draws(vocab, tokenizer):
+    """Each weight x @ W multiplies is stored (in, out), C-contiguous, and
+    holds the (out, in) Xavier draw it held before, transposed, so seeded
+    models are the same models."""
+    model = build_model(tiny_cfg("transformer-crf"), vocab, np.random.default_rng(0),
+                        tokenizer)
+    named = model.named_parameters()
+    for name, (shape, *entries) in _OUT_IN_DRAWS.items():
+        w = named[name].data
+        assert w.shape == shape[::-1] and w.flags["C_CONTIGUOUS"], name
+        assert [w[1, 0], w[0, -1], w[-2, -1]] == entries, name
+
+
 def test_crf_kind_has_transition_table_and_linear_kind_does_not(vocab):
     crf_model = build_model(tiny_cfg("bilstm-crf"), vocab,
                             np.random.default_rng(0))
@@ -517,8 +549,9 @@ def test_unsupported_version_is_reported(tmp_path, corpus, vocab):
         load_model(dst)
 
 
-@pytest.mark.parametrize("version", [0, 3, None, "2", True, 1.0])
+@pytest.mark.parametrize("version", [0, 4, None, "2", True, 1.0])
 def test_versions_other_than_one_and_two_are_rejected(tmp_path, vocab, version):
+    """Only the int versions 1 to ARTIFACT_VERSION (3) load."""
     model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
     src = tmp_path / "ok.zip"
     save_model(model, src)
@@ -655,16 +688,19 @@ def test_transformer_artifact_with_hidden_dim_zero_loads(tmp_path, corpus,
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize("name", ["v1_bilstm_crf", "v1_transformer_crf"])
-def test_version_1_artifacts_load_and_tag_as_before(tmp_path, name):
-    """Fixtures written by the version-1 code (tests/fixtures/make_v1_fixtures.py):
-    a bilstm-crf with char, morph and subword composers and a two-head
-    transformer-crf, with the tags and gold-tag losses that code gave."""
-    with open(FIXTURES / "v1_expected_tags.json", encoding="utf-8") as fh:
+@pytest.mark.parametrize("name", ["v1_bilstm_crf", "v1_transformer_crf",
+                                  "v2_bilstm_crf", "v2_transformer_crf"])
+def test_older_artifacts_load_and_tag_as_before(tmp_path, name):
+    """Fixtures written by the version-1 and version-2 code
+    (tests/fixtures/make_version_fixtures.py): a bilstm-crf with char, morph
+    and subword composers and a two-head transformer-crf, with the tags and
+    gold-tag losses that code gave."""
+    version = name.partition("_")[0]
+    with open(FIXTURES / f"{version}_expected_tags.json", encoding="utf-8") as fh:
         expected = json.load(fh)[name]
     model = load_model(FIXTURES / f"{name}.zip")
-    save_model(model, tmp_path / "v2.zip")
-    resaved = load_model(tmp_path / "v2.zip")
+    save_model(model, tmp_path / "current.zip")
+    resaved = load_model(tmp_path / "current.zip")
     for s in expected:
         sentence = LabeledSentence(tuple(
             Token(w, t, m) for w, t, m in zip(s["words"], s["gold"], s["morphs"])))

@@ -104,6 +104,12 @@ def test_train_vocab_size_below_alphabet_rejected():
         train_unigram("   \n  ", vocab_size=5)
 
 
+@pytest.mark.parametrize("max_piece_len", [0, -2, 1.5, True])
+def test_train_rejects_a_max_piece_len_that_is_no_positive_integer(max_piece_len):
+    with pytest.raises(ConfigError, match="max_piece_len"):
+        train_unigram("abc cab bca", vocab_size=5, max_piece_len=max_piece_len)
+
+
 def test_train_is_deterministic():
     corpus = "evler evlerde evde kedi kediler kedilere sular sulara"
     a = train_unigram(corpus, vocab_size=15, seed=1)
