@@ -462,3 +462,114 @@ def softmax_rows(x: Tensor) -> Tensor:
     lse = log_sum_exp(x, axis=1)
     shifted = x - broadcast_to(reshape(lse, (n, 1)), x.shape)
     return exp(shifted)
+
+
+# ---------------------------------------------------------------------------
+# whole-model reference for the BiLSTM kinds: every word, source and
+# direction stepped through lstm_run, every sentence scored by enumeration
+
+
+@dataclass
+class _Cell:
+    """The gate weights lstm_step reads, copied off named_parameters()."""
+
+    W_x: Tensor
+    W_h: Tensor
+    b_x: Tensor
+    b_h: Tensor
+    hidden_dim: int
+
+
+def _bilstm_states(params, prefix, rows):
+    """Forward states over rows and backward states over them reversed, the
+    latter put back in row order, of the BiLSTM stored under prefix."""
+    cells = [_Cell(*(Tensor(params[f"{prefix}{d}.{n}"].data)
+                     for n in ("W_x", "W_h", "b_x", "b_h")),
+                   hidden_dim=params[f"{prefix}{d}.b_h"].size // 4) for d in ("fwd", "bwd")]
+    xs = [Tensor(r) for r in rows]
+    with ad.no_grad():
+        fwd = [h.data for h in lstm_run(cells[0], xs)]
+        bwd = [h.data for h in lstm_run(cells[1], xs[::-1])][::-1]
+    return fwd, bwd
+
+
+def _source_tokens(model, word, analysis):
+    """(table attribute, BiLSTM prefix or None, tokens) of each enabled
+    source of word, in the order word, char, morph, subword."""
+    cfg = model.composer.cfg
+    sources = [("word", "word_table", None, [word]),
+               ("char", "char_table", "char_bilstm", list(word)),
+               ("morph", "morph_table", "morph_bilstm", list(analysis or word)),
+               ("subword", "piece_table", "subword_bilstm",
+                segment_rescanning(model.tokenizer, word) if cfg.use_subword else [])]
+    return [s[1:] for s in sources if getattr(cfg, "use_" + s[0])]
+
+
+def reference_emissions(model, sentence):
+    """(n, T) tag scores of a BiLSTM-kind model on one LabeledSentence, at
+    dropout 0: a dict lookup per token, lstm_run per word, source and
+    direction, then the sentence BiLSTM and the output projection."""
+    params = model.named_parameters()
+    rows = []
+    for word, analysis in zip(sentence.surfaces, sentence.morphs):
+        parts = []
+        for table, bilstm, tokens in _source_tokens(model, word, analysis):
+            vocab = getattr(model.composer, table).vocab
+            emb = params["composer." + table].data
+            vectors = [emb[vocab.get(tok, 1)] for tok in tokens]  # id 1 is <unk>
+            if bilstm is None:
+                parts += vectors
+            else:
+                fwd, bwd = _bilstm_states(params, f"composer.{bilstm}.", vectors)
+                parts += [fwd[-1], bwd[0]]
+        rows.append(np.concatenate(parts))
+    fwd, bwd = _bilstm_states(params, "encoder.", rows)
+    hidden = np.array([np.concatenate(pair) for pair in zip(fwd, bwd)])
+    return hidden @ params["w_out"].data + params["b_out"].data
+
+
+def bio2_table(tags):
+    """(T+1, T+1) additive table, BOS row and EOS column last: -inf where I-X
+    follows anything but B-X or I-X, or opens the sentence."""
+    T = len(tags)
+    table = np.zeros((T + 1, T + 1))
+    for j, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            table[T, j] = -np.inf
+            for i, prev in enumerate(tags):
+                if prev not in ("B-" + tag[2:], tag):
+                    table[i, j] = -np.inf
+    return table
+
+
+def _transition_table(model, masked):
+    params = model.named_parameters()
+    T = len(model.tags)
+    table = params["crf.transition"].data if "crf.transition" in params else np.zeros((T + 1, T + 1))
+    return table + bio2_table(list(model.tags)) if masked else table
+
+
+def reference_loss(model, sentences):
+    """Summed negative log-likelihood of the gold tags of a BiLSTM-kind
+    model by enumeration: over every labelling of each sentence for a CRF
+    kind (under the BIO2 table if mask_illegal is set), over each word's tags
+    alone for a linear kind.  Sentences of at most 4 words keep it cheap."""
+    crf = model.kind.endswith("-crf")
+    table = _transition_table(model, crf and model.mask_illegal)
+    total = 0.0
+    for s in sentences:
+        emissions = reference_emissions(model, s)
+        gold = [model.tags.id_of(t) for t in s.tags]
+        pieces = [(emissions, gold)] if crf else [(emissions[i:i + 1], gold[i:i + 1])
+                                                  for i in range(len(gold))]
+        for e, labels in pieces:
+            total += crf_brute_log_partition(e, table) - crf_path_score(e, table, labels)
+    return total
+
+
+def reference_tags(model, sentence):
+    """Best tag strings of a BiLSTM-kind model for one LabeledSentence, by
+    enumeration, under the BIO2 table if mask_illegal is set."""
+    table = _transition_table(model, model.mask_illegal)
+    labels, _ = crf_brute_argmax(reference_emissions(model, sentence), table)
+    return [model.tags.tag_of(i) for i in labels]
