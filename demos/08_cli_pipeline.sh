@@ -5,6 +5,13 @@
 # by a flag of the same name; flags win.
 set -e
 
+# Without an installed seqtag script, as in a source checkout, run the
+# package from this checkout's src/ instead.
+if ! command -v seqtag >/dev/null 2>&1; then
+    SRC=$(cd "$(dirname "$0")/../src" && pwd)
+    seqtag() { PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m seqtag "$@"; }
+fi
+
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"

@@ -397,90 +397,96 @@ def packed_steps(lengths, n: int):
     return lengths, seq, step
 
 
-def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor,
-              b_h: Tensor, reverse: bool = False) -> Tensor:
-    """An LSTM over each of several packed sequences, as one node.
+def lstm_scan(x: Tensor, lengths, fwd, bwd, finals: bool = False) -> Tensor:
+    """A bidirectional LSTM over each of several packed sequences, as one
+    node.
 
-    x is (n, D) with the sequences back to back, lengths[b] rows each.  The
-    gate weights are stacked blocks of four row bands, for the input, forget,
-    cell and output gates in that order: w_x (4H, D), w_h (4H, H), b_x (4H,)
-    and b_h (4H,).  From a zero initial state, step t of a sequence computes
+    x is (n, D) with the sequences back to back, lengths[b] rows each.  fwd
+    and bwd each hold one direction's weights (w_x, w_h, b_x, b_h): stacked
+    blocks of four row bands, for the input, forget, cell and output gates
+    in that order, w_x (4H, D), w_h (4H, H), b_x (4H,) and b_h (4H,).  From
+    a zero initial state, step t of a sequence computes
 
         z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
         c = f * c + i * g,                      h = o * tanh(c)
 
-    reading its rows first to last, or last to first when reverse is set.
-    As sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of W_x, W_h
-    and b_x + b_h are halved once per call, and one tanh per step, then one
+    reading its rows first to last with fwd and last to first with bwd.  As
+    sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of W_x, W_h and
+    b_x + b_h are halved once per call, and one tanh per step, then one
     multiply and one add, give all four gates.
-    Returns the (n, H) hidden states, row for row: a sequence's final state
-    sits on its last row, or on its first when reverse is set.  All
-    sequences step together in one zero-padded batch; a finished sequence
-    runs on over padding, but no output reads those states.  Backward runs
-    through time by hand; under no_grad nothing is kept for it.
+    Returns the (n, 2H) rows [forward | backward state], row for row, or
+    with finals set the (B, 2H) rows [last forward | first backward], each
+    sequence's states once it is read whole.  Both directions of all
+    sequences step together in one zero-padded (2, B) batch, one matmul of
+    the state by both hidden weights per step; a finished sequence runs on
+    over padding that no output reads.  Backward runs through time by hand
+    in one loop the same way; under no_grad nothing is kept for it.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
     n, D = x.shape
     lengths, seq, step = packed_steps(lengths, n)
-    H = b_h.size // 4
-    for t, shape in zip((w_x, w_h, b_x, b_h), ((4 * H, D), (4 * H, H), (4 * H,), (4 * H,))):
-        if t.shape != shape:
-            raise ShapeError(f"lstm_scan weight has shape {t.shape}, expected {shape}")
-    Wx, Wh = w_x.data, w_h.data
+    shapes = [t.shape for t in (*fwd, *bwd)]
+    H = shapes[1][-1]  # fwd's w_h is (4H, H)
+    if shapes != 2 * [(4 * H, D), (4 * H, H), (4 * H,), (4 * H,)]:
+        raise ShapeError(f"lstm_scan needs two directions of (4H, {D}), (4H, H), (4H,) "
+                         f"and (4H,) weights, got {shapes}")
     B, L = lengths.size, int(lengths.max())
-    if reverse:
-        step = lengths[seq] - 1 - step
-    at = (seq, step)
+    at = ((seq, step), (seq, lengths[seq] - 1 - step))  # each row's (sequence, step) per direction
+    rows = 2 * ((np.arange(B), lengths - 1),) if finals else at  # the states returned
 
     half = np.repeat([0.5, 0.5, 1.0, 0.5], H)  # 1/2 on the sigmoid bands, 1 on g
     shift = 1.0 - half
-    wh_half = (Wh * half[:, None]).T
-    xp = np.zeros((B, L, 4 * H))  # the input side of every step at once
-    xp[at] = x.data @ (Wx * half[:, None]).T + (b_x.data + b_h.data) * half
-    h = c = np.zeros((B, H))
-    out = np.empty((B, L, H))
+    xp = np.zeros((2, B, L, 4 * H))  # the input side of every step at once
+    for k, (w_x, _, b_x, b_h) in enumerate((fwd, bwd)):
+        xp[k][at[k]] = x.data @ (w_x.data * half[:, None]).T + (b_x.data + b_h.data) * half
+    Wh = np.stack([fwd[1].data, bwd[1].data])  # (2, 4H, H)
+    wh_half = (Wh * half[:, None]).transpose(0, 2, 1)
+    h = c = np.zeros((2, B, H))
+    out = np.empty((2, B, L, H))
     saved = [] if _grad_enabled else None  # per step: previous state, gates, tanh(new cell)
     for t in range(L):
-        a = np.tanh(xp[:, t] + h @ wh_half) * half + shift
-        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        a = np.tanh(xp[:, :, t] + np.matmul(h, wh_half)) * half + shift
+        i, f, g, o = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         if saved is not None:
             saved.append((h, c, a, tc))
         h, c = o * tc, c_new
-        out[:, t] = h
+        out[:, :, t] = h
 
     def _bw(gout):
-        g_pad = np.zeros((B, L, H))
-        g_pad[at] = gout
-        dz_all = np.empty((B, L, 4 * H))
+        g_pad = np.zeros((2, B, L, H))
+        g_pad[0][rows[0]], g_pad[1][rows[1]] = gout[:, :H], gout[:, H:]
+        dz_all = np.empty((2, B, L, 4 * H))
         dWh = np.zeros_like(Wh)
-        dh = dc = np.zeros((B, H))
+        dh = dc = np.zeros((2, B, H))
         for t in range(L - 1, -1, -1):
             h_prev, c_prev, a, tc = saved[t]
-            i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            dh = dh + g_pad[:, t]
+            i, f, g, o = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
+            dh = dh + g_pad[:, :, t]
             dc_new = dc + dh * o * (1.0 - tc * tc)
-            dz = dz_all[:, t]
-            dz[:, :H] = dc_new * g * i * (1.0 - i)
-            dz[:, H:2 * H] = dc_new * c_prev * f * (1.0 - f)
-            dz[:, 2 * H:3 * H] = dc_new * i * (1.0 - g * g)
-            dz[:, 3 * H:] = dh * tc * o * (1.0 - o)
-            dWh += dz.T @ h_prev
-            dh = dz @ Wh
+            dz = dz_all[:, :, t]
+            dz[..., :H] = dc_new * g * i * (1.0 - i)
+            dz[..., H:2 * H] = dc_new * c_prev * f * (1.0 - f)
+            dz[..., 2 * H:3 * H] = dc_new * i * (1.0 - g * g)
+            dz[..., 3 * H:] = dh * tc * o * (1.0 - o)
+            dWh += np.matmul(dz.transpose(0, 2, 1), h_prev)
+            dh = np.matmul(dz, Wh)
             dc = dc_new * f
-        dz = dz_all[at]
-        db = dz.sum(axis=0)
-        if w_x.requires_grad:
-            w_x.grad += dz.T @ x.data
-        for t, grad in ((w_h, dWh), (b_x, db), (b_h, db)):
-            if t.requires_grad:
-                t.grad += grad
-        if x.requires_grad:
-            x.grad += dz @ Wx
+        for k, (w_x, w_h, b_x, b_h) in enumerate((fwd, bwd)):
+            dz = dz_all[k][at[k]]
+            db = dz.sum(axis=0)
+            if w_x.requires_grad:
+                w_x.grad += dz.T @ x.data
+            for t, grad in ((w_h, dWh[k]), (b_x, db), (b_h, db)):
+                if t.requires_grad:
+                    t.grad += grad
+            if x.requires_grad:
+                x.grad += dz @ w_x.data
 
-    return _result(out[at], (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
+    return _result(np.concatenate([out[0][rows[0]], out[1][rows[1]]], axis=1),
+                   (x, *fwd, *bwd), "lstm_scan", _bw)
 
 
 def crf_forward(emissions: Tensor, transition: Tensor,

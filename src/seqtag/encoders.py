@@ -5,11 +5,11 @@ a character-BiLSTM summary, a morphological-analysis-BiLSTM summary, and a
 subword-piece-BiLSTM summary.  Sentences are then encoded either by a
 bidirectional LSTM or by a small trainable transformer encoder.
 
-Every LSTM runs as one fused autodiff op (autodiff.lstm_scan) per direction
-over sequences packed back to back: the composers summarize all words they
-are given in one scan, and the sentence encoder scans every sentence of a
-mini-batch in one.  The transformer packs the pieces of a mini-batch into
-one matrix the same way.
+Every BiLSTM runs as one fused autodiff op (autodiff.lstm_scan) that steps
+both directions together over sequences packed back to back: a composer
+summarizes all words it is given in one scan, and the sentence encoder scans
+every sentence of a mini-batch in one.  The transformer packs the pieces of
+a mini-batch into one matrix the same way.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def init_embeddings(table: EmbeddingTable, rng: np.random.Generator) -> None:
 class LSTMCellParams:
     """Gate weights of one LSTM direction, stacked in row bands of H for the
     input, forget, cell and output gates: W_x (4H, D), W_h (4H, H), b_x (4H,)
-    and b_h (4H,).
+    and b_h (4H,), in the order of weights: one direction of autodiff.lstm_scan.
 
     Both bias vectors are kept, so every gate has an input-side and a
     hidden-side bias; the forget gate's hidden-side one carries the usual
@@ -96,12 +96,12 @@ class LSTMCellParams:
                    b_x=Tensor(np.zeros(4 * H), requires_grad=True),
                    b_h=Tensor(b_h, requires_grad=True), hidden_dim=H)
 
+    @property
+    def weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        return self.W_x, self.W_h, self.b_x, self.b_h
+
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {prefix + n: getattr(self, n) for n in ("W_x", "W_h", "b_x", "b_h")}
-
-    def scan(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """Hidden states (n, H) of this direction over packed sequences."""
-        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h, reverse)
 
 
 @dataclass
@@ -121,20 +121,14 @@ class BiLSTM:
         lengths giving each one's row count.  The result is (n, 2H), row for row.
         """
         lengths = [x.shape[0]] if lengths is None else lengths
-        return ad.concat([self.fwd.scan(x, lengths),
-                          self.bwd.scan(x, lengths, reverse=True)], axis=1)
+        return ad.lstm_scan(x, lengths, self.fwd.weights, self.bwd.weights)
 
     def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
         """concat(last forward hidden, last backward hidden) of each id
         sequence, embedded from the rows of table; (len(sequences), 2H)."""
-        if not sequences or not all(sequences):
-            raise UsageError("final_states needs at least one sequence and no empty one")
-        lengths = [len(s) for s in sequences]
-        x = ad.gather_rows(table, np.concatenate(sequences))
-        ends = np.cumsum(lengths)
-        h_f = ad.gather_rows(self.fwd.scan(x, lengths), ends - 1)
-        h_b = ad.gather_rows(self.bwd.scan(x, lengths, reverse=True), ends - lengths)
-        return ad.concat([h_f, h_b], axis=1)
+        return ad.lstm_scan(ad.gather_rows(table, [i for s in sequences for i in s]),
+                            [len(s) for s in sequences], self.fwd.weights,
+                            self.bwd.weights, finals=True)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.fwd.named_parameters(prefix + "fwd.")

@@ -263,50 +263,58 @@ def test_take_accepts_only_basic_indices():
 
 
 def _scan_weights(rng, d, h):
+    """One direction's (w_x, w_h, b_x, b_h) for input width d and H = h."""
     return (Tensor(rng.standard_normal((4 * h, d))), Tensor(rng.standard_normal((4 * h, h))),
             Tensor(rng.standard_normal(4 * h)), Tensor(rng.standard_normal(4 * h)))
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_scan_of_a_packed_batch_equals_each_sequence_alone(reverse):
+@pytest.mark.parametrize("finals", [False, True])
+def test_lstm_scan_of_a_packed_batch_equals_each_sequence_alone(finals):
     rng = np.random.default_rng(13)
-    weights = _scan_weights(rng, 3, 2)
+    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
     lengths = [2, 4, 1]
     x = rng.standard_normal((7, 3))
-    out = ad.lstm_scan(Tensor(x), lengths, *weights, reverse=reverse).data
+    out = ad.lstm_scan(Tensor(x), lengths, fwd, bwd, finals).data
     starts = np.cumsum([0] + lengths)
-    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], *weights,
-                                         reverse=reverse).data
+    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], fwd, bwd, finals).data
                             for a, b in zip(starts, starts[1:])])
-    assert out.shape == (7, 2)
+    assert out.shape == ((3, 4) if finals else (7, 4))
     assert np.max(np.abs(out - alone)) <= 1e-12
 
 
 @pytest.mark.parametrize("lengths", [[5], [2, 3]])
 def test_lstm_scan_reverse_is_a_forward_scan_of_the_flipped_rows(lengths):
+    """Each direction's half of the output is the other half of a scan of
+    every sequence's rows reversed, with the two directions' weights
+    swapped."""
     rng = np.random.default_rng(15)
-    weights = _scan_weights(rng, 3, 2)
+    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
     x = rng.standard_normal((5, 3))
     starts = np.cumsum([0] + lengths)
     flip = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(starts, starts[1:])])
-    backward = ad.lstm_scan(Tensor(x), lengths, *weights, reverse=True).data
-    forward = ad.lstm_scan(Tensor(x[flip]), lengths, *weights).data
-    assert np.max(np.abs(backward - forward[flip])) <= 1e-12
+    both = ad.lstm_scan(Tensor(x), lengths, fwd, bwd).data
+    swapped = ad.lstm_scan(Tensor(x[flip]), lengths, bwd, fwd).data[flip]
+    assert np.max(np.abs(both - np.roll(swapped, 2, axis=1))) <= 1e-12
 
 
 def test_lstm_scan_rejects_bad_lengths_and_shapes():
     rng = np.random.default_rng(14)
-    w_x, w_h, b_x, b_h = _scan_weights(rng, 3, 2)
+    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
+    w_x, w_h, b_x, b_h = fwd
     x = Tensor(np.zeros((5, 3)))
     for lengths in ([0, 5], [1, 5], [4], []):
         with pytest.raises(UsageError):
-            ad.lstm_scan(x, lengths, w_x, w_h, b_x, b_h)
+            ad.lstm_scan(x, lengths, fwd, bwd)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], w_x, w_h, b_x, b_h)
+        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], fwd, bwd)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], w_x, w_h, b_x, b_h)
+        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], fwd, bwd)
+    for bad in ((Tensor(w_x.data[:6]), w_h, b_x, b_h), (w_x, w_h, b_x)):
+        with pytest.raises(ShapeError):
+            ad.lstm_scan(x, [5], bad, bwd)
+    # a backward direction whose H differs from the forward one's
     with pytest.raises(ShapeError):
-        ad.lstm_scan(x, [5], Tensor(w_x.data[:6]), w_h, b_x, b_h)
+        ad.lstm_scan(x, [5], fwd, _scan_weights(rng, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +481,12 @@ def test_trace_topological_order():
 # random small instances per op, max rel error <= 1e-4)
 
 
+def _scan_arrays(rng):
+    """x (8, 3) and two directions' gate blocks for H = 2."""
+    return [rng.standard_normal((8, 3))] + [rng.standard_normal(shape) for _ in range(2)
+                                            for shape in ((8, 3), (8, 2), 8, 8)]
+
+
 def _op_cases(rng):
     # projections of the newer ops come from their own generator, so the
     # draws of the older cases stay as they were
@@ -481,13 +495,13 @@ def _op_cases(rng):
     p_gather = proj(side, (2, 2, 3))
     p_take = proj(side, 3)
     p_attn = proj(side, (6, 4))
-    p_scan = proj(side, (8, 2))
-    p_scan_reverse = proj(side, (8, 2))
+    p_scan = proj(side, (8, 4))
     p_norm = proj(side, (3, 4))
     p_gelu = proj(side, (2, 3))
     p_stack = proj(side, (3, 4))
     p_inner = proj(side, (3, 4))
     p_row = proj(side, (3, 4))
+    p_scan_finals = proj(side, (3, 4))
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
@@ -536,17 +550,14 @@ def _op_cases(rng):
                          lambda: [rng.standard_normal((1, 4))]),
         "transpose": (lambda a: ad.inner(transpose(a), p23),
                       lambda: [rng.standard_normal((3, 2))]),
-        # three packed sequences of 4, 1 and 3 rows, read in each direction;
-        # gradients w.r.t. x and the four stacked gate blocks
-        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], *w), p_scan),
-                      lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
-                               rng.standard_normal((8, 2)), rng.standard_normal(8),
-                               rng.standard_normal(8)]),
-        "lstm_scan_reverse": (lambda x, *w: ad.inner(
-            ad.lstm_scan(x, [4, 1, 3], *w, reverse=True), p_scan_reverse),
-            lambda: [rng.standard_normal((8, 3)), rng.standard_normal((8, 3)),
-                     rng.standard_normal((8, 2)), rng.standard_normal(8),
-                     rng.standard_normal(8)]),
+        # both directions over three packed sequences of 4, 1 and 3 rows, as
+        # per-row states and as each sequence's final states; gradients
+        # w.r.t. x and each direction's four stacked gate blocks
+        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], w[:4], w[4:]), p_scan),
+                      lambda: _scan_arrays(rng)),
+        "lstm_scan_finals": (lambda x, *w: ad.inner(
+            ad.lstm_scan(x, [4, 1, 3], w[:4], w[4:], finals=True), p_scan_finals),
+            lambda: _scan_arrays(rng)),
         "gather_rows": (lambda t: ad.inner(ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather),
                         lambda: [rng.standard_normal((4, 3))]),
         "take": (lambda a: ad.inner(ad.take(a, (slice(None, None, -1), 1)), p_take),

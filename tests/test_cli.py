@@ -1,10 +1,15 @@
 import dataclasses
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
 import pytest
 
+import seqtag
 from seqtag.cli import (_merged_config, build_parser, main, make_train_config,
                         parse_config_file)
 from seqtag.data import load_conll, parse_conll, validate_bio2
@@ -477,3 +482,18 @@ def test_unknown_subcommand_exits_one():
 
 def test_missing_required_flag_exits_one():
     assert main(["train"]) == 1
+
+
+def test_python_dash_m_seqtag_runs_the_cli_and_returns_its_exit_code():
+    src = pathlib.Path(seqtag.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "seqtag", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: seqtag")
+    assert run("polish").returncode == 1

@@ -185,6 +185,13 @@ def test_bilstm_encode_rejects_empty_sequence():
         enc.BiLSTM(fwd, bwd).encode(Tensor(np.zeros((0, 3))))
 
 
+def test_bilstm_final_states_reject_no_sequence_and_an_empty_one():
+    bi = enc.BiLSTM.init(3, 2, np.random.default_rng(12))
+    for sequences in ([], [[1], []]):
+        with pytest.raises(UsageError):
+            bi.final_states(Tensor(np.zeros((4, 3))), sequences)
+
+
 def test_bilstm_final_states_are_last_hidden_of_each_direction():
     rng = np.random.default_rng(13)
     bi = enc.BiLSTM.init(3, 2, rng)
@@ -265,52 +272,47 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
 
 
 @pytest.mark.parametrize("reach", [40.0, 800.0])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, reverse):
-    """Weights scaled so that half the first step's pre-activations lie
-    beyond +-reach; beyond about 709 an exp taken without splitting by sign
-    overflows.  The oracle's sigmoid splits by sign, lstm_scan's runs
-    through tanh."""
+@pytest.mark.parametrize("finals", [False, True])
+def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, finals):
+    """Each direction's weights scaled so that half the first step's
+    pre-activations lie beyond +-reach; beyond about 709 an exp taken
+    without splitting by sign overflows.  The oracle's sigmoid splits by
+    sign, lstm_scan's runs through tanh."""
     rng = np.random.default_rng(17)
-    p = random_cell(rng, 3, 4)
+    bi = enc.BiLSTM(random_cell(rng, 3, 4), random_cell(rng, 3, 4))
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    z0 = x.data @ p.W_x.data.T + p.b_x.data + p.b_h.data
-    for t in p.named_parameters().values():
-        t.data *= reach / np.median(np.abs(z0))
-    z0 *= reach / np.median(np.abs(z0))
-    assert np.any(z0 < -reach) and np.any(z0 > reach)
+    for p in (bi.fwd, bi.bwd):
+        z0 = x.data @ p.W_x.data.T + p.b_x.data + p.b_h.data
+        factor = reach / np.median(np.abs(z0))
+        for t in p.named_parameters().values():
+            t.data *= factor
+        assert np.any(z0 * factor < -reach) and np.any(z0 * factor > reach)
     lengths = [4, 2]
-    proj = rng.normal(size=(6, 4))
+    proj = rng.normal(size=(2 if finals else 6, 8))
 
     def oracle():
         out = []
         for a, b in ((0, 4), (4, 6)):
-            rows = [ad.take(x, r) for r in range(a, b)]
-            hs = lstm_run(p, rows[::-1] if reverse else rows)
-            out += hs[::-1] if reverse else hs
+            hs_f, hs_b = _oracle_bilstm(bi, [ad.take(x, r) for r in range(a, b)])
+            out += ([ad.concat([hs_f[-1], hs_b[-1]])] if finals else
+                    [ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
         return ad.stack(out)
 
-    tensors = [x] + list(p.named_parameters().values())
-    results = []
-    for build in (lambda: p.scan(x, lengths, reverse=reverse), oracle):
-        for t in tensors:
-            t.zero_grad()
-        out = build()
-        ad.backward(ad.inner(out, proj))
-        results.append([out.data.copy()] + [t.grad.copy() for t in tensors])
-    for got, want in zip(*results):
+    fused = _outputs_and_grads(
+        bi, [x], lambda: ad.lstm_scan(x, lengths, bi.fwd.weights, bi.bwd.weights, finals), proj)
+    for got, want in zip(fused, _outputs_and_grads(bi, [x], oracle, proj)):
         assert np.all(np.isfinite(got))
         assert max_rel_error(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(reverse):
+@pytest.mark.parametrize("finals", [False, True])
+def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(finals):
     rng = np.random.default_rng(18)
-    p = random_cell(rng, 3, 4)
+    fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-    recorded = p.scan(x, [3, 1, 3], reverse=reverse)
+    recorded = ad.lstm_scan(x, [3, 1, 3], fwd.weights, bwd.weights, finals)
     with ad.no_grad():
-        bare = p.scan(x, [3, 1, 3], reverse=reverse)
+        bare = ad.lstm_scan(x, [3, 1, 3], fwd.weights, bwd.weights, finals)
     assert recorded._backward is not None and bare._backward is None
     assert np.array_equal(bare.data, recorded.data)
 

@@ -207,6 +207,16 @@ def test_batched_loss_has_one_crf_or_softmax_node(corpus, vocab, tokenizer, kind
     assert ops.count("crf_forward") == 1
 
 
+def test_a_word_and_char_bilstm_loss_has_one_scan_per_bilstm(corpus, vocab):
+    """Each BiLSTM is one lstm_scan node for both directions: the char
+    composer's reads off each word's final states, so the only concat is the
+    composer's word | char one and the only gathers are the two lookups."""
+    model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
+    assert [name for name, _, _ in model.composer.cfg.sources] == ["word", "char"]
+    ops = [node._op for node in ad.trace(model.loss(corpus[0], training=False))]
+    assert [ops.count(op) for op in ("lstm_scan", "concat", "gather_rows")] == [2, 1, 2]
+
+
 @pytest.mark.parametrize("mask_illegal", [False, True])
 @pytest.mark.parametrize("kind", ["bilstm-linear", "transformer-linear"])
 def test_linear_loss_is_bitwise_the_softmax_cross_entropy(corpus, vocab, tokenizer,
