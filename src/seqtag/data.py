@@ -24,7 +24,7 @@ def tag_is_wellformed(tag: str) -> bool:
     return tag == "O" or (len(tag) >= 3 and tag[0] in "BI" and tag[1] == "-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     gold_tag: str
@@ -37,7 +37,7 @@ class Token:
             raise ValidationError(f"malformed tag {self.gold_tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSentence:
     tokens: tuple[Token, ...]
 

@@ -33,6 +33,16 @@ def sent(pairs, morphs=None):
     return LabeledSentence(tuple(toks))
 
 
+def test_tokens_and_sentences_hold_no_per_instance_dict():
+    """A corpus is mostly Token objects: slots keep each one to its three
+    references, and both stay frozen."""
+    s = sent([("Ankara", "B-LOCATION")])
+    for obj, field in ((s, "tokens"), (s.tokens[0], "surface")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
