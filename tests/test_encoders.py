@@ -295,7 +295,7 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
         for a, b in ((0, 4), (4, 6)):
             hs_f, hs_b = _oracle_bilstm(bi, [ad.take(x, r) for r in range(a, b)])
             out += ([ad.concat([hs_f[-1], hs_b[-1]])] if finals else
-                    [ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
+                    [ad.concat(list(pair)) for pair in zip(hs_f, hs_b[::-1])])
         return ad.stack(out)
 
     fused = _outputs_and_grads(
