@@ -465,8 +465,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# whole-model reference for the BiLSTM kinds: every word, source and
-# direction stepped through lstm_run, every sentence scored by enumeration
+# whole-model reference: for the BiLSTM kinds every word, source and
+# direction stepped through lstm_run, for the transformer kinds every head of
+# every layer in turn, and every sentence scored by enumeration
 
 
 @dataclass
@@ -505,10 +506,10 @@ def _source_tokens(model, word, analysis):
     return [s[1:] for s in sources if getattr(cfg, "use_" + s[0])]
 
 
-def reference_emissions(model, sentence):
-    """(n, T) tag scores of a BiLSTM-kind model on one LabeledSentence, at
-    dropout 0: a dict lookup per token, lstm_run per word, source and
-    direction, then the sentence BiLSTM and the output projection."""
+def _bilstm_hidden(model, sentence):
+    """(n, 2H) sentence-BiLSTM states of a BiLSTM-kind model: a dict lookup
+    per token, lstm_run per word, source and direction, then the sentence
+    BiLSTM."""
     params = model.named_parameters()
     rows = []
     for word, analysis in zip(sentence.surfaces, sentence.morphs):
@@ -524,8 +525,65 @@ def reference_emissions(model, sentence):
                 parts += [fwd[-1], bwd[0]]
         rows.append(np.concatenate(parts))
     fwd, bwd = _bilstm_states(params, "encoder.", rows)
-    hidden = np.array([np.concatenate(pair) for pair in zip(fwd, bwd)])
-    return hidden @ params["w_out"].data + params["b_out"].data
+    return np.array([np.concatenate(pair) for pair in zip(fwd, bwd)])
+
+
+def _layer_norm(x, gain, bias, eps=1e-5):
+    centered = x - x.mean(axis=1, keepdims=True)
+    return centered / np.sqrt((centered ** 2).mean(axis=1, keepdims=True) + eps) * gain + bias
+
+
+def _gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+
+def _self_attention(w, x, num_heads):
+    """Multi-head self-attention over the rows of x, one head at a time:
+    head h reads the column band h*dk:(h+1)*dk of each projection and takes
+    its weights from softmax_rows."""
+    dk = x.shape[1] // num_heads
+    q, k, v = (x @ w[name] for name in ("Wq", "Wk", "Wv"))
+    heads = []
+    for h in range(num_heads):
+        band = slice(h * dk, (h + 1) * dk)
+        with ad.no_grad():
+            p = softmax_rows(Tensor(q[:, band] @ k[:, band].T / np.sqrt(dk))).data
+        heads.append(p @ v[:, band])
+    return np.concatenate(heads, axis=1) @ w["Wo"]
+
+
+def _transformer_hidden(model, sentence):
+    """(n, d) hidden rows of a transformer-kind model, one per word: the
+    sentence's pieces (segment_rescanning, word by word) looked up in the
+    piece table, each piece's position row added to it, every layer run
+    over the whole sentence, and each word's row read off its first piece
+    as align_labels marks it."""
+    params = model.named_parameters()
+    cfg = model.transformer_cfg
+    pieces = [p for w in sentence.surfaces for p in segment_rescanning(model.tokenizer, w)]
+    if len(pieces) > cfg.max_len:
+        raise ValueError(f"{len(pieces)} pieces exceed max_len {cfg.max_len}")
+    vocab = model.transformer.piece_table.vocab
+    emb, positions = params["transformer.piece_table"].data, params["transformer.positions"].data
+    x = np.array([emb[vocab.get(p, 1)] for p in pieces])  # id 1 is <unk>
+    for i in range(len(pieces)):
+        x[i] = x[i] + positions[i]
+    for layer in range(cfg.num_layers):
+        prefix = f"transformer.layer{layer}."
+        w = {n.removeprefix(prefix): t.data for n, t in params.items() if n.startswith(prefix)}
+        x = _layer_norm(x + _self_attention(w, x, cfg.num_heads), w["ln1_gain"], w["ln1_bias"])
+        ff = _gelu(x @ w["W_ff1"] + w["b_ff1"]) @ w["W_ff2"] + w["b_ff2"]
+        x = _layer_norm(x + ff, w["ln2_gain"], w["ln2_bias"])
+    aligned = align_labels(list(sentence.surfaces), list(sentence.tags), pieces)
+    return x[np.flatnonzero(aligned.is_word_initial)]
+
+
+def reference_emissions(model, sentence):
+    """(n, T) tag scores of a model of any kind on one LabeledSentence, at
+    dropout 0: its encoder's rows, then the output projection."""
+    params = model.named_parameters()
+    encode = _bilstm_hidden if model.kind.startswith("bilstm") else _transformer_hidden
+    return encode(model, sentence) @ params["w_out"].data + params["b_out"].data
 
 
 def bio2_table(tags):
@@ -550,8 +608,8 @@ def _transition_table(model, masked):
 
 
 def reference_loss(model, sentences):
-    """Summed negative log-likelihood of the gold tags of a BiLSTM-kind
-    model by enumeration: over every labelling of each sentence for a CRF
+    """Summed negative log-likelihood of the gold tags of a model of any
+    kind by enumeration: over every labelling of each sentence for a CRF
     kind (under the BIO2 table if mask_illegal is set), over each word's tags
     alone for a linear kind.  Sentences of at most 4 words keep it cheap."""
     crf = model.kind.endswith("-crf")
@@ -568,7 +626,7 @@ def reference_loss(model, sentences):
 
 
 def reference_tags(model, sentence):
-    """Best tag strings of a BiLSTM-kind model for one LabeledSentence, by
+    """Best tag strings of a model of any kind for one LabeledSentence, by
     enumeration, under the BIO2 table if mask_illegal is set."""
     table = _transition_table(model, model.mask_illegal)
     labels, _ = crf_brute_argmax(reference_emissions(model, sentence), table)

@@ -1,16 +1,17 @@
-"""The BiLSTM kinds against a whole-model reference: oracles.reference_loss
+"""Every model kind against a whole-model reference: oracles.reference_loss
 and reference_tags recompute a model from its named parameters with plain
-loops, one lstm_run per word, source and direction, and score each sentence
-by enumerating every labelling."""
+loops, one lstm_run per word, source and direction for the BiLSTM kinds and
+one softmax_rows per head and layer for the transformer kinds, and score
+each sentence by enumerating every labelling."""
 
 import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
 from seqtag.data import LabeledSentence, build_vocab
-from seqtag.encoders import ComposerConfig
+from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.models import TrainConfig, build_model
-from seqtag.subword import train_unigram
+from seqtag.subword import segment, train_unigram
 from seqtag.synth import generate_corpus
 
 from oracles import finite_diff, max_rel_error, reference_loss, reference_tags
@@ -42,13 +43,16 @@ def short(corpus):
 
 
 def _model(vocab, tokenizer, kind, mask_illegal, sources=SOURCES):
-    """A model of the kind with the given sources on and every parameter
+    """A model of the kind, a BiLSTM kind with the given sources on and a
+    transformer kind with two layers of two heads, and every parameter
     redrawn at scale 0.5, so no bias or table row is left at its init."""
     composer = ComposerConfig(**{"use_" + s: s in sources for s in SOURCES}, word_dim=5,
                               char_dim=4, char_hidden=3, morph_dim=4, morph_hidden=2,
                               subword_dim=4, subword_hidden=3)
+    transformer = ToyTransformerConfig(num_layers=2, num_heads=2, hidden_units=6,
+                                       ff_units=5, max_len=32, dropout_p=0.0)
     cfg = TrainConfig(model_kind=kind, composer=composer, hidden_dim=4, dropout_p=0.0,
-                      mask_illegal=mask_illegal)
+                      transformer=transformer, mask_illegal=mask_illegal)
     model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
     rng = np.random.default_rng(1)
     for t in model.parameters():
@@ -79,11 +83,24 @@ def test_each_source_alone_matches_the_reference(vocab, tokenizer, short, source
                                   short)
 
 
-def test_loss_gradients_match_finite_differences_of_the_reference(vocab, tokenizer, short):
-    """For every parameter, its entry of largest gradient, over a batch of a
-    one-word and a two-word sentence."""
-    model = _model(vocab, tokenizer, "bilstm-crf", True)
-    batch = short[1:3]
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("mask_illegal", [False, True])
+@pytest.mark.parametrize("kind", ["transformer-crf", "transformer-linear"])
+def test_transformer_kinds_match_the_reference(vocab, tokenizer, short, kind,
+                                               mask_illegal, batch):
+    _assert_matches_the_reference(_model(vocab, tokenizer, kind, mask_illegal),
+                                  short[:batch])
+
+
+def test_the_short_sentences_have_words_of_several_pieces(tokenizer, short):
+    """So the transformer cases read first pieces off rows that are not the
+    word indices."""
+    counts = [len(segment(tokenizer, w)) for s in short for w in s.surfaces]
+    assert max(counts) > 1
+
+
+def _assert_gradients_match_the_reference(model, batch):
+    """For every parameter, its entry of largest gradient."""
     ad.backward(model.loss(*batch, training=False))
     for name, t in model.named_parameters().items():
         flat, index = t.data.reshape(-1), int(np.argmax(np.abs(t.grad)))
@@ -96,3 +113,16 @@ def test_loss_gradients_match_finite_differences_of_the_reference(vocab, tokeniz
         (numeric,) = finite_diff(f, [np.array([value])])
         flat[index] = value
         assert max_rel_error(t.grad.reshape(-1)[index], numeric) <= 1e-6, name
+
+
+def test_loss_gradients_match_finite_differences_of_the_reference(vocab, tokenizer, short):
+    """Over a batch of a one-word and a two-word sentence."""
+    _assert_gradients_match_the_reference(_model(vocab, tokenizer, "bilstm-crf", True),
+                                          short[1:3])
+
+
+def test_transformer_loss_gradients_match_finite_differences_of_the_reference(
+        vocab, tokenizer, short):
+    """Over a batch of a four-word and a two-word sentence."""
+    _assert_gradients_match_the_reference(
+        _model(vocab, tokenizer, "transformer-crf", True), [short[0], short[2]])
