@@ -11,6 +11,9 @@ checkout's models.ARTIFACT_VERSION:
   head, every projection weight as (out, in).
 - Version 2 (commit 81fc66a) stored the stacked gate and head blocks, and
   still every projection weight as (out, in).
+- Version 3 (commit a14bf26) stored every projection weight as (in, out),
+  and each transformer layer's attention projections as three tensors, Wq,
+  Wk and Wv.
 
 It trains two tiny models briefly on a synthetic corpus: a bilstm-crf with
 the char, morph and subword composers and a two-head transformer-crf.  It

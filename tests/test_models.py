@@ -15,7 +15,7 @@ from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
                          split_corpus, validate_bio2)
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig, transformer_encode
 from seqtag.errors import ArtifactError, ConfigError, UsageError
-from seqtag.models import (MODEL_KINDS, SequenceTagger, TrainConfig,
+from seqtag.models import (ARTIFACT_VERSION, MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
 from seqtag.subword import segment, train_unigram
 from seqtag.synth import generate_corpus
@@ -698,10 +698,25 @@ def test_transformer_artifact_with_hidden_dim_zero_loads(tmp_path, corpus,
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize("name", ["v1_bilstm_crf", "v1_transformer_crf",
-                                  "v2_bilstm_crf", "v2_transformer_crf"])
+# every artifact version before the current one, and its two fixture models
+OLDER_FIXTURES = [f"v{version}_{model}" for version in range(1, ARTIFACT_VERSION)
+                  for model in ("bilstm_crf", "transformer_crf")]
+
+
+def test_every_older_version_has_its_fixtures():
+    """Each version 1 to ARTIFACT_VERSION - 1 has both fixture zips and an
+    entry for each in its expected-tags file, so a version bump that does
+    not record the version it replaces fails here."""
+    for name in OLDER_FIXTURES:
+        version = name.partition("_")[0]
+        assert (FIXTURES / f"{name}.zip").is_file(), name
+        with open(FIXTURES / f"{version}_expected_tags.json", encoding="utf-8") as fh:
+            assert json.load(fh).get(name), name
+
+
+@pytest.mark.parametrize("name", OLDER_FIXTURES)
 def test_older_artifacts_load_and_tag_as_before(tmp_path, name):
-    """Fixtures written by the version-1 and version-2 code
+    """Fixtures written by the code of each older version
     (tests/fixtures/make_version_fixtures.py): a bilstm-crf with char, morph
     and subword composers and a two-head transformer-crf, with the tags and
     gold-tag losses that code gave."""
