@@ -81,7 +81,6 @@ class LSTMCellParams:
     W_h: Tensor
     b_x: Tensor
     b_h: Tensor
-    hidden_dim: int
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LSTMCellParams":
@@ -94,7 +93,7 @@ class LSTMCellParams:
         return cls(W_x=Tensor(np.concatenate(drawn[0::2]), requires_grad=True),
                    W_h=Tensor(np.concatenate(drawn[1::2]), requires_grad=True),
                    b_x=Tensor(np.zeros(4 * H), requires_grad=True),
-                   b_h=Tensor(b_h, requires_grad=True), hidden_dim=H)
+                   b_h=Tensor(b_h, requires_grad=True))
 
     @property
     def weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:

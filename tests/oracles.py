@@ -419,7 +419,7 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
     Each gate reads its row band of the stacked weights through take.
     """
-    H = p.hidden_dim
+    H = p.W_h.shape[1]
     if x_t.shape != (p.W_x.shape[1],):
         raise ShapeError(f"lstm_step input has shape {x_t.shape}, "
                          f"cell expects ({p.W_x.shape[1]},)")
@@ -443,8 +443,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
 def lstm_run(p, xs):
     """Hidden states over a list of input vectors, zero initial state."""
-    h = Tensor(np.zeros(p.hidden_dim))
-    c = Tensor(np.zeros(p.hidden_dim))
+    h = Tensor(np.zeros(p.W_h.shape[1]))
+    c = Tensor(np.zeros(p.W_h.shape[1]))
     out = []
     for x in xs:
         h, c = lstm_step(p, x, h, c)
@@ -478,15 +478,13 @@ class _Cell:
     W_h: Tensor
     b_x: Tensor
     b_h: Tensor
-    hidden_dim: int
 
 
 def _bilstm_states(params, prefix, rows):
     """Forward states over rows and backward states over them reversed, the
     latter put back in row order, of the BiLSTM stored under prefix."""
     cells = [_Cell(*(Tensor(params[f"{prefix}{d}.{n}"].data)
-                     for n in ("W_x", "W_h", "b_x", "b_h")),
-                   hidden_dim=params[f"{prefix}{d}.b_h"].size // 4) for d in ("fwd", "bwd")]
+                     for n in ("W_x", "W_h", "b_x", "b_h"))) for d in ("fwd", "bwd")]
     xs = [Tensor(r) for r in rows]
     with ad.no_grad():
         fwd = [h.data for h in lstm_run(cells[0], xs)]
