@@ -555,52 +555,56 @@ def crf_forward(emissions: Tensor, transition: Tensor,
 # fused attention
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, lengths, num_heads: int):
+def attention(qkv: Tensor, lengths, num_heads: int):
     """Multi-head scaled dot-product attention within each sequence, as one
     node.
 
-    q, k and v are (N, d) with the sequences back to back, lengths[b] rows
-    each.  Head h reads the column band h*dk:(h+1)*dk, dk = d // num_heads,
-    and row i of the output band is softmax(q_i k^T / sqrt(dk)) v over the
-    rows of i's own sequence, so no score crosses two sequences and memory
-    grows with the sum of the squared lengths.  Returns the (N, d) output
-    and one (num_heads, L, L) array of attention weights per sequence.
+    qkv is (N, 3d): the rows of the sequences back to back, lengths[b] rows
+    each, with the column bands [q | k | v] of width d side by side.  Head h
+    reads columns h*dk:(h+1)*dk of each band, dk = d // num_heads, and row i
+    of its output band is softmax(q_i k^T / sqrt(dk)) v over the rows of i's
+    own sequence, so no score crosses two sequences and memory grows with
+    the sum of the squared lengths.  Per sequence, all heads run as one
+    batched (num_heads, n, dk) product, forward and backward.  Returns the
+    (N, d) output and one (num_heads, n, n) array of attention weights per
+    sequence.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention expects equal (N, d) q, k, v, "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    N, d = q.shape
+    if qkv.data.ndim != 2 or qkv.shape[1] % 3:
+        raise ShapeError(f"attention expects (N, 3d) rows of [q | k | v], got {qkv.shape}")
+    N, d = qkv.shape[0], qkv.shape[1] // 3
     if num_heads < 1 or d % num_heads:
         raise ShapeError(f"attention cannot split width {d} into {num_heads} heads")
     lengths = packed_steps(lengths, N)[0].tolist()
     dk = d // num_heads
     c = 1.0 / math.sqrt(dk)
-    qd, kd, vd = q.data, k.data, v.data
-    bands = [slice(h * dk, (h + 1) * dk) for h in range(num_heads)]
     ends = np.cumsum(lengths).tolist()
-    spans = [slice(b - n, b) for n, b in zip(lengths, ends)]
+    spans = [(slice(b - n, b), n) for n, b in zip(lengths, ends)]
+
+    def heads(a, rows, n):
+        # a view of the rows' q, k and v bands, as (3, num_heads, n, dk)
+        return a[rows].reshape(n, 3, num_heads, dk).transpose(1, 2, 0, 3)
+
     out = np.empty((N, d))
     weights = []
-    for rows, n in zip(spans, lengths):
-        w = np.empty((num_heads, n, n))
-        for h, cols in enumerate(bands):
-            scores = (qd[rows, cols] @ kd[rows, cols].T) * c
-            w[h] = np.exp(scores - _stable_lse(scores, 1)[:, None])
-            out[rows, cols] = w[h] @ vd[rows, cols]
+    for rows, n in spans:
+        q, k, v = heads(qkv.data, rows, n)
+        scores = np.matmul(q, k.transpose(0, 2, 1)) * c
+        w = np.exp(scores - scores.max(axis=2, keepdims=True))
+        w /= w.sum(axis=2, keepdims=True)
+        out[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)[...] = np.matmul(w, v)
         weights.append(w)
 
     def _bw(g):
-        dq, dk_, dv = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
-        for rows, w in zip(spans, weights):
-            for h, cols in enumerate(bands):
-                p, g_h = w[h], g[rows, cols]
-                dv[rows, cols] = p.T @ g_h
-                dp = g_h @ vd[rows, cols].T
-                ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * c
-                dq[rows, cols] = ds @ kd[rows, cols]
-                dk_[rows, cols] = ds.T @ qd[rows, cols]
-        for t, grad in ((q, dq), (k, dk_), (v, dv)):
-            if t.requires_grad:
-                t.grad += grad
+        grad = np.empty((N, 3 * d))
+        for (rows, n), w in zip(spans, weights):
+            q, k, v = heads(qkv.data, rows, n)
+            dq, dk_, dv = heads(grad, rows, n)
+            g_h = g[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)
+            dv[...] = np.matmul(w.transpose(0, 2, 1), g_h)
+            dp = np.matmul(g_h, v.transpose(0, 2, 1))
+            ds = w * (dp - np.sum(dp * w, axis=2, keepdims=True)) * c
+            dq[...] = np.matmul(ds, k)
+            dk_[...] = np.matmul(ds.transpose(0, 2, 1), q)
+        qkv.grad += grad
 
-    return _result(out, (q, k, v), "attention", _bw), weights
+    return _result(out, (qkv,), "attention", _bw), weights

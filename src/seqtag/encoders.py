@@ -307,9 +307,9 @@ class ToyTransformerConfig:
 
 @dataclass
 class TransformerLayer:
-    Wq: Tensor  # (hidden, hidden), (in, out); head h owns columns h*dk:(h+1)*dk
-    Wk: Tensor
-    Wv: Tensor
+    # (hidden, 3 hidden), (in, out): the q, k and v projections side by side,
+    # head h owning columns h*dk:(h+1)*dk of each
+    Wqkv: Tensor
     Wo: Tensor
     ln1_gain: Tensor
     ln1_bias: Tensor
@@ -330,13 +330,10 @@ class TransformerLayer:
 
         def per_head():
             # drawn head by head, each with its own (dk, d) Xavier range
-            return mat(np.concatenate([xavier_uniform(rng, d // heads, d)
-                                       for _ in range(heads)]))
+            return np.concatenate([xavier_uniform(rng, d // heads, d) for _ in range(heads)])
 
         return cls(
-            Wq=per_head(),
-            Wk=per_head(),
-            Wv=per_head(),
+            Wqkv=mat(np.concatenate([per_head() for _ in "qkv"])),  # q, k, v in draw order
             Wo=mat(xavier_uniform(rng, d, d)),
             ln1_gain=Tensor(np.ones(d), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d), requires_grad=True),
@@ -379,14 +376,14 @@ def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
                          lengths=None):
     """Scaled dot-product self-attention over the rows of x.
 
-    Each projection is one matmul; head h reads its column band of the
-    result.  x holds one sequence, or several back to back with lengths
-    giving their row counts, and each row attends only to the rows of its
-    own sequence.  Returns the projected output and one (num_heads, L, L)
-    array of attention weights per sequence; weight rows sum to one.
+    One matmul by Wqkv gives the q, k and v rows side by side, and one
+    attention node reads each head's column band of each.  x holds one
+    sequence, or several back to back with lengths giving their row counts,
+    and each row attends only to the rows of its own sequence.  Returns the
+    projected output and one (num_heads, L, L) array of attention weights
+    per sequence; weight rows sum to one.
     """
-    q, k, v = (x @ w for w in (layer.Wq, layer.Wk, layer.Wv))
-    combined, weights = ad.attention(q, k, v, [x.shape[0]] if lengths is None
+    combined, weights = ad.attention(x @ layer.Wqkv, [x.shape[0]] if lengths is None
                                      else lengths, num_heads)
     return combined @ layer.Wo, weights
 

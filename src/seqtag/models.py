@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 # load_model reads no artifact member past these sizes: manifest.json and
 # tensors.npz have fixed caps, and tokenizer.tsv may hold one line of at
 # most TOKENIZER_LINE_MAX_BYTES per row of the stored piece table
@@ -352,14 +352,17 @@ def save_model(model: SequenceTagger, path) -> None:
             zf.writestr(info, content, zipfile.ZIP_DEFLATED)
 
 
-def _upgrade_tensors(arrays: dict, num_heads: int) -> dict:
-    """Tensors of a version-1 or version-2 artifact in the current layout.
+def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:
+    """Tensors of an artifact of an earlier version in the current layout.
 
     Version 1 kept sixteen per-gate tensors per LSTM direction (W_ii, W_hi,
     ..., b_ho) and one attention projection per head (Wq.0, Wq.1, ...); each
     group is concatenated in gate or head order into its stacked block.
     Versions 1 and 2 stored w_out and each transformer layer's Wq, Wk, Wv,
-    Wo, W_ff1 and W_ff2 as (out, in); each is transposed to (in, out)."""
+    Wo, W_ff1 and W_ff2 as (out, in); each is transposed to (in, out).
+    Versions 1 to 3 kept a layer's Wq, Wk and Wv apart; after the steps
+    above, the three (in, out) weights are joined side by side into its
+    Wqkv."""
     out = dict(arrays)
     for name in arrays:
         if name.endswith("W_ii"):
@@ -372,9 +375,14 @@ def _upgrade_tensors(arrays: dict, num_heads: int) -> dict:
             for proj in ("Wq", "Wk", "Wv"):
                 out[prefix + proj] = np.concatenate(
                     [out.pop(f"{prefix}{proj}.{h}") for h in range(num_heads)])
-    for name, arr in out.items():
-        if name.rpartition(".")[2] in ("w_out", "Wq", "Wk", "Wv", "Wo", "W_ff1", "W_ff2"):
-            out[name] = np.ascontiguousarray(arr.T)
+    if version < 3:
+        for name, arr in out.items():
+            if name.rpartition(".")[2] in ("w_out", "Wq", "Wk", "Wv", "Wo", "W_ff1", "W_ff2"):
+                out[name] = np.ascontiguousarray(arr.T)
+    for name in [name for name in out if name.endswith(".Wq")]:
+        prefix = name[:-len("Wq")]
+        out[prefix + "Wqkv"] = np.concatenate(
+            [out.pop(prefix + proj) for proj in ("Wq", "Wk", "Wv")], axis=1)
     return out
 
 
@@ -395,7 +403,7 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
     if cfg.model_kind.startswith("transformer"):
         t = cfg.transformer
         layers = sum(1 for name in arrays
-                     if name.startswith("transformer.layer") and name.endswith(".Wq"))
+                     if name.startswith("transformer.layer") and name.endswith(".Wqkv"))
         if t.num_layers != layers:
             raise ArtifactError(f"manifest transformer.num_layers is {t.num_layers!r}, "
                                 f"but {layers} layers are stored")
@@ -489,8 +497,8 @@ def _read_tokenizer(cfg: TrainConfig, zf: zipfile.ZipFile,
 
 
 def load_model(path) -> SequenceTagger:
-    """Read a model artifact of version 1, 2 or 3; raises ArtifactError on
-    anything malformed.
+    """Read a model artifact of any version from 1 to ARTIFACT_VERSION;
+    raises ArtifactError on anything malformed.
 
     The stored tensors are read first, and every size the manifest gives
     to one of them must match it; the tokenizer may list no more pieces
@@ -548,7 +556,7 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
     try:
         arrays = _read_tensors(npz_bytes)
         if version < ARTIFACT_VERSION:
-            arrays = _upgrade_tensors(arrays, cfg.transformer.num_heads)
+            arrays = _upgrade_tensors(arrays, version, cfg.transformer.num_heads)
     except ArtifactError:
         raise
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError,

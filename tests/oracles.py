@@ -537,10 +537,11 @@ def _gelu(x):
 
 def _self_attention(w, x, num_heads):
     """Multi-head self-attention over the rows of x, one head at a time:
-    head h reads the column band h*dk:(h+1)*dk of each projection and takes
-    its weights from softmax_rows."""
+    Wqkv holds the q, k and v projections side by side, head h reads the
+    column band h*dk:(h+1)*dk of each and takes its weights from
+    softmax_rows."""
     dk = x.shape[1] // num_heads
-    q, k, v = (x @ w[name] for name in ("Wq", "Wk", "Wv"))
+    q, k, v = (x @ band for band in np.split(w["Wqkv"], 3, axis=1))
     heads = []
     for h in range(num_heads):
         band = slice(h * dk, (h + 1) * dk)

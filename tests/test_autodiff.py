@@ -576,9 +576,9 @@ def _op_cases(rng):
             ad.crf_forward(e, t, bio2, [3, 1, 2]), 1.3),
             lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
-        # heads of width 2, w.r.t. q, k and v
-        "attention": (lambda q, k, v: ad.inner(ad.attention(q, k, v, [3, 1, 2], 2)[0], p_attn),
-                      lambda: [rng.standard_normal((6, 4)) for _ in range(3)]),
+        # heads of width 2, w.r.t. the (6, 12) [q | k | v] rows
+        "attention": (lambda qkv: ad.inner(ad.attention(qkv, [3, 1, 2], 2)[0], p_attn),
+                      lambda: [rng.standard_normal((6, 12))]),
     }
 
 

@@ -559,40 +559,43 @@ def test_attention_is_permutation_equivariant():
 
 
 def test_attention_gradient_matches_finite_differences():
+    """W.r.t. x and the whole of Wqkv, its q, k and v bands alike."""
     rng = np.random.default_rng(37)
     layer = enc.TransformerLayer.init(tiny_cfg(num_layers=1), rng)
     x = rng.normal(size=(3, 4))
     proj = rng.normal(size=(3, 4))
-    q0 = layer.Wq.data.copy()
+    qkv0 = layer.Wqkv.data.copy()
 
-    def build(xa, qa):
-        layer.Wq.data[...] = qa
+    def build(xa, qkva):
+        layer.Wqkv.data[...] = qkva
         xt = Tensor(xa, requires_grad=True)
         out, _ = enc.multi_head_attention(layer, xt, 2)
         return xt, ad.inner(out, proj)
 
-    xt, loss = build(x, q0)
+    xt, loss = build(x, qkv0)
     for t in layer.named_parameters().values():
         t.zero_grad()
     ad.backward(loss)
-    analytic = [xt.grad.copy(), layer.Wq.grad.copy()]
-    numeric = finite_diff(lambda *a: build(*a)[1].data, [x, q0])
+    analytic = [xt.grad.copy(), layer.Wqkv.grad.copy()]
+    numeric = finite_diff(lambda *a: build(*a)[1].data, [x, qkv0])
     for a, n in zip(analytic, numeric):
         assert max_rel_error(a, n) <= 1e-6
 
 
-def _attention_oracle(q, k, v, lengths, num_heads):
-    """Per-sequence, per-head attention composed from primitive ops."""
-    dk = q.shape[1] // num_heads
+def _attention_oracle(qkv, lengths, num_heads):
+    """Per-sequence, per-head attention composed from primitive ops, each
+    head's q, k and v bands taken from the (N, 3d) qkv rows."""
+    d = qkv.shape[1] // 3
+    dk = d // num_heads
     starts = np.cumsum([0] + lengths)
     blocks = []
     for a, b in zip(starts[:-1], starts[1:]):
         heads = []
         for h in range(num_heads):
-            band = (slice(a, b), slice(h * dk, (h + 1) * dk))
-            scores = ad.scale(ad.take(q, band) @ transpose(ad.take(k, band)),
-                              1.0 / math.sqrt(dk))
-            heads.append(softmax_rows(scores) @ ad.take(v, band))
+            q, k, v = (ad.take(qkv, (slice(a, b), slice(j * d + h * dk, j * d + (h + 1) * dk)))
+                       for j in range(3))
+            scores = ad.scale(q @ transpose(k), 1.0 / math.sqrt(dk))
+            heads.append(softmax_rows(scores) @ v)
         blocks.append(ad.concat(heads, axis=1))
     return ad.concat(blocks, axis=0)
 
@@ -600,32 +603,49 @@ def _attention_oracle(q, k, v, lengths, num_heads):
 def test_fused_attention_matches_per_sequence_oracle():
     rng = np.random.default_rng(39)
     lengths = [4, 1, 3, 2]
-    qkv = [rng.normal(size=(10, 6)) for _ in range(3)]
+    qkv = rng.normal(size=(10, 18))
     proj = rng.normal(size=(10, 6))
     results = []
     for fused in (True, False):
-        ts = [Tensor(a.copy(), requires_grad=True) for a in qkv]
-        out = (ad.attention(*ts, lengths, 3)[0] if fused
-               else _attention_oracle(*ts, lengths, 3))
+        t = Tensor(qkv.copy(), requires_grad=True)
+        out = (ad.attention(t, lengths, 3)[0] if fused
+               else _attention_oracle(t, lengths, 3))
         ad.backward(ad.inner(out, proj))
-        results.append([out.data] + [t.grad for t in ts])
+        results.append([out.data, t.grad])
     for got, want in zip(*results):
         assert np.max(np.abs(got - want)) <= 1e-12
     # the weights are each sequence's own softmax rows
-    _, weights = ad.attention(*[Tensor(a) for a in qkv], lengths, 3)
+    _, weights = ad.attention(Tensor(qkv), lengths, 3)
     assert [w.shape for w in weights] == [(3, n, n) for n in lengths]
     assert all(np.allclose(w.sum(axis=2), 1.0) for w in weights)
 
 
+def test_fused_attention_softmax_is_a_plain_max_shift(monkeypatch):
+    """Scores of magnitude 1e6 give finite weights rows that sum to one, with
+    no RuntimeWarning (pytest makes those errors), and the -inf handling of
+    _stable_lse is never called."""
+    def refuse(*args):
+        raise AssertionError("attention called _stable_lse")
+
+    monkeypatch.setattr(ad, "_stable_lse", refuse)
+    qkv = Tensor(np.random.default_rng(40).normal(size=(5, 12)) * 1e3, requires_grad=True)
+    out, (w,) = ad.attention(qkv, [5], 2)
+    ad.backward(ad.inner(out, np.ones((5, 4))))
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(qkv.grad))
+    assert np.max(np.abs(w.sum(axis=2) - 1.0)) <= 1e-12
+
+
 def test_fused_attention_rejects_bad_shapes_and_lengths():
-    x = Tensor(np.zeros((4, 6)))
+    x = Tensor(np.zeros((4, 18)))
     with pytest.raises(ShapeError):
-        ad.attention(x, x, Tensor(np.zeros((4, 5))), [4], 2)
+        ad.attention(Tensor(np.zeros((4, 17))), [4], 2)  # 17 is no [q | k | v] width
     with pytest.raises(ShapeError):
-        ad.attention(x, x, x, [4], 4)  # width 6 does not split into 4 heads
+        ad.attention(Tensor(np.zeros(18)), [1], 2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, [4], 4)  # width 6 does not split into 4 heads
     for lengths in ([3], [2, 3], [4, 0], []):
         with pytest.raises(UsageError):
-            ad.attention(x, x, x, lengths, 2)
+            ad.attention(x, lengths, 2)
 
 
 def test_transformer_encode_shapes_and_determinism():

@@ -105,35 +105,39 @@ def test_parameter_names_are_unique_and_trainable(vocab, tokenizer):
 
 
 # (out, in) shape and entries [0, 1], [-1, 0], [-1, -2] of each matmul weight
-# of the seed-0 tiny transformer-crf, as artifact version 2 stored them
+# of the seed-0 tiny transformer-crf, as artifact version 2 stored them; Wqkv
+# holds the draws of Wq, Wk and Wv as its bands 0, 1 and 2
 _OUT_IN_DRAWS = {
-    "transformer.layer0.Wq": ((12, 12), 0.09099989916719609, 0.3084982463820144,
-                              0.4952686566916433),
-    "transformer.layer0.Wk": ((12, 12), -0.13681911883491082, 0.4497268024822514,
-                              -0.18335982936301404),
-    "transformer.layer0.Wv": ((12, 12), -0.5601677584525295, -0.08076314577790805,
-                              0.24879238568029538),
-    "transformer.layer0.Wo": ((12, 12), -0.49623797161629535, -0.11792490687774748,
-                              0.28394914736763976),
-    "transformer.layer0.W_ff1": ((16, 12), 0.22728264233073092, 0.1196104525721311,
-                                 -0.0617609527263282),
-    "transformer.layer0.W_ff2": ((12, 16), -0.15543145670785824, 0.05138985738496371,
-                                 0.32142671931078837),
-    "w_out": ((6, 12), -0.09458907406827222, -0.5639654304969823, -0.5395451206706988),
+    ("transformer.layer0.Wqkv", 0): ((12, 12), 0.09099989916719609, 0.3084982463820144,
+                                     0.4952686566916433),
+    ("transformer.layer0.Wqkv", 1): ((12, 12), -0.13681911883491082, 0.4497268024822514,
+                                     -0.18335982936301404),
+    ("transformer.layer0.Wqkv", 2): ((12, 12), -0.5601677584525295, -0.08076314577790805,
+                                     0.24879238568029538),
+    ("transformer.layer0.Wo", 0): ((12, 12), -0.49623797161629535, -0.11792490687774748,
+                                   0.28394914736763976),
+    ("transformer.layer0.W_ff1", 0): ((16, 12), 0.22728264233073092, 0.1196104525721311,
+                                      -0.0617609527263282),
+    ("transformer.layer0.W_ff2", 0): ((12, 16), -0.15543145670785824, 0.05138985738496371,
+                                      0.32142671931078837),
+    ("w_out", 0): ((6, 12), -0.09458907406827222, -0.5639654304969823, -0.5395451206706988),
 }
 
 
 def test_matmul_weights_are_stored_in_out_with_the_out_in_draws(vocab, tokenizer):
     """Each weight x @ W multiplies is stored (in, out), C-contiguous, and
-    holds the (out, in) Xavier draw it held before, transposed, so seeded
-    models are the same models."""
+    each (in, out) band of it holds the (out, in) Xavier draw it held
+    before, transposed, so seeded models are the same models."""
     model = build_model(tiny_cfg("transformer-crf"), vocab, np.random.default_rng(0),
                         tokenizer)
     named = model.named_parameters()
-    for name, (shape, *entries) in _OUT_IN_DRAWS.items():
+    for (name, band), ((out, in_), *entries) in _OUT_IN_DRAWS.items():
         w = named[name].data
-        assert w.shape == shape[::-1] and w.flags["C_CONTIGUOUS"], name
-        assert [w[1, 0], w[0, -1], w[-2, -1]] == entries, name
+        assert w.shape[0] == in_ and w.flags["C_CONTIGUOUS"], name
+        w = w[:, band * out:(band + 1) * out]
+        assert w.shape == (in_, out), (name, band)
+        assert [w[1, 0], w[0, -1], w[-2, -1]] == entries, (name, band)
+    assert named["transformer.layer0.Wqkv"].shape == (12, 36)
 
 
 def test_crf_kind_has_transition_table_and_linear_kind_does_not(vocab):
@@ -282,6 +286,9 @@ def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, 
     ops = [n._op for n in nodes]
     layers = cfg.transformer.num_layers
     assert ops.count("attention") == layers
+    # one projection to [q | k | v], Wo and the two feed-forward ones per
+    # layer, then w_out
+    assert ops.count("matmul") == 4 * layers + 1
     # each sublayer is one fused node, with no primitive left over from it
     assert ops.count("layer_norm") == 2 * layers
     assert ops.count("gelu") == layers
@@ -559,9 +566,9 @@ def test_unsupported_version_is_reported(tmp_path, corpus, vocab):
         load_model(dst)
 
 
-@pytest.mark.parametrize("version", [0, 4, None, "2", True, 1.0])
-def test_versions_other_than_one_and_two_are_rejected(tmp_path, vocab, version):
-    """Only the int versions 1 to ARTIFACT_VERSION (3) load."""
+@pytest.mark.parametrize("version", [0, ARTIFACT_VERSION + 1, None, "2", True, 1.0])
+def test_versions_outside_one_to_artifact_version_are_rejected(tmp_path, vocab, version):
+    """Only the int versions 1 to ARTIFACT_VERSION load."""
     model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
     src = tmp_path / "ok.zip"
     save_model(model, src)
