@@ -6,10 +6,11 @@ the output adjoint and pushes it back into its parents, so calling backward()
 on a scalar result fills .grad of every upstream leaf that requires it.  A
 gradient buffer is allocated when it is first used, and backward releases
 each operation's output adjoint once it has been pushed on, so a graph holds
-its values but never all of its adjoints at once.  A closure holds the parents and the arrays it needs, never its own output, so a
-graph contains no reference cycle and is freed as soon as its root is.  The
-graph is dynamic: it is rebuilt from scratch on every forward pass, which
-keeps variable-length sequence models simple.
+its values but never all of its adjoints at once.  A closure holds the
+parents and the arrays it needs, never its own output, so a graph contains
+no reference cycle and is freed as soon as its root is.  The graph is
+dynamic: it is rebuilt from scratch on every forward pass, which keeps
+variable-length sequence models simple.
 
 Inside a no_grad() block operations only compute values: their results carry
 no parents, no closure and no gradient buffer.
@@ -387,9 +388,10 @@ def stack(rows: list[Tensor]) -> Tensor:
 
 def packed_steps(lengths, n: int):
     """Sequence lengths that split n packed rows, as an int array, plus the
-    sequence and the step within it of every row.  UsageError unless the
-    lengths are non-empty, each at least 1, and sum to n."""
-    lengths = np.asarray([int(k) for k in lengths], dtype=np.intp)
+    sequence and the step within it of every row.  lengths None means one
+    sequence of all n rows.  UsageError unless the lengths are non-empty,
+    each at least 1, and sum to n."""
+    lengths = np.asarray([n] if lengths is None else [int(k) for k in lengths], dtype=np.intp)
     if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
         raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
     seq = np.repeat(np.arange(lengths.size), lengths)
@@ -397,51 +399,54 @@ def packed_steps(lengths, n: int):
     return lengths, seq, step
 
 
-def lstm_scan(x: Tensor, lengths, fwd, bwd, finals: bool = False) -> Tensor:
+def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor,
+              finals: bool = False) -> Tensor:
     """A bidirectional LSTM over each of several packed sequences, as one
     node.
 
-    x is (n, D) with the sequences back to back, lengths[b] rows each.  fwd
-    and bwd each hold one direction's weights (w_x, w_h, b_x, b_h): stacked
-    blocks of four row bands, for the input, forget, cell and output gates
-    in that order, w_x (4H, D), w_h (4H, H), b_x (4H,) and b_h (4H,).  From
-    a zero initial state, step t of a sequence computes
+    x is (n, D) with the sequences back to back, lengths[b] rows each
+    (packed_steps).  Each weight stacks both directions, index 0 forward
+    and 1 backward, and each direction stacks four row bands, for the
+    input, forget, cell and output gates in that order: w_x (2, 4H, D),
+    w_h (2, 4H, H), b_x (2, 4H) and b_h (2, 4H).  From a zero initial
+    state, step t of a sequence computes
 
         z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
         c = f * c + i * g,                      h = o * tanh(c)
 
-    reading its rows first to last with fwd and last to first with bwd.  As
-    sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of W_x, W_h and
-    b_x + b_h are halved once per call, and one tanh per step, then one
-    multiply and one add, give all four gates.
+    reading its rows first to last with direction 0 and last to first with
+    direction 1.  As sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands
+    of w_x, w_h and b_x + b_h are halved once per call, and one tanh per
+    step, then one multiply and one add, give all four gates.
     Returns the (n, 2H) rows [forward | backward state], row for row, or
     with finals set the (B, 2H) rows [last forward | first backward], each
     sequence's states once it is read whole.  Both directions of all
     sequences step together in one zero-padded (2, B) batch, one matmul of
-    the state by both hidden weights per step; a finished sequence runs on
-    over padding that no output reads.  Backward runs through time by hand
-    in one loop the same way; under no_grad nothing is kept for it.
+    the state by w_h per step; a finished sequence runs on over padding
+    that no output reads.  Backward runs through time by hand in one loop
+    the same way; under no_grad nothing is kept for it.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
     n, D = x.shape
     lengths, seq, step = packed_steps(lengths, n)
-    shapes = [t.shape for t in (*fwd, *bwd)]
-    H = shapes[1][-1]  # fwd's w_h is (4H, H)
-    if shapes != 2 * [(4 * H, D), (4 * H, H), (4 * H,), (4 * H,)]:
-        raise ShapeError(f"lstm_scan needs two directions of (4H, {D}), (4H, H), (4H,) "
-                         f"and (4H,) weights, got {shapes}")
+    shapes = [t.shape for t in (w_x, w_h, b_x, b_h)]
+    H = shapes[1][-1]  # w_h is (2, 4H, H)
+    if shapes != [(2, 4 * H, D), (2, 4 * H, H), (2, 4 * H), (2, 4 * H)]:
+        raise ShapeError(f"lstm_scan needs (2, 4H, {D}), (2, 4H, H), (2, 4H) and (2, 4H) "
+                         f"weights, got {shapes}")
     B, L = lengths.size, int(lengths.max())
     at = ((seq, step), (seq, lengths[seq] - 1 - step))  # each row's (sequence, step) per direction
     rows = 2 * ((np.arange(B), lengths - 1),) if finals else at  # the states returned
 
     half = np.repeat([0.5, 0.5, 1.0, 0.5], H)  # 1/2 on the sigmoid bands, 1 on g
     shift = 1.0 - half
+    wx_half = w_x.data * half[:, None]
+    bias_half = (b_x.data + b_h.data) * half
     xp = np.zeros((2, B, L, 4 * H))  # the input side of every step at once
-    for k, (w_x, _, b_x, b_h) in enumerate((fwd, bwd)):
-        xp[k][at[k]] = x.data @ (w_x.data * half[:, None]).T + (b_x.data + b_h.data) * half
-    Wh = np.stack([fwd[1].data, bwd[1].data])  # (2, 4H, H)
-    wh_half = (Wh * half[:, None]).transpose(0, 2, 1)
+    for k in range(2):
+        xp[k][at[k]] = x.data @ wx_half[k].T + bias_half[k]
+    wh_half = (w_h.data * half[:, None]).transpose(0, 2, 1)
     h = c = np.zeros((2, B, H))
     out = np.empty((2, B, L, H))
     saved = [] if _grad_enabled else None  # per step: previous state, gates, tanh(new cell)
@@ -459,7 +464,6 @@ def lstm_scan(x: Tensor, lengths, fwd, bwd, finals: bool = False) -> Tensor:
         g_pad = np.zeros((2, B, L, H))
         g_pad[0][rows[0]], g_pad[1][rows[1]] = gout[:, :H], gout[:, H:]
         dz_all = np.empty((2, B, L, 4 * H))
-        dWh = np.zeros_like(Wh)
         dh = dc = np.zeros((2, B, H))
         for t in range(L - 1, -1, -1):
             h_prev, c_prev, a, tc = saved[t]
@@ -471,22 +475,23 @@ def lstm_scan(x: Tensor, lengths, fwd, bwd, finals: bool = False) -> Tensor:
             dz[..., H:2 * H] = dc_new * c_prev * f * (1.0 - f)
             dz[..., 2 * H:3 * H] = dc_new * i * (1.0 - g * g)
             dz[..., 3 * H:] = dh * tc * o * (1.0 - o)
-            dWh += np.matmul(dz.transpose(0, 2, 1), h_prev)
-            dh = np.matmul(dz, Wh)
+            if w_h.requires_grad:
+                w_h.grad += np.matmul(dz.transpose(0, 2, 1), h_prev)
+            dh = np.matmul(dz, w_h.data)
             dc = dc_new * f
-        for k, (w_x, w_h, b_x, b_h) in enumerate((fwd, bwd)):
+        for k in range(2):
             dz = dz_all[k][at[k]]
             db = dz.sum(axis=0)
             if w_x.requires_grad:
-                w_x.grad += dz.T @ x.data
-            for t, grad in ((w_h, dWh[k]), (b_x, db), (b_h, db)):
+                w_x.grad[k] += dz.T @ x.data
+            for t in (b_x, b_h):
                 if t.requires_grad:
-                    t.grad += grad
+                    t.grad[k] += db
             if x.requires_grad:
-                x.grad += dz @ w_x.data
+                x.grad += dz @ w_x.data[k]
 
     return _result(np.concatenate([out[0][rows[0]], out[1][rows[1]]], axis=1),
-                   (x, *fwd, *bwd), "lstm_scan", _bw)
+                   (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
 
 
 def crf_forward(emissions: Tensor, transition: Tensor,
@@ -512,7 +517,7 @@ def crf_forward(emissions: Tensor, transition: Tensor,
     square = (T + 1, T + 1)
     if transition.shape != square or (mask is not None and np.shape(mask) != square):
         raise ShapeError(f"crf_forward needs a {square} transition table and mask")
-    lengths, seq, step = packed_steps([n] if lengths is None else lengths, n)
+    lengths, seq, step = packed_steps(lengths, n)
     B, L = lengths.size, int(lengths.max())
     at = (seq, step)
     e = np.zeros((B, L, T))

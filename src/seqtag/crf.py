@@ -93,7 +93,7 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     _check_labels(crf.num_tags, labels, n)
     _check_mask(crf.num_tags, mask)
     T = crf.num_tags
-    lengths = ad.packed_steps([n] if lengths is None else lengths, n)[0]
+    lengths = ad.packed_steps(lengths, n)[0]
     labels = np.asarray(labels, dtype=np.intp)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
@@ -151,7 +151,7 @@ def viterbi_decode(crf: CRFParams, emissions: Tensor,
     for t in range(1, n):
         cand = delta[:, None] + trans[:T, :T]  # cand[i, j]: best-so-far i -> j
         back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(T)] + e[t]
+        delta = cand.max(axis=0) + e[t]
     final = delta + trans[:T, T]
     best = int(np.argmax(final))
     path = [best]

@@ -8,8 +8,9 @@ bidirectional LSTM or by a small trainable transformer encoder.
 Every BiLSTM runs as one fused autodiff op (autodiff.lstm_scan) that steps
 both directions together over sequences packed back to back: a composer
 summarizes all words it is given in one scan, and the sentence encoder scans
-every sentence of a mini-batch in one.  The transformer packs the pieces of
-a mini-batch into one matrix the same way.
+every sentence of a mini-batch in one.  A BiLSTM stores each of its four
+weights with both directions stacked, as the op reads them.  The transformer
+packs the pieces of a mini-batch into one matrix the same way.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ def init_embeddings(table: EmbeddingTable, rng: np.random.Generator) -> None:
 
 
 @dataclass
-class LSTMCellParams:
-    """Gate weights of one LSTM direction, stacked in row bands of H for the
-    input, forget, cell and output gates: W_x (4H, D), W_h (4H, H), b_x (4H,)
-    and b_h (4H,), in the order of weights: one direction of autodiff.lstm_scan.
+class BiLSTM:
+    """Gate weights of both LSTM directions, index 0 forward and 1 backward,
+    each direction stacked in row bands of H for the input, forget, cell and
+    output gates: W_x (2, 4H, D), W_h (2, 4H, H), b_x (2, 4H) and b_h (2, 4H),
+    the blocks autodiff.lstm_scan reads as stored.
 
     Both bias vectors are kept, so every gate has an input-side and a
     hidden-side bias; the forget gate's hidden-side one carries the usual
@@ -83,35 +85,20 @@ class LSTMCellParams:
     b_h: Tensor
 
     @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LSTMCellParams":
-        H = hidden_dim
-        # gate by gate, an input-side then a hidden-side matrix: seeded
-        # models depend on this draw order
-        drawn = [xavier_uniform(rng, H, cols) for _ in range(4) for cols in (input_dim, H)]
-        b_h = np.zeros(4 * H)
-        b_h[H:2 * H] = 1.0
-        return cls(W_x=Tensor(np.concatenate(drawn[0::2]), requires_grad=True),
-                   W_h=Tensor(np.concatenate(drawn[1::2]), requires_grad=True),
-                   b_x=Tensor(np.zeros(4 * H), requires_grad=True),
-                   b_h=Tensor(b_h, requires_grad=True))
-
-    @property
-    def weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return self.W_x, self.W_h, self.b_x, self.b_h
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {prefix + n: getattr(self, n) for n in ("W_x", "W_h", "b_x", "b_h")}
-
-
-@dataclass
-class BiLSTM:
-    fwd: LSTMCellParams
-    bwd: LSTMCellParams
-
-    @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "BiLSTM":
-        return cls(fwd=LSTMCellParams.init(input_dim, hidden_dim, rng),
-                   bwd=LSTMCellParams.init(input_dim, hidden_dim, rng))
+        H = hidden_dim
+        # direction by direction, then gate by gate, an input-side then a
+        # hidden-side matrix: seeded models depend on this draw order
+        drawn = [[xavier_uniform(rng, H, cols) for _ in range(4) for cols in (input_dim, H)]
+                 for _ in range(2)]
+        b_h = np.zeros((2, 4 * H))
+        b_h[:, H:2 * H] = 1.0
+        return cls(W_x=Tensor(np.stack([np.concatenate(d[0::2]) for d in drawn]),
+                              requires_grad=True),
+                   W_h=Tensor(np.stack([np.concatenate(d[1::2]) for d in drawn]),
+                              requires_grad=True),
+                   b_x=Tensor(np.zeros((2, 4 * H)), requires_grad=True),
+                   b_h=Tensor(b_h, requires_grad=True))
 
     def encode(self, x: Tensor, lengths=None) -> Tensor:
         """Per-position concatenation of forward and backward hidden states.
@@ -119,20 +106,17 @@ class BiLSTM:
         x is (n, D): the rows of one sequence, or of several back to back, with
         lengths giving each one's row count.  The result is (n, 2H), row for row.
         """
-        lengths = [x.shape[0]] if lengths is None else lengths
-        return ad.lstm_scan(x, lengths, self.fwd.weights, self.bwd.weights)
+        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
 
     def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
         """concat(last forward hidden, last backward hidden) of each id
         sequence, embedded from the rows of table; (len(sequences), 2H)."""
         return ad.lstm_scan(ad.gather_rows(table, [i for s in sequences for i in s]),
-                            [len(s) for s in sequences], self.fwd.weights,
-                            self.bwd.weights, finals=True)
+                            [len(s) for s in sequences], self.W_x, self.W_h,
+                            self.b_x, self.b_h, finals=True)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.fwd.named_parameters(prefix + "fwd.")
-        out.update(self.bwd.named_parameters(prefix + "bwd."))
-        return out
+        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +367,7 @@ def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
     projected output and one (num_heads, L, L) array of attention weights
     per sequence; weight rows sum to one.
     """
-    combined, weights = ad.attention(x @ layer.Wqkv, [x.shape[0]] if lengths is None
-                                     else lengths, num_heads)
+    combined, weights = ad.attention(x @ layer.Wqkv, lengths, num_heads)
     return combined @ layer.Wo, weights
 
 
@@ -414,8 +397,7 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
     """
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")
-    lengths, _, positions = ad.packed_steps(
-        [len(piece_ids)] if lengths is None else lengths, len(piece_ids))
+    lengths, _, positions = ad.packed_steps(lengths, len(piece_ids))
     if lengths.max() > cfg.max_len:
         raise UsageError(f"a sequence of {lengths.max()} pieces is longer than "
                          f"max_len {cfg.max_len}")

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
-ARTIFACT_VERSION = 4
+ARTIFACT_VERSION = 5
 # load_model reads no artifact member past these sizes: manifest.json and
 # tensors.npz have fixed caps, and tokenizer.tsv may hold one line of at
 # most TOKENIZER_LINE_MAX_BYTES per row of the stored piece table
@@ -197,8 +197,7 @@ class SequenceTagger:
         giving each one's word count; morphs, if given, runs parallel to
         words.  All sentences are encoded in one graph.
         """
-        lengths = ad.packed_steps([len(words)] if lengths is None else lengths,
-                                  len(words))[0].tolist()
+        lengths = ad.packed_steps(lengths, len(words))[0].tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
@@ -362,7 +361,8 @@ def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:
     Wo, W_ff1 and W_ff2 as (out, in); each is transposed to (in, out).
     Versions 1 to 3 kept a layer's Wq, Wk and Wv apart; after the steps
     above, the three (in, out) weights are joined side by side into its
-    Wqkv."""
+    Wqkv.  Versions 1 to 4 kept each BiLSTM direction apart, as P.fwd.X
+    and P.bwd.X; each pair is stacked, forward first, into P.X."""
     out = dict(arrays)
     for name in arrays:
         if name.endswith("W_ii"):
@@ -383,6 +383,9 @@ def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:
         prefix = name[:-len("Wq")]
         out[prefix + "Wqkv"] = np.concatenate(
             [out.pop(prefix + proj) for proj in ("Wq", "Wk", "Wv")], axis=1)
+    for name in [name for name in out if ".fwd." in name]:
+        prefix, _, block = name.rpartition("fwd.")
+        out[prefix + block] = np.stack([out.pop(name), out.pop(prefix + "bwd." + block)])
     return out
 
 
@@ -412,13 +415,13 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
                    ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 1)]
     else:
         c = cfg.composer
-        checks.append(("hidden_dim", cfg.hidden_dim, "encoder.fwd.W_h", 1))
+        checks.append(("hidden_dim", cfg.hidden_dim, "encoder.W_h", 2))
         for source, table, bilstm in c.sources:
             checks.append((f"composer.{source}_dim", getattr(c, source + "_dim"),
                            f"composer.{table}", 1))
             if bilstm:
                 checks.append((f"composer.{source}_hidden", getattr(c, source + "_hidden"),
-                               f"composer.{bilstm}.fwd.W_h", 1))
+                               f"composer.{bilstm}.W_h", 2))
     for size, given, tensor, axis in checks:
         arr = arrays.get(tensor)
         if arr is None or arr.ndim <= axis or arr.shape[axis] != given:

@@ -14,6 +14,9 @@ checkout's models.ARTIFACT_VERSION:
 - Version 3 (commit a14bf26) stored every projection weight as (in, out),
   and each transformer layer's attention projections as three tensors, Wq,
   Wk and Wv.
+- Version 4 (commit c16031a) joined those three into one Wqkv, and still
+  stored each BiLSTM direction apart, as fwd.W_x, fwd.W_h, fwd.b_x,
+  fwd.b_h and the same four under bwd.
 
 It trains two tiny models briefly on a synthetic corpus: a bilstm-crf with
 the char, morph and subword composers and a two-head transformer-crf.  It

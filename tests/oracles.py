@@ -414,8 +414,27 @@ def matvec(a: Tensor, v: Tensor) -> Tensor:
 # LSTM reference: one cell update per graph step, from primitive ops
 
 
+@dataclass
+class Cell:
+    """The gate weights lstm_step reads, of one LSTM direction: W_x (4H, D),
+    W_h (4H, H), b_x (4H,) and b_h (4H,), each in row bands of H for the
+    input, forget, cell and output gates."""
+
+    W_x: Tensor
+    W_h: Tensor
+    b_x: Tensor
+    b_h: Tensor
+
+
+def direction(blocks, k):
+    """Direction k (0 forward, 1 backward) of a BiLSTM's stacked (2, ...)
+    blocks, named as BiLSTM.named_parameters() names them, as a Cell.  Each
+    block is read through take, so gradients reach the stacked tensors."""
+    return Cell(*(ad.take(blocks[n], k) for n in ("W_x", "W_h", "b_x", "b_h")))
+
+
 def lstm_step(p, x_t, h_prev, c_prev):
-    """One LSTM cell update of LSTMCellParams p; returns (h_t, c_t).
+    """One LSTM cell update of the Cell p; returns (h_t, c_t).
 
     Each gate reads its row band of the stacked weights through take.
     """
@@ -470,25 +489,14 @@ def softmax_rows(x: Tensor) -> Tensor:
 # every layer in turn, and every sentence scored by enumeration
 
 
-@dataclass
-class _Cell:
-    """The gate weights lstm_step reads, copied off named_parameters()."""
-
-    W_x: Tensor
-    W_h: Tensor
-    b_x: Tensor
-    b_h: Tensor
-
-
 def _bilstm_states(params, prefix, rows):
     """Forward states over rows and backward states over them reversed, the
     latter put back in row order, of the BiLSTM stored under prefix."""
-    cells = [_Cell(*(Tensor(params[f"{prefix}{d}.{n}"].data)
-                     for n in ("W_x", "W_h", "b_x", "b_h"))) for d in ("fwd", "bwd")]
+    blocks = {n: params[prefix + n] for n in ("W_x", "W_h", "b_x", "b_h")}
     xs = [Tensor(r) for r in rows]
     with ad.no_grad():
-        fwd = [h.data for h in lstm_run(cells[0], xs)]
-        bwd = [h.data for h in lstm_run(cells[1], xs[::-1])][::-1]
+        fwd = [h.data for h in lstm_run(direction(blocks, 0), xs)]
+        bwd = [h.data for h in lstm_run(direction(blocks, 1), xs[::-1])][::-1]
     return fwd, bwd
 
 

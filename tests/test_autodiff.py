@@ -263,20 +263,35 @@ def test_take_accepts_only_basic_indices():
 
 
 def _scan_weights(rng, d, h):
-    """One direction's (w_x, w_h, b_x, b_h) for input width d and H = h."""
-    return (Tensor(rng.standard_normal((4 * h, d))), Tensor(rng.standard_normal((4 * h, h))),
-            Tensor(rng.standard_normal(4 * h)), Tensor(rng.standard_normal(4 * h)))
+    """Both directions' stacked (w_x, w_h, b_x, b_h) for input width d and
+    H = h."""
+    return (Tensor(rng.standard_normal((2, 4 * h, d))),
+            Tensor(rng.standard_normal((2, 4 * h, h))),
+            Tensor(rng.standard_normal((2, 4 * h))), Tensor(rng.standard_normal((2, 4 * h))))
+
+
+def test_packed_steps_gives_each_row_its_sequence_and_step():
+    lengths, seq, step = ad.packed_steps([2, 3, 1], 6)
+    assert lengths.tolist() == [2, 3, 1]
+    assert seq.tolist() == [0, 0, 1, 1, 1, 2]
+    assert step.tolist() == [0, 1, 0, 1, 2, 0]
+    # no lengths: one sequence of all the rows
+    lengths, seq, step = ad.packed_steps(None, 4)
+    assert (lengths.tolist(), seq.tolist(), step.tolist()) == ([4], [0] * 4, [0, 1, 2, 3])
+    for lengths, n in (([], 0), ([0, 5], 5), ([1, 5], 5), ([4], 5), ([-1, 6], 5), (None, 0)):
+        with pytest.raises(UsageError):
+            ad.packed_steps(lengths, n)
 
 
 @pytest.mark.parametrize("finals", [False, True])
 def test_lstm_scan_of_a_packed_batch_equals_each_sequence_alone(finals):
     rng = np.random.default_rng(13)
-    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
+    w = _scan_weights(rng, 3, 2)
     lengths = [2, 4, 1]
     x = rng.standard_normal((7, 3))
-    out = ad.lstm_scan(Tensor(x), lengths, fwd, bwd, finals).data
+    out = ad.lstm_scan(Tensor(x), lengths, *w, finals).data
     starts = np.cumsum([0] + lengths)
-    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], fwd, bwd, finals).data
+    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], *w, finals).data
                             for a, b in zip(starts, starts[1:])])
     assert out.shape == ((3, 4) if finals else (7, 4))
     assert np.max(np.abs(out - alone)) <= 1e-12
@@ -288,33 +303,35 @@ def test_lstm_scan_reverse_is_a_forward_scan_of_the_flipped_rows(lengths):
     every sequence's rows reversed, with the two directions' weights
     swapped."""
     rng = np.random.default_rng(15)
-    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
+    w = _scan_weights(rng, 3, 2)
     x = rng.standard_normal((5, 3))
     starts = np.cumsum([0] + lengths)
     flip = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(starts, starts[1:])])
-    both = ad.lstm_scan(Tensor(x), lengths, fwd, bwd).data
-    swapped = ad.lstm_scan(Tensor(x[flip]), lengths, bwd, fwd).data[flip]
+    both = ad.lstm_scan(Tensor(x), lengths, *w).data
+    swapped = ad.lstm_scan(Tensor(x[flip]), lengths,
+                           *(Tensor(t.data[::-1]) for t in w)).data[flip]
     assert np.max(np.abs(both - np.roll(swapped, 2, axis=1))) <= 1e-12
 
 
 def test_lstm_scan_rejects_bad_lengths_and_shapes():
     rng = np.random.default_rng(14)
-    fwd, bwd = _scan_weights(rng, 3, 2), _scan_weights(rng, 3, 2)
-    w_x, w_h, b_x, b_h = fwd
+    w = _scan_weights(rng, 3, 2)
     x = Tensor(np.zeros((5, 3)))
     for lengths in ([0, 5], [1, 5], [4], []):
         with pytest.raises(UsageError):
-            ad.lstm_scan(x, lengths, fwd, bwd)
+            ad.lstm_scan(x, lengths, *w)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], fwd, bwd)
+        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], *w)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], fwd, bwd)
-    for bad in ((Tensor(w_x.data[:6]), w_h, b_x, b_h), (w_x, w_h, b_x)):
-        with pytest.raises(ShapeError):
-            ad.lstm_scan(x, [5], bad, bwd)
-    # a backward direction whose H differs from the forward one's
+        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], *w)
+    # each block with one direction only, with three, and a band short
+    for k in range(4):
+        for bad in (w[k].data[0], np.concatenate([w[k].data, w[k].data[:1]]), w[k].data[:, :6]):
+            with pytest.raises(ShapeError):
+                ad.lstm_scan(x, [5], *w[:k], Tensor(bad), *w[k + 1:])
+    # a w_h whose H differs from the other blocks'
     with pytest.raises(ShapeError):
-        ad.lstm_scan(x, [5], fwd, _scan_weights(rng, 3, 3))
+        ad.lstm_scan(x, [5], w[0], Tensor(w[1].data[..., :1]), *w[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +499,12 @@ def test_trace_topological_order():
 
 
 def _scan_arrays(rng):
-    """x (8, 3) and two directions' gate blocks for H = 2."""
-    return [rng.standard_normal((8, 3))] + [rng.standard_normal(shape) for _ in range(2)
-                                            for shape in ((8, 3), (8, 2), 8, 8)]
+    """x (8, 3) and the stacked (2, ...) gate blocks of both directions for
+    H = 2, forward drawn before backward."""
+    x = rng.standard_normal((8, 3))
+    fwd, bwd = ([rng.standard_normal(shape) for shape in ((8, 3), (8, 2), 8, 8)]
+                for _ in range(2))
+    return [x] + [np.stack(pair) for pair in zip(fwd, bwd)]
 
 
 def _op_cases(rng):
@@ -552,11 +572,11 @@ def _op_cases(rng):
                       lambda: [rng.standard_normal((3, 2))]),
         # both directions over three packed sequences of 4, 1 and 3 rows, as
         # per-row states and as each sequence's final states; gradients
-        # w.r.t. x and each direction's four stacked gate blocks
-        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], w[:4], w[4:]), p_scan),
+        # w.r.t. x and the four (2, ...) blocks of stacked gate weights
+        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], *w), p_scan),
                       lambda: _scan_arrays(rng)),
         "lstm_scan_finals": (lambda x, *w: ad.inner(
-            ad.lstm_scan(x, [4, 1, 3], w[:4], w[4:], finals=True), p_scan_finals),
+            ad.lstm_scan(x, [4, 1, 3], *w, finals=True), p_scan_finals),
             lambda: _scan_arrays(rng)),
         "gather_rows": (lambda t: ad.inner(ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather),
                         lambda: [rng.standard_normal((4, 3))]),

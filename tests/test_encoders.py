@@ -11,8 +11,8 @@ from seqtag.errors import ConfigError, ShapeError, UsageError
 from seqtag.models import TrainConfig, build_model
 from seqtag.subword import UnigramVocab
 
-from oracles import (finite_diff, lstm_run, lstm_step, max_rel_error, softmax_rows, total,
-                     transpose)
+from oracles import (Cell, direction, finite_diff, lstm_run, lstm_step, max_rel_error,
+                     softmax_rows, total, transpose)
 
 
 def sig(z):
@@ -32,15 +32,30 @@ def lstm_oracle(w, x, h, c):
     return h_t, c_t
 
 
+NAMES = ("W_x", "W_h", "b_x", "b_h")
+
+
 def random_cell(rng, input_dim, hidden_dim):
-    p = enc.LSTMCellParams.init(input_dim, hidden_dim, rng)
-    for t in p.named_parameters().values():
+    """One direction's gate blocks, leaves drawn from a normal."""
+    shapes = [(4 * hidden_dim, input_dim), (4 * hidden_dim, hidden_dim), 4 * hidden_dim,
+              4 * hidden_dim]
+    return Cell(*(Tensor(rng.normal(scale=0.6, size=shape), requires_grad=True)
+                  for shape in shapes))
+
+
+def random_bilstm(rng, input_dim, hidden_dim):
+    bi = enc.BiLSTM.init(input_dim, hidden_dim, rng)
+    for t in bi.named_parameters().values():
         t.data[...] = rng.normal(scale=0.6, size=t.shape)
-    return p
+    return bi
 
 
 def cell_arrays(p):
-    return {k: t.data.copy() for k, t in p.named_parameters().items()}
+    return {k: getattr(p, k).data.copy() for k in NAMES}
+
+
+def direction_arrays(bi, k):
+    return {n: t.data[k].copy() for n, t in bi.named_parameters().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +64,9 @@ def cell_arrays(p):
 
 def test_lstm_step_zero_params_zero_state():
     rng = np.random.default_rng(0)
-    p = enc.LSTMCellParams.init(3, 4, rng)
-    for t in p.named_parameters().values():
-        t.data[...] = 0.0
+    p = random_cell(rng, 3, 4)
+    for k in NAMES:
+        getattr(p, k).data[...] = 0.0
     x = Tensor(rng.normal(size=3))
     h, c = lstm_step(p, x, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     # all gate preactivations are zero: i = f = o = 0.5, g = 0
@@ -74,9 +89,9 @@ def test_lstm_step_matches_straight_line_recompute():
 
 def test_lstm_step_saturated_forget_gate_carries_cell_state():
     rng = np.random.default_rng(8)
-    p = enc.LSTMCellParams.init(3, 4, rng)
-    for name, t in p.named_parameters().items():
-        t.data[...] = 0.0
+    p = random_cell(rng, 3, 4)
+    for k in NAMES:
+        getattr(p, k).data[...] = 0.0
     p.b_h.data[4:8] = 30.0  # forget gate pinned at sigmoid(30) ~ 1
     c0 = rng.normal(size=4)
     _, c1 = lstm_step(p, Tensor(rng.normal(size=3)), Tensor(np.zeros(4)), Tensor(c0))
@@ -86,7 +101,7 @@ def test_lstm_step_saturated_forget_gate_carries_cell_state():
 
 def test_lstm_step_shape_errors():
     rng = np.random.default_rng(9)
-    p = enc.LSTMCellParams.init(3, 4, rng)
+    p = random_cell(rng, 3, 4)
     with pytest.raises(ShapeError):
         lstm_step(p, Tensor(np.zeros(5)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
@@ -95,28 +110,22 @@ def test_lstm_step_shape_errors():
 
 def test_lstm_step_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    p = random_cell(rng, 3, 2)
+    base = cell_arrays(random_cell(rng, 3, 2))
     x = rng.normal(size=3)
     h0 = rng.normal(size=2)
     c0 = rng.normal(size=2)
     proj = rng.normal(size=2)
-    names = ["W_x", "W_h", "b_x", "b_h"]
-    base = cell_arrays(p)
 
     def rebuild(arrays):
-        q = enc.LSTMCellParams.init(3, 2, np.random.default_rng(0))
-        for k, t in q.named_parameters().items():
-            t.data[...] = base[k]
-        for k, a in zip(names, arrays[:-1]):
-            getattr(q, k).data[...] = a
+        q = Cell(*(Tensor(a, requires_grad=True) for a in arrays[:-1]))
         xt = Tensor(arrays[-1], requires_grad=True)
         h, c = lstm_step(q, xt, Tensor(h0), Tensor(c0))
         return q, xt, ad.inner(h, proj) + ad.inner(c, proj)
 
-    inputs = [base[k] for k in names] + [x]
+    inputs = [base[k] for k in NAMES] + [x]
     q, xt, loss = rebuild(inputs)
     ad.backward(loss)
-    analytic = [getattr(q, k).grad for k in names] + [xt.grad]
+    analytic = [getattr(q, k).grad for k in NAMES] + [xt.grad]
 
     def f(*arrays):
         _, _, out = rebuild(list(arrays))
@@ -131,15 +140,41 @@ def test_lstm_step_gradients_match_finite_differences():
 # BiLSTM
 
 
+def test_bilstm_init_stacks_the_xavier_draws_of_each_direction_and_gate():
+    """BiLSTM.init draws sixteen Xavier matrices, direction by direction,
+    then gate by gate, the input-side one before the hidden-side one; each
+    lands in its direction's gate band.  Every b_x is 0 and so is b_h, but
+    for its forget band, which is 1 in both directions."""
+    D, H = 3, 4
+    bi = enc.BiLSTM.init(D, H, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    for k in range(2):
+        for gate in range(4):
+            band = slice(gate * H, (gate + 1) * H)
+            assert np.array_equal(bi.W_x.data[k, band], enc.xavier_uniform(rng, H, D))
+            assert np.array_equal(bi.W_h.data[k, band], enc.xavier_uniform(rng, H, H))
+    assert np.array_equal(bi.b_x.data, np.zeros((2, 4 * H)))
+    forget = np.zeros(4 * H)
+    forget[H:2 * H] = 1.0
+    assert np.array_equal(bi.b_h.data, np.stack([forget, forget]))
+
+
+def test_bilstm_named_parameters_are_its_four_stacked_blocks():
+    bi = enc.BiLSTM.init(3, 4, np.random.default_rng(0))
+    named = bi.named_parameters("p.")
+    assert list(named) == ["p.W_x", "p.W_h", "p.b_x", "p.b_h"]
+    assert [t.shape for t in named.values()] == [(2, 16, 3), (2, 16, 4), (2, 16), (2, 16)]
+    assert all(t.requires_grad for t in named.values())
+
+
 def test_bilstm_encode_matches_manual_unroll():
     rng = np.random.default_rng(11)
-    fwd = random_cell(rng, 3, 2)
-    bwd = random_cell(rng, 3, 2)
+    bi = random_bilstm(rng, 3, 2)
     xs_np = [rng.normal(size=3) for _ in range(3)]
-    out = enc.BiLSTM(fwd, bwd).encode(Tensor(np.stack(xs_np)))
+    out = bi.encode(Tensor(np.stack(xs_np)))
     assert out.shape == (3, 4)
 
-    wf, wb = cell_arrays(fwd), cell_arrays(bwd)
+    wf, wb = direction_arrays(bi, 0), direction_arrays(bi, 1)
     h, c = np.zeros(2), np.zeros(2)
     hs_f = []
     for x in xs_np:
@@ -178,11 +213,9 @@ def test_bilstm_encode_of_a_batch_equals_each_sequence_alone():
 
 
 def test_bilstm_encode_rejects_empty_sequence():
-    rng = np.random.default_rng(12)
-    fwd = enc.LSTMCellParams.init(3, 2, rng)
-    bwd = enc.LSTMCellParams.init(3, 2, rng)
+    bi = enc.BiLSTM.init(3, 2, np.random.default_rng(12))
     with pytest.raises(UsageError):
-        enc.BiLSTM(fwd, bwd).encode(Tensor(np.zeros((0, 3))))
+        bi.encode(Tensor(np.zeros((0, 3))))
 
 
 def test_bilstm_final_states_reject_no_sequence_and_an_empty_one():
@@ -212,8 +245,8 @@ def test_bilstm_gradient_reaches_both_directions():
     out = bi.encode(xs)
     loss = total(out)
     ad.backward(loss)
-    assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("fwd."))
-    assert any(np.any(t.grad != 0) for n, t in bi.named_parameters().items() if n.startswith("bwd."))
+    for k in range(2):
+        assert any(np.any(t.grad[k] != 0) for t in bi.named_parameters().values())
     assert all(np.any(row != 0) for row in xs.grad)
 
 
@@ -231,7 +264,8 @@ def _outputs_and_grads(bi, inputs, build, proj):
 def _oracle_bilstm(bi, rows):
     """Forward states in order and backward states over the reversed rows,
     one lstm_step per graph step."""
-    return lstm_run(bi.fwd, rows), lstm_run(bi.bwd, rows[::-1])
+    blocks = bi.named_parameters()
+    return lstm_run(direction(blocks, 0), rows), lstm_run(direction(blocks, 1), rows[::-1])
 
 
 def test_fused_bilstm_matches_the_lstm_step_oracle():
@@ -279,13 +313,13 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
     without splitting by sign overflows.  The oracle's sigmoid splits by
     sign, lstm_scan's runs through tanh."""
     rng = np.random.default_rng(17)
-    bi = enc.BiLSTM(random_cell(rng, 3, 4), random_cell(rng, 3, 4))
+    bi = random_bilstm(rng, 3, 4)
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    for p in (bi.fwd, bi.bwd):
-        z0 = x.data @ p.W_x.data.T + p.b_x.data + p.b_h.data
+    for k in range(2):
+        z0 = x.data @ bi.W_x.data[k].T + bi.b_x.data[k] + bi.b_h.data[k]
         factor = reach / np.median(np.abs(z0))
-        for t in p.named_parameters().values():
-            t.data *= factor
+        for t in bi.named_parameters().values():
+            t.data[k] *= factor
         assert np.any(z0 * factor < -reach) and np.any(z0 * factor > reach)
     lengths = [4, 2]
     proj = rng.normal(size=(2 if finals else 6, 8))
@@ -299,7 +333,8 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
         return ad.stack(out)
 
     fused = _outputs_and_grads(
-        bi, [x], lambda: ad.lstm_scan(x, lengths, bi.fwd.weights, bi.bwd.weights, finals), proj)
+        bi, [x], lambda: ad.lstm_scan(x, lengths, bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals),
+        proj)
     for got, want in zip(fused, _outputs_and_grads(bi, [x], oracle, proj)):
         assert np.all(np.isfinite(got))
         assert max_rel_error(got, want) <= 1e-12
@@ -308,11 +343,11 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
 @pytest.mark.parametrize("finals", [False, True])
 def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(finals):
     rng = np.random.default_rng(18)
-    fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
+    bi = random_bilstm(rng, 3, 4)
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-    recorded = ad.lstm_scan(x, [3, 1, 3], fwd.weights, bwd.weights, finals)
+    recorded = ad.lstm_scan(x, [3, 1, 3], bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals)
     with ad.no_grad():
-        bare = ad.lstm_scan(x, [3, 1, 3], fwd.weights, bwd.weights, finals)
+        bare = ad.lstm_scan(x, [3, 1, 3], bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals)
     assert recorded._backward is not None and bare._backward is None
     assert np.array_equal(bare.data, recorded.data)
 

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -102,6 +103,26 @@ def test_parameter_names_are_unique_and_trainable(vocab, tokenizer):
         assert len(named) == len(set(named))
         assert all(t.requires_grad for t in named.values())
         assert model.parameters() == list(named.values())
+
+
+def test_each_bilstm_holds_four_stacked_blocks(vocab, tokenizer):
+    """A bilstm-crf with all four sources has 23 parameter tensors: four
+    tables, the W_x, W_h, b_x and b_h of each of its four BiLSTMs, each
+    with the two directions stacked on axis 0, then w_out, b_out and the
+    transitions."""
+    composer = ComposerConfig(use_morph=True, use_subword=True, word_dim=16, char_dim=8,
+                              char_hidden=6, morph_dim=8, morph_hidden=4, subword_dim=8,
+                              subword_hidden=4)
+    model = build_model(tiny_cfg(composer=composer), vocab, np.random.default_rng(0),
+                        tokenizer)
+    named = model.named_parameters()
+    assert len(named) == 23
+    bilstms = {"encoder.": (composer.output_dim, 8), "composer.char_bilstm.": (8, 6),
+               "composer.morph_bilstm.": (8, 4), "composer.subword_bilstm.": (8, 4)}
+    for prefix, (D, H) in bilstms.items():
+        assert {n: t.shape for n, t in named.items() if n.startswith(prefix)} == {
+            prefix + "W_x": (2, 4 * H, D), prefix + "W_h": (2, 4 * H, H),
+            prefix + "b_x": (2, 4 * H), prefix + "b_h": (2, 4 * H)}
 
 
 # (out, in) shape and entries [0, 1], [-1, 0], [-1, -2] of each matmul weight
@@ -721,16 +742,13 @@ def test_every_older_version_has_its_fixtures():
             assert json.load(fh).get(name), name
 
 
-@pytest.mark.parametrize("name", OLDER_FIXTURES)
-def test_older_artifacts_load_and_tag_as_before(tmp_path, name):
-    """Fixtures written by the code of each older version
-    (tests/fixtures/make_version_fixtures.py): a bilstm-crf with char, morph
-    and subword composers and a two-head transformer-crf, with the tags and
-    gold-tag losses that code gave."""
+def _assert_loads_and_tags_as_recorded(directory, name, tmp_path):
+    """The fixture model name in directory, and a resave of it, give each
+    recorded sentence its recorded tags and gold-tag loss."""
     version = name.partition("_")[0]
-    with open(FIXTURES / f"{version}_expected_tags.json", encoding="utf-8") as fh:
+    with open(directory / f"{version}_expected_tags.json", encoding="utf-8") as fh:
         expected = json.load(fh)[name]
-    model = load_model(FIXTURES / f"{name}.zip")
+    model = load_model(directory / f"{name}.zip")
     save_model(model, tmp_path / "current.zip")
     resaved = load_model(tmp_path / "current.zip")
     for s in expected:
@@ -740,6 +758,35 @@ def test_older_artifacts_load_and_tag_as_before(tmp_path, name):
             assert m.predict(s["words"], s["morphs"]) == s["tags"]
             nll = m.loss(sentence, training=False).item()
             assert abs(nll - s["nll"]) <= 1e-9 * abs(s["nll"])
+
+
+@pytest.mark.parametrize("name", OLDER_FIXTURES)
+def test_older_artifacts_load_and_tag_as_before(tmp_path, name):
+    """Fixtures written by the code of each older version
+    (tests/fixtures/make_version_fixtures.py): a bilstm-crf with char, morph
+    and subword composers and a two-head transformer-crf, with the tags and
+    gold-tag losses that code gave."""
+    _assert_loads_and_tags_as_recorded(FIXTURES, name, tmp_path)
+
+
+def test_the_fixture_writer_records_the_current_version(tmp_path, monkeypatch):
+    """make_version_fixtures.py, run on this checkout with its output
+    directory moved to tmp_path, writes both current-version fixtures and
+    their expected tags, and they load and tag as recorded; so the script
+    still works when the next version bump needs it."""
+    spec = importlib.util.spec_from_file_location("make_version_fixtures",
+                                                  FIXTURES / "make_version_fixtures.py")
+    writer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(writer)
+    out = tmp_path / "fixtures"
+    out.mkdir()
+    monkeypatch.setattr(writer, "HERE", out)
+    writer.main()
+    names = [f"v{ARTIFACT_VERSION}_{model}" for model in ("bilstm_crf", "transformer_crf")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}.zip" for name in names] + [f"v{ARTIFACT_VERSION}_expected_tags.json"])
+    for name in names:
+        _assert_loads_and_tags_as_recorded(out, name, tmp_path)
 
 
 def test_missing_tensor_is_reported(tmp_path, vocab):
