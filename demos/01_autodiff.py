@@ -11,9 +11,11 @@ import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
 
 # scalars first: d/dx of 3x + gelu(x) at x = 2, where
-# gelu(x) = x/2 (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3)
+# gelu(x) = x/2 (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3).
+# inner sums each (tensor, constant) pair's weighted entries in one node,
+# here 3 x and 1 gelu(x)
 x = Tensor(2.0, requires_grad=True)
-out = ad.add(ad.scale(x, 3.0), ad.gelu(x))
+out = ad.inner(x, 3.0, ad.gelu(x), 1.0)
 ad.backward(out)
 c = np.sqrt(2.0 / np.pi)
 t = np.tanh(c * (2.0 + 0.044715 * 2.0 ** 3))

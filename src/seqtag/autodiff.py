@@ -15,9 +15,9 @@ variable-length sequence models simple.
 Inside a no_grad() block operations only compute values: their results carry
 no parents, no closure and no gradient buffer.
 
-There is no element-wise product of two graph tensors and no broadcast op: a
-bias row goes to every row of a matrix through add, and a tensor is reduced
-to a scalar by inner, its weighted sum against a constant array.
+There is no element-wise product of two graph tensors and no broadcast or
+scale op: a bias row goes to every row of a matrix through add, and inner
+reduces tensors to one scalar, the sum of their weighted sums.
 
 All arithmetic is 64-bit.  Gradients accumulate additively; callers zero them
 between optimization steps.
@@ -92,20 +92,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    # operator sugar: + and - take Tensors, * takes a scalar (scale())
+    # operator sugar: + is add, @ is matmul; differences and multiples are inner
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -200,28 +189,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), "add", _bw)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g * c
-
-    return _result(x.data * c, (x,), "scale", _bw)
-
-
-def inner(x: Tensor, c) -> Tensor:
+def inner(x: Tensor, c, *more) -> Tensor:
     """Sum of x * c over all entries, as a scalar, for a constant array c of
-    x's shape: a weighted sum, such as a path score's picked cells."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != x.shape:
-        raise ShapeError(f"inner needs a constant of shape {x.shape}, got {c.shape}")
+    x's shape: a weighted sum, such as a path score's picked cells.  Further
+    (tensor, constant) pairs add their own sums, left to right, in the same
+    node."""
+    if len(more) % 2:
+        raise UsageError("inner takes (tensor, constant) pairs; the last tensor has no constant")
+    tensors = (x,) + more[::2]
+    consts = [np.asarray(k, dtype=np.float64) for k in (c,) + more[1::2]]
+    sums = []
+    for t, k in zip(tensors, consts):
+        if k.shape != t.shape:
+            raise ShapeError(f"inner needs a constant of shape {t.shape}, got {k.shape}")
+        sums.append(np.sum(t.data * k))
 
     def _bw(g):
-        if x.requires_grad:
-            x.grad += g * c
+        for t, k in zip(tensors, consts):
+            if t.requires_grad:
+                t.grad += g * k
 
-    return _result(np.sum(x.data * c), (x,), "inner", _bw)
+    return _result(sum(sums[1:], sums[0]), tensors, "inner", _bw)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -386,12 +374,21 @@ def stack(rows: list[Tensor]) -> Tensor:
 # fused recurrent operations
 
 
+def as_ints(values, what: str) -> np.ndarray:
+    """values as an int array.  UsageError unless each is an int (a bool is
+    not) or a numpy integer: no fraction, bool or string is truncated or parsed."""
+    values = list(values)
+    if not all(type(v) is int or isinstance(v, np.integer) for v in values):
+        raise UsageError(f"{what} must be integers, got {values!r}")
+    return np.asarray(values, dtype=np.intp)
+
+
 def packed_steps(lengths, n: int):
     """Sequence lengths that split n packed rows, as an int array, plus the
     sequence and the step within it of every row.  lengths None means one
-    sequence of all n rows.  UsageError unless the lengths are non-empty,
-    each at least 1, and sum to n."""
-    lengths = np.asarray([n] if lengths is None else [int(k) for k in lengths], dtype=np.intp)
+    sequence of all n rows.  UsageError unless the lengths are integers
+    (as_ints), non-empty, each at least 1, and sum to n."""
+    lengths = as_ints([n] if lengths is None else lengths, "sequence lengths")
     if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
         raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
     seq = np.repeat(np.arange(lengths.size), lengths)

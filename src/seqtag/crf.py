@@ -2,10 +2,10 @@
 The per-token softmax head is a CRF over a constant all-zero transition
 table; its loss is crf_nll over it with each word a one-row sequence.
 
-A loss graph over the emissions is six nodes however many sequences it
-packs: the crf_forward node of the log-partition, two inner nodes and an
-add for the gold path score, and a scale and an add for their difference
-(a constant and one more add if the mask forbids a gold transition).
+A loss graph over the emissions is two nodes however many sequences it
+packs: the crf_forward node of the log-partition, and one inner node that
+subtracts the gold paths' emission and transition scores from it (plus a
+constant and an add if the mask forbids a gold transition).
 
 Conventions: for T tags the transition matrix is (T+1) x (T+1) with row T
 holding begin-of-sentence transitions and column T end-of-sentence
@@ -65,36 +65,27 @@ def _check_emissions(num_tags: int, emissions: Tensor) -> int:
     return n
 
 
-def _check_labels(num_tags: int, labels, n: int):
-    if len(labels) != n:
-        raise ShapeError(f"{len(labels)} labels for {n} positions")
-    for lab in labels:
-        if not 0 <= lab < num_tags:
-            raise UsageError(f"label {lab} outside [0, {num_tags})")
-
-
 def _check_mask(num_tags: int, mask: np.ndarray | None) -> None:
     if mask is not None and np.shape(mask) != (num_tags + 1, num_tags + 1):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match "
                          f"({num_tags + 1}, {num_tags + 1})")
 
 
-def score_sequence(crf: CRFParams, emissions: Tensor, labels,
-                   mask: np.ndarray | None = None, lengths=None) -> Tensor:
-    """Unnormalized path score of one labeling.
-
-    With lengths, emissions and labels hold several sequences back to back
-    (lengths[b] rows each, as for crf_forward) and the result is the sum
-    of their scores: one inner product of the emissions with a constant
-    0/1 table of the picked cells, and one of the transition table with a
-    constant table of the transitions taken over every sequence.
-    """
-    n = _check_emissions(crf.num_tags, emissions)
-    _check_labels(crf.num_tags, labels, n)
-    _check_mask(crf.num_tags, mask)
+def _gold(crf: CRFParams, emissions: Tensor, labels, mask, lengths):
+    """The constant tables of the gold paths: pick, the 0/1 (n, T) table of
+    the labelled cells; counts, how often each transition is taken over
+    every sequence; and the mask's summed entries over them.  ShapeError
+    unless there is one label per row, UsageError unless each is an
+    integer (ad.as_ints) in [0, T)."""
     T = crf.num_tags
+    n = _check_emissions(T, emissions)
+    if len(labels) != n:
+        raise ShapeError(f"{len(labels)} labels for {n} positions")
+    labels = ad.as_ints(labels, "labels")
+    if labels.min() < 0 or labels.max() >= T:
+        raise UsageError(f"labels {labels.tolist()} outside [0, {T})")
+    _check_mask(T, mask)
     lengths = ad.packed_steps(lengths, n)[0]
-    labels = np.asarray(labels, dtype=np.intp)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
     # every transition taken: into each label from its predecessor, or from
@@ -106,11 +97,19 @@ def score_sequence(crf: CRFParams, emissions: Tensor, labels,
     cols = np.concatenate((labels, np.full(lengths.size, T)))
     counts = np.zeros((T + 1, T + 1))
     np.add.at(counts, (rows, cols), 1.0)
-    total = ad.inner(emissions, pick) + ad.inner(crf.transition, counts)
     penalty = 0.0 if mask is None else float(np.sum(mask[rows, cols]))
-    if penalty != 0.0:
-        total = total + Tensor(np.float64(penalty))
-    return total
+    return pick, counts, penalty
+
+
+def score_sequence(crf: CRFParams, emissions: Tensor, labels,
+                   mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """Unnormalized path score of one labeling, or with lengths the summed
+    scores of the sequences packed in emissions and labels (lengths[b] rows
+    each, as for crf_forward): one inner node over the emissions and the
+    transition table, against _gold's pick and counts tables."""
+    pick, counts, penalty = _gold(crf, emissions, labels, mask, lengths)
+    score = ad.inner(emissions, pick, crf.transition, counts)
+    return score if penalty == 0.0 else score + Tensor(np.float64(penalty))
 
 
 def log_partition(crf: CRFParams, emissions: Tensor,
@@ -127,15 +126,17 @@ def crf_nll(crf: CRFParams, emissions: Tensor, labels,
             mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Negative log-likelihood of one labeled sequence, or with lengths the
     summed negative log-likelihood of the sequences packed in emissions and
-    labels: the log-partition minus the gold path score."""
-    score = score_sequence(crf, emissions, labels, mask, lengths)  # bad labels raise first
-    return log_partition(crf, emissions, mask, lengths) - score
+    labels: the log-partition minus the gold path score, in one inner node."""
+    pick, counts, penalty = _gold(crf, emissions, labels, mask, lengths)  # bad labels raise first
+    nll = ad.inner(emissions, -pick, crf.transition, -counts,
+                   log_partition(crf, emissions, mask, lengths), 1.0)
+    return nll if penalty == 0.0 else nll + Tensor(np.float64(-penalty))
 
 
 def log_prob(crf: CRFParams, emissions: Tensor, labels,
              mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Log-probability of the labeling: the negated training loss."""
-    return -crf_nll(crf, emissions, labels, mask, lengths)
+    return ad.inner(crf_nll(crf, emissions, labels, mask, lengths), -1.0)
 
 
 def viterbi_decode(crf: CRFParams, emissions: Tensor,

@@ -5,9 +5,10 @@ differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
 reference and the row softmax compose primitive autodiff ops, never the
 fused lstm_scan and attention they check.  The primitives only these
-references need (the element-wise product, broadcast, sigmoid, tanh, exp,
-reshape, transpose, log_sum_exp and the matrix-vector product) are defined
-here, as nodes of the library's graph.
+references need (the element-wise product, a constant multiple and the
+difference built on it, broadcast, sigmoid, tanh, exp, reshape, transpose,
+log_sum_exp and the matrix-vector product) are defined here, as nodes of
+the library's graph.
 """
 
 import itertools
@@ -302,6 +303,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return ad._result(a.data * b.data, (a, b), "mul", _bw)
 
 
+def scale(x: Tensor, c: float) -> Tensor:
+    """x times the constant c."""
+    c = float(c)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * c
+
+    return ad._result(x.data * c, (x,), "scale", _bw)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """a - b, as a + (-1) b."""
+    return ad.add(a, scale(b, -1.0))
+
+
 def total(x: Tensor) -> Tensor:
     """Sum of all entries of x, as a scalar node."""
     return ad.inner(x, np.ones(x.shape))
@@ -401,7 +418,7 @@ def softmax_nll(emissions: Tensor, labels) -> Tensor:
     n, T = emissions.shape
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
-    return ad.inner(log_sum_exp(emissions, axis=1), np.ones(n)) - ad.inner(emissions, pick)
+    return sub(ad.inner(log_sum_exp(emissions, axis=1), np.ones(n)), ad.inner(emissions, pick))
 
 
 def matvec(a: Tensor, v: Tensor) -> Tensor:
@@ -479,7 +496,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a matrix via the stable log-sum-exp primitive."""
     n = x.shape[0]
     lse = log_sum_exp(x, axis=1)
-    shifted = x - broadcast_to(reshape(lse, (n, 1)), x.shape)
+    shifted = sub(x, broadcast_to(reshape(lse, (n, 1)), x.shape))
     return exp(shifted)
 
 

@@ -1,0 +1,101 @@
+"""Check that this tree's seqtag computes bitwise what another tree's does.
+
+    python tests/parity.py PARENT_SRC
+
+PARENT_SRC is the src directory of another checkout of the project, for
+example one unpacked from `git archive`.  Its seqtag package is loaded a
+second time under the name parent_seqtag, next to this tree's seqtag, and
+both build the same 16 cases: each of the four model kinds, with and
+without the BIO2 mask, over a training batch of 1 and of 4 sentences, with
+all four input sources, dropout 0.2 and two transformer layers.  A case is
+equal when the loss bytes, the bytes of every parameter's gradient and the
+predict tags of 10 sentences all are.  One line per case is printed; the
+exit status is 0 only if every case is equal, 1 if one is not, and 2 if
+PARENT_SRC holds no seqtag package.
+
+This file is a tool, not a test module: pytest does not collect it, and
+tests/test_parity.py runs it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HERE_SRC = Path(__file__).resolve().parents[1] / "src"
+KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf", "transformer-linear")
+SOURCES = ("word", "char", "morph", "subword")
+TAGGED = 10  # sentences each case tags with predict
+
+
+def load_package(src: Path, name: str):
+    """The seqtag package under src, imported as name with its modules."""
+    init = Path(src) / "seqtag" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("autodiff", "data", "encoders", "models", "subword", "synth"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def run_case(pkg, kind: str, mask: bool, batch: int):
+    """The loss bytes, each parameter's gradient bytes by name and the
+    predict tags of one case, computed by the package pkg."""
+    corpus = pkg.synth.generate_corpus(40, seed=2)
+    tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
+    composer = pkg.encoders.ComposerConfig(
+        **{"use_" + s: True for s in SOURCES}, word_dim=5, char_dim=4, char_hidden=3,
+        morph_dim=4, morph_hidden=2, subword_dim=4, subword_hidden=3)
+    transformer = pkg.encoders.ToyTransformerConfig(
+        num_layers=2, num_heads=2, hidden_units=6, ff_units=5, max_len=32, dropout_p=0.2)
+    cfg = pkg.models.TrainConfig(model_kind=kind, composer=composer, hidden_dim=4,
+                                 dropout_p=0.2, transformer=transformer, mask_illegal=mask)
+    model = pkg.models.build_model(cfg, pkg.data.build_vocab(corpus),
+                                   np.random.default_rng(0), tokenizer)
+    loss = model.loss(*corpus[:batch], training=True, rng=np.random.default_rng(1))
+    pkg.autodiff.backward(loss)
+    grads = {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
+    tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
+    return loss.data.tobytes(), grads, tags
+
+
+def differences(here, there) -> list[str]:
+    """What differs between two run_case results."""
+    (loss, grads, tags), (loss_p, grads_p, tags_p) = here, there
+    out = [] if loss == loss_p else ["loss"]
+    if grads.keys() != grads_p.keys():
+        out.append("parameter names")
+    out += [f"grad {name}" for name in grads if name in grads_p and grads[name] != grads_p[name]]
+    if tags != tags_p:
+        out.append("predict tags")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "seqtag" / "__init__.py").is_file():
+        print("usage: python tests/parity.py PARENT_SRC  (a src directory holding seqtag/)",
+              file=sys.stderr)
+        return 2
+    here = load_package(HERE_SRC, "seqtag")
+    parent = load_package(Path(argv[0]), "parent_seqtag")
+    equal = total = 0
+    for kind in KINDS:
+        for mask in (False, True):
+            for batch in (1, 4):
+                diff = differences(run_case(here, kind, mask, batch),
+                                   run_case(parent, kind, mask, batch))
+                total += 1
+                equal += not diff
+                print(f"{kind} mask={'on' if mask else 'off'} batch={batch}: "
+                      f"{'equal' if not diff else 'DIFFERS in ' + ', '.join(diff)}")
+    print(f"{equal} of {total} cases bitwise equal")
+    return 0 if equal == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

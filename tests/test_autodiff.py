@@ -11,7 +11,7 @@ from seqtag.errors import ConfigError, ShapeError, UsageError
 
 import oracles
 from oracles import (broadcast_to, exp, finite_diff, log_sum_exp, matvec, max_rel_error,
-                     mul, reshape, sigmoid, tanh, total, transpose)
+                     mul, reshape, scale, sigmoid, tanh, total, transpose)
 
 TOL = 1e-4
 
@@ -118,8 +118,29 @@ def test_inner_is_the_sum_of_the_product_with_the_constant_as_gradient():
     c = rng.standard_normal((3, 4))
     out = ad.inner(x, c)
     assert out.shape == () and out.item() == np.sum(x.data * c)
-    ad.backward(ad.scale(out, 2.0))
+    ad.backward(scale(out, 2.0))
     assert np.array_equal(x.grad, 2.0 * c)
+
+
+def test_inner_of_several_pairs_adds_their_sums_left_to_right_in_one_node():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = Tensor(rng.standard_normal(2), requires_grad=True)
+    s = Tensor(rng.standard_normal(), requires_grad=True)
+    c, d = rng.standard_normal((3, 4)), rng.standard_normal(2)
+    out = ad.inner(x, c, y, d, s, -1.0)
+    assert out._op == "inner" and out._parents == (x, y, s)
+    assert out.item() == np.sum(x.data * c) + np.sum(y.data * d) + np.sum(s.data * -1.0)
+    ad.backward(scale(out, 2.0))
+    assert np.array_equal(x.grad, 2.0 * c) and np.array_equal(y.grad, 2.0 * d)
+    assert s.grad == -2.0
+    # each constant has its own tensor's shape, and every tensor has one
+    for more in ((y, c), (s, d), (y, 1.0), (y, d, s, np.ones(1))):
+        with pytest.raises(ShapeError):
+            ad.inner(x, c, *more)
+    for more in ((y,), (y, d, s)):
+        with pytest.raises(UsageError):
+            ad.inner(x, c, *more)
 
 
 def test_layer_norm_rejects_other_than_rows_with_row_wide_gain_and_bias():
@@ -278,7 +299,13 @@ def test_packed_steps_gives_each_row_its_sequence_and_step():
     # no lengths: one sequence of all the rows
     lengths, seq, step = ad.packed_steps(None, 4)
     assert (lengths.tolist(), seq.tolist(), step.tolist()) == ([4], [0] * 4, [0, 1, 2, 3])
-    for lengths, n in (([], 0), ([0, 5], 5), ([1, 5], 5), ([4], 5), ([-1, 6], 5), (None, 0)):
+    # numpy integers pass, as np.diff gives them
+    for lengths in (np.diff([0, 2, 5]), [np.int64(2), 3], np.array([2, 3], dtype=np.uint8)):
+        assert ad.packed_steps(lengths, 5)[0].tolist() == [2, 3]
+    for lengths, n in (([], 0), ([0, 5], 5), ([1, 5], 5), ([4], 5), ([-1, 6], 5), (None, 0),
+                       # refused rather than truncated or parsed
+                       ([2.7, 3.3], 5), ([True, 4], 5), (["2", "3"], 5),
+                       (np.array([2.0, 3.0]), 5), (np.array([[2, 3]]), 5)):
         with pytest.raises(UsageError):
             ad.packed_steps(lengths, n)
 
@@ -457,7 +484,7 @@ def test_grad_zero_after_creation_and_zero_grad():
 
 def test_forward_allocates_no_adjoints_and_backward_keeps_only_leaves():
     x = Tensor(np.arange(3.0), requires_grad=True)
-    h = tanh(ad.scale(x, 2.0))
+    h = tanh(scale(x, 2.0))
     loss = total(mul(h, h))
     nodes = ad.trace(loss)
     assert all(n._grad is None for n in nodes)
@@ -522,6 +549,8 @@ def _op_cases(rng):
     p_inner = proj(side, (3, 4))
     p_row = proj(side, (3, 4))
     p_scan_finals = proj(side, (3, 4))
+    p_pairs = proj(side, (3, 4))
+    p_pairs_row = proj(side, 4)
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
@@ -539,9 +568,13 @@ def _op_cases(rng):
                     lambda: [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
         "inner": (lambda a: ad.inner(a, p_inner),
                   lambda: [rng.standard_normal((3, 4))]),
+        # three (tensor, constant) pairs in one node, the last tensor 0-d
+        "inner_pairs": (lambda a, b, s: ad.inner(a, p_pairs, b, p_pairs_row, s, -1.3),
+                        lambda: [rng.standard_normal((3, 4)), rng.standard_normal(4),
+                                 rng.standard_normal(())]),
         "mul": (lambda a, b: ad.inner(mul(a, b), p4),
                 lambda: [rng.standard_normal(4), rng.standard_normal(4)]),
-        "scale": (lambda a: ad.inner(ad.scale(a, -1.7), p4),
+        "scale": (lambda a: ad.inner(scale(a, -1.7), p4),
                   lambda: [rng.standard_normal(4)]),
         "sigmoid": (lambda a: ad.inner(sigmoid(a), p4),
                     lambda: [rng.standard_normal(4) * 2]),
@@ -585,14 +618,14 @@ def _op_cases(rng):
         # the fused forward algorithm over 1 to 5 positions and 3 tags,
         # w.r.t. the emissions and the whole transition table, free and
         # under the BIO2 mask of O, B-X, I-X
-        "crf_forward": (lambda e, t: ad.scale(ad.crf_forward(e, t), 1.3),
+        "crf_forward": (lambda e, t: scale(ad.crf_forward(e, t), 1.3),
                         lambda: [rng.standard_normal((rng.integers(1, 6), 3)),
                                  rng.standard_normal((4, 4))]),
-        "crf_forward_masked": (lambda e, t: ad.scale(ad.crf_forward(e, t, bio2), 1.3),
+        "crf_forward_masked": (lambda e, t: scale(ad.crf_forward(e, t, bio2), 1.3),
                                lambda: [rng.standard_normal((rng.integers(1, 6), 3)),
                                         rng.standard_normal((4, 4))]),
         # three packed sequences of 3, 1 and 2 positions under the BIO2 mask
-        "crf_forward_packed": (lambda e, t: ad.scale(
+        "crf_forward_packed": (lambda e, t: scale(
             ad.crf_forward(e, t, bio2, [3, 1, 2]), 1.3),
             lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
@@ -618,13 +651,13 @@ def _result_ops(module):
             and "_result" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
-ENGINE_OPS = {"matmul", "add", "scale", "gelu", "layer_norm", "concat", "gather_rows",
+ENGINE_OPS = {"matmul", "add", "gelu", "layer_norm", "concat", "gather_rows",
               "take", "dropout", "stack", "lstm_scan", "crf_forward", "attention",
               "inner"}
 
 
 def test_every_op_has_a_gradient_case():
-    """autodiff.py gives _result exactly the 14 engine op names, and every
+    """autodiff.py gives _result exactly the 13 engine op names, and every
     op name it or the test oracles give _result is the op of a node in one
     of the _op_cases graphs."""
     assert _result_ops(ad) == ENGINE_OPS

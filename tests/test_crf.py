@@ -120,20 +120,27 @@ def test_log_partition_is_one_node_over_emissions_and_transition():
         assert [node._op for node in graph] == ["leaf", "leaf", "crf_forward"]
 
 
-def test_loss_graph_above_the_emissions_is_one_forward_and_two_inner_nodes():
-    """The gold path score is an inner product of the emissions and one of
-    the transition table with constant count tables: no element-wise
-    product, sum or broadcast node, one or many sequences."""
+def test_loss_graph_above_the_emissions_is_one_forward_and_one_inner_node():
+    """The loss is one inner node over the emissions and the transition
+    table, against constant tables of the gold path, and over the
+    log-partition: no element-wise product, sum, broadcast or add node,
+    one or many sequences.  A gold path the mask forbids adds a constant
+    leaf and an add, and its loss is +inf."""
     rng = np.random.default_rng(61)
     c = random_crf(rng, 3)
     mask = crf_mod.illegal_mask(["O", "B-X", "I-X"])
-    for m, lengths in ((None, None), (mask, [2, 1, 2])):
+    for m, lengths in ((None, None), (None, [2, 1, 2]), (mask, [2, 1, 2])):
         e = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         loss = crf_mod.crf_nll(c, e, [0, 1, 0, 1, 2], m, lengths)
         ops = [n._op for n in ad.trace(loss)]
-        assert sorted(ops) == ["add", "add", "crf_forward", "inner", "inner",
-                               "leaf", "leaf", "scale"]
-        assert not {"mul", "sum", "broadcast"} & set(ops)
+        assert sorted(ops) == ["crf_forward", "inner", "leaf", "leaf"]
+        assert loss._op == "inner" and np.isfinite(loss.item())
+    # the third sequence opens with I-X, which the mask forbids after BOS
+    e = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    loss = crf_mod.crf_nll(c, e, [0, 1, 0, 2, 2], mask, [2, 1, 2])
+    assert sorted(n._op for n in ad.trace(loss)) == ["add", "crf_forward", "inner",
+                                                      "leaf", "leaf", "leaf"]
+    assert loss.item() == math.inf
 
 
 def test_the_crf_table_decides_the_tag_count():
@@ -186,6 +193,22 @@ def test_packed_score_partition_and_nll_are_sums_over_their_sequences():
                                                 labels[a:a + n], m).item()
                          for a, n in zip(np.cumsum([0] + lengths), lengths))
         assert abs(score - want_score) <= 1e-10
+
+
+def test_labels_that_are_not_integers_are_rejected():
+    """A fractional, boolean or numeric-string label is refused by every
+    call that reads labels, never truncated or parsed; numpy integers pass."""
+    rng = np.random.default_rng(53)
+    c = random_crf(rng, 3)
+    e = random_emissions(rng, 2, 3)
+    for labels in ([0, 1.7], [True, 2], [0, np.float64(2.9)], [0, "1"],
+                   np.array([0.0, 1.0]), np.array([False, True])):
+        for f in (crf_mod.score_sequence, crf_mod.crf_nll, crf_mod.log_prob):
+            with pytest.raises(UsageError):
+                f(c, e, labels)
+    want = crf_mod.score_sequence(c, e, [0, 2]).item()
+    for labels in ([np.int64(0), 2], np.array([0, 2]), np.array([0, 2], dtype=np.uint8)):
+        assert crf_mod.score_sequence(c, e, labels).item() == want
 
 
 @pytest.mark.parametrize("lengths", [[], [2, 0, 3], [2, 2], [3, 3], [-1, 6]])

@@ -12,7 +12,7 @@ from seqtag.models import TrainConfig, build_model
 from seqtag.subword import UnigramVocab
 
 from oracles import (Cell, direction, finite_diff, lstm_run, lstm_step, max_rel_error,
-                     softmax_rows, total, transpose)
+                     scale, softmax_rows, total, transpose)
 
 
 def sig(z):
@@ -629,7 +629,7 @@ def _attention_oracle(qkv, lengths, num_heads):
         for h in range(num_heads):
             q, k, v = (ad.take(qkv, (slice(a, b), slice(j * d + h * dk, j * d + (h + 1) * dk)))
                        for j in range(3))
-            scores = ad.scale(q @ transpose(k), 1.0 / math.sqrt(dk))
+            scores = scale(q @ transpose(k), 1.0 / math.sqrt(dk))
             heads.append(softmax_rows(scores) @ v)
         blocks.append(ad.concat(heads, axis=1))
     return ad.concat(blocks, axis=0)
