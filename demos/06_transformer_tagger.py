@@ -2,7 +2,9 @@
 
 Words are split into subword pieces, the pieces are embedded with learned
 position vectors and run through self-attention blocks, and each word is
-read off at its first piece.  The CRF head on top is unchanged.
+read off at its first piece.  The CRF head on top is unchanged.  A sentence
+of more than max_len pieces is encoded as consecutive windows of max_len
+pieces, so every word still gets a tag.
 """
 
 from seqtag.data import split_corpus
@@ -37,3 +39,13 @@ words = ["Murat", "Aydın", "TRT", "Tiyatrosu'na", "gitti", "."]
 print("\npieces:", segment(result.tokenizer, " ".join(words)))
 for word, tag in zip(words, result.model.predict(words)):
     print(f"  {word:14s} {tag}")
+
+# several validation sentences joined into one, longer than max_len pieces
+long_words = [w for s in split.valid[:12] for w in s.surfaces]
+pieces = segment(result.tokenizer, " ".join(long_words))
+max_len = cfg.transformer.max_len
+assert len(pieces) > max_len
+tags = result.model.predict(long_words)
+print(f"\n{len(long_words)} words, {len(pieces)} pieces, windows of at most "
+      f"{max_len}: {len(tags)} tags")
+print(" ".join(f"{word}/{tag}" for word, tag in zip(long_words, tags)))

@@ -568,8 +568,7 @@ def attention(qkv: Tensor, lengths, num_heads: int):
     own sequence, so no score crosses two sequences and memory grows with
     the sum of the squared lengths.  Per sequence, all heads run as one
     batched (num_heads, n, dk) product, forward and backward.  Returns the
-    (N, d) output and one (num_heads, n, n) array of attention weights per
-    sequence.
+    (N, d) output.
     """
     if qkv.data.ndim != 2 or qkv.shape[1] % 3:
         raise ShapeError(f"attention expects (N, 3d) rows of [q | k | v], got {qkv.shape}")
@@ -609,4 +608,4 @@ def attention(qkv: Tensor, lengths, num_heads: int):
             dk_[...] = np.matmul(ds.transpose(0, 2, 1), q)
         qkv.grad += grad
 
-    return _result(out, (qkv,), "attention", _bw), weights
+    return _result(out, (qkv,), "attention", _bw)

@@ -154,6 +154,13 @@ def _require_positive_ints(cfg, names) -> None:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _require_bools(cfg, names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is not bool:  # a string such as "false" is truthy
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 # The embedding sources, in concatenation and seeded draw order: (name, table
 # attribute, BiLSTM attribute or None).  ComposerConfig reads use_<name>,
 # <name>_dim and, for a BiLSTM source, <name>_hidden; InputComposer holds the
@@ -181,6 +188,7 @@ class ComposerConfig:
     def __post_init__(self):
         _require_positive_ints(self, ("word_dim", "subword_dim", "char_dim", "morph_dim",
                                       "char_hidden", "morph_hidden", "subword_hidden"))
+        _require_bools(self, ["use_" + name for name, _, _ in SOURCES])
         if not self.sources:
             raise ConfigError("at least one embedding source must be enabled")
 
@@ -356,24 +364,9 @@ class TransformerParams:
         return out
 
 
-def multi_head_attention(layer: TransformerLayer, x: Tensor, num_heads: int,
-                         lengths=None):
-    """Scaled dot-product self-attention over the rows of x.
-
-    One matmul by Wqkv gives the q, k and v rows side by side, and one
-    attention node reads each head's column band of each.  x holds one
-    sequence, or several back to back with lengths giving their row counts,
-    and each row attends only to the rows of its own sequence.  Returns the
-    projected output and one (num_heads, L, L) array of attention weights
-    per sequence; weight rows sum to one.
-    """
-    combined, weights = ad.attention(x @ layer.Wqkv, lengths, num_heads)
-    return combined @ layer.Wo, weights
-
-
 def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Tensor,
                       training: bool, rng, lengths=None) -> Tensor:
-    attn_out, _ = multi_head_attention(layer, x, cfg.num_heads, lengths)
+    attn_out = ad.attention(x @ layer.Wqkv, lengths, cfg.num_heads) @ layer.Wo
     attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
     x = ad.layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
     ff = ad.gelu(x @ layer.W_ff1 + layer.b_ff1) @ layer.W_ff2 + layer.b_ff2
@@ -390,10 +383,10 @@ def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,
 
     piece_ids holds one sequence, or several back to back, with lengths
     giving each one's piece count.  The position table has max_len rows, so
-    a sequence longer than max_len raises UsageError; the caller decides
-    what to cut.  All sequences are packed into one matrix; each piece takes
-    the position of its offset in its own sequence and attends only to the
-    pieces of its own sequence.
+    a sequence longer than max_len raises UsageError; the tagger passes a
+    longer sentence as windows of max_len pieces.  All sequences are packed
+    into one matrix; each piece takes the position of its offset in its own
+    sequence and attends only to the pieces of its own sequence.
     """
     if training and rng is None:
         raise UsageError("training mode requires an rng for dropout")

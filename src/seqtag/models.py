@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import math
 import zipfile
 import zlib
@@ -28,13 +27,11 @@ from .crf import CRFParams, crf_nll, illegal_mask, viterbi_decode
 from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
-                       _require_positive_ints, transformer_encode,
+                       _require_bools, _require_positive_ints, transformer_encode,
                        xavier_uniform)
 from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
                      ValidationError)
 from .subword import MARKER, UnigramVocab, segment, vocab_from_text, vocab_to_text
-
-log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
@@ -86,6 +83,7 @@ class TrainConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
         _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim", "min_count"))
+        _require_bools(self, ("mask_illegal",))
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -158,56 +156,49 @@ class SequenceTagger:
             pieces = [segment(self.tokenizer, word) for word in words]
         x = self.composer.compose_input(words, morphs or None, pieces)
         x = ad.dropout(x, self.dropout_p, training, rng)
-        return self.encoder.encode(x, lengths), list(range(len(words)))
+        return self.encoder.encode(x, lengths)
 
     def _transformer_features(self, words, lengths, training, rng):
-        # each sentence keeps its first max_len pieces; one warning per call
-        # counts the sentences cut
+        # each sentence's pieces are encoded as consecutive windows of at most
+        # max_len pieces, and each word reads the row of its first piece,
+        # wherever the window boundaries fall
         table = self.transformer.piece_table
         max_len = self.transformer_cfg.max_len
-        ids: list[int] = []  # kept pieces of all sentences, back to back
-        kept: list[int] = []  # kept pieces per sentence
-        covered: list[int] = []
-        first_rows: list[int] = []  # hidden row of each covered word's first piece
-        start = truncated = 0  # words of the earlier sentences, sentences cut
+        ids: list[int] = []  # pieces of all sentences, back to back
+        windows: list[int] = []  # pieces per window
+        first_rows: list[int] = []  # hidden row of each word's first piece
+        start = 0  # words of the earlier sentences
         for n in lengths:
-            sentence: list[int] = []
-            for w in range(start, start + n):
-                # a word whose first piece falls past the length limit gets no emissions
-                if len(sentence) < max_len:
-                    covered.append(w)
-                    first_rows.append(len(ids) + len(sentence))
-                sentence.extend(table.id_of(p) for p in segment(self.tokenizer, words[w]))
-            truncated += len(sentence) > max_len
-            kept.append(min(len(sentence), max_len))
-            ids.extend(sentence[:max_len])
+            begin = len(ids)
+            for word in words[start:start + n]:
+                first_rows.append(len(ids))
+                ids.extend(table.id_of(p) for p in segment(self.tokenizer, word))
+            windows.extend(min(max_len, len(ids) - k) for k in range(begin, len(ids), max_len))
             start += n
-        if truncated:
-            log.warning("%d of %d sequences truncated to max_len %d", truncated,
-                        len(lengths), max_len)
         hidden = transformer_encode(self.transformer_cfg, self.transformer,
-                                    ids, training, rng, kept)
-        return ad.gather_rows(hidden, first_rows), covered
+                                    ids, training, rng, windows)
+        return ad.gather_rows(hidden, first_rows)
 
     def emission_rows(self, words: list[str], morphs=None, training: bool = False,
                       rng: np.random.Generator | None = None, lengths=None):
-        """Per-word tag score rows plus the indices of the words they cover.
+        """Per-word tag score rows plus the indices of the words they cover,
+        which are all of them.
 
         words holds one sentence, or several back to back, with lengths
         giving each one's word count; morphs, if given, runs parallel to
-        words.  All sentences are encoded in one graph.
+        words.  All sentences are encoded in one graph; a transformer kind
+        encodes a sentence of more than max_len pieces as consecutive
+        windows of max_len pieces.
         """
         lengths = ad.packed_steps(lengths, len(words))[0].tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
-            features, covered = self._bilstm_features(words, morphs, lengths,
-                                                      training, rng)
+            features = self._bilstm_features(words, morphs, lengths, training, rng)
         else:
-            features, covered = self._transformer_features(words, lengths,
-                                                           training, rng)
+            features = self._transformer_features(words, lengths, training, rng)
         emissions = self._project(features)
-        return [ad.take(emissions, i) for i in range(len(covered))], covered
+        return [ad.take(emissions, i) for i in range(len(words))], list(range(len(words)))
 
     # ------------------------------------------------------------------
     # loss and decoding
@@ -218,37 +209,31 @@ class SequenceTagger:
 
         The whole mini-batch is one graph: one encoder pass over all its
         sentences, then one crf_nll over all of their emission rows.  A CRF
-        kind reads each sentence's covered words as one packed sequence; a
-        linear kind reads each word as a one-row sequence over the zero
+        kind reads each sentence's words as one packed sequence; a linear
+        kind reads each word as a one-row sequence over the zero
         transitions, unmasked, which is the summed softmax cross-entropy.
         """
         if not sentences:
             raise UsageError("loss needs at least one sentence")
         words = [w for s in sentences for w in s.surfaces]
         morphs = [m for s in sentences for m in s.morphs]
-        gold = [t for s in sentences for t in s.tags]
+        labels = [self.tags.id_of(t) for s in sentences for t in s.tags]
         sizes = [len(s) for s in sentences]
-        rows, covered = self.emission_rows(words, morphs, training, rng, sizes)
+        rows, _ = self.emission_rows(words, morphs, training, rng, sizes)
         emissions = ad.stack(rows)
-        labels = [self.tags.id_of(gold[w]) for w in covered]
         if self.crf is None:
-            return crf_nll(self._zero_crf, emissions, labels, None, [1] * len(covered))
-        # covered words per sentence: all of them, unless max_len cut it short
-        lengths = np.diff(np.searchsorted(covered, np.cumsum(sizes)), prepend=0)
-        return crf_nll(self.crf, emissions, labels, self._mask(), lengths)
+            return crf_nll(self._zero_crf, emissions, labels, None, [1] * len(labels))
+        return crf_nll(self.crf, emissions, labels, self._mask(), sizes)
 
     def predict(self, words: list[str], morphs=None) -> list[str]:
         """Tag strings for one sentence, in word order."""
         if not words:
             return []
         with ad.no_grad():
-            rows, covered = self.emission_rows(words, morphs, training=False)
+            rows, _ = self.emission_rows(words, morphs, training=False)
             emissions = ad.stack(rows)
         ids = viterbi_decode(self.crf or self._zero_crf, emissions, self._mask())
-        out = ["O"] * len(words)
-        for w, idx in zip(covered, ids):
-            out[w] = self.tags.tag_of(idx)
-        return out
+        return [self.tags.tag_of(i) for i in ids]
 
 
 def tag_corpus(model: SequenceTagger,
@@ -546,7 +531,7 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
             # loaded and re-saved such an artifact stored 0 there
             hidden_dim=manifest["hidden_dim"] or TrainConfig.hidden_dim,
             dropout_p=manifest["dropout_p"],
-            mask_illegal=bool(manifest["mask_illegal"]))
+            mask_illegal=manifest["mask_illegal"])
         tables = manifest["tables"]
         table_sizes = {name: len(tables[name]["vocab"]) for name in tables
                        if tables[name]}

@@ -46,6 +46,9 @@ class UnigramVocab:
     def __post_init__(self):
         if not self.pieces:
             raise ValidationError("empty piece inventory")
+        for piece, lp in self.pieces.items():
+            if not math.isfinite(lp):
+                raise ValidationError(f"piece {piece!r} has log-probability {lp!r}")
         total = sum(math.exp(lp) for lp in self.pieces.values())
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(f"piece probabilities sum to {total!r}, not 1")

@@ -579,27 +579,32 @@ def _self_attention(w, x, num_heads):
 def _transformer_hidden(model, sentence):
     """(n, d) hidden rows of a transformer-kind model, one per word: the
     sentence's pieces (segment_rescanning, word by word) looked up in the
-    piece table, each piece's position row added to it, every layer run
-    over the whole sentence, and each word's row read off its first piece
-    as align_labels marks it."""
+    piece table and cut into consecutive windows of max_len pieces; within
+    each window, each piece's position row added to it and every layer run
+    over the window alone; and each word's row read off its first piece as
+    align_labels marks it."""
     params = model.named_parameters()
     cfg = model.transformer_cfg
     pieces = [p for w in sentence.surfaces for p in segment_rescanning(model.tokenizer, w)]
-    if len(pieces) > cfg.max_len:
-        raise ValueError(f"{len(pieces)} pieces exceed max_len {cfg.max_len}")
     vocab = model.transformer.piece_table.vocab
     emb, positions = params["transformer.piece_table"].data, params["transformer.positions"].data
-    x = np.array([emb[vocab.get(p, 1)] for p in pieces])  # id 1 is <unk>
-    for i in range(len(pieces)):
-        x[i] = x[i] + positions[i]
-    for layer in range(cfg.num_layers):
-        prefix = f"transformer.layer{layer}."
-        w = {n.removeprefix(prefix): t.data for n, t in params.items() if n.startswith(prefix)}
-        x = _layer_norm(x + _self_attention(w, x, cfg.num_heads), w["ln1_gain"], w["ln1_bias"])
-        ff = _gelu(x @ w["W_ff1"] + w["b_ff1"]) @ w["W_ff2"] + w["b_ff2"]
-        x = _layer_norm(x + ff, w["ln2_gain"], w["ln2_bias"])
+    windows = []
+    for start in range(0, len(pieces), cfg.max_len):
+        window = pieces[start:start + cfg.max_len]
+        x = np.array([emb[vocab.get(p, 1)] for p in window])  # id 1 is <unk>
+        for i in range(len(window)):
+            x[i] = x[i] + positions[i]
+        for layer in range(cfg.num_layers):
+            prefix = f"transformer.layer{layer}."
+            w = {n.removeprefix(prefix): t.data for n, t in params.items()
+                 if n.startswith(prefix)}
+            x = _layer_norm(x + _self_attention(w, x, cfg.num_heads),
+                            w["ln1_gain"], w["ln1_bias"])
+            ff = _gelu(x @ w["W_ff1"] + w["b_ff1"]) @ w["W_ff2"] + w["b_ff2"]
+            x = _layer_norm(x + ff, w["ln2_gain"], w["ln2_bias"])
+        windows.append(x)
     aligned = align_labels(list(sentence.surfaces), list(sentence.tags), pieces)
-    return x[np.flatnonzero(aligned.is_word_initial)]
+    return np.concatenate(windows)[np.flatnonzero(aligned.is_word_initial)]
 
 
 def reference_emissions(model, sentence):

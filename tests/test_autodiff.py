@@ -630,7 +630,7 @@ def _op_cases(rng):
             lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
         # heads of width 2, w.r.t. the (6, 12) [q | k | v] rows
-        "attention": (lambda qkv: ad.inner(ad.attention(qkv, [3, 1, 2], 2)[0], p_attn),
+        "attention": (lambda qkv: ad.inner(ad.attention(qkv, [3, 1, 2], 2), p_attn),
                       lambda: [rng.standard_normal((6, 12))]),
     }
 

@@ -427,6 +427,17 @@ def test_tokenizer_train_rejects_a_max_piece_len_below_one(tmp_path, capsys, max
     assert not out.exists()
 
 
+def test_train_rejects_a_tokenizer_with_a_nan_log_probability(tmp_path, corpus_file,
+                                                               capsys):
+    tok = tmp_path / "tok.tsv"
+    tok.write_text("a\t0.0\nb\tnan\n", encoding="utf-8")
+    code = main(["train", "--train", corpus_file, "--valid-fraction", "0.25",
+                 "--model-kind", "transformer-crf", "--tokenizer", str(tok),
+                 "--out", str(tmp_path / "m.zip")] + FAST)
+    assert code == 2
+    assert "piece 'b' has log-probability nan" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -506,6 +506,14 @@ def test_configs_reject_widths_that_are_not_positive_integers(value):
             enc.ComposerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_composer_config_rejects_switches_that_are_not_booleans(value):
+    """A string such as "false" is truthy, so it would turn a source on."""
+    for field in ("use_word", "use_char", "use_morph", "use_subword"):
+        with pytest.raises(ConfigError, match=field):
+            enc.ComposerConfig(**{field: value})
+
+
 def test_softmax_rows_match_numpy_and_sum_to_one():
     rng = np.random.default_rng(30)
     for _ in range(10):
@@ -561,35 +569,47 @@ def test_layer_norm_gradient_matches_finite_differences():
         assert max_rel_error(analytic, num) <= 1e-6
 
 
+def _assert_within_the_v_rows(out, qkv, lengths):
+    """Each output row of a sequence is finite and lies, column by column,
+    within the range of that sequence's v rows, as a convex combination of
+    them does."""
+    d = qkv.shape[1] // 3
+    for start, n in zip(np.cumsum([0] + lengths), lengths):
+        o, v = out[start:start + n], qkv[start:start + n, 2 * d:]
+        slack = 1e-12 * np.max(np.abs(v))
+        assert np.all(np.isfinite(o))
+        assert np.all(o >= v.min(axis=0) - slack) and np.all(o <= v.max(axis=0) + slack)
+
+
 def test_attention_weight_rows_sum_to_one():
+    """Seen through the output: where all v rows of a sequence are one row,
+    every output row is that row, and over random v rows every output row
+    is a convex combination of its sequence's."""
     rng = np.random.default_rng(34)
-    layer = enc.TransformerLayer.init(tiny_cfg(), rng)
-    x = Tensor(rng.normal(size=(5, 4)))
-    out, weights = enc.multi_head_attention(layer, x, 2)
-    assert out.shape == (5, 4)
-    assert len(weights) == 1 and weights[0].shape == (2, 5, 5)
-    for w in weights[0]:
-        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
-        assert np.all(w >= 0)
+    lengths = [5, 2]
+    qkv = rng.normal(size=(7, 12))
+    out = ad.attention(Tensor(qkv), lengths, 2)
+    assert out.shape == (7, 4)
+    _assert_within_the_v_rows(out.data, qkv, lengths)
+    qkv[:5, 8:], qkv[5:, 8:] = qkv[0, 8:], qkv[5, 8:]
+    out = ad.attention(Tensor(qkv), lengths, 2)
+    assert np.max(np.abs(out.data - qkv[:, 8:])) <= 1e-12
 
 
 def test_attention_on_single_position_is_identity_weight():
-    rng = np.random.default_rng(35)
-    layer = enc.TransformerLayer.init(tiny_cfg(), rng)
-    x = Tensor(rng.normal(size=(1, 4)))
-    _, weights = enc.multi_head_attention(layer, x, 2)
-    assert len(weights) == 1 and weights[0].shape == (2, 1, 1)
-    for w in weights[0]:
-        assert abs(w[0, 0] - 1.0) <= 1e-12
+    """A one-row sequence attends only to itself: its output is its v band,
+    bitwise."""
+    qkv = np.random.default_rng(35).normal(size=(3, 12))
+    out = ad.attention(Tensor(qkv), [1, 1, 1], 2)
+    assert np.array_equal(out.data, qkv[:, 8:])
 
 
 def test_attention_is_permutation_equivariant():
     rng = np.random.default_rng(36)
-    layer = enc.TransformerLayer.init(tiny_cfg(), rng)
-    x = rng.normal(size=(6, 4))
+    qkv = rng.normal(size=(6, 12))
     perm = rng.permutation(6)
-    out, _ = enc.multi_head_attention(layer, Tensor(x), 2)
-    out_p, _ = enc.multi_head_attention(layer, Tensor(x[perm]), 2)
+    out = ad.attention(Tensor(qkv), [6], 2)
+    out_p = ad.attention(Tensor(qkv[perm]), [6], 2)
     assert np.max(np.abs(out_p.data - out.data[perm])) <= 1e-10
 
 
@@ -604,7 +624,7 @@ def test_attention_gradient_matches_finite_differences():
     def build(xa, qkva):
         layer.Wqkv.data[...] = qkva
         xt = Tensor(xa, requires_grad=True)
-        out, _ = enc.multi_head_attention(layer, xt, 2)
+        out = ad.attention(xt @ layer.Wqkv, None, 2) @ layer.Wo
         return xt, ad.inner(out, proj)
 
     xt, loss = build(x, qkv0)
@@ -643,31 +663,27 @@ def test_fused_attention_matches_per_sequence_oracle():
     results = []
     for fused in (True, False):
         t = Tensor(qkv.copy(), requires_grad=True)
-        out = (ad.attention(t, lengths, 3)[0] if fused
+        out = (ad.attention(t, lengths, 3) if fused
                else _attention_oracle(t, lengths, 3))
         ad.backward(ad.inner(out, proj))
         results.append([out.data, t.grad])
     for got, want in zip(*results):
         assert np.max(np.abs(got - want)) <= 1e-12
-    # the weights are each sequence's own softmax rows
-    _, weights = ad.attention(Tensor(qkv), lengths, 3)
-    assert [w.shape for w in weights] == [(3, n, n) for n in lengths]
-    assert all(np.allclose(w.sum(axis=2), 1.0) for w in weights)
 
 
 def test_fused_attention_softmax_is_a_plain_max_shift(monkeypatch):
-    """Scores of magnitude 1e6 give finite weights rows that sum to one, with
-    no RuntimeWarning (pytest makes those errors), and the -inf handling of
-    _stable_lse is never called."""
+    """Scores of magnitude 1e6 give each head finite output rows within the
+    range of its sequence's v rows, with no RuntimeWarning (pytest makes
+    those errors), and the -inf handling of _stable_lse is never called."""
     def refuse(*args):
         raise AssertionError("attention called _stable_lse")
 
     monkeypatch.setattr(ad, "_stable_lse", refuse)
     qkv = Tensor(np.random.default_rng(40).normal(size=(5, 12)) * 1e3, requires_grad=True)
-    out, (w,) = ad.attention(qkv, [5], 2)
+    out = ad.attention(qkv, [5], 2)
     ad.backward(ad.inner(out, np.ones((5, 4))))
-    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(qkv.grad))
-    assert np.max(np.abs(w.sum(axis=2) - 1.0)) <= 1e-12
+    assert np.all(np.isfinite(qkv.grad))
+    _assert_within_the_v_rows(out.data, qkv.data, [5])
 
 
 def test_fused_attention_rejects_bad_shapes_and_lengths():
@@ -694,7 +710,7 @@ def test_transformer_encode_shapes_and_determinism():
     assert np.array_equal(out1.data, out2.data)
 
 
-def test_transformer_encode_rejects_over_long_and_the_tagger_cuts_them(caplog):
+def test_transformer_encode_rejects_over_long_and_the_tagger_windows_them(caplog):
     rng = np.random.default_rng(39)
     cfg = tiny_cfg(max_len=3)
     params = enc.TransformerParams.init(cfg, ["a"], rng)
@@ -704,17 +720,17 @@ def test_transformer_encode_rejects_over_long_and_the_tagger_cuts_them(caplog):
         enc.transformer_encode(cfg, params, ids)
     with pytest.raises(UsageError):
         enc.transformer_encode(cfg, params, ids * 3, lengths=[5, 2, 8])
-    # the tagger keeps each sentence's first max_len pieces, one piece per "a"
+    # the tagger encodes windows of max_len pieces, one piece per "a", and
+    # drops no word
     model = build_model(TrainConfig(model_kind="transformer-crf", transformer=cfg),
                         Vocabulary({}, {}, {}, TagSet(["O", "B-X"])), rng,
                         UnigramVocab({"a": 0.0}))
     words = ["aaaaa", "a", "a", "aaaa", "aaaa"]  # 5, 2 and 8 pieces
-    with caplog.at_level("WARNING"):
+    with caplog.at_level("DEBUG"):
         rows, covered = model.emission_rows(words, lengths=[1, 2, 2])
-    assert [rec.getMessage() for rec in caplog.records] == [
-        "2 of 3 sequences truncated to max_len 3"]
-    assert covered == [0, 1, 2, 3]  # word 4 starts at piece 4
-    assert len(rows) == 4
+    assert caplog.records == []
+    assert covered == [0, 1, 2, 3, 4]  # word 3 spans two windows
+    assert len(rows) == 5
 
 
 def test_transformer_encode_packs_sequences_apart():

@@ -18,11 +18,11 @@ from seqtag.encoders import ComposerConfig, ToyTransformerConfig, transformer_en
 from seqtag.errors import ArtifactError, ConfigError, UsageError
 from seqtag.models import (ARTIFACT_VERSION, MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
-from seqtag.subword import segment, train_unigram
+from seqtag.subword import segment, train_unigram, vocab_to_text
 from seqtag.synth import generate_corpus
 from seqtag.training import train
 
-from oracles import align_labels, softmax_nll
+from oracles import align_labels, reference_tags, softmax_nll
 
 
 def tiny_cfg(kind="bilstm-crf", **kw):
@@ -71,6 +71,7 @@ def test_config_rejects_unknown_kind_and_optimizer():
     ("epochs", 0), ("batch_size", 0), ("clip_norm", 0.0),
     ("momentum", 1.0), ("lambda_l2", -1e-9), ("hidden_dim", 0),
     ("seed", -1), ("seed", 1.5), ("seed", True), ("min_count", 0), ("min_count", -3),
+    ("mask_illegal", "false"), ("mask_illegal", 1), ("mask_illegal", None),
     *((name, value) for name in ("epochs", "batch_size", "hidden_dim")
       for value in (1.5, True, "8")),
     *((name, value) for name in ("lr", "clip_norm", "lambda_l2")
@@ -184,6 +185,10 @@ def test_transformer_tag_graph_grows_by_its_rows_not_its_pieces(vocab, tokenizer
     assert len(extra) == 1
 
 
+def _piece_count(tokenizer, sentence):
+    return sum(len(segment(tokenizer, w)) for w in sentence.surfaces)
+
+
 def _loss_and_gradients(model, build):
     params = model.named_parameters()
     for t in params.values():
@@ -200,15 +205,13 @@ BATCH_CASES = [(kind, False) for kind in MODEL_KINDS] + [("bilstm-crf", True)]
 def test_batched_loss_equals_the_sum_of_sentence_losses(corpus, vocab, tokenizer,
                                                         kind, all_composers):
     cfg = tiny_cfg(kind, mask_illegal=True)
-    cfg.transformer.max_len = 10  # the longest sentence below is cut short
+    cfg.transformer.max_len = 10  # the longest sentence below takes two windows
     if all_composers:
         cfg.composer.use_morph = cfg.composer.use_subword = True
     model = build_model(cfg, vocab, np.random.default_rng(3), tokenizer)
     batch = sorted(corpus[:12], key=len)[::3]
     assert len({len(s) for s in batch}) == len(batch)
-    if kind.startswith("transformer"):
-        _, covered = model.emission_rows(batch[-1].surfaces)
-        assert len(covered) < len(batch[-1])
+    assert _piece_count(tokenizer, batch[-1]) > 10
 
     def summed():
         total = None
@@ -249,22 +252,20 @@ def test_linear_loss_is_bitwise_the_softmax_cross_entropy(corpus, vocab, tokeniz
     """The BIO2 mask leaves the linear loss alone: each word is a one-row
     sequence, so under the mask every gold I-X would open after BOS."""
     cfg = tiny_cfg(kind, mask_illegal=mask_illegal)
-    cfg.transformer.max_len = 10  # the longest sentence below is cut short
+    cfg.transformer.max_len = 10  # the longest sentence below takes two windows
     model = build_model(cfg, vocab, np.random.default_rng(3), tokenizer)
     batch = sorted(corpus[:12], key=len)[::3]
     words = [w for s in batch for w in s.surfaces]
     morphs = [m for s in batch for m in s.morphs]
-    gold = [t for s in batch for t in s.tags]
+    gold = [model.tags.id_of(t) for s in batch for t in s.tags]
     sizes = [len(s) for s in batch]
 
     def reference():
-        rows, covered = model.emission_rows(words, morphs, lengths=sizes)
-        return softmax_nll(ad.stack(rows), [model.tags.id_of(gold[w]) for w in covered])
+        rows, _ = model.emission_rows(words, morphs, lengths=sizes)
+        return softmax_nll(ad.stack(rows), gold)
 
-    covered = model.emission_rows(words, morphs, lengths=sizes)[1]
-    assert any(gold[w].startswith("I-") for w in covered)
-    if kind.startswith("transformer"):
-        assert len(covered) < len(words)
+    assert any(t.startswith("I-") for s in batch for t in s.tags)
+    assert _piece_count(tokenizer, batch[-1]) > 10
     got, got_grads = _loss_and_gradients(model, lambda: model.loss(*batch, training=False))
     want, want_grads = _loss_and_gradients(model, reference)
     assert got == want
@@ -393,55 +394,60 @@ def test_unmasked_linear_predict_is_the_per_word_argmax(corpus, vocab, tokenizer
     assert model.crf is None
     assert all(not name.startswith("crf") for name in model.named_parameters())
     for sentence in corpus:
-        rows, covered = model.emission_rows(sentence.surfaces, sentence.morphs)
-        want = ["O"] * len(sentence)
-        for w, row in zip(covered, rows):
-            want[w] = model.tags.tag_of(int(np.argmax(row.data)))
+        rows, _ = model.emission_rows(sentence.surfaces, sentence.morphs)
+        want = [model.tags.tag_of(int(np.argmax(row.data))) for row in rows]
         assert model.predict(sentence.surfaces, sentence.morphs) == want
 
 
 def test_transformer_rows_are_the_first_pieces_the_oracle_aligns(corpus, vocab, tokenizer):
     """Row w of the emissions is the projected encoder row of the w-th
-    word-initial piece of the string-level alignment, and a sentence cut at
-    max_len covers exactly the words whose first piece comes before the cut."""
+    word-initial piece of the string-level alignment.  A sentence of more
+    than max_len pieces reads it from the window of max_len pieces that
+    piece falls in, each window encoded alone."""
     model = build_model(tiny_cfg("transformer-crf"), vocab, np.random.default_rng(0),
                         tokenizer)
-    table, max_len = model.transformer.piece_table, model.transformer_cfg.max_len
+    table, cfg = model.transformer.piece_table, model.transformer_cfg
 
     def first_pieces(sentence):
         pieces = segment(tokenizer, " ".join(sentence.surfaces))
         aligned = align_labels(sentence.surfaces, sentence.tags, pieces)
         return pieces, [k for k, first in enumerate(aligned.is_word_initial) if first]
 
-    whole = [s for s in corpus if len(first_pieces(s)[0]) <= max_len]
+    def assert_rows(sentences):
+        for sentence in sentences:
+            pieces, initial = first_pieces(sentence)
+            ids = [table.id_of(p) for p in pieces]
+            hidden = np.concatenate([
+                transformer_encode(cfg, model.transformer, ids[k:k + cfg.max_len]).data
+                for k in range(0, len(ids), cfg.max_len)])
+            projected = model._project(ad.Tensor(hidden)).data
+            rows, covered = model.emission_rows(sentence.surfaces)
+            assert covered == list(range(len(sentence)))
+            for w, row in enumerate(rows):
+                assert np.max(np.abs(row.data - projected[initial[w]])) <= 1e-12
+
+    whole = [s for s in corpus if len(first_pieces(s)[0]) <= cfg.max_len]
     assert len(whole) > 30
-    for sentence in whole:
-        pieces, initial = first_pieces(sentence)
-        rows, covered = model.emission_rows(sentence.surfaces)
-        hidden = transformer_encode(model.transformer_cfg, model.transformer,
-                                    [table.id_of(p) for p in pieces])
-        projected = model._project(hidden).data
-        assert covered == list(range(len(sentence)))
-        for w, row in enumerate(rows):
-            assert np.max(np.abs(row.data - projected[initial[w]])) <= 1e-12
-
-    model.transformer_cfg.max_len = max_len = 10
-    cut = [s for s in corpus if len(first_pieces(s)[0]) > max_len]
-    assert len(cut) > 5
-    for sentence in cut:
-        _, initial = first_pieces(sentence)
-        _, covered = model.emission_rows(sentence.surfaces)
-        assert covered == [w for w, k in enumerate(initial) if k < max_len]
+    assert_rows(whole)
+    cfg.max_len = 10
+    windowed = [s for s in corpus if len(first_pieces(s)[0]) > cfg.max_len]
+    assert len(windowed) > 5
+    assert_rows(windowed)
 
 
-def test_truncated_words_fall_back_to_outside(vocab, tokenizer):
-    cfg = tiny_cfg("transformer-crf")
+def test_windowed_predict_equals_the_reference_tags(corpus, vocab, tokenizer):
+    """At max_len 3 every sentence below spans several windows, and each
+    of its words is tagged as the windowed reference oracle tags it."""
+    cfg = tiny_cfg("transformer-crf", mask_illegal=True)
     cfg.transformer.max_len = 3
     model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
-    words = ["Meliha", "Ankara", "Galerisi", "sergi", "açıldı", "."]
-    tags = model.predict(words)
-    assert len(tags) == len(words)
-    assert tags[-1] == "O"  # beyond the length limit
+    rng = np.random.default_rng(1)
+    for t in model.parameters():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    sentences = [LabeledSentence(s.tokens[:4]) for s in corpus[:6]]
+    assert all(_piece_count(tokenizer, s) > 3 for s in sentences)
+    for sentence in sentences:
+        assert model.predict(sentence.surfaces) == reference_tags(model, sentence)
 
 
 def test_predict_path_records_no_graph(corpus, vocab):
@@ -653,9 +659,12 @@ SUBWORD = dict(composer=ComposerConfig(use_subword=True, word_dim=16,
         use_word=False, use_char=False, use_morph=False, use_subword=False), True),
     ("bilstm-crf", {}, lambda m: m["composer"].update(use_morph=True), True),
     ("transformer-crf", {}, _rename_first_piece, True),
+    ("bilstm-crf", {}, lambda m: m.update(mask_illegal="false"), True),
+    ("bilstm-crf", {}, lambda m: m["composer"].update(use_char="true"), True),
 ], ids=["transformer-without-tokenizer", "subword-composer-without-tokenizer",
         "heads-not-dividing-hidden-units", "no-composer-source",
-        "morph-without-morph-table", "piece-table-disagrees-with-tokenizer"])
+        "morph-without-morph-table", "piece-table-disagrees-with-tokenizer",
+        "mask-illegal-not-a-boolean", "use-char-not-a-boolean"])
 def test_manifest_that_describes_no_buildable_model_is_an_artifact_error(
         tmp_path, corpus, vocab, tokenizer, kind, cfg_kw, edit_manifest,
         keep_tokenizer):
@@ -677,6 +686,24 @@ def test_manifest_that_describes_no_buildable_model_is_an_artifact_error(
                               "not-utf-8"])
 def test_malformed_tokenizer_is_an_artifact_error(tmp_path, corpus, vocab, tokenizer,
                                                   text):
+    _assert_the_tokenizer_is_refused(tmp_path, corpus, vocab, tokenizer, text)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+def test_tokenizer_with_a_non_finite_log_probability_is_an_artifact_error(
+        tmp_path, corpus, vocab, tokenizer, value):
+    """The same pieces, so the stored piece table still matches; one of
+    them with a non-finite log-probability."""
+    lines = vocab_to_text(tokenizer).splitlines(keepends=True)
+    piece = lines[0].split("\t")[0]
+    lines[0] = f"{piece}\t{value}\n"
+    _assert_the_tokenizer_is_refused(tmp_path, corpus, vocab, tokenizer,
+                                     "".join(lines).encode("utf-8"), f"piece {piece!r}")
+
+
+def _assert_the_tokenizer_is_refused(tmp_path, corpus, vocab, tokenizer, text,
+                                     match="tokenizer"):
+    """An artifact whose tokenizer.tsv holds text neither loads nor evaluates."""
     model = build_model(tiny_cfg("transformer-crf"), vocab,
                         np.random.default_rng(0), tokenizer)
     src = tmp_path / "ok.zip"
@@ -685,7 +712,7 @@ def test_malformed_tokenizer_is_an_artifact_error(tmp_path, corpus, vocab, token
     with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
         for name in zin.namelist():
             zout.writestr(name, text if name == "tokenizer.tsv" else zin.read(name))
-    with pytest.raises(ArtifactError, match="tokenizer"):
+    with pytest.raises(ArtifactError, match=match):
         load_model(dst)
     data = tmp_path / "data.conll"
     data.write_text(serialize_conll(corpus[:3]), encoding="utf-8")

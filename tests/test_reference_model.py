@@ -42,15 +42,16 @@ def short(corpus):
     return [LabeledSentence(s.tokens[:n]) for s, n in zip(picked, (4, 1, 2, 3))]
 
 
-def _model(vocab, tokenizer, kind, mask_illegal, sources=SOURCES):
+def _model(vocab, tokenizer, kind, mask_illegal, sources=SOURCES, max_len=32):
     """A model of the kind, a BiLSTM kind with the given sources on and a
-    transformer kind with two layers of two heads, and every parameter
-    redrawn at scale 0.5, so no bias or table row is left at its init."""
+    transformer kind with two layers of two heads and windows of max_len
+    pieces, and every parameter redrawn at scale 0.5, so no bias or table
+    row is left at its init."""
     composer = ComposerConfig(**{"use_" + s: s in sources for s in SOURCES}, word_dim=5,
                               char_dim=4, char_hidden=3, morph_dim=4, morph_hidden=2,
                               subword_dim=4, subword_hidden=3)
     transformer = ToyTransformerConfig(num_layers=2, num_heads=2, hidden_units=6,
-                                       ff_units=5, max_len=32, dropout_p=0.0)
+                                       ff_units=5, max_len=max_len, dropout_p=0.0)
     cfg = TrainConfig(model_kind=kind, composer=composer, hidden_dim=4, dropout_p=0.0,
                       transformer=transformer, mask_illegal=mask_illegal)
     model = build_model(cfg, vocab, np.random.default_rng(0), tokenizer)
@@ -88,15 +89,25 @@ def test_each_source_alone_matches_the_reference(vocab, tokenizer, short, source
 @pytest.mark.parametrize("kind", ["transformer-crf", "transformer-linear"])
 def test_transformer_kinds_match_the_reference(vocab, tokenizer, short, kind,
                                                mask_illegal, batch):
-    _assert_matches_the_reference(_model(vocab, tokenizer, kind, mask_illegal),
-                                  short[:batch])
+    """With every sentence in one window of 32 pieces, and in windows of 3
+    and of 1 piece."""
+    for max_len in (32, 3, 1):
+        _assert_matches_the_reference(
+            _model(vocab, tokenizer, kind, mask_illegal, max_len=max_len), short[:batch])
 
 
 def test_the_short_sentences_have_words_of_several_pieces(tokenizer, short):
     """So the transformer cases read first pieces off rows that are not the
-    word indices."""
-    counts = [len(segment(tokenizer, w)) for s in short for w in s.surfaces]
-    assert max(counts) > 1
+    word indices, and at max_len 3 a window boundary falls inside a word:
+    one of its pieces ends a window and the next one opens the next."""
+    counts = [[len(segment(tokenizer, w)) for w in s.surfaces] for s in short]
+    assert max(map(max, counts)) > 1
+    inside = []
+    for sentence in counts:
+        starts = np.cumsum([0] + sentence)
+        inside += [start < k < start + n for start, n in zip(starts, sentence)
+                   for k in range(3, starts[-1], 3)]
+    assert any(inside)
 
 
 def _assert_gradients_match_the_reference(model, batch):

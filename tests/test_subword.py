@@ -367,6 +367,18 @@ def test_vocab_rejects_unnormalized_probabilities(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+def test_vocab_rejects_non_finite_log_probabilities(tmp_path, value):
+    """Each names its piece, also -inf, whose probabilities still sum to 1."""
+    path = tmp_path / "bad.vocab"
+    half = repr(math.log(0.5))
+    path.write_text(f"a\t{half}\nb\t{value}\nc\t{half}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="piece 'b'"):
+        load_vocab(path)
+    with pytest.raises(ValidationError, match="piece 'b'"):
+        UnigramVocab({"a": 0.0, "b": float(value)})
+
+
 def test_enumeration_oracle_spot_check():
     # tiny fixture where the best segmentation is known in closed form
     vocab = {"a": math.log(0.3), "b": math.log(0.2), "ab": math.log(0.5)}
