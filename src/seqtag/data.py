@@ -6,7 +6,8 @@ File layout: one token per line with whitespace-separated columns
 sentence.  Whether the analysis column is present is decided by the first
 data row and must then hold for the whole file.  Every line is normalized
 to Unicode NFC, so a decomposed letter such as Turkish dotted capital I
-(I + U+0307) reads as its composed form.
+(I + U+0307) reads as its composed form; so is every Token's surface and
+analysis, however the Token was made.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class Token:
             raise ValidationError("token surface must be non-empty")
         if not tag_is_wellformed(self.gold_tag):
             raise ValidationError(f"malformed tag {self.gold_tag!r}")
+        object.__setattr__(self, "surface", unicodedata.normalize("NFC", self.surface))
+        if self.morph_analysis is not None:
+            object.__setattr__(self, "morph_analysis",
+                               unicodedata.normalize("NFC", self.morph_analysis))
 
 
 @dataclass(frozen=True, slots=True)

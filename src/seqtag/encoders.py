@@ -154,6 +154,13 @@ def _require_positive_ints(cfg, names) -> None:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _require_reals(cfg, names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _require_bools(cfg, names) -> None:
     for name in names:
         value = getattr(cfg, name)
@@ -289,6 +296,7 @@ class ToyTransformerConfig:
     def __post_init__(self):
         _require_positive_ints(self, ("num_layers", "num_heads", "hidden_units",
                                       "ff_units", "max_len"))
+        _require_reals(self, ("dropout_p",))
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.hidden_units % self.num_heads != 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import unicodedata
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -27,8 +28,8 @@ from .crf import CRFParams, crf_nll, illegal_mask, viterbi_decode
 from .data import LabeledSentence, TagSet, Vocabulary
 from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
-                       _require_bools, _require_positive_ints, transformer_encode,
-                       xavier_uniform)
+                       _require_bools, _require_positive_ints, _require_reals,
+                       transformer_encode, xavier_uniform)
 from .errors import (ArtifactError, ConfigError, ParseError, UsageError,
                      ValidationError)
 from .subword import MARKER, UnigramVocab, segment, vocab_from_text, vocab_to_text
@@ -77,12 +78,14 @@ class TrainConfig:
             self.lr = 0.05 if self.optimizer == "sgd-momentum" else 5e-5
         if self.batch_size is None:
             self.batch_size = 1 if self.model_kind.startswith("bilstm") else 32
+        _require_reals(self, ("lr", "momentum", "clip_norm", "dropout_p", "lambda_l2"))
         for name in ("lr", "clip_norm"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim", "min_count"))
+        _require_positive_ints(self, ("epochs", "batch_size", "hidden_dim", "min_count",
+                                      "subword_vocab_size"))
         _require_bools(self, ("mask_illegal",))
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -186,10 +189,13 @@ class SequenceTagger:
 
         words holds one sentence, or several back to back, with lengths
         giving each one's word count; morphs, if given, runs parallel to
-        words.  All sentences are encoded in one graph; a transformer kind
-        encodes a sentence of more than max_len pieces as consecutive
-        windows of max_len pieces.
+        words.  Words and morphs are read in Unicode NFC.  All sentences
+        are encoded in one graph; a transformer kind encodes a sentence of
+        more than max_len pieces as consecutive windows of max_len pieces.
         """
+        words = [unicodedata.normalize("NFC", w) for w in words]
+        if morphs:
+            morphs = [m and unicodedata.normalize("NFC", m) for m in morphs]
         lengths = ad.packed_steps(lengths, len(words))[0].tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")

@@ -12,13 +12,14 @@ reaches glibc's 128 KB mmap threshold; freeing one that did would raise the
 threshold and keep later arrays resident on the heap.
 
 Pieces are stored without the word-boundary marker; segment() puts the
-marker, MARKER ("▁"), onto each word-initial piece.  Text normalization is
-whitespace collapsing only.
+marker, MARKER ("▁"), onto each word-initial piece.  Training and
+segmentation read text in Unicode NFC, with its whitespace collapsed.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ def _word_counts(corpus) -> dict[str, int]:
         corpus = corpus.splitlines() or [corpus]
     counts: dict[str, int] = {}
     for line in corpus:
-        for word in line.split():
+        for word in unicodedata.normalize("NFC", line).split():
             counts[word] = counts.get(word, 0) + 1
     return counts
 
@@ -305,10 +306,10 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
 
 
 def segment(v: UnigramVocab, text: str) -> list[str]:
-    """Maximum-likelihood pieces of the whitespace-collapsed text, the
+    """Maximum-likelihood pieces of the NFC, whitespace-collapsed text, the
     word-initial piece of every word carrying the boundary marker."""
     out = []
-    for word in text.split():
+    for word in unicodedata.normalize("NFC", text).split():
         pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len,
                                   unk_logprob=v.unk_logprob)
         out.append(MARKER + pieces[0])

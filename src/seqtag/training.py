@@ -16,7 +16,7 @@ from .evaluation import EvalReport, score
 from .models import (SequenceTagger, TrainConfig, build_model,
                      needs_tokenizer, tag_corpus)
 from .optim import (AdamDecoupled, SGDMomentum, add_l2_gradients,
-                    clip_gradients, lr_schedule)
+                    clip_gradients, flatten, lr_schedule)
 from .subword import UnigramVocab, train_unigram
 
 log = logging.getLogger(__name__)
@@ -84,7 +84,8 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     each mini-batch is one graph whose summed sentence losses drive one
     clipped update, with the L2 penalty's gradient added after the backward
     pass and its value added to the reported loss.
-    The parameters kept at the end are those of the best-validation epoch.
+    The parameters kept at the end are those of the best-validation epoch,
+    restored in place into the flat buffer (optim.flatten) they view.
     With cfg.mask_illegal, gold tags that break BIO2 raise ValidationError
     before training starts.
     A non-finite loss or gradient norm aborts with DivergenceError before
@@ -101,15 +102,12 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         text = [" ".join(s.surfaces) for s in split.train]
         tokenizer = train_unigram(text, cfg.subword_vocab_size, seed=cfg.seed)
     model = build_model(cfg, vocab, rng, tokenizer)
-    params = model.parameters()
-    named = model.named_parameters()
-    if cfg.optimizer == "sgd-momentum":
-        opt = SGDMomentum(params, cfg.momentum)
-    else:
-        opt = AdamDecoupled(params)
+    params = flatten(model.parameters())
+    opt = (SGDMomentum(params, cfg.momentum) if cfg.optimizer == "sgd-momentum"
+           else AdamDecoupled(params))
     best_f1 = -1.0
     best_epoch = 0
-    best_state = {name: t.data.copy() for name, t in named.items()}
+    best_state = params.data.copy()
     history: list[EpochMetrics] = []
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_schedule(cfg.lr, epoch - 1) if cfg.optimizer == "sgd-momentum" else cfg.lr
@@ -139,11 +137,10 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         if report.f1 > best_f1:
             best_f1 = report.f1
             best_epoch = epoch
-            best_state = {name: t.data.copy() for name, t in named.items()}
+            best_state = params.data.copy()
         if target_f1 is not None and report.f1 >= target_f1:
             break
-    for name, tensor in named.items():
-        tensor.data = best_state[name]
+    params.data[...] = best_state
     return TrainResult(model, history, best_epoch, best_f1, tokenizer)
 
 

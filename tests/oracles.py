@@ -8,10 +8,12 @@ fused lstm_scan and attention they check.  The primitives only these
 references need (the element-wise product, a constant multiple and the
 difference built on it, broadcast, sigmoid, tanh, exp, reshape, transpose,
 log_sum_exp and the matrix-vector product) are defined here, as nodes of
-the library's graph.
+the library's graph.  The optimizer references step one parameter tensor
+at a time, where the library makes whole-array calls on one flat buffer.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -660,3 +662,78 @@ def reference_tags(model, sentence):
     table = _transition_table(model, model.mask_illegal)
     labels, _ = crf_brute_argmax(reference_emissions(model, sentence), table)
     return [model.tags.tag_of(i) for i in labels]
+
+
+# ---------------------------------------------------------------------------
+# optimizer passes one parameter tensor at a time, as lists of Tensors: the
+# reference for the library's whole-array passes over one flat buffer
+
+
+def l2_per_tensor(params, lam):
+    """Add lam * theta to each gradient; returns (lam / 2) * sum of squares."""
+    total = 0.0
+    for p in params:
+        total += float(np.sum(p.data * p.data))
+        p.grad += lam * p.data
+    return total * (0.5 * lam)
+
+
+def clip_per_tensor(params, clip_norm):
+    """Scale the gradients to a global norm of at most clip_norm; returns
+    the pre-clip global norm."""
+    total = 0.0
+    for p in params:
+        total += float(np.sum(p.grad * p.grad))
+    norm = math.sqrt(total)
+    if norm > clip_norm:
+        for p in params:
+            p.grad *= clip_norm / norm
+    return norm
+
+
+@dataclass
+class SGDPerTensor:
+    """v <- momentum * v + grad; param <- param - lr * v, tensor by tensor."""
+
+    params: list
+    momentum: float
+    velocity: list = field(init=False)
+
+    def __post_init__(self):
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr):
+        for p, v in zip(self.params, self.velocity):
+            v *= self.momentum
+            v += p.grad
+            p.data -= lr * v
+
+
+@dataclass
+class AdamPerTensor:
+    """Bias-corrected Adam with decoupled weight decay, tensor by tensor."""
+
+    params: list
+    b1: float = 0.9
+    b2: float = 0.999
+    eps: float = 1e-8
+    decay: float = 0.01
+    t: int = 0
+    m: list = field(init=False)
+    v: list = field(init=False)
+
+    def __post_init__(self):
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr):
+        self.t += 1
+        c1, c2 = 1.0 - self.b1 ** self.t, 1.0 - self.b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (update + self.decay * p.data)

@@ -93,6 +93,14 @@ def test_parse_normalizes_lines_to_nfc():
     assert nfd[0].surfaces == [composed]
 
 
+def test_token_normalizes_its_surface_and_analysis_to_nfc():
+    token = Token("I\u0307stanbul", "B-LOC", "I\u0307stanbul+Noun")
+    assert token == Token("\u0130stanbul", "B-LOC", "\u0130stanbul+Noun")
+    assert token.surface == "\u0130stanbul"
+    assert token.morph_analysis == "\u0130stanbul+Noun"
+    assert Token("x", "O").morph_analysis is None
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_conll("a O\nb\n")

@@ -488,7 +488,8 @@ def test_transformer_config_head_divisibility():
 
 @pytest.mark.parametrize("field,value", [
     ("num_heads", 0), ("num_heads", -1), ("num_heads", True),
-    ("dropout_p", 1.0), ("dropout_p", -0.1),
+    ("dropout_p", 1.0), ("dropout_p", -0.1), ("dropout_p", False),
+    ("dropout_p", "0.1"), ("dropout_p", None),
 ])
 def test_transformer_config_rejects_values_no_model_runs_with(field, value):
     with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import time
+import unicodedata
 import zipfile
 
 import numpy as np
@@ -80,6 +81,22 @@ def test_config_rejects_unknown_kind_and_optimizer():
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError):
         tiny_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", [0.1]])
+def test_config_rejects_rates_that_are_not_numbers(value):
+    """True would train at lr 1.0, and a string would fail in a comparison."""
+    for field in ("lr", "momentum", "clip_norm", "dropout_p", "lambda_l2"):
+        with pytest.raises(ConfigError, match=field):
+            tiny_cfg(**{field: value})
+    with pytest.raises(ConfigError, match="lambda_l2"):
+        tiny_cfg(lambda_l2=None)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, "200", True])
+def test_config_rejects_a_subword_vocab_size_that_is_not_a_positive_integer(value):
+    with pytest.raises(ConfigError, match="subword_vocab_size"):
+        tiny_cfg(subword_vocab_size=value)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +678,15 @@ SUBWORD = dict(composer=ComposerConfig(use_subword=True, word_dim=16,
     ("transformer-crf", {}, _rename_first_piece, True),
     ("bilstm-crf", {}, lambda m: m.update(mask_illegal="false"), True),
     ("bilstm-crf", {}, lambda m: m["composer"].update(use_char="true"), True),
+    ("bilstm-crf", {}, lambda m: m.update(dropout_p="0.1"), True),
+    ("bilstm-crf", {}, lambda m: m.update(dropout_p=False), True),
+    ("transformer-crf", {}, lambda m: m["transformer"].update(dropout_p=False), True),
 ], ids=["transformer-without-tokenizer", "subword-composer-without-tokenizer",
         "heads-not-dividing-hidden-units", "no-composer-source",
         "morph-without-morph-table", "piece-table-disagrees-with-tokenizer",
-        "mask-illegal-not-a-boolean", "use-char-not-a-boolean"])
+        "mask-illegal-not-a-boolean", "use-char-not-a-boolean",
+        "dropout-p-a-string", "dropout-p-a-boolean",
+        "transformer-dropout-p-a-boolean"])
 def test_manifest_that_describes_no_buildable_model_is_an_artifact_error(
         tmp_path, corpus, vocab, tokenizer, kind, cfg_kw, edit_manifest,
         keep_tokenizer):
@@ -860,3 +882,29 @@ def test_tag_corpus_preserves_sentence_structure(corpus, vocab):
     tagged = tag_corpus(model, corpus[:5])
     assert [s.surfaces for s in tagged] == [s.surfaces for s in corpus[:5]]
     assert all(len(s.tags) == len(s) for s in tagged)
+
+
+# ---------------------------------------------------------------------------
+# Unicode normalization
+
+
+def _nfd(text):
+    return text and unicodedata.normalize("NFD", text)
+
+
+@pytest.mark.parametrize("kind", ["bilstm-crf", "transformer-crf"])
+def test_nfd_text_is_tagged_as_its_nfc_form(corpus, vocab, tokenizer, kind):
+    composer = ComposerConfig(word_dim=16, char_dim=8, char_hidden=6, use_morph=True,
+                              morph_dim=8, morph_hidden=4)
+    model = build_model(tiny_cfg(kind, composer=composer), vocab,
+                        np.random.default_rng(0), tokenizer)
+    sentences = corpus[:20]
+    want = [model.predict(s.surfaces, s.morphs) for s in sentences]
+    words = [[_nfd(w) for w in s.surfaces] for s in sentences]
+    assert any(w != s.surfaces for w, s in zip(words, sentences))
+    got = [model.predict(w, [_nfd(m) for m in s.morphs]) for w, s in zip(words, sentences)]
+    assert got == want
+    decomposed = [LabeledSentence(tuple(Token(_nfd(t.surface), t.gold_tag,
+                                              _nfd(t.morph_analysis)) for t in s.tokens))
+                  for s in sentences]
+    assert [s.tags for s in tag_corpus(model, decomposed)] == want

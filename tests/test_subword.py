@@ -1,5 +1,6 @@
 import math
 import pathlib
+import unicodedata
 
 import numpy as np
 import pytest
@@ -388,3 +389,13 @@ def test_enumeration_oracle_spot_check():
     pieces, lp = best_segmentation("ab", vocab)
     assert pieces == ["ab"]
     assert abs(lp - math.log(0.5)) <= 1e-12
+
+
+def test_nfd_text_trains_and_segments_as_its_nfc_form():
+    text = [" ".join(s.surfaces) for s in generate_corpus(40, seed=0)]
+    decomposed = [unicodedata.normalize("NFD", line) for line in text]
+    assert decomposed != text
+    v = train_unigram(text, 80)
+    assert train_unigram(decomposed, 80).pieces == v.pieces
+    assert train_unigram("\n".join(decomposed), 80).pieces == v.pieces
+    assert [segment(v, line) for line in decomposed] == [segment(v, line) for line in text]

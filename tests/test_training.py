@@ -1,11 +1,15 @@
+import io
+import unicodedata
+
 import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
-from seqtag.data import CorpusSplit, split_corpus
+from seqtag import optim, training
+from seqtag.data import CorpusSplit, LabeledSentence, Token, split_corpus
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import DivergenceError, UsageError, ValidationError
-from seqtag.models import SequenceTagger, TrainConfig
+from seqtag.models import SequenceTagger, TrainConfig, save_model
 from seqtag.synth import generate_corpus
 from seqtag.training import (METRICS_HEADER, bench, bench_table,
                              evaluate_model, train)
@@ -86,6 +90,28 @@ def test_returned_model_scores_the_best_recorded_f1(split):
     assert result.best_epoch == first_best
     report = evaluate_model(result.model, split.valid)
     assert report.f1 == result.best_f1
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam-decoupled-decay"])
+def test_trained_parameters_stay_views_of_one_buffer(split, monkeypatch, optimizer):
+    # the best epoch is copied back into the flat buffer, never rebound
+    flats, states = [], []
+
+    def recording_flatten(params):
+        flats.append(optim.flatten(params))
+        return flats[-1]
+
+    monkeypatch.setattr(training, "flatten", recording_flatten)
+    result = train(tiny_cfg(epochs=4, lr=0.1, optimizer=optimizer), split,
+                   on_epoch=lambda m: states.append(flats[0].data.copy()))
+    (flat,) = flats
+    offset = 0
+    for p in result.model.parameters():
+        assert p.data.base is flat.data and p.grad.base is flat.grad
+        assert np.shares_memory(p.data, flat.data[offset:offset + p.size])
+        offset += p.size
+    assert offset == flat.data.size
+    assert np.array_equal(flat.data, states[result.best_epoch - 1])
 
 
 def test_l2_strength_raises_the_reported_training_loss(split):
@@ -215,3 +241,20 @@ def test_bench_table_lists_rows_and_means(split):
     assert "config" in lines[0] and "F1" in lines[0]
     assert sum("crf" in ln for ln in lines) == 3  # two seed rows plus the mean
     assert any("mean" in ln for ln in lines)
+
+
+def _decomposed(sentences):
+    nfd = lambda text: text and unicodedata.normalize("NFD", text)  # noqa: E731
+    return [LabeledSentence(tuple(Token(nfd(t.surface), t.gold_tag, nfd(t.morph_analysis))
+                                  for t in s.tokens)) for s in sentences]
+
+
+@pytest.mark.parametrize("kind", ["bilstm-crf", "transformer-crf"])
+def test_nfd_training_data_saves_the_artifact_of_its_nfc_form(split, kind):
+    decomposed = CorpusSplit(_decomposed(split.train), _decomposed(split.valid), [], split.seed)
+    artifacts = []
+    for data in (split, decomposed):
+        buf = io.BytesIO()
+        save_model(train(tiny_cfg(model_kind=kind, epochs=1), data).model, buf)
+        artifacts.append(buf.getvalue())
+    assert artifacts[0] == artifacts[1]
