@@ -28,10 +28,13 @@ def flatten(params: list[Tensor]) -> Tensor:
     if len({id(p) for p in params}) != len(params):
         raise UsageError("flatten needs distinct tensors")
     flat = Tensor(np.concatenate([p.data.reshape(-1) for p in params]), requires_grad=True)
-    flat.grad = np.concatenate([p.grad.reshape(-1) for p in params])
+    flat.grad = np.zeros(flat.size)
     for p, lo in zip(params, np.cumsum([0] + [p.size for p in params])):
+        grad = flat.grad[lo:lo + p.size].reshape(p.shape)
+        if p._grad is not None:  # p.grad would allocate zeros on a fresh tensor
+            grad[...] = p._grad
         p.data = flat.data[lo:lo + p.size].reshape(p.shape)
-        p.grad = flat.grad[lo:lo + p.size].reshape(p.shape)
+        p.grad = grad
     return flat
 
 
@@ -108,13 +111,25 @@ class AdamDecoupled:
         self.t += 1
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        g, m, v = self.flat.grad, self.m, self.v
+        g, m, v, theta = self.flat.grad, self.m, self.v, self.flat.data
+        # theta -= lr * (m/c1 / (sqrt(v/c2) + eps) + decay * theta), each
+        # operation in that order, written into two arrays of this step
+        a = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        self.flat.data -= lr * (update + ADAM_WEIGHT_DECAY * self.flat.data)
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        update = np.divide(m, c1)
+        update /= a
+        np.multiply(theta, ADAM_WEIGHT_DECAY, out=a)
+        update += a
+        update *= lr
+        theta -= update
 
     def zero_grad(self):
         self.flat.zero_grad()

@@ -14,6 +14,9 @@ threshold and keep later arrays resident on the heap.
 Pieces are stored without the word-boundary marker; segment() puts the
 marker, MARKER ("▁"), onto each word-initial piece.  Training and
 segmentation read text in Unicode NFC, with its whitespace collapsed.
+A word's pieces never change once the inventory is built, so segment()
+keeps them per tokenizer in a memo of at most MEMO_WORDS words; the memo
+is not part of the tokenizer's value and is never saved.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ MARKER = "▁"
 _EM_ROUNDS = 2
 _PRUNE_FRACTION = 0.2
 _UNK_PENALTY = 10.0
+MEMO_WORDS = 16384  # words whose marked pieces one tokenizer remembers
 
 
 @dataclass
@@ -38,11 +42,13 @@ class UnigramVocab:
     """A piece inventory.  The segmentation constants derived from it, the
     longest piece's length and the score of a character outside it, are
     computed once here; the inventory is not changed after construction.
-    The pieces are all it holds, so vocab_to_text stores it whole."""
+    The pieces are all it holds, so vocab_to_text stores it whole; the
+    memo segment() fills is derived from them like the constants."""
 
     pieces: dict[str, float]  # piece -> log probability
     max_piece_len: int = field(init=False, repr=False, compare=False)
     unk_logprob: float = field(init=False, repr=False, compare=False)
+    memo: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -55,6 +61,7 @@ class UnigramVocab:
             raise ValidationError(f"piece probabilities sum to {total!r}, not 1")
         self.max_piece_len = max(len(p) for p in self.pieces)
         self.unk_logprob = min(self.pieces.values()) - _UNK_PENALTY
+        self.memo = {}  # NFC word -> its marked pieces
 
     def __len__(self):
         return len(self.pieces)
@@ -307,13 +314,20 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
 
 def segment(v: UnigramVocab, text: str) -> list[str]:
     """Maximum-likelihood pieces of the NFC, whitespace-collapsed text, the
-    word-initial piece of every word carrying the boundary marker."""
+    word-initial piece of every word carrying the boundary marker.  The
+    pieces of the first MEMO_WORDS distinct words are kept in v.memo after
+    their first search; any later new word is searched on every call."""
     out = []
+    memo = v.memo
     for word in unicodedata.normalize("NFC", text).split():
-        pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len,
-                                  unk_logprob=v.unk_logprob)
-        out.append(MARKER + pieces[0])
-        out.extend(pieces[1:])
+        marked = memo.get(word)
+        if marked is None:
+            pieces, _ = _viterbi_word(word, v.pieces, v.max_piece_len,
+                                      unk_logprob=v.unk_logprob)
+            marked = (MARKER + pieces[0], *pieces[1:])
+            if len(memo) < MEMO_WORDS:
+                memo[word] = marked
+        out.extend(marked)
     return out
 
 

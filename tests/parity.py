@@ -8,10 +8,12 @@ second time under the name parent_seqtag, next to this tree's seqtag, and
 both build the same 16 cases: each of the four model kinds, with and
 without the BIO2 mask, over a training batch of 1 and of 4 sentences, with
 all four input sources, dropout 0.2 and two transformer layers.  A case is
-equal when the loss bytes, the bytes of every parameter's gradient and the
-predict tags of 10 sentences all are.  One line per case is printed; the
-exit status is 0 only if every case is equal, 1 if one is not, and 2 if
-PARENT_SRC holds no seqtag package.
+equal when the loss bytes, the bytes of every parameter's gradient, the
+predict tags of 10 sentences and, for each optimizer, the parameter bytes
+after three training steps (L2, clipping and the update, as train() runs
+them) all are.  One line per case is printed; the exit status is 0 only if
+every case is equal, 1 if one is not, and 2 if PARENT_SRC holds no seqtag
+package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -28,6 +30,7 @@ HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf", "transformer-linear")
 SOURCES = ("word", "char", "morph", "subword")
 TAGGED = 10  # sentences each case tags with predict
+STEPS = 3  # optimizer steps each case takes with each optimizer
 
 
 def load_package(src: Path, name: str):
@@ -38,14 +41,36 @@ def load_package(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("autodiff", "data", "encoders", "models", "subword", "synth"):
+    for module in ("autodiff", "data", "encoders", "models", "optim", "subword", "synth"):
         importlib.import_module(f"{name}.{module}")
     return package
 
 
+def optimizer_steps(pkg, model, batch) -> dict[str, bytes]:
+    """The parameter bytes after STEPS training steps on batch under each
+    optimizer, each run starting from the model's current parameters."""
+    optim = pkg.optim
+    flat = optim.flatten(model.parameters())
+    start = flat.data.copy()
+    after = {}
+    for name, opt, lr in (("sgd-momentum", optim.SGDMomentum(flat, 0.9), 0.1),
+                          ("adam", optim.AdamDecoupled(flat), 1e-2)):
+        flat.data[...] = start
+        for step in range(STEPS):
+            opt.zero_grad()
+            loss = model.loss(*batch, training=True, rng=np.random.default_rng(step))
+            pkg.autodiff.backward(loss)
+            optim.add_l2_gradients(flat, 1e-3)
+            optim.clip_gradients(flat, 1.0)
+            opt.step(lr)
+        after[name] = flat.data.tobytes()
+    return after
+
+
 def run_case(pkg, kind: str, mask: bool, batch: int):
-    """The loss bytes, each parameter's gradient bytes by name and the
-    predict tags of one case, computed by the package pkg."""
+    """The loss bytes, each parameter's gradient bytes by name, the predict
+    tags and the parameter bytes after each optimizer's steps of one case,
+    computed by the package pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
@@ -61,18 +86,19 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     pkg.autodiff.backward(loss)
     grads = {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
     tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
-    return loss.data.tobytes(), grads, tags
+    return loss.data.tobytes(), grads, tags, optimizer_steps(pkg, model, corpus[:batch])
 
 
 def differences(here, there) -> list[str]:
     """What differs between two run_case results."""
-    (loss, grads, tags), (loss_p, grads_p, tags_p) = here, there
+    (loss, grads, tags, after), (loss_p, grads_p, tags_p, after_p) = here, there
     out = [] if loss == loss_p else ["loss"]
     if grads.keys() != grads_p.keys():
         out.append("parameter names")
     out += [f"grad {name}" for name in grads if name in grads_p and grads[name] != grads_p[name]]
     if tags != tags_p:
         out.append("predict tags")
+    out += [f"{name} steps" for name in after if after[name] != after_p.get(name)]
     return out
 
 

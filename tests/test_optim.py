@@ -48,6 +48,25 @@ def test_flatten_keeps_values_and_grads_as_views_of_one_leaf():
         assert np.array_equal(p.data, value + 1.0) and not p.grad.any()
 
 
+def test_flatten_keeps_held_gradients_and_allocates_none_for_fresh_tensors(monkeypatch):
+    lazy = Tensor.grad
+    allocated = []
+
+    def counting(t):
+        if t._grad is None and t.requires_grad:
+            allocated.append(t)
+        return lazy.fget(t)
+
+    monkeypatch.setattr(Tensor, "grad", property(counting, lazy.fset))
+    fresh = Tensor(np.ones((2, 3)), requires_grad=True)
+    held = Tensor(np.ones(4), requires_grad=True)
+    held.grad = np.arange(4.0)
+    flat = flatten([fresh, held])
+    assert not allocated
+    assert np.array_equal(flat.grad, [0.0] * 6 + [0.0, 1.0, 2.0, 3.0])
+    assert fresh.grad.base is flat.grad and held.grad.base is flat.grad
+
+
 def test_flatten_rejects_a_repeated_tensor():
     t = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(UsageError):

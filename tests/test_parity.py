@@ -1,5 +1,6 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
-tree itself and against a copy of it with a planted one-ulp change."""
+tree itself and against copies of it with a planted one-ulp change, in the
+loss or in the Adam update."""
 
 import shutil
 import subprocess
@@ -33,4 +34,18 @@ def test_a_one_ulp_change_in_the_loss_is_flagged(tmp_path):
     run = _parity(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "DIFFERS in loss" in run.stdout
+    assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
+
+
+def test_a_one_ulp_change_in_the_adam_update_is_flagged(tmp_path):
+    shutil.copytree(SRC / "seqtag", tmp_path / "seqtag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    optim = tmp_path / "seqtag" / "optim.py"
+    exact = "        theta -= update\n"
+    planted = "        theta -= np.nextafter(update, np.inf)\n"
+    assert exact in optim.read_text()
+    optim.write_text(optim.read_text().replace(exact, planted))
+    run = _parity(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.count("DIFFERS in adam steps\n") == 16
     assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"

@@ -324,6 +324,77 @@ def test_align_then_project_is_identity_on_word_tags():
 
 
 # ---------------------------------------------------------------------------
+# the segmentation memo
+
+CORPUS = "evler evlerde evde kedi kediler"
+
+
+def _searched_words(monkeypatch):
+    """The words segment passes to _viterbi_word from now on, in order."""
+    searched = []
+    search = sw._viterbi_word
+
+    def counting(word, *args, **kwargs):
+        searched.append(word)
+        return search(word, *args, **kwargs)
+
+    monkeypatch.setattr(sw, "_viterbi_word", counting)
+    return searched
+
+
+def test_segment_searches_a_repeated_word_once(monkeypatch):
+    v = train_unigram(CORPUS, vocab_size=12)
+    searched = _searched_words(monkeypatch)
+    first = segment(v, "evlerde kedi evlerde")
+    again = segment(v, "kedi evlerde")
+    assert searched == ["evlerde", "kedi"]
+    fresh = train_unigram(CORPUS, vocab_size=12)
+    assert first == segment(fresh, "evlerde kedi evlerde")
+    assert again == segment(fresh, "kedi evlerde")
+
+
+def test_segment_memo_keys_an_nfd_word_by_its_nfc_form(monkeypatch):
+    v = make_vocab({ch: 1.0 for ch in "kdeiçü"} | {"küçük": 3.0})
+    searched = _searched_words(monkeypatch)
+    composed = segment(v, "küçük")
+    decomposed = unicodedata.normalize("NFD", "küçük")
+    assert decomposed != "küçük"
+    assert segment(v, decomposed) == composed == ["▁küçük"]
+    assert searched == ["küçük"] and list(v.memo) == ["küçük"]
+
+
+@pytest.mark.parametrize("text", ["evlerde", "evlerde kedi"])
+def test_mutating_a_segmentation_leaves_the_next_one_alone(text):
+    v = train_unigram(CORPUS, vocab_size=12)
+    pieces = segment(v, text)
+    want = list(pieces)
+    pieces[0] = "x"
+    pieces.append("y")
+    assert segment(v, text) == want
+
+
+def test_segment_memo_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(sw, "MEMO_WORDS", 2)
+    v = train_unigram(CORPUS, vocab_size=12)
+    text = CORPUS + " evlerimiz kedicik"
+    got = segment(v, text)
+    assert list(v.memo) == ["evler", "evlerde"]
+    assert got == segment(v, text) == segment_rescanning(v, text)
+    assert list(v.memo) == ["evler", "evlerde"]
+
+
+def test_segmenting_leaves_a_tokenizer_equal_and_its_text_unchanged():
+    v = train_unigram(CORPUS, vocab_size=12)
+    twin = train_unigram(CORPUS, vocab_size=12)
+    text = vocab_to_text(v)
+    segment(v, CORPUS + " evlerimiz")
+    assert v.memo and not twin.memo
+    assert v == twin
+    assert vocab_to_text(v) == text
+    assert repr(v) == repr(twin)
+
+
+# ---------------------------------------------------------------------------
 # vocabulary files
 
 
