@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import bio2_follows
 from .errors import ShapeError, UsageError
 
 NEG_INF = float("-inf")
@@ -163,20 +164,14 @@ def viterbi_decode(crf: CRFParams, emissions: Tensor,
 
 
 def illegal_mask(tags: list[str]) -> np.ndarray:
-    """Additive mask forbidding transitions that can never occur in BIO2.
-
-    An I-X tag may only follow B-X or I-X of the same type; everything else
-    stays 0.  Shape (T+1, T+1) with the BOS row last and EOS column last.
-    """
+    """Additive mask forbidding transitions that can never occur in BIO2:
+    -inf where data.bio2_follows(prev, tag) is false, reading the BOS row
+    as an O, and 0 elsewhere.  Shape (T+1, T+1) with the BOS row last and
+    EOS column last."""
     T = len(tags)
     mask = np.zeros((T + 1, T + 1))
-    for j, to_tag in enumerate(tags):
-        if not to_tag.startswith("I-"):
-            continue
-        kind = to_tag[2:]
-        for i, from_tag in enumerate(tags):
-            if from_tag not in (f"B-{kind}", f"I-{kind}"):
+    for i, prev in enumerate([*tags, "O"]):
+        for j, tag in enumerate(tags):
+            if not bio2_follows(prev, tag):
                 mask[i, j] = NEG_INF
-        mask[T, j] = NEG_INF  # sentence cannot open inside an entity
     return mask
-

@@ -7,7 +7,8 @@ sentence.  Whether the analysis column is present is decided by the first
 data row and must then hold for the whole file.  Every line is normalized
 to Unicode NFC, so a decomposed letter such as Turkish dotted capital I
 (I + U+0307) reads as its composed form; so is every Token's surface and
-analysis, however the Token was made.
+analysis, however the Token was made, and neither may be empty or hold
+whitespace, so that each stays one column.
 """
 
 from __future__ import annotations
@@ -25,6 +26,22 @@ def tag_is_wellformed(tag: str) -> bool:
     return tag == "O" or (len(tag) >= 3 and tag[0] in "BI" and tag[1] == "-")
 
 
+def bio2_follows(prev: str, tag: str) -> bool:
+    """Whether tag may follow prev in BIO2: an I-X only after a B-X or an
+    I-X.  A sentence opens as if after an O."""
+    return not tag.startswith("I-") or prev in ("B-" + tag[2:], tag)
+
+
+def nfc_word(text: str, what: str) -> str:
+    """text in Unicode NFC; raises ValidationError unless it is a non-empty
+    string that holds no whitespace, as one CoNLL column must.  (NFC maps no
+    whitespace to non-whitespace or back, so text is checked as given.)"""
+    if not isinstance(text, str) or text.split() != [text]:
+        raise ValidationError(f"{what} must be a non-empty string without whitespace, "
+                              f"got {text!r}")
+    return unicodedata.normalize("NFC", text)
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     surface: str
@@ -32,14 +49,12 @@ class Token:
     morph_analysis: str | None = None
 
     def __post_init__(self):
-        if not self.surface:
-            raise ValidationError("token surface must be non-empty")
         if not tag_is_wellformed(self.gold_tag):
             raise ValidationError(f"malformed tag {self.gold_tag!r}")
-        object.__setattr__(self, "surface", unicodedata.normalize("NFC", self.surface))
+        object.__setattr__(self, "surface", nfc_word(self.surface, "token surface"))
         if self.morph_analysis is not None:
             object.__setattr__(self, "morph_analysis",
-                               unicodedata.normalize("NFC", self.morph_analysis))
+                               nfc_word(self.morph_analysis, "morphological analysis"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,14 +205,12 @@ def validate_bio2(sentence: LabeledSentence, mode: str = "strict") -> LabeledSen
     fixed = []
     prev = "O"
     for i, tag in enumerate(sentence.tags):
-        if tag.startswith("I-"):
-            kind = tag[2:]
-            if prev not in (f"B-{kind}", f"I-{kind}"):
-                if mode == "strict":
-                    raise ValidationError(
-                        f"orphan {tag} at token index {i} "
-                        f"({sentence.tokens[i].surface!r}, follows {prev})")
-                tag = f"B-{kind}"
+        if not bio2_follows(prev, tag):
+            if mode == "strict":
+                raise ValidationError(
+                    f"orphan {tag} at token index {i} "
+                    f"({sentence.tokens[i].surface!r}, follows {prev})")
+            tag = "B-" + tag[2:]
         fixed.append(tag)
         prev = tag
     return sentence.with_tags(fixed)
@@ -235,15 +248,19 @@ def split_corpus(sentences: list[LabeledSentence], valid_fraction: float = 0.2,
 
 @dataclass
 class Vocabulary:
-    word: dict[str, int]
-    char: dict[str, int]
-    morph_char: dict[str, int]
+    """Each source's tokens in the order of their table rows, plus the tag
+    inventory."""
+
+    word: list[str]
+    char: list[str]
+    morph_char: list[str]
     tags: TagSet
 
 
 def build_vocab(sentences: list[LabeledSentence], min_count: int = 1) -> Vocabulary:
-    """Vocabularies by falling count, ties in first-seen order, with pad=0 /
-    unk=1 reserved, plus the tag inventory.  min_count filters word types only."""
+    """Word, character and analysis-character tokens by falling count, ties
+    in first-seen order, plus the tag inventory.  min_count filters word
+    types only.  The embedding tables put their reserved rows first."""
     if not sentences:
         raise UsageError("cannot build vocabulary from an empty corpus")
     words, chars, morph_chars, tag_counts = Counter(), Counter(), Counter(), Counter()
@@ -253,21 +270,12 @@ def build_vocab(sentences: list[LabeledSentence], min_count: int = 1) -> Vocabul
             chars.update(t.surface)
             morph_chars.update(t.morph_analysis or "")
             tag_counts[t.gold_tag] += 1
-
-    def reserved_map(counts, minimum=1):
-        vocab = {"<pad>": 0, "<unk>": 1}
-        for key, n in counts.most_common():
-            if n >= minimum:
-                vocab[key] = len(vocab)
-        return vocab
-
     tag_list = [tag for tag, _ in tag_counts.most_common()]
     if "O" not in tag_list:
         tag_list.append("O")
     # a missing B-X for a seen I-X means the data is BIO2-invalid; TagSet
     # surfaces that here
     tags = TagSet(tag_list)
-    return Vocabulary(word=reserved_map(words, min_count),
-                      char=reserved_map(chars),
-                      morph_char=reserved_map(morph_chars),
-                      tags=tags)
+    return Vocabulary(word=[w for w, n in words.most_common() if n >= min_count],
+                      char=[c for c, _ in chars.most_common()],
+                      morph_char=[c for c, _ in morph_chars.most_common()], tags=tags)

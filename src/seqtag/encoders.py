@@ -40,27 +40,20 @@ class EmbeddingTable:
     pad_id = 0
     unk_id = 1
 
-    def __init__(self, vocab: dict[str, int], dim: int):
+    def __init__(self, vocab: dict[str, int], dim: int, rng: np.random.Generator):
         self.vocab = vocab
         self.dim = dim
-        self.matrix = Tensor(np.zeros((len(vocab), dim)), requires_grad=True)
+        self.matrix = Tensor(rng.uniform(-0.1, 0.1, size=(len(vocab), dim)), requires_grad=True)
 
     @classmethod
-    def from_tokens(cls, tokens, dim: int) -> "EmbeddingTable":
-        """Table over <pad>, <unk> and then the given tokens, each once."""
-        vocab = {"<pad>": cls.pad_id, "<unk>": cls.unk_id}
-        for tok in tokens:
-            if tok not in vocab:
-                vocab[tok] = len(vocab)
-        return cls(vocab, dim)
+    def from_tokens(cls, tokens, dim: int, rng: np.random.Generator) -> "EmbeddingTable":
+        """Table over <pad>, <unk> and then the given tokens, each once, its
+        rows drawn uniform in [-0.1, 0.1]."""
+        keys = dict.fromkeys(("<pad>", "<unk>", *tokens))
+        return cls({tok: i for i, tok in enumerate(keys)}, dim, rng)
 
     def id_of(self, token: str) -> int:
         return self.vocab.get(token, self.unk_id)
-
-
-def init_embeddings(table: EmbeddingTable, rng: np.random.Generator) -> None:
-    """Initialize the table in place, uniform in [-0.1, 0.1]."""
-    table.matrix.data[...] = rng.uniform(-0.1, 0.1, size=table.matrix.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +101,6 @@ class BiLSTM:
         """
         return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
 
-    def final_states(self, table: Tensor, sequences: list[list[int]]) -> Tensor:
-        """concat(last forward hidden, last backward hidden) of each id
-        sequence, embedded from the rows of table; (len(sequences), 2H)."""
-        return ad.lstm_scan(ad.gather_rows(table, [i for s in sequences for i in s]),
-                            [len(s) for s in sequences], self.W_x, self.W_h,
-                            self.b_x, self.b_h, finals=True)
-
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -124,27 +110,18 @@ class BiLSTM:
 
 
 def _compose(table: EmbeddingTable, bilstm: BiLSTM, sequences) -> Tensor:
-    return bilstm.final_states(table.matrix,
-                               [[table.id_of(tok) for tok in seq] for seq in sequences])
+    """concat(last forward hidden, last backward hidden) of each token
+    sequence, embedded from the rows of table; (len(sequences), 2H)."""
+    ids = [table.id_of(tok) for seq in sequences for tok in seq]
+    return ad.lstm_scan(ad.gather_rows(table.matrix, ids), [len(seq) for seq in sequences],
+                        bilstm.W_x, bilstm.W_h, bilstm.b_x, bilstm.b_h, finals=True)
 
 
 def char_compose(char_table: EmbeddingTable, char_bilstm: BiLSTM,
                  words: list[str]) -> Tensor:
-    """Word vectors from their characters: BiLSTM final states over char
-    embeddings, one row per word."""
+    """_compose over each word's characters, under a name of its own so that
+    perfbench/tracer.py can time the char source."""
     return _compose(char_table, char_bilstm, words)
-
-
-def morph_compose(char_table: EmbeddingTable, morph_bilstm: BiLSTM,
-                  analyses: list[str]) -> Tensor:
-    """Same shape as char_compose, run over each full morphological analysis string."""
-    return _compose(char_table, morph_bilstm, analyses)
-
-
-def subword_compose(piece_table: EmbeddingTable, sw_bilstm: BiLSTM,
-                    pieces: list[list[str]]) -> Tensor:
-    """Word vectors from each word's subword pieces."""
-    return _compose(piece_table, sw_bilstm, pieces)
 
 
 def _require_positive_ints(cfg, names) -> None:
@@ -228,15 +205,14 @@ class InputComposer:
     subword_bilstm: BiLSTM | None = None
 
     @classmethod
-    def build(cls, cfg: ComposerConfig, rng: np.random.Generator, word_vocab=(),
-              char_vocab=(), morph_char_vocab=(), piece_vocab=()) -> "InputComposer":
-        vocabs = {"word": word_vocab, "char": char_vocab, "morph": morph_char_vocab,
-                  "subword": piece_vocab}
+    def build(cls, cfg: ComposerConfig, rng: np.random.Generator,
+              vocabs: dict) -> "InputComposer":
+        """Tables and BiLSTMs of the enabled sources, each table over the
+        tokens vocabs gives its source name."""
         kw = {}
         for name, table, bilstm in cfg.sources:
             dim = getattr(cfg, name + "_dim")
-            kw[table] = EmbeddingTable.from_tokens(vocabs[name], dim)
-            init_embeddings(kw[table], rng)
+            kw[table] = EmbeddingTable.from_tokens(vocabs[name], dim, rng)
             if bilstm:
                 kw[bilstm] = BiLSTM.init(dim, getattr(cfg, name + "_hidden"), rng)
         return cls(cfg, **kw)
@@ -263,12 +239,12 @@ class InputComposer:
             parts.append(char_compose(self.char_table, self.char_bilstm, words))
         if self.cfg.use_morph:
             analyses = analyses or [None] * len(words)
-            parts.append(morph_compose(self.morph_table, self.morph_bilstm,
-                                       [a or w for w, a in zip(words, analyses)]))
+            parts.append(_compose(self.morph_table, self.morph_bilstm,
+                                  [a or w for w, a in zip(words, analyses)]))
         if self.cfg.use_subword:
             if pieces is None:
                 raise UsageError("subword source enabled but no pieces supplied")
-            parts.append(subword_compose(self.piece_table, self.subword_bilstm, pieces))
+            parts.append(_compose(self.piece_table, self.subword_bilstm, pieces))
         return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -357,8 +333,7 @@ class TransformerParams:
 
     @classmethod
     def init(cls, cfg: ToyTransformerConfig, piece_vocab, rng: np.random.Generator) -> "TransformerParams":
-        table = EmbeddingTable.from_tokens(piece_vocab, cfg.hidden_units)
-        init_embeddings(table, rng)
+        table = EmbeddingTable.from_tokens(piece_vocab, cfg.hidden_units, rng)
         positions = Tensor(rng.uniform(-0.1, 0.1, size=(cfg.max_len, cfg.hidden_units)),
                            requires_grad=True)
         layers = [TransformerLayer.init(cfg, rng) for _ in range(cfg.num_layers)]

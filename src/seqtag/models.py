@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import unicodedata
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -25,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .crf import CRFParams, crf_nll, illegal_mask, viterbi_decode
-from .data import LabeledSentence, TagSet, Vocabulary
+from .data import LabeledSentence, TagSet, Vocabulary, nfc_word
 from .encoders import (SOURCES, BiLSTM, ComposerConfig, InputComposer,
                        ToyTransformerConfig, TransformerParams,
                        _require_bools, _require_positive_ints, _require_reals,
@@ -189,13 +188,15 @@ class SequenceTagger:
 
         words holds one sentence, or several back to back, with lengths
         giving each one's word count; morphs, if given, runs parallel to
-        words.  Words and morphs are read in Unicode NFC.  All sentences
-        are encoded in one graph; a transformer kind encodes a sentence of
-        more than max_len pieces as consecutive windows of max_len pieces.
+        words.  Words and morphs are read in Unicode NFC, and one that is
+        empty or holds whitespace raises ValidationError (data.nfc_word); an
+        empty or None morph means the word has none.  All sentences are
+        encoded in one graph; a transformer kind encodes a sentence of more
+        than max_len pieces as consecutive windows of max_len pieces.
         """
-        words = [unicodedata.normalize("NFC", w) for w in words]
+        words = [nfc_word(w, "word") for w in words]
         if morphs:
-            morphs = [m and unicodedata.normalize("NFC", m) for m in morphs]
+            morphs = [m and nfc_word(m, "morphological analysis") for m in morphs]
         lengths = ad.packed_steps(lengths, len(words))[0].tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
@@ -275,10 +276,8 @@ def build_model(cfg: TrainConfig, vocab: Vocabulary,
     if kind.startswith("bilstm"):
         piece_tokens = _marked_piece_tokens(tokenizer) if cfg.composer.use_subword else ()
         composer = InputComposer.build(cfg.composer, rng,
-                                       word_vocab=vocab.word,
-                                       char_vocab=vocab.char,
-                                       morph_char_vocab=vocab.morph_char,
-                                       piece_vocab=piece_tokens)
+                                       {"word": vocab.word, "char": vocab.char,
+                                        "morph": vocab.morph_char, "subword": piece_tokens})
         encoder = BiLSTM.init(cfg.composer.output_dim, cfg.hidden_dim, rng)
         feature_dim = 2 * cfg.hidden_dim
         kw.update(composer=composer, encoder=encoder,
@@ -541,7 +540,7 @@ def _load_zip(zf: zipfile.ZipFile) -> SequenceTagger:
         tables = manifest["tables"]
         table_sizes = {name: len(tables[name]["vocab"]) for name in tables
                        if tables[name]}
-        word, char, morph = (tables[name]["vocab"] if tables[name] else {}
+        word, char, morph = (list(tables[name]["vocab"]) if tables[name] else []
                              for name in ("word", "char", "morph"))
         vocab = Vocabulary(word, char, morph, TagSet(list(manifest["tags"])))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

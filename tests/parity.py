@@ -8,10 +8,10 @@ second time under the name parent_seqtag, next to this tree's seqtag, and
 both build the same 16 cases: each of the four model kinds, with and
 without the BIO2 mask, over a training batch of 1 and of 4 sentences, with
 all four input sources, dropout 0.2 and two transformer layers.  A case is
-equal when the loss bytes, the bytes of every parameter's gradient, the
-predict tags of 10 sentences and, for each optimizer, the parameter bytes
-after three training steps (L2, clipping and the update, as train() runs
-them) all are.  One line per case is printed; the exit status is 0 only if
+equal when the save_model bytes of the freshly built model, the loss
+bytes, the bytes of every parameter's gradient, the predict tags of 10
+sentences and, for each optimizer, the parameter bytes after three training
+steps (L2, clipping and the update, as train() runs them) all are.  One line per case is printed; the exit status is 0 only if
 every case is equal, 1 if one is not, and 2 if PARENT_SRC holds no seqtag
 package.
 
@@ -21,6 +21,7 @@ tests/test_parity.py runs it.
 
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -68,9 +69,10 @@ def optimizer_steps(pkg, model, batch) -> dict[str, bytes]:
 
 
 def run_case(pkg, kind: str, mask: bool, batch: int):
-    """The loss bytes, each parameter's gradient bytes by name, the predict
-    tags and the parameter bytes after each optimizer's steps of one case,
-    computed by the package pkg."""
+    """The artifact bytes of the built model, the loss bytes, each
+    parameter's gradient bytes by name, the predict tags and the parameter
+    bytes after each optimizer's steps of one case, computed by the package
+    pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
@@ -82,17 +84,23 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
                                  dropout_p=0.2, transformer=transformer, mask_illegal=mask)
     model = pkg.models.build_model(cfg, pkg.data.build_vocab(corpus),
                                    np.random.default_rng(0), tokenizer)
+    artifact = io.BytesIO()
+    pkg.models.save_model(model, artifact)
     loss = model.loss(*corpus[:batch], training=True, rng=np.random.default_rng(1))
     pkg.autodiff.backward(loss)
     grads = {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
     tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
-    return loss.data.tobytes(), grads, tags, optimizer_steps(pkg, model, corpus[:batch])
+    return (artifact.getvalue(), loss.data.tobytes(), grads, tags,
+            optimizer_steps(pkg, model, corpus[:batch]))
 
 
 def differences(here, there) -> list[str]:
     """What differs between two run_case results."""
-    (loss, grads, tags, after), (loss_p, grads_p, tags_p, after_p) = here, there
-    out = [] if loss == loss_p else ["loss"]
+    artifact, loss, grads, tags, after = here
+    artifact_p, loss_p, grads_p, tags_p, after_p = there
+    out = [] if artifact == artifact_p else ["artifact"]
+    if loss != loss_p:
+        out.append("loss")
     if grads.keys() != grads_p.keys():
         out.append("parameter names")
     out += [f"grad {name}" for name in grads if name in grads_p and grads[name] != grads_p[name]]

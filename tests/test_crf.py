@@ -8,9 +8,10 @@ from seqtag import autodiff as ad
 from seqtag import crf as crf_mod
 from seqtag.autodiff import Tensor
 from seqtag.crf import CRFParams
-from seqtag.errors import ShapeError, UsageError
+from seqtag.data import LabeledSentence, Token, validate_bio2
+from seqtag.errors import ShapeError, UsageError, ValidationError
 
-from oracles import (crf_brute_argmax, crf_brute_log_partition, crf_enumerate,
+from oracles import (bio2_table, crf_brute_argmax, crf_brute_log_partition, crf_enumerate,
                      crf_path_score, finite_diff, max_rel_error, softmax_nll)
 
 
@@ -326,6 +327,27 @@ def test_illegal_mask_structure():
     assert np.all(m[:, T] == 0.0)            # anything may end the sentence
     assert np.all(m[:, TAGS.index("O")] == 0.0)
     assert np.all(m[:, TAGS.index("B-PER")] == 0.0)
+
+
+def test_illegal_mask_forbids_exactly_the_pairs_strict_validation_rejects():
+    """Cell (i, j) is -inf exactly when validate_bio2 rejects a sentence
+    that reaches tag i legally and then takes tag j; the BOS row's sentence
+    is tag j alone.  The mask is bitwise the oracle's table."""
+    tags = TAGS + ["B-ORG", "I-ORG"]
+    mask = crf_mod.illegal_mask(tags)
+    assert np.array_equal(mask, bio2_table(tags))
+    lead_ins = [["B-" + t[2:], t] if t.startswith("I-") else [t] for t in tags] + [[]]
+    for i, lead_in in enumerate(lead_ins):
+        for j, tag in enumerate(tags):
+            sentence = LabeledSentence(tuple(Token(f"w{k}", t)
+                                             for k, t in enumerate(lead_in + [tag])))
+            try:
+                validate_bio2(sentence, "strict")
+                rejected = False
+            except ValidationError:
+                rejected = True
+            assert (mask[i, j] == -np.inf) == rejected, (lead_in, tag)
+    assert np.all(mask[:, len(tags)] == 0.0)
 
 
 def masked_enumeration(e, trans, mask):

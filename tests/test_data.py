@@ -130,6 +130,29 @@ def test_round_trip_two_and_three_column():
     assert serialize_conll([]) == ""
 
 
+def test_a_token_either_survives_the_round_trip_or_is_rejected():
+    """A surface or analysis holding whitespace would split into other
+    columns when read back: "New York" came back as surface New with
+    analysis York."""
+    texts = ["", " ", "New York", "York\t", "a\u00a0b", "a\u2028b", "\n", "İzmir'de",
+             "I\u0307zmir", "ev+Noun+Loc", "'", "-"]
+    for text in texts:
+        for surface, analysis in ((text, None), ("ev", text)):
+            try:
+                s = sent([(surface, "B-LOC")], morphs=[analysis])
+            except ValidationError:
+                assert text.split() != [text], text
+                continue
+            assert text.split() == [text], text
+            assert parse_conll(serialize_conll([s])) == [s]
+    with pytest.raises(ValidationError, match="surface"):
+        Token("New York", "B-LOC")
+    with pytest.raises(ValidationError, match="surface"):
+        Token(None, "B-LOC")
+    with pytest.raises(ValidationError, match="analysis"):
+        Token("York", "B-LOC", "new york")
+
+
 def test_serialize_rejects_mixed_morph_presence():
     mixed = [sent([("a", "O")]), sent([("b", "O")], morphs=["b+Noun"])]
     with pytest.raises(UsageError):
@@ -228,12 +251,13 @@ def test_split_corpus_carries_test_set():
 # vocabularies
 
 
-def test_build_vocab_reserves_ids_and_orders_by_frequency():
-    s = sent([("a", "O"), ("b", "O"), ("a", "O")])
+def test_build_vocab_orders_tokens_by_frequency():
+    # ties keep their first-seen order; the tables add the reserved rows
+    s = sent([("cb", "O"), ("a", "O"), ("a", "O"), ("b", "O")])
     v = build_vocab([s])
-    assert v.word["<pad>"] == 0 and v.word["<unk>"] == 1
-    assert v.word["a"] == 2 and v.word["b"] == 3
-    assert set(v.char) == {"<pad>", "<unk>", "a", "b"}
+    assert v.word == ["a", "cb", "b"]
+    assert v.char == ["b", "a", "c"]
+    assert v.morph_char == []
     assert v.tags.tags == ["O"]
 
 

@@ -6,7 +6,7 @@ import pytest
 from seqtag import autodiff as ad
 from seqtag import encoders as enc
 from seqtag.autodiff import Tensor
-from seqtag.data import TagSet, Vocabulary
+from seqtag.data import LabeledSentence, TagSet, Token, Vocabulary, build_vocab
 from seqtag.errors import ConfigError, ShapeError, UsageError
 from seqtag.models import TrainConfig, build_model
 from seqtag.subword import UnigramVocab
@@ -218,21 +218,31 @@ def test_bilstm_encode_rejects_empty_sequence():
         bi.encode(Tensor(np.zeros((0, 3))))
 
 
-def test_bilstm_final_states_reject_no_sequence_and_an_empty_one():
+def normal_table(rng, tokens, dim):
+    """An EmbeddingTable over tokens (rows 2 on; 0 and 1 are reserved) with
+    every row drawn from a normal."""
+    table = enc.EmbeddingTable.from_tokens(tokens, dim, np.random.default_rng(0))
+    table.matrix.data[...] = rng.normal(size=table.matrix.shape)
+    return table
+
+
+def test_compose_rejects_no_sequence_and_an_empty_one():
     bi = enc.BiLSTM.init(3, 2, np.random.default_rng(12))
-    for sequences in ([], [[1], []]):
+    table = enc.EmbeddingTable.from_tokens("ab", 3, np.random.default_rng(0))
+    for sequences in ([], ["a", ""]):
         with pytest.raises(UsageError):
-            bi.final_states(Tensor(np.zeros((4, 3))), sequences)
+            enc._compose(table, bi, sequences)
 
 
-def test_bilstm_final_states_are_last_hidden_of_each_direction():
+def test_compose_gives_the_last_hidden_of_each_direction():
     rng = np.random.default_rng(13)
     bi = enc.BiLSTM.init(3, 2, rng)
     for t in bi.named_parameters().values():
         t.data[...] = rng.normal(scale=0.5, size=t.shape)
-    table = Tensor(rng.normal(size=(4, 3)))
-    final = bi.final_states(table, [[0, 1, 2, 3]])
-    per_pos = bi.encode(table)
+    table = normal_table(rng, "ab", 3)
+    # the rows of the pad, unknown, a and b entries, in order
+    final = enc._compose(table, bi, [["<pad>", "?", "a", "b"]])
+    per_pos = bi.encode(table.matrix)
     # forward half of the last position, backward half of the first
     assert np.array_equal(final.data[0, :2], per_pos.data[-1, :2])
     assert np.array_equal(final.data[0, 2:], per_pos.data[0, 2:])
@@ -274,20 +284,23 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
     for t in bi.named_parameters().values():
         t.data[...] = rng.normal(scale=0.6, size=t.shape)
 
-    # composer path: ragged words of lengths 5, 1 and 3, ids repeated
-    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    words = [[2, 4, 1, 5, 2], [3], [1, 1, 4]]
+    # composer path: ragged words of lengths 5, 1 and 3, rows 2 to 5 holding
+    # the letters a to d, row 1 every unknown letter such as "?", ids repeated
+    table = normal_table(rng, "abcd", 3)
+    words = ["ac?da", "b", "??c"]
 
-    def oracle_final_states():
+    def oracle_compose():
         out = []
         for word in words:
-            hs_f, hs_b = _oracle_bilstm(bi, [ad.take(table, i) for i in word])
+            hs_f, hs_b = _oracle_bilstm(bi, [ad.take(table.matrix, table.id_of(c))
+                                             for c in word])
             out.append(ad.concat([hs_f[-1], hs_b[-1]]))
         return ad.stack(out)
 
     proj = rng.normal(size=(3, 8))
-    fused = _outputs_and_grads(bi, [table], lambda: bi.final_states(table, words), proj)
-    oracle = _outputs_and_grads(bi, [table], oracle_final_states, proj)
+    fused = _outputs_and_grads(bi, [table.matrix], lambda: enc._compose(table, bi, words),
+                               proj)
+    oracle = _outputs_and_grads(bi, [table.matrix], oracle_compose, proj)
     for got, want in zip(fused, oracle):
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -357,20 +370,26 @@ def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(finals):
 
 
 def test_embedding_table_reserved_ids_and_unknown_lookup():
-    table = enc.EmbeddingTable.from_tokens(["ev", "kedi", "ev"], 4)
+    table = enc.EmbeddingTable.from_tokens(["ev", "kedi", "ev"], 4, np.random.default_rng(0))
     assert table.pad_id == 0 and table.unk_id == 1
-    assert table.vocab["ev"] == 2 and table.vocab["kedi"] == 3
+    assert table.vocab == {"<pad>": 0, "<unk>": 1, "ev": 2, "kedi": 3}
     assert table.matrix.shape == (4, 4)
     assert table.id_of("yok") == table.unk_id
-    rng = np.random.default_rng(0)
-    enc.init_embeddings(table, rng)
     assert np.array_equal(ad.gather_rows(table.matrix, [table.id_of("yok")]).data[0],
                           table.matrix.data[1])
 
 
-def test_init_embeddings_random_within_bounds():
-    table = enc.EmbeddingTable.from_tokens([f"w{i}" for i in range(50)], 8)
-    enc.init_embeddings(table, np.random.default_rng(3))
+def test_tables_of_a_corpus_holding_the_reserved_tokens_keep_distinct_ids():
+    words = ["<pad>", "a", "<unk>", "<unk>"]
+    vocab = build_vocab([LabeledSentence(tuple(Token(w, "O") for w in words))])
+    assert vocab.word == ["<unk>", "<pad>", "a"]
+    table = enc.EmbeddingTable.from_tokens(vocab.word, 2, np.random.default_rng(0))
+    assert table.vocab == {"<pad>": 0, "<unk>": 1, "a": 2}
+
+
+def test_from_tokens_draws_rows_within_bounds():
+    table = enc.EmbeddingTable.from_tokens([f"w{i}" for i in range(50)], 8,
+                                           np.random.default_rng(3))
     assert np.all(table.matrix.data >= -0.1) and np.all(table.matrix.data <= 0.1)
     assert np.std(table.matrix.data) > 0.01
 
@@ -382,10 +401,10 @@ def test_init_embeddings_random_within_bounds():
 def make_composer(cfg, rng):
     return enc.InputComposer.build(
         cfg, rng,
-        word_vocab=["meliha", "ankara", "resim"],
-        char_vocab=list("abcdefghiklmnoprstuvyz'"),
-        morph_char_vocab=list("abcdefghiklmnoprstuvyz+:"),
-        piece_vocab=["me", "li", "ha", "an", "kara"])
+        {"word": ["meliha", "ankara", "resim"],
+         "char": list("abcdefghiklmnoprstuvyz'"),
+         "morph": list("abcdefghiklmnoprstuvyz+:"),
+         "subword": ["me", "li", "ha", "an", "kara"]})
 
 
 def test_compose_word_char_morph_is_700_dimensional():
@@ -408,10 +427,8 @@ def test_compose_order_is_word_char_morph_subword():
     assert x.shape == (1, 4 + 4 + 4 + 4)
     word = composer.word_table.matrix.data[composer.word_table.id_of("ankara")]
     char = enc.char_compose(composer.char_table, composer.char_bilstm, ["ankara"]).data[0]
-    morph = enc.morph_compose(composer.morph_table, composer.morph_bilstm,
-                              ["ankara+noun"]).data[0]
-    sub = enc.subword_compose(composer.piece_table, composer.subword_bilstm,
-                              [["an", "kara"]]).data[0]
+    morph = enc._compose(composer.morph_table, composer.morph_bilstm, ["ankara+noun"]).data[0]
+    sub = enc._compose(composer.piece_table, composer.subword_bilstm, [["an", "kara"]]).data[0]
     assert np.array_equal(x.data[0], np.concatenate([word, char, morph, sub]))
 
 
@@ -429,7 +446,7 @@ def test_compose_missing_analysis_falls_back_to_surface():
                              morph_dim=3, morph_hidden=2)
     composer = make_composer(cfg, np.random.default_rng(23))
     fallback = composer.compose_input(["ankara"], analyses=[None])
-    explicit = enc.morph_compose(composer.morph_table, composer.morph_bilstm, ["ankara"])
+    explicit = enc._compose(composer.morph_table, composer.morph_bilstm, ["ankara"])
     assert np.array_equal(fallback.data, explicit.data)
 
 
@@ -724,7 +741,7 @@ def test_transformer_encode_rejects_over_long_and_the_tagger_windows_them(caplog
     # the tagger encodes windows of max_len pieces, one piece per "a", and
     # drops no word
     model = build_model(TrainConfig(model_kind="transformer-crf", transformer=cfg),
-                        Vocabulary({}, {}, {}, TagSet(["O", "B-X"])), rng,
+                        Vocabulary([], [], [], TagSet(["O", "B-X"])), rng,
                         UnigramVocab({"a": 0.0}))
     words = ["aaaaa", "a", "a", "aaaa", "aaaa"]  # 5, 2 and 8 pieces
     with caplog.at_level("DEBUG"):

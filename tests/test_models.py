@@ -16,7 +16,7 @@ from seqtag.cli import main
 from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
                          split_corpus, validate_bio2)
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig, transformer_encode
-from seqtag.errors import ArtifactError, ConfigError, UsageError
+from seqtag.errors import ArtifactError, ConfigError, UsageError, ValidationError
 from seqtag.models import (ARTIFACT_VERSION, MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
 from seqtag.subword import segment, train_unigram, vocab_to_text
@@ -368,6 +368,28 @@ def test_predict_on_empty_input_is_empty(vocab):
     model = build_model(tiny_cfg("bilstm-linear"), vocab,
                         np.random.default_rng(0))
     assert model.predict([]) == []
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_word_or_analysis_that_is_empty_or_holds_whitespace_is_rejected(
+        vocab, tokenizer, kind):
+    """A transformer kind read a piece-less word's row off the next word, or
+    failed in gather_rows; a BiLSTM kind encoded " " as a space character."""
+    composer = ComposerConfig(word_dim=16, char_dim=8, char_hidden=6, use_morph=True,
+                              morph_dim=8, morph_hidden=4)
+    model = build_model(tiny_cfg(kind, composer=composer), vocab,
+                        np.random.default_rng(0), tokenizer)
+    for bad in ("", " ", "\t", "New York", " Ankara"):
+        for words in (["Ankara", bad, "geldi"], ["Ankara", bad]):
+            with pytest.raises(ValidationError, match="word"):
+                model.predict(words)
+            with pytest.raises(ValidationError, match="word"):
+                model.emission_rows(words, lengths=[len(words)])
+    for bad in (" ", "ankara +noun"):
+        with pytest.raises(ValidationError, match="analysis"):
+            model.predict(["Ankara", "geldi"], ["ankara+noun", bad])
+    # an empty or missing analysis means the word has none
+    assert model.predict(["Ankara", "geldi"], ["", None]) == model.predict(["Ankara", "geldi"])
 
 
 def test_subword_composer_requires_a_tokenizer(vocab, tokenizer):

@@ -1,6 +1,7 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
-tree itself and against copies of it with a planted one-ulp change, in the
-loss or in the Adam update."""
+tree itself and against copies of it with a planted change: one ulp in the
+loss or in the Adam update, or a different manifest layout in the saved
+artifact."""
 
 import shutil
 import subprocess
@@ -48,4 +49,18 @@ def test_a_one_ulp_change_in_the_adam_update_is_flagged(tmp_path):
     run = _parity(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert run.stdout.count("DIFFERS in adam steps\n") == 16
+    assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
+
+
+def test_a_change_in_the_saved_artifact_is_flagged(tmp_path):
+    shutil.copytree(SRC / "seqtag", tmp_path / "seqtag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    models = tmp_path / "seqtag" / "models.py"
+    exact = "json.dumps(manifest, ensure_ascii=False, indent=1)"
+    planted = "json.dumps(manifest, ensure_ascii=False, indent=2)"
+    assert exact in models.read_text()
+    models.write_text(models.read_text().replace(exact, planted))
+    run = _parity(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.count("DIFFERS in artifact\n") == 16
     assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
