@@ -388,6 +388,8 @@ def packed_steps(lengths, n: int):
     sequence and the step within it of every row.  lengths None means one
     sequence of all n rows.  UsageError unless the lengths are integers
     (as_ints), non-empty, each at least 1, and sum to n."""
+    if lengths is None and n >= 1:  # one sequence: nothing to check
+        return np.full(1, n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.arange(n)
     lengths = as_ints([n] if lengths is None else lengths, "sequence lengths")
     if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
         raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")

@@ -21,7 +21,7 @@ from .encoders import ComposerConfig, ToyTransformerConfig
 from .errors import (AlignmentError, ArtifactError, ConfigError,
                      DivergenceError, ParseError, UsageError, ValidationError)
 from .evaluation import report_keyvalues, report_table, score
-from .models import TrainConfig, load_model, save_model
+from .models import TrainConfig, load_model, save_model, tag_words
 from .subword import load_vocab, save_vocab, train_unigram
 from .synth import generate_corpus
 from .training import _check_bio2, bench, bench_table, evaluate_model, train
@@ -189,12 +189,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_tag(args) -> int:
     model = load_model(args.model)
     model.mask_illegal |= args.mask_illegal
+    text = unicodedata.normalize("NFC", _read_text(args.input))
+    sentences = [words for words in map(str.split, text.split("\n")) if words]
     out_lines = []
-    for line in unicodedata.normalize("NFC", _read_text(args.input)).split("\n"):
-        words = line.split()
-        if not words:
-            continue
-        tags = model.predict(words)
+    for words, tags in zip(sentences, tag_words(model, sentences)):
         out_lines.extend(f"{w}\t{t}" for w, t in zip(words, tags))
         out_lines.append("")
     _write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))

@@ -141,26 +141,44 @@ def log_prob(crf: CRFParams, emissions: Tensor, labels,
 
 
 def viterbi_decode(crf: CRFParams, emissions: Tensor,
-                   mask: np.ndarray | None = None) -> list[int]:
-    """Highest-scoring labeling; pure array math, no gradient graph."""
+                   mask: np.ndarray | None = None, lengths=None) -> list[int]:
+    """Highest-scoring labeling of one sequence, or with lengths the
+    labelings of the sequences packed in emissions (lengths[b] rows each,
+    as for crf_forward), back to back in row order; pure array math, no
+    gradient graph.
+
+    All sequences step together over a zero-padded (B, L, T) copy of the
+    emissions, one (B, T, T) table of candidate scores per step, and a
+    sequence that has ended keeps its scores.  Each sequence's scores go
+    through the elementwise operations a call on it alone makes, so its
+    labeling is the one that call gives, ties going to the lowest tag
+    index.
+    """
     n = _check_emissions(crf.num_tags, emissions)
     _check_mask(crf.num_tags, mask)
+    lengths, seq, step = ad.packed_steps(lengths, n)
     T = crf.num_tags
-    e = emissions.data
+    B, L, shortest = lengths.size, int(lengths.max()), int(lengths.min())
+    e = np.zeros((B, L, T))
+    e[seq, step] = emissions.data
     trans = crf.transition.data + (mask if mask is not None else 0.0)
-    delta = trans[T, :T] + e[0]
-    back = np.zeros((n, T), dtype=int)
-    for t in range(1, n):
-        cand = delta[:, None] + trans[:T, :T]  # cand[i, j]: best-so-far i -> j
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand.max(axis=0) + e[t]
-    final = delta + trans[:T, T]
-    best = int(np.argmax(final))
-    path = [best]
-    for t in range(n - 1, 0, -1):
-        best = int(back[t, best])
-        path.append(best)
-    return path[::-1]
+    delta = trans[T, :T] + e[:, 0]  # delta[b, j]: best score of a prefix ending in j
+    back = np.zeros((B, L, T), dtype=np.intp)
+    for t in range(1, L):
+        cand = delta[:, :, None] + trans[:T, :T]  # cand[b, i, j]: best-so-far i -> j
+        back[:, t] = cand.argmax(axis=1)
+        best = cand.max(axis=1) + e[:, t]
+        # no sequence has ended before the shortest one does
+        delta = best if t < shortest else np.where((t < lengths)[:, None], best, delta)
+    final = (delta + trans[:T, T]).argmax(axis=1).tolist()
+    back = back.tolist()
+    path = []
+    for b, size in enumerate(lengths.tolist()):
+        tags = [final[b]]
+        for t in range(size - 1, 0, -1):
+            tags.append(back[b][t][tags[-1]])
+        path += tags[::-1]
+    return path
 
 
 def illegal_mask(tags: list[str]) -> np.ndarray:

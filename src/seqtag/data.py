@@ -82,11 +82,24 @@ class LabeledSentence:
         return [t.morph_analysis for t in self.tokens]
 
     def with_tags(self, tags: list[str]) -> "LabeledSentence":
+        """This sentence with tags in place of its tokens' tags; UsageError
+        unless there is one tag per token, ValidationError at a malformed
+        tag.  Each token is copied with only its tag replaced, as its
+        surface and analysis were normalized and checked when it was made."""
         if len(tags) != len(self.tokens):
             raise UsageError(f"{len(tags)} tags for {len(self.tokens)} tokens")
-        return LabeledSentence(tuple(
-            Token(t.surface, tag, t.morph_analysis)
-            for t, tag in zip(self.tokens, tags)))
+        return LabeledSentence(tuple(_retagged(t, tag) for t, tag in zip(self.tokens, tags)))
+
+
+def _retagged(token: Token, tag: str) -> Token:
+    """token with gold tag tag, made without Token.__post_init__."""
+    if not tag_is_wellformed(tag):
+        raise ValidationError(f"malformed tag {tag!r}")
+    out = object.__new__(Token)
+    object.__setattr__(out, "surface", token.surface)
+    object.__setattr__(out, "gold_tag", tag)
+    object.__setattr__(out, "morph_analysis", token.morph_analysis)
+    return out
 
 
 class TagSet:

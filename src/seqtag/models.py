@@ -18,6 +18,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 
 import numpy as np
 
@@ -232,20 +233,50 @@ class SequenceTagger:
             return crf_nll(self._zero_crf, emissions, labels, None, [1] * len(labels))
         return crf_nll(self.crf, emissions, labels, self._mask(), sizes)
 
-    def predict(self, words: list[str], morphs=None) -> list[str]:
-        """Tag strings for one sentence, in word order."""
+    def predict(self, words: list[str], morphs=None, lengths=None) -> list[str]:
+        """Tag strings for one sentence, or with lengths for several back
+        to back (lengths[b] words each, as for emission_rows), in word order.
+
+        All sentences are encoded in one no-grad emission_rows pass and
+        decoded in one packed viterbi_decode call.  The decode treats each
+        sentence as a call on it alone would; a BiLSTM kind's emission rows
+        may differ from that call's in the last bits.
+        """
         if not words:
             return []
         with ad.no_grad():
-            rows, _ = self.emission_rows(words, morphs, training=False)
+            rows, _ = self.emission_rows(words, morphs, training=False, lengths=lengths)
             emissions = ad.stack(rows)
-        ids = viterbi_decode(self.crf or self._zero_crf, emissions, self._mask())
+        ids = viterbi_decode(self.crf or self._zero_crf, emissions, self._mask(), lengths)
         return [self.tags.tag_of(i) for i in ids]
+
+
+# sentences per packed predict call when tag_words tags many
+TAG_CHUNK = 64
+
+
+def tag_words(model: SequenceTagger, sentences: list[list[str]],
+              morphs: list | None = None) -> list[list[str]]:
+    """The tags of each word list in sentences, in order, predicted
+    TAG_CHUNK sentences per packed model.predict call.  morphs, if given,
+    holds each sentence's analyses, parallel to sentences."""
+    tags: list[list[str]] = []
+    for lo in range(0, len(sentences), TAG_CHUNK):
+        chunk = sentences[lo:lo + TAG_CHUNK]
+        chunk_morphs = None if morphs is None else [
+            m for analyses in morphs[lo:lo + TAG_CHUNK] for m in analyses]
+        lengths = [len(words) for words in chunk]
+        flat = iter(model.predict([w for words in chunk for w in words],
+                                  chunk_morphs, lengths))
+        tags += [list(islice(flat, n)) for n in lengths]
+    return tags
 
 
 def tag_corpus(model: SequenceTagger,
                sentences: list[LabeledSentence]) -> list[LabeledSentence]:
-    return [s.with_tags(model.predict(s.surfaces, s.morphs)) for s in sentences]
+    """Each sentence with the model's tags in place of its own (tag_words)."""
+    tags = tag_words(model, [s.surfaces for s in sentences], [s.morphs for s in sentences])
+    return [s.with_tags(t) for s, t in zip(sentences, tags)]
 
 
 def _marked_piece_tokens(tokenizer: UnigramVocab) -> list[str]:

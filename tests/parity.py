@@ -9,11 +9,12 @@ both build the same 16 cases: each of the four model kinds, with and
 without the BIO2 mask, over a training batch of 1 and of 4 sentences, with
 all four input sources, dropout 0.2 and two transformer layers.  A case is
 equal when the save_model bytes of the freshly built model, the loss
-bytes, the bytes of every parameter's gradient, the predict tags of 10
-sentences and, for each optimizer, the parameter bytes after three training
-steps (L2, clipping and the update, as train() runs them) all are.  One line per case is printed; the exit status is 0 only if
-every case is equal, 1 if one is not, and 2 if PARENT_SRC holds no seqtag
-package.
+bytes, the bytes of every parameter's gradient, the tags of 10 sentences
+from predict one sentence at a time and from one tag_corpus call, and, for
+each optimizer, the parameter bytes after three training steps (L2,
+clipping and the update, as train() runs them) all are.  One line per case
+is printed; the exit status is 0 only if every case is equal, 1 if one is
+not, and 2 if PARENT_SRC holds no seqtag package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -30,7 +31,7 @@ import numpy as np
 HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf", "transformer-linear")
 SOURCES = ("word", "char", "morph", "subword")
-TAGGED = 10  # sentences each case tags with predict
+TAGGED = 10  # sentences each case tags with predict and with tag_corpus
 STEPS = 3  # optimizer steps each case takes with each optimizer
 
 
@@ -70,9 +71,9 @@ def optimizer_steps(pkg, model, batch) -> dict[str, bytes]:
 
 def run_case(pkg, kind: str, mask: bool, batch: int):
     """The artifact bytes of the built model, the loss bytes, each
-    parameter's gradient bytes by name, the predict tags and the parameter
-    bytes after each optimizer's steps of one case, computed by the package
-    pkg."""
+    parameter's gradient bytes by name, the predict and tag_corpus tags and
+    the parameter bytes after each optimizer's steps of one case, computed
+    by the package pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
@@ -90,14 +91,15 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     pkg.autodiff.backward(loss)
     grads = {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
     tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
-    return (artifact.getvalue(), loss.data.tobytes(), grads, tags,
+    corpus_tags = [s.tags for s in pkg.models.tag_corpus(model, corpus[:TAGGED])]
+    return (artifact.getvalue(), loss.data.tobytes(), grads, tags, corpus_tags,
             optimizer_steps(pkg, model, corpus[:batch]))
 
 
 def differences(here, there) -> list[str]:
     """What differs between two run_case results."""
-    artifact, loss, grads, tags, after = here
-    artifact_p, loss_p, grads_p, tags_p, after_p = there
+    artifact, loss, grads, tags, corpus_tags, after = here
+    artifact_p, loss_p, grads_p, tags_p, corpus_tags_p, after_p = there
     out = [] if artifact == artifact_p else ["artifact"]
     if loss != loss_p:
         out.append("loss")
@@ -106,6 +108,8 @@ def differences(here, there) -> list[str]:
     out += [f"grad {name}" for name in grads if name in grads_p and grads[name] != grads_p[name]]
     if tags != tags_p:
         out.append("predict tags")
+    if corpus_tags != corpus_tags_p:
+        out.append("tag_corpus tags")
     out += [f"{name} steps" for name in after if after[name] != after_p.get(name)]
     return out
 

@@ -12,11 +12,11 @@ import pytest
 import seqtag
 from seqtag.cli import (_merged_config, build_parser, main, make_train_config,
                         parse_config_file)
-from seqtag.data import load_conll, parse_conll, validate_bio2
+from seqtag.data import build_vocab, load_conll, parse_conll, validate_bio2
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
 from seqtag.errors import ConfigError
-from seqtag.models import TrainConfig, load_model, save_model
-from seqtag.subword import load_vocab
+from seqtag.models import TrainConfig, build_model, load_model, save_model
+from seqtag.subword import load_vocab, segment, train_unigram
 
 
 FAST = ["--word-dim", "12", "--use-char", "false", "--hidden-dim", "6",
@@ -270,6 +270,50 @@ def test_tag_round_trips_raw_text(tmp_path, model_file):
     assert [s.surfaces for s in sentences] == [
         ["Meliha", "Ankara", "geldi", "."],
         ["bugün", "sergi", "açıldı", "."]]
+
+
+@pytest.fixture(scope="module")
+def transformer_file(tmp_path_factory, corpus_file):
+    """An untrained transformer-crf artifact with max_len 4 and weights
+    redrawn at a scale where its tags vary from word to word."""
+    corpus = load_conll(corpus_file)
+    tokenizer = train_unigram([" ".join(s.surfaces) for s in corpus], 60)
+    cfg = TrainConfig(model_kind="transformer-crf", transformer=ToyTransformerConfig(
+        num_layers=1, num_heads=2, hidden_units=8, ff_units=8, max_len=4, dropout_p=0.0))
+    model = build_model(cfg, build_vocab(corpus), np.random.default_rng(0), tokenizer)
+    rng = np.random.default_rng(2)
+    for t in model.parameters():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    out = tmp_path_factory.mktemp("transformer") / "model.zip"
+    save_model(model, out)
+    return str(out)
+
+
+@pytest.mark.parametrize("artifact", ["model_file", "transformer_file"])
+def test_tag_writes_the_bytes_of_one_predict_per_line(tmp_path, monkeypatch, request,
+                                                      artifact):
+    """CLI tag packs its lines into chunks (TAG_CHUNK, patched to 3 here so
+    that the input spans three), and writes the bytes that tagging each
+    line with predict on its own gives: blank lines skipped, one-word lines
+    and, for the transformer, lines of more than max_len pieces included."""
+    path = request.getfixturevalue(artifact)
+    model = load_model(path)
+    lines = ["Meliha Ankara geldi .", "", "geldi", "  bugün   sergi açıldı .  ", "İzmir",
+             "Zeynep Kaya dün TCDD Sanat Galerisi'nde sergi açtı .", "   ", "bir iki üç",
+             "Ankara"]
+    if model.transformer_cfg:
+        long_line = lines[5].split()
+        pieces = sum(len(segment(model.tokenizer, w)) for w in long_line)
+        assert pieces > model.transformer_cfg.max_len
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "tagged.conll"
+    monkeypatch.setattr(seqtag.models, "TAG_CHUNK", 3)
+    assert main(["tag", "--model", path, "--input", str(raw), "--out", str(out)]) == 0
+    want = "".join("".join(f"{w}\t{t}\n" for w, t in zip(words, model.predict(words))) + "\n"
+                   for words in map(str.split, lines) if words)
+    assert out.read_bytes() == want.encode("utf-8")
+    assert len({line.split("\t")[-1] for line in want.splitlines() if line}) > 1
 
 
 def test_tag_reads_nfd_input_as_nfc(tmp_path, model_file):

@@ -212,7 +212,8 @@ def test_labels_that_are_not_integers_are_rejected():
         assert crf_mod.score_sequence(c, e, labels).item() == want
 
 
-@pytest.mark.parametrize("lengths", [[], [2, 0, 3], [2, 2], [3, 3], [-1, 6]])
+@pytest.mark.parametrize("lengths", [[], [2, 0, 3], [2, 2], [3, 3], [-1, 6],
+                                     [2.5, 2.5], [True, 4], ["2", "3"]])
 def test_packed_calls_reject_lengths_that_do_not_split_the_rows(lengths):
     rng = np.random.default_rng(60)
     c = random_crf(rng, 2)
@@ -221,6 +222,8 @@ def test_packed_calls_reject_lengths_that_do_not_split_the_rows(lengths):
         crf_mod.log_partition(c, e, lengths=lengths)
     with pytest.raises(UsageError):
         crf_mod.score_sequence(c, e, [0] * 5, lengths=lengths)
+    with pytest.raises(UsageError, match="sequence lengths"):
+        crf_mod.viterbi_decode(c, e, lengths=lengths)
 
 
 def test_a_mask_of_the_wrong_shape_is_rejected_everywhere():
@@ -294,6 +297,64 @@ def test_viterbi_all_zero_ties_choose_lowest_tag():
     c.transition.data[...] = 0.0
     e = Tensor(np.zeros((4, 3)))
     assert crf_mod.viterbi_decode(c, e) == [0, 0, 0, 0]
+
+
+def _decode_each(c, e, mask, lengths):
+    """The labelings of the sequences packed in e, one decode call each."""
+    path = []
+    for start, n in zip(np.cumsum([0] + lengths), lengths):
+        path += crf_mod.viterbi_decode(c, Tensor(e.data[start:start + n]), mask)
+    return path
+
+
+def test_packed_viterbi_equals_one_decode_per_sequence():
+    """One packed call gives every sequence the labeling a call on it alone
+    gives, masked or not, at every tag count down to one."""
+    rng = np.random.default_rng(61)
+    tags = ["O", "B-X", "I-X", "B-Y", "I-Y"]
+    for trial in range(200):
+        T = int(rng.integers(1, 6))
+        c = random_crf(rng, T, scale=float(rng.choice([0.1, 1.0, 5.0])))
+        lengths = rng.integers(1, 14, size=int(rng.integers(1, 9))).tolist()
+        e = random_emissions(rng, sum(lengths), T, scale=2.0)
+        for mask in (None, crf_mod.illegal_mask(tags[:T])):
+            got = crf_mod.viterbi_decode(c, e, mask, lengths)
+            assert got == _decode_each(c, e, mask, lengths), (trial, lengths)
+            assert len(got) == sum(lengths) and all(0 <= j < T for j in got)
+
+
+def test_packed_viterbi_breaks_exact_ties_toward_the_lowest_tag():
+    """With every score tied, each sequence of a packed call decodes to tag
+    0 throughout; with scores drawn from {0, 1}, where ties are common,
+    each packed labeling is the one-sequence labeling and scores the
+    brute-force maximum."""
+    c = CRFParams(Tensor(np.zeros((4, 4))))
+    assert crf_mod.viterbi_decode(c, Tensor(np.zeros((9, 3))), None, [4, 1, 3, 1]) == [0] * 9
+    rng = np.random.default_rng(62)
+    for _ in range(100):
+        T = int(rng.integers(1, 4))
+        c = CRFParams(Tensor(rng.integers(0, 2, size=(T + 1, T + 1)).astype(float)))
+        lengths = rng.integers(1, 5, size=int(rng.integers(1, 5))).tolist()
+        e = Tensor(rng.integers(0, 2, size=(sum(lengths), T)).astype(float))
+        got = crf_mod.viterbi_decode(c, e, None, lengths)
+        assert got == _decode_each(c, e, None, lengths)
+        for start, n in zip(np.cumsum([0] + lengths), lengths):
+            rows = e.data[start:start + n]
+            best = crf_brute_argmax(rows, c.transition.data)[1]
+            assert crf_path_score(rows, c.transition.data, got[start:start + n]) == best
+
+
+def test_packed_viterbi_matches_brute_force_on_small_batches():
+    rng = np.random.default_rng(63)
+    for _ in range(60):
+        T = int(rng.integers(1, 4))
+        c = random_crf(rng, T)
+        lengths = rng.integers(1, 6, size=int(rng.integers(1, 5))).tolist()
+        e = random_emissions(rng, sum(lengths), T)
+        got = crf_mod.viterbi_decode(c, e, None, lengths)
+        for start, n in zip(np.cumsum([0] + lengths), lengths):
+            want, _ = crf_brute_argmax(e.data[start:start + n], c.transition.data)
+            assert got[start:start + n] == want
 
 
 def test_viterbi_follows_transition_structure():

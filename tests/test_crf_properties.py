@@ -1,5 +1,5 @@
-"""Property tests of the fused CRF forward algorithm, over one sequence and
-over packed batches, against enumeration."""
+"""Property tests of the fused CRF forward algorithm and of Viterbi
+decoding, over one sequence and over packed batches, against enumeration."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from seqtag import crf as crf_mod
 from seqtag.autodiff import Tensor
 from seqtag.crf import CRFParams
 
-from oracles import crf_brute_log_partition, crf_enumerate
+from oracles import crf_brute_log_partition, crf_enumerate, crf_path_score
 
 
 def enumerated_expectations(emissions, transition):
@@ -117,3 +117,34 @@ def test_packed_log_partition_matches_per_sequence_enumeration(num_tags, lengths
         assert abs(log_z.item() - want_z) <= 1e-10 * max(1.0, abs(want_z))
     assert np.max(np.abs(e.grad - want_marginals)) <= 1e-10
     assert np.max(np.abs(crf.transition.grad - want_counts)) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_tags=st.integers(1, 3),
+       lengths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), forbid=st.lists(st.booleans(), min_size=16,
+                                                         max_size=16))
+@example(num_tags=2, lengths=[1, 3, 1], seed=2, forbid=TAG_TO_TAG)  # one all-forbidden
+@example(num_tags=1, lengths=[2, 1, 4], seed=5, forbid=[False] * 16)
+def test_packed_viterbi_matches_per_sequence_decoding_and_enumeration(num_tags, lengths,
+                                                                      seed, forbid):
+    """A packed decode gives each sequence the labeling a call on it alone
+    gives, and where the mask leaves it a path, that labeling scores the
+    enumerated maximum."""
+    T = num_tags
+    rng = np.random.default_rng(seed)
+    crf = CRFParams.init(T, rng)
+    crf.transition.data[...] = rng.normal(size=(T + 1, T + 1))
+    e = Tensor(rng.normal(scale=2.0, size=(sum(lengths), T)))
+    mask = _mask(T, forbid)
+    masked = crf.transition.data + mask
+    got = crf_mod.viterbi_decode(crf, e, mask, lengths)
+    start = 0
+    for n in lengths:
+        rows = e.data[start:start + n]
+        path = got[start:start + n]
+        assert path == crf_mod.viterbi_decode(crf, Tensor(rows), mask)
+        best = max(score for _, score in crf_enumerate(rows, masked))
+        if best > -np.inf:
+            assert abs(crf_path_score(rows, masked, path) - best) <= 1e-10 * max(1.0, abs(best))
+        start += n

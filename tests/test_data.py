@@ -327,3 +327,25 @@ def test_token_and_sentence_invariants():
     s = sent([("a", "O")])
     with pytest.raises(UsageError):
         s.with_tags(["O", "O"])
+
+
+def test_with_tags_copies_the_tokens_without_normalizing_them_again(monkeypatch):
+    """with_tags replaces only the tags: the surfaces and analyses, already
+    normalized when the tokens were made, are copied without a call to
+    nfc_word, while a wrong tag count or a malformed tag still raises."""
+    s = LabeledSentence((Token("İzmir", "O", "izmir+noun"), Token("geldi", "O")))
+    calls = []
+    monkeypatch.setattr(data, "nfc_word", lambda text, what: calls.append(text) or text)
+    tagged = s.with_tags(["B-LOCATION", "O"])
+    assert calls == []
+    assert tagged.tags == ["B-LOCATION", "O"] and s.tags == ["O", "O"]
+    assert tagged.surfaces == ["İzmir", "geldi"] == s.surfaces
+    assert tagged.morphs == ["izmir+noun", None]
+    assert tagged == LabeledSentence((Token("İzmir", "B-LOCATION", "izmir+noun"),
+                                      Token("geldi", "O")))
+    for tags in (["O"], ["O", "O", "O"], []):
+        with pytest.raises(UsageError):
+            s.with_tags(tags)
+    for bad in ("BAD", "I-", "B_LOC", ""):
+        with pytest.raises(ValidationError, match="malformed tag"):
+            s.with_tags(["O", bad])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from seqtag import autodiff as ad
+from seqtag import models
 from seqtag.cli import main
 from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
                          split_corpus, validate_bio2)
@@ -815,20 +816,23 @@ def test_every_older_version_has_its_fixtures():
 
 def _assert_loads_and_tags_as_recorded(directory, name, tmp_path):
     """The fixture model name in directory, and a resave of it, give each
-    recorded sentence its recorded tags and gold-tag loss."""
+    recorded sentence its recorded tags and gold-tag loss, and tag_corpus
+    gives the recorded sentences their recorded tags."""
     version = name.partition("_")[0]
     with open(directory / f"{version}_expected_tags.json", encoding="utf-8") as fh:
         expected = json.load(fh)[name]
     model = load_model(directory / f"{name}.zip")
     save_model(model, tmp_path / "current.zip")
     resaved = load_model(tmp_path / "current.zip")
-    for s in expected:
-        sentence = LabeledSentence(tuple(
-            Token(w, t, m) for w, t, m in zip(s["words"], s["gold"], s["morphs"])))
-        for m in (model, resaved):
+    sentences = [LabeledSentence(tuple(Token(w, t, m) for w, t, m in
+                                       zip(s["words"], s["gold"], s["morphs"])))
+                 for s in expected]
+    for m in (model, resaved):
+        for s, sentence in zip(expected, sentences):
             assert m.predict(s["words"], s["morphs"]) == s["tags"]
             nll = m.loss(sentence, training=False).item()
             assert abs(nll - s["nll"]) <= 1e-9 * abs(s["nll"])
+        assert [t.tags for t in tag_corpus(m, sentences)] == [s["tags"] for s in expected]
 
 
 @pytest.mark.parametrize("name", OLDER_FIXTURES)
@@ -904,6 +908,84 @@ def test_tag_corpus_preserves_sentence_structure(corpus, vocab):
     tagged = tag_corpus(model, corpus[:5])
     assert [s.surfaces for s in tagged] == [s.surfaces for s in corpus[:5]]
     assert all(len(s.tags) == len(s) for s in tagged)
+
+
+# ---------------------------------------------------------------------------
+# packed prediction
+
+
+def _randomized(model, seed):
+    """model with every parameter redrawn at a larger scale, so that scores
+    differ between tags and decoding is not decided by ties."""
+    rng = np.random.default_rng(seed)
+    for t in model.parameters():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    return model
+
+
+def _packed_tags(model, sentences):
+    """Each sentence's tags from one packed predict call over all of them."""
+    flat = model.predict([w for s in sentences for w in s.surfaces],
+                         [m for s in sentences for m in s.morphs],
+                         [len(s) for s in sentences])
+    starts = np.cumsum([0] + [len(s) for s in sentences])
+    return [flat[a:a + len(s)] for a, s in zip(starts, sentences)]
+
+
+@pytest.mark.parametrize("mask_illegal", [False, True])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_packed_predict_equals_one_predict_per_sentence(corpus, vocab, tokenizer, kind,
+                                                        mask_illegal):
+    composer = ComposerConfig(word_dim=16, char_dim=8, char_hidden=6, use_morph=True,
+                              morph_dim=8, morph_hidden=4)
+    model = _randomized(build_model(tiny_cfg(kind, composer=composer, mask_illegal=mask_illegal),
+                                    vocab, np.random.default_rng(0), tokenizer), 7)
+    sentences = corpus[:30]
+    want = [model.predict(s.surfaces, s.morphs) for s in sentences]
+    assert len({t for tags in want for t in tags}) > 1  # not one tag throughout
+    assert _packed_tags(model, sentences) == want
+    assert [s.tags for s in tag_corpus(model, sentences)] == want
+
+
+def test_an_over_long_transformer_sentence_inside_a_chunk_is_tagged_as_alone(
+        corpus, vocab, tokenizer):
+    """At max_len 5 some sentences of the chunk span several windows and
+    some fit in one; each is tagged as predict on it alone and as the
+    windowed reference oracle tags it."""
+    cfg = tiny_cfg("transformer-crf", mask_illegal=True)
+    cfg.transformer.max_len = 5
+    model = _randomized(build_model(cfg, vocab, np.random.default_rng(0), tokenizer), 1)
+    sentences = [corpus[0], LabeledSentence(corpus[1].tokens[:1])] + corpus[2:8]
+    counts = [_piece_count(tokenizer, s) for s in sentences]
+    assert max(counts) > 2 * cfg.transformer.max_len and min(counts) <= cfg.transformer.max_len
+    want = [model.predict(s.surfaces) for s in sentences]
+    assert _packed_tags(model, sentences) == want
+    short = [LabeledSentence(s.tokens[:4]) for s in sentences]
+    assert _packed_tags(model, short) == [reference_tags(model, s) for s in short]
+
+
+def test_tag_corpus_packs_its_sentences_in_chunks(monkeypatch, corpus, vocab):
+    """With TAG_CHUNK at 3, ten sentences go to predict as chunks of 3, 3, 3
+    and 1, and each is tagged as predict on it alone tags it."""
+    model = _randomized(build_model(tiny_cfg("bilstm-crf"), vocab,
+                                    np.random.default_rng(0)), 2)
+    sentences = corpus[:10]
+    want = [model.predict(s.surfaces, s.morphs) for s in sentences]
+    monkeypatch.setattr(models, "TAG_CHUNK", 3)
+    calls = []
+    predict = SequenceTagger.predict
+
+    def recorded(self, words, morphs=None, lengths=None):
+        calls.append(lengths)
+        return predict(self, words, morphs, lengths)
+
+    monkeypatch.setattr(SequenceTagger, "predict", recorded)
+    tagged = tag_corpus(model, sentences)
+    assert calls == [[len(s) for s in sentences[k:k + 3]] for k in (0, 3, 6, 9)]
+    assert [s.tags for s in tagged] == want
+    assert [s.surfaces for s in tagged] == [s.surfaces for s in sentences]
+    assert tag_corpus(model, []) == []
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

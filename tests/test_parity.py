@@ -1,7 +1,7 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
 tree itself and against copies of it with a planted change: one ulp in the
-loss or in the Adam update, or a different manifest layout in the saved
-artifact."""
+loss or in the Adam update, a different manifest layout in the saved
+artifact, or one flipped tag in packed prediction."""
 
 import shutil
 import subprocess
@@ -63,4 +63,23 @@ def test_a_change_in_the_saved_artifact_is_flagged(tmp_path):
     run = _parity(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert run.stdout.count("DIFFERS in artifact\n") == 16
+    assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
+
+
+def test_a_flipped_packed_tag_is_flagged(tmp_path):
+    """A copy whose packed predict (the call tag_corpus makes, with
+    lengths) moves its last tag to the next tag id differs only in the
+    tag_corpus tags; one-sentence predict is unchanged."""
+    shutil.copytree(SRC / "seqtag", tmp_path / "seqtag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    models = tmp_path / "seqtag" / "models.py"
+    exact = ("        ids = viterbi_decode(self.crf or self._zero_crf, emissions, "
+             "self._mask(), lengths)\n")
+    planted = exact + ("        if lengths is not None:\n"
+                       "            ids[-1] = (ids[-1] + 1) % len(self.tags)\n")
+    assert exact in models.read_text()
+    models.write_text(models.read_text().replace(exact, planted))
+    run = _parity(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.count("DIFFERS in tag_corpus tags\n") == 16
     assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
