@@ -493,6 +493,18 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
                    (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
 
 
+# the least a scaled state entry may be before normalising (see crf_forward):
+# far enough above the smallest normal float, 2.2e-308, that whatever
+# underflows beside it is negligible
+TINY = 1e-280
+
+
+def _shift(x: np.ndarray, axis: int) -> np.ndarray:
+    """The maximum along axis, 0 where it is not finite."""
+    m = x.max(axis=axis)
+    return np.where(np.isfinite(m), m, 0.0)
+
+
 def crf_forward(emissions: Tensor, transition: Tensor,
                 mask: np.ndarray | None = None, lengths=None) -> Tensor:
     """Summed log-partition of linear-chain CRF sequences by the forward
@@ -502,12 +514,96 @@ def crf_forward(emissions: Tensor, transition: Tensor,
     to back with lengths[b] rows each, as for lstm_scan.  transition is
     (T+1, T+1), row T holding the begin-of-sentence and column T the
     end-of-sentence scores.  mask, if given, is a constant (T+1, T+1)
-    additive table (0 or -inf per cell) shared by every sequence.  All
-    sequences step together in one zero-padded (B, L, T) batch.  Backward
+    additive table (0 or -inf per cell) shared by every sequence.  Backward
     is forward-backward: the emission adjoint is the per-position tag
     marginals and the transition adjoint the expected transition counts,
     summed over the sequences.  A sequence whose mask forbids every path
     adds -inf to the value and nothing to any gradient.
+
+    The pass runs in scaled probability space (Rabiner 1989).  P is
+    exp(tag-to-tag scores - each column's maximum).  Each emission row takes
+    the BOS row (first rows) or those column maxima (the others), and a
+    sequence's last row also the EOS column; then it is shifted by its own
+    maximum and exponentiated, all rows in one call.  One loop steps the
+    normalised alphas of every sequence against P and, stacked with them
+    against P.T, the normalised backward messages of each sequence read
+    last to first: a padded (2, B) batch, as lstm_scan steps its two
+    directions, one matmul, multiply, sum and divide per step.  log Z is
+    the sum of the row shifts and the logs of the forward normalisers.
+    Backward has no loop: the betas, marginals and pair counts are three
+    products of the stored states.
+
+    Scaling loses what underflows, so the call checks its own pass.  A
+    cell (row, tag) whose score is finite may carry paths.  If every such
+    cell's state before normalising is at least TINY in both directions,
+    whatever underflowed is negligible beside what it was added to, every
+    state is exact to rounding, and each row's alpha*beta sums to at least
+    TINY/T.  Otherwise (a sequence with no allowed path, a mask that leaves
+    a cell no path, or scores spread by hundreds), or if log Z is not
+    finite, the call runs the log-space loop _crf_forward_log instead.
+    """
+    if emissions.data.ndim != 2 or emissions.shape[0] == 0:
+        raise ShapeError(f"crf_forward expects non-empty (n, T) emissions, "
+                         f"got {emissions.shape}")
+    n, T = emissions.shape
+    square = (T + 1, T + 1)
+    if transition.shape != square or (mask is not None and np.shape(mask) != square):
+        raise ShapeError(f"crf_forward needs a {square} transition table and mask")
+    lengths, seq, step = packed_steps(lengths, n)
+    B, L = lengths.size, int(lengths.max())
+    trans = transition.data if mask is None else transition.data + mask
+    inner = trans[:T, :T]
+    cols = _shift(inner, 0)
+    p = np.exp(inner - cols)
+    first, ends = step == 0, np.cumsum(lengths) - 1
+    x = emissions.data + np.where(first[:, None], trans[T, :T], cols)
+    x[ends] += trans[:T, T]
+    shifts = _shift(x, 1)
+    x -= shifts[:, None]
+    u = np.exp(x)
+    back = lengths[seq] - 1 - step  # each row's step in the backward direction
+    us = np.ones((L, 2, B, T))  # time-major, so each step reads and writes one block
+    us[step, 0, seq] = u
+    us[back, 1, seq] = u
+    ps = np.stack([p, p.T])
+    states = np.empty((L, 2, B, T))
+    norms = np.empty((L, 2, B))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero normaliser falls back
+        s = us[0]
+        for t in range(L):
+            if t:
+                s = np.matmul(s, ps) * us[t]
+            z = np.add.reduce(s, axis=2, out=norms[t])
+            s = np.divide(s, z[..., None], out=states[t])
+        alpha, gamma = states[step, 0, seq], states[back, 1, seq]
+        fwd, bwd = norms[step, 0, seq, None], norms[back, 1, seq, None]
+        log_z = np.sum(shifts + np.log(fwd[:, 0]))
+        low = np.minimum(alpha * fwd, gamma * bwd)  # each cell's states before normalising
+    if not (np.min(low, initial=np.inf, where=x > -np.inf) >= TINY and np.isfinite(log_z)):
+        return _crf_forward_log(emissions, transition, mask, lengths)
+
+    def _bw(g):
+        r = np.flatnonzero(step[1:])  # rows followed by their sequence's next step
+        beta = np.ones((n, T))
+        beta[r] = gamma[r + 1] @ p.T
+        ab = alpha * beta
+        total = ab.sum(axis=1, keepdims=True)
+        marginals = ab / total
+        if emissions.requires_grad:
+            emissions.grad += g * marginals
+        if transition.requires_grad:
+            transition.grad[:T, :T] += g * ((alpha[r] / total[r]).T @ gamma[r + 1]) * p
+            transition.grad[T, :T] += g * marginals[first].sum(axis=0)
+            transition.grad[:T, T] += g * marginals[ends].sum(axis=0)
+
+    return _result(log_z, (emissions, transition), "crf_forward", _bw)
+
+
+def _crf_forward_log(emissions: Tensor, transition: Tensor,
+                     mask: np.ndarray | None = None, lengths=None) -> Tensor:
+    """crf_forward in log space, the node crf_forward falls back to: all
+    sequences step together in one zero-padded (B, L, T) batch through
+    _stable_lse, forward and then backward, so no score underflows.
     """
     if emissions.data.ndim != 2 or emissions.shape[0] == 0:
         raise ShapeError(f"crf_forward expects non-empty (n, T) emissions, "

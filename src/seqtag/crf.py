@@ -5,7 +5,10 @@ table; its loss is crf_nll over it with each word a one-row sequence.
 A loss graph over the emissions is two nodes however many sequences it
 packs: the crf_forward node of the log-partition, and one inner node that
 subtracts the gold paths' emission and transition scores from it (plus a
-constant and an add if the mask forbids a gold transition).
+constant and an add if the mask forbids a gold transition).  crf_forward
+runs the forward-backward pass in scaled probability space, one matmul per
+step for all sequences and both directions, and falls back to a log-space
+loop when its own checks find an underflow (autodiff.crf_forward).
 
 Conventions: for T tags the transition matrix is (T+1) x (T+1) with row T
 holding begin-of-sentence transitions and column T end-of-sentence
@@ -96,8 +99,8 @@ def _gold(crf: CRFParams, emissions: Tensor, labels, mask, lengths):
     prev[ends[:-1]] = T
     rows = np.concatenate((prev, labels[ends - 1]))
     cols = np.concatenate((labels, np.full(lengths.size, T)))
-    counts = np.zeros((T + 1, T + 1))
-    np.add.at(counts, (rows, cols), 1.0)
+    counts = np.bincount(rows * (T + 1) + cols, minlength=(T + 1) ** 2)
+    counts = counts.reshape(T + 1, T + 1).astype(np.float64)
     penalty = 0.0 if mask is None else float(np.sum(mask[rows, cols]))
     return pick, counts, penalty
 

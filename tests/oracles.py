@@ -87,6 +87,24 @@ def crf_brute_log_partition(emissions, transition):
     return float(m + np.log(np.sum(np.exp(scores - m))))
 
 
+def crf_enumerated_expectations(emissions, transition):
+    """Tag marginals (n, T) and expected transition counts (T+1, T+1) by
+    weighting every labeling with its probability."""
+    n, T = emissions.shape
+    log_z = crf_brute_log_partition(emissions, transition)
+    marginals = np.zeros((n, T))
+    counts = np.zeros((T + 1, T + 1))
+    for labels, score in crf_enumerate(emissions, transition):
+        p = np.exp(score - log_z)
+        prev = T
+        for t, lab in enumerate(labels):
+            marginals[t, lab] += p
+            counts[prev, lab] += p
+            prev = lab
+        counts[prev, T] += p
+    return marginals, counts
+
+
 def crf_brute_argmax(emissions, transition):
     """Best labeling; ties broken toward the lexicographically smallest labels."""
     best_labels, best_score = None, -np.inf

@@ -13,8 +13,12 @@ bytes, the bytes of every parameter's gradient, the tags of 10 sentences
 from predict one sentence at a time and from one tag_corpus call, and, for
 each optimizer, the parameter bytes after three training steps (L2,
 clipping and the update, as train() runs them) all are.  One line per case
-is printed; the exit status is 0 only if every case is equal, 1 if one is
-not, and 2 if PARENT_SRC holds no seqtag package.
+is printed, and under a case that differs a second one with the largest
+absolute difference of the loss, of each gradient that differs and of each
+optimizer's parameters, and whether each set of tags is equal: how far a
+change that alters the bits on purpose moved them.  The exit status is 0
+only if every case is equal, 1 if one is not, and 2 if PARENT_SRC holds no
+seqtag package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -48,8 +52,8 @@ def load_package(src: Path, name: str):
     return package
 
 
-def optimizer_steps(pkg, model, batch) -> dict[str, bytes]:
-    """The parameter bytes after STEPS training steps on batch under each
+def optimizer_steps(pkg, model, batch) -> dict[str, np.ndarray]:
+    """The parameters after STEPS training steps on batch under each
     optimizer, each run starting from the model's current parameters."""
     optim = pkg.optim
     flat = optim.flatten(model.parameters())
@@ -65,15 +69,14 @@ def optimizer_steps(pkg, model, batch) -> dict[str, bytes]:
             optim.add_l2_gradients(flat, 1e-3)
             optim.clip_gradients(flat, 1.0)
             opt.step(lr)
-        after[name] = flat.data.tobytes()
+        after[name] = flat.data.copy()
     return after
 
 
 def run_case(pkg, kind: str, mask: bool, batch: int):
-    """The artifact bytes of the built model, the loss bytes, each
-    parameter's gradient bytes by name, the predict and tag_corpus tags and
-    the parameter bytes after each optimizer's steps of one case, computed
-    by the package pkg."""
+    """The artifact bytes of the built model, the loss, each parameter's
+    gradient by name, the predict and tag_corpus tags and the parameters
+    after each optimizer's steps of one case, computed by the package pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
@@ -89,29 +92,48 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     pkg.models.save_model(model, artifact)
     loss = model.loss(*corpus[:batch], training=True, rng=np.random.default_rng(1))
     pkg.autodiff.backward(loss)
-    grads = {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
+    grads = {name: t.grad.copy() for name, t in model.named_parameters().items()}
     tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
     corpus_tags = [s.tags for s in pkg.models.tag_corpus(model, corpus[:TAGGED])]
-    return (artifact.getvalue(), loss.data.tobytes(), grads, tags, corpus_tags,
+    return (artifact.getvalue(), loss.data.copy(), grads, tags, corpus_tags,
             optimizer_steps(pkg, model, corpus[:batch]))
 
 
-def differences(here, there) -> list[str]:
-    """What differs between two run_case results."""
+def same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two arrays."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def gap(a: np.ndarray, b: np.ndarray) -> str:
+    """The largest absolute difference of two arrays, printed."""
+    if a.shape != b.shape:
+        return f"shapes {a.shape} and {b.shape}"
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return f"{np.max(np.abs(a - b), initial=0.0):.3e}"
+
+
+def differences(here, there) -> tuple[list[str], str]:
+    """What differs between two run_case results, and how far it moved."""
     artifact, loss, grads, tags, corpus_tags, after = here
     artifact_p, loss_p, grads_p, tags_p, corpus_tags_p, after_p = there
     out = [] if artifact == artifact_p else ["artifact"]
-    if loss != loss_p:
+    if not same(loss, loss_p):
         out.append("loss")
     if grads.keys() != grads_p.keys():
         out.append("parameter names")
-    out += [f"grad {name}" for name in grads if name in grads_p and grads[name] != grads_p[name]]
+    moved = [name for name in grads if name in grads_p and not same(grads[name], grads_p[name])]
+    out += [f"grad {name}" for name in moved]
     if tags != tags_p:
         out.append("predict tags")
     if corpus_tags != corpus_tags_p:
         out.append("tag_corpus tags")
-    out += [f"{name} steps" for name in after if after[name] != after_p.get(name)]
-    return out
+    out += [f"{name} steps" for name in after if not same(after[name], after_p[name])]
+    sizes = ([f"loss {gap(loss, loss_p)}"]
+             + [f"grad {name} {gap(grads[name], grads_p[name])}" for name in moved]
+             + [f"{name} steps {gap(after[name], after_p[name])}" for name in after]
+             + [f"predict tags {'equal' if tags == tags_p else 'differ'}",
+                f"tag_corpus tags {'equal' if corpus_tags == corpus_tags_p else 'differ'}"])
+    return out, "largest |difference|: " + "; ".join(sizes)
 
 
 def main(argv: list[str]) -> int:
@@ -125,12 +147,14 @@ def main(argv: list[str]) -> int:
     for kind in KINDS:
         for mask in (False, True):
             for batch in (1, 4):
-                diff = differences(run_case(here, kind, mask, batch),
-                                   run_case(parent, kind, mask, batch))
+                diff, sizes = differences(run_case(here, kind, mask, batch),
+                                          run_case(parent, kind, mask, batch))
                 total += 1
                 equal += not diff
                 print(f"{kind} mask={'on' if mask else 'off'} batch={batch}: "
                       f"{'equal' if not diff else 'DIFFERS in ' + ', '.join(diff)}")
+                if diff:
+                    print("  " + sizes)
     print(f"{equal} of {total} cases bitwise equal")
     return 0 if equal == total else 1
 

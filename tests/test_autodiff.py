@@ -552,6 +552,8 @@ def _op_cases(rng):
     p_pairs = proj(side, (3, 4))
     p_pairs_row = proj(side, 4)
     bio2 = illegal_mask(["O", "B-X", "I-X"])
+    far = np.zeros((6, 3))
+    far[1, 0] = 800.0
     p2 = proj(rng, (3, 2))
     p22 = proj(rng, (2, 2))
     p23 = proj(rng, (2, 3))
@@ -628,6 +630,16 @@ def _op_cases(rng):
         "crf_forward_packed": (lambda e, t: scale(
             ad.crf_forward(e, t, bio2, [3, 1, 2]), 1.3),
             lambda: [rng.standard_normal((6, 3)), rng.standard_normal((4, 4))]),
+        # four packed sequences, two of one row, with emissions 30 times
+        # wider: the scaled pass
+        "crf_forward_wide": (lambda e, t: scale(
+            ad.crf_forward(e, t, bio2, [1, 3, 1, 2]), 1.3),
+            lambda: [rng.standard_normal((7, 3)) * 30, rng.standard_normal((4, 4))]),
+        # row 1's O score 800 below the rest of its row, so its exp
+        # underflows: the log-space loop
+        "crf_forward_fallback": (lambda e, t: scale(
+            ad.crf_forward(e, t, bio2, [3, 1, 2]), 1.3),
+            lambda: [rng.standard_normal((6, 3)) - far, rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
         # heads of width 2, w.r.t. the (6, 12) [q | k | v] rows
         "attention": (lambda qkv: ad.inner(ad.attention(qkv, [3, 1, 2], 2), p_attn),
@@ -642,6 +654,20 @@ def test_gradient_suite_per_op(name):
     build, make = _op_cases(rng)[name]
     for _ in range(50):
         check_grad(build, make())
+
+
+@pytest.mark.parametrize("name, falls_back", [("crf_forward_wide", False),
+                                              ("crf_forward_fallback", True)])
+def test_the_crf_cases_take_the_path_they_name(name, falls_back, monkeypatch):
+    """The wide crf_forward case stays in the scaled pass and the fallback
+    case runs the log-space loop, on every draw."""
+    calls = []
+    log_loop = ad._crf_forward_log
+    monkeypatch.setattr(ad, "_crf_forward_log", lambda *a: calls.append(a) or log_loop(*a))
+    build, make = _op_cases(np.random.default_rng(sum(name.encode())))[name]
+    for _ in range(50):
+        build(*[Tensor(a, requires_grad=True) for a in make()])
+    assert len(calls) == (50 if falls_back else 0)
 
 
 def _result_ops(module):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from seqtag.data import LabeledSentence, Token, validate_bio2
 from seqtag.errors import ShapeError, UsageError, ValidationError
 
 from oracles import (bio2_table, crf_brute_argmax, crf_brute_log_partition, crf_enumerate,
-                     crf_path_score, finite_diff, max_rel_error, softmax_nll)
+                     crf_enumerated_expectations, crf_path_score, finite_diff, max_rel_error,
+                     softmax_nll)
 
 
 def random_crf(rng, num_tags, scale=1.0):
@@ -273,6 +275,130 @@ def test_log_prob_invariant_to_per_position_emission_shift():
     shifted[2, :] += 7.5  # same constant added to every tag at one position
     after = float(crf_mod.log_prob(c, Tensor(shifted), labels).data)
     assert abs(base - after) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the scaled forward-backward pass and its log-space fallback
+
+
+def count_fallbacks(monkeypatch) -> list:
+    """A list that grows by one entry each time crf_forward runs its
+    log-space loop."""
+    calls = []
+    log_loop = ad._crf_forward_log
+
+    def counted(*args):
+        calls.append(args)
+        return log_loop(*args)
+
+    monkeypatch.setattr(ad, "_crf_forward_log", counted)
+    return calls
+
+
+def enumerated_packed(e, table, lengths):
+    """The summed log-partition, the tag marginals and the summed expected
+    transition counts of the sequences packed in e, one enumeration each."""
+    T = e.shape[1]
+    value, marginals, counts = 0.0, np.zeros(e.shape), np.zeros((T + 1, T + 1))
+    for start, n in zip(np.cumsum([0] + lengths), lengths):
+        rows = e[start:start + n]
+        value += crf_brute_log_partition(rows, table)
+        m, c = crf_enumerated_expectations(rows, table)
+        marginals[start:start + n] = m
+        counts += c
+    return value, marginals, counts
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+def test_crf_forward_matches_enumeration_at_every_scale(scale, masked, monkeypatch):
+    """Emission and transition scores at scale 1, 1e2 and 1e3, free and
+    under the BIO2 mask, in packed calls with one-row sequences: the value
+    is within 1e-10 relative and both gradients within 1e-8 of enumeration.
+    Scale 1 never leaves the scaled pass; at 1e3 some scores lie so far
+    below their row's that their exp underflows, and calls fall back to the
+    log-space loop."""
+    calls = count_fallbacks(monkeypatch)
+    tags = ["O", "B-X", "I-X", "B-Y"]
+    mask = crf_mod.illegal_mask(tags) if masked else None
+    rng = np.random.default_rng(int(scale) + masked)
+    for lengths in ([1, 3, 1, 4], [2, 1], [1], [4, 1, 1, 2]):
+        for _ in range(3):
+            c = random_crf(rng, len(tags), scale)
+            e = Tensor(rng.normal(scale=scale, size=(sum(lengths), len(tags))),
+                       requires_grad=True)
+            log_z = crf_mod.log_partition(c, e, mask, lengths)
+            ad.backward(log_z)
+            table = c.transition.data if mask is None else c.transition.data + mask
+            want, marginals, counts = enumerated_packed(e.data, table, lengths)
+            assert abs(log_z.item() - want) <= 1e-10 * max(1.0, abs(want))
+            assert np.max(np.abs(e.grad - marginals)) <= 1e-8
+            assert np.max(np.abs(c.transition.grad - counts)) <= 1e-8
+    if scale == 1.0:
+        assert not calls
+    if scale == 1e3:
+        assert calls
+
+
+def test_a_sequence_with_no_allowed_path_adds_minus_inf_and_no_gradient():
+    """With every tag-to-tag transition forbidden and BOS and EOS free, the
+    two-row sequence of a packed call has no allowed path and its one-row
+    neighbours do.  The value is -inf, the two rows' gradients are zero,
+    the other rows' gradients are their own marginals and the transition
+    gradient their counts, and no RuntimeWarning is raised."""
+    rng = np.random.default_rng(71)
+    c = random_crf(rng, 2)
+    mask = np.zeros((3, 3))
+    mask[:2, :2] = -np.inf
+    e = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_z = crf_mod.log_partition(c, e, mask, [1, 2, 1])
+        ad.backward(log_z)
+    assert log_z.item() == -np.inf
+    assert not e.grad[1:3].any()
+    assert np.all(np.isfinite(e.grad)) and np.all(np.isfinite(c.transition.grad))
+    _, marginals, counts = enumerated_packed(e.data[[0, 3]], c.transition.data + mask, [1, 1])
+    assert np.max(np.abs(e.grad[[0, 3]] - marginals)) <= 1e-12
+    assert np.max(np.abs(c.transition.grad - counts)) <= 1e-12
+
+
+# (emissions, transition table, enumerated log Z, the scaled pass's log Z)
+# of three-tag-or-fewer sequences, no mask, whose best path the scaled pass
+# loses to an underflow
+UNDERFLOWS = {
+    # tags 1 1 1: row 1's tag-1 state going forward is exp(-450) from row 0
+    # times its exp(-348) emission
+    "forward": ([[-173, -271], [224, -293], [-283, -134]],
+                [[-284, -315, -239], [136, 305, -114], [251, -101, 83]], -303.0, -545.0),
+    # tags 1 2 2 2: row 2's exp(-692) tag-2 emission times its exp(-65)
+    # self-transition, in both directions alike
+    "both directions": ([[547, 711, -278], [-472, -714, 515], [-54, -279, -41],
+                         [-1044, -711, 354]],
+                        [[138, 39, -421, 214], [690, -511, -15, -195], [123, -16, -80, -374],
+                         [-28, -267, -80, -47]], 723.0, 572.0),
+    # tags 0 1 0 1 0: row 1's tag-1 score is 863 below its row's maximum, so
+    # its exp is 0 before either direction starts
+    "emission": ([[-54, -976], [380, -140], [1072, 401], [-1118, 204], [-53, 187]],
+                 [[308, 547, 394], [890, 153, -377], [-123, -122, 520]], 4174.0, 3873.0),
+}
+
+
+@pytest.mark.parametrize("lost_in", sorted(UNDERFLOWS))
+def test_a_state_that_underflows_makes_the_call_fall_back(lost_in, monkeypatch):
+    """A scaled pass that loses the best path to an underflow leaves some
+    finite-score cell's state below TINY: the call falls back to the
+    log-space loop and matches enumeration.  With the check switched off
+    (TINY = 0) the scaled pass gives a log Z far too low."""
+    calls = count_fallbacks(monkeypatch)
+    e, table, want, scaled = (np.array(a, dtype=float) for a in UNDERFLOWS[lost_in])
+    c = CRFParams(Tensor(table))
+    assert crf_brute_log_partition(e, table) == want
+    assert crf_mod.log_partition(c, Tensor(e)).item() == pytest.approx(want, rel=1e-12)
+    assert len(calls) == 1
+    monkeypatch.setattr(ad, "TINY", 0.0)
+    assert crf_mod.log_partition(c, Tensor(e)).item() == pytest.approx(scaled)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

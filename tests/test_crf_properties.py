@@ -12,26 +12,8 @@ from seqtag import crf as crf_mod
 from seqtag.autodiff import Tensor
 from seqtag.crf import CRFParams
 
-from oracles import crf_brute_log_partition, crf_enumerate, crf_path_score
-
-
-def enumerated_expectations(emissions, transition):
-    """Tag marginals (n, T) and expected transition counts (T+1, T+1) by
-    weighting every labeling with its probability."""
-    n, T = emissions.shape
-    paths = crf_enumerate(emissions, transition)
-    log_z = crf_brute_log_partition(emissions, transition)
-    marginals = np.zeros((n, T))
-    counts = np.zeros((T + 1, T + 1))
-    for labels, score in paths:
-        p = np.exp(score - log_z)
-        prev = T
-        for t, lab in enumerate(labels):
-            marginals[t, lab] += p
-            counts[prev, lab] += p
-            prev = lab
-        counts[prev, T] += p
-    return marginals, counts
+from oracles import (crf_brute_log_partition, crf_enumerate, crf_enumerated_expectations,
+                     crf_path_score)
 
 
 def _mask(T, forbid):
@@ -63,7 +45,7 @@ def test_fused_log_partition_matches_enumeration_under_random_masks(num_tags, n,
         return
     want = crf_brute_log_partition(e.data, masked)
     assert abs(log_z.item() - want) <= 1e-10 * max(1.0, abs(want))
-    marginals, counts = enumerated_expectations(e.data, masked)
+    marginals, counts = crf_enumerated_expectations(e.data, masked)
     assert np.max(np.abs(e.grad - marginals)) <= 1e-10
     assert np.max(np.abs(crf.transition.grad - counts)) <= 1e-10
 
@@ -104,7 +86,7 @@ def test_packed_log_partition_matches_per_sequence_enumeration(num_tags, lengths
         rows = e.data[start:start + n]
         if any(score > -np.inf for _, score in crf_enumerate(rows, masked)):
             want_z += crf_brute_log_partition(rows, masked)
-            marginals, counts = enumerated_expectations(rows, masked)
+            marginals, counts = crf_enumerated_expectations(rows, masked)
             want_marginals[start:start + n] = marginals
             want_counts += counts
         else:

@@ -1,7 +1,8 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
 tree itself and against copies of it with a planted change: one ulp in the
 loss or in the Adam update, a different manifest layout in the saved
-artifact, or one flipped tag in packed prediction."""
+artifact, or one flipped tag in packed prediction.  For the one-ulp loss
+the report's magnitudes are checked too."""
 
 import shutil
 import subprocess
@@ -36,6 +37,15 @@ def test_a_one_ulp_change_in_the_loss_is_flagged(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "DIFFERS in loss" in run.stdout
     assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
+    # each case reports how far: one ulp of a loss of at most a few hundred,
+    # and nothing else moved
+    sizes = [line.split("; ") for line in run.stdout.splitlines()
+             if line.startswith("  largest |difference|: loss ")]
+    assert len(sizes) == 16
+    for loss, *rest in sizes:
+        assert 0.0 < float(loss.rsplit(" ", 1)[1]) <= 1e-13
+        assert rest == ["sgd-momentum steps 0.000e+00", "adam steps 0.000e+00",
+                        "predict tags equal", "tag_corpus tags equal"]
 
 
 def test_a_one_ulp_change_in_the_adam_update_is_flagged(tmp_path):
