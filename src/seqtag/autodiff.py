@@ -15,6 +15,14 @@ variable-length sequence models simple.
 Inside a no_grad() block operations only compute values: their results carry
 no parents, no closure and no gradient buffer.
 
+The fused ops step over several sequences packed back to back.  lstm_scan,
+both directions of a BiLSTM, lays each time step out as contiguous blocks
+with the sequences on the last axis, so every numpy call of a step, forward
+and backward, reads and writes whole blocks: one product gives a step's
+gates from its input rows, a row of ones and the previous state, and the
+backward loop only scales and multiplies per-step blocks of slopes that it
+computed for all steps at once.
+
 There is no element-wise product of two graph tensors and no broadcast or
 scale op: a bias row goes to every row of a matrix through add, and inner
 reduces tensors to one scalar, the sum of their weighted sums.
@@ -414,16 +422,33 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
         c = f * c + i * g,                      h = o * tanh(c)
 
     reading its rows first to last with direction 0 and last to first with
-    direction 1.  As sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands
-    of w_x, w_h and b_x + b_h are halved once per call, and one tanh per
-    step, then one multiply and one add, give all four gates.
-    Returns the (n, 2H) rows [forward | backward state], row for row, or
-    with finals set the (B, 2H) rows [last forward | first backward], each
-    sequence's states once it is read whole.  Both directions of all
-    sequences step together in one zero-padded (2, B) batch, one matmul of
-    the state by w_h per step; a finished sequence runs on over padding
-    that no output reads.  Backward runs through time by hand in one loop
-    the same way; under no_grad nothing is kept for it.
+    direction 1.  Returns the (n, 2H) rows [forward | backward state], row
+    for row, or with finals set the (B, 2H) rows [last forward | first
+    backward], each sequence's states once it is read whole.
+
+    Both directions of all B sequences step together, and each call of a
+    step reads and writes whole contiguous blocks, time-major and
+    feature-major with the sequences on the last axis.  Block t of one
+    (L + 1, 2, D + 1 + H, B) array holds [x_t; 1; h], that step's input
+    rows over a row of ones and the state before the step, so one product
+    by the stacked [W_x | b_x + b_h | W_h] gives all of z, summing the
+    input side before the recurrent term, and the step writes its new
+    state into block t + 1.  The gates are one (2, 4H, B) block of four
+    (H, B) bands per direction, the cells (2, H, B) blocks.  As
+    sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of the stacked
+    weight are halved once per call, and one tanh, then one multiply and
+    one add by constant whole-step blocks give all four gates.  A sequence
+    that has ended runs on over zero input that no output reads.
+
+    Backward runs through time by hand.  Before its loop it writes, for
+    every step at once, each band's gate slope times the factor that band
+    meets into a per-call dz buffer, so a step scales its dz block by dc or
+    dh and takes one product for dh and one for W_h's gradient; the input
+    side's gradients are products over the packed rows after the loop.  It
+    writes to no array the forward pass kept, so a second backward over the
+    graph adds the same gradients again.  Under no_grad one gate block and
+    two cell blocks are reused from step to step, and nothing is kept for
+    backward.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
@@ -435,62 +460,90 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
         raise ShapeError(f"lstm_scan needs (2, 4H, {D}), (2, 4H, H), (2, 4H) and (2, 4H) "
                          f"weights, got {shapes}")
     B, L = lengths.size, int(lengths.max())
-    at = ((seq, step), (seq, lengths[seq] - 1 - step))  # each row's (sequence, step) per direction
-    rows = 2 * ((np.arange(B), lengths - 1),) if finals else at  # the states returned
+    steps = (step, lengths[seq] - 1 - step)  # each row's step per direction
+    keep = _grad_enabled
 
-    half = np.repeat([0.5, 0.5, 1.0, 0.5], H)  # 1/2 on the sigmoid bands, 1 on g
-    shift = 1.0 - half
-    wx_half = w_x.data * half[:, None]
-    bias_half = (b_x.data + b_h.data) * half
-    xp = np.zeros((2, B, L, 4 * H))  # the input side of every step at once
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], H)[:, None]  # 1/2 on the sigmoid bands, 1 on g
+    w = np.concatenate([w_x.data, (b_x.data + b_h.data)[..., None], w_h.data], axis=2)
+    w *= half
+    xh = np.zeros((L + 1, 2, D + 1 + H, B))  # per step [x_t; 1; h]
     for k in range(2):
-        xp[k][at[k]] = x.data @ wx_half[k].T + bias_half[k]
-    wh_half = (w_h.data * half[:, None]).transpose(0, 2, 1)
-    h = c = np.zeros((2, B, H))
-    out = np.empty((2, B, L, H))
-    saved = [] if _grad_enabled else None  # per step: previous state, gates, tanh(new cell)
+        xh[steps[k], k, :D, seq] = x.data
+    xh[:, :, D] = 1.0
+    scale = np.empty((2, 4 * H, B))
+    scale[...] = half
+    shift = 1.0 - scale
+    zs = np.empty((L if keep else 1, 2, 4 * H, B))  # the gates of each step
+    cs = np.zeros((L + 1 if keep else 2, 2, H, B))  # the cell before each step
+    tcs = np.empty((L if keep else 1, 2, H, B))  # tanh of each new cell
+    ig = np.empty((2, H, B))
     for t in range(L):
-        a = np.tanh(xp[:, :, t] + np.matmul(h, wh_half)) * half + shift
-        i, f, g, o = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        if saved is not None:
-            saved.append((h, c, a, tc))
-        h, c = o * tc, c_new
-        out[:, :, t] = h
+        if keep:
+            a, c, c_new, tc = zs[t], cs[t], cs[t + 1], tcs[t]
+        else:
+            a, c, c_new, tc = zs[0], cs[t % 2], cs[(t + 1) % 2], tcs[0]
+        np.matmul(w, xh[t], out=a)
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[:, H:2 * H], c, out=c_new)
+        np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=ig)
+        c_new += ig
+        np.tanh(c_new, out=tc)
+        np.multiply(a[:, 3 * H:], tc, out=xh[t + 1, :, D + 1:])
+
+    # the step and the sequence of each returned row, per direction
+    at = 2 * ((lengths - 1, np.arange(B)),) if finals else ((steps[0], seq), (steps[1], seq))
+    out = np.concatenate([xh[at[k][0] + 1, k, D + 1:, at[k][1]] for k in range(2)], axis=1)
 
     def _bw(gout):
-        g_pad = np.zeros((2, B, L, H))
-        g_pad[0][rows[0]], g_pad[1][rows[1]] = gout[:, :H], gout[:, H:]
-        dz_all = np.empty((2, B, L, 4 * H))
-        dh = dc = np.zeros((2, B, H))
-        for t in range(L - 1, -1, -1):
-            h_prev, c_prev, a, tc = saved[t]
-            i, f, g, o = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
-            dh = dh + g_pad[:, :, t]
-            dc_new = dc + dh * o * (1.0 - tc * tc)
-            dz = dz_all[:, :, t]
-            dz[..., :H] = dc_new * g * i * (1.0 - i)
-            dz[..., H:2 * H] = dc_new * c_prev * f * (1.0 - f)
-            dz[..., 2 * H:3 * H] = dc_new * i * (1.0 - g * g)
-            dz[..., 3 * H:] = dh * tc * o * (1.0 - o)
-            if w_h.requires_grad:
-                w_h.grad += np.matmul(dz.transpose(0, 2, 1), h_prev)
-            dh = np.matmul(dz, w_h.data)
-            dc = dc_new * f
+        i, f, g, o = (zs.reshape(L, 2, 4, H, B)[:, :, j] for j in range(4))
+        # each band's slope times the factor it meets: g i(1-i), c f(1-f),
+        # i (1-g^2) and tanh(c) o(1-o), and what dh sends on to the cell
+        dz = np.subtract(1.0, zs)
+        dz *= zs
+        by_band = dz.reshape(L, 2, 4, H, B)
+        dz_i, dz_f, dz_g, dz_o = (by_band[:, :, j] for j in range(4))
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_i *= g
+        dz_f *= cs[:-1]
+        dz_g *= i
+        dz_o *= tcs
+        dc_dh = np.multiply(tcs, tcs)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        g_pad = np.zeros((L, 2, H, B))
         for k in range(2):
-            dz = dz_all[k][at[k]]
-            db = dz.sum(axis=0)
+            g_pad[at[k][0], k, :, at[k][1]] = gout[:, k * H:(k + 1) * H]
+        wh_t = w_h.data.transpose(0, 2, 1).copy()
+        dwh, dwh_step = np.zeros((2, 4 * H, H)), np.empty((2, 4 * H, H))
+        dh, dc, dc_new = np.zeros((2, H, B)), np.zeros((2, H, B)), np.empty((2, H, B))
+        for t in range(L - 1, -1, -1):
+            dh += g_pad[t]
+            np.multiply(dh, dc_dh[t], out=dc_new)
+            dc_new += dc
+            by_band[t, :, :3] *= dc_new[:, None]
+            by_band[t, :, 3] *= dh
+            if w_h.requires_grad:
+                np.matmul(dz[t], xh[t, :, D + 1:].transpose(0, 2, 1), out=dwh_step)
+                dwh += dwh_step
+            np.matmul(wh_t, dz[t], out=dh)
+            np.multiply(dc_new, f[t], out=dc)
+        if w_h.requires_grad:
+            w_h.grad += dwh
+        for k in range(2):
+            dz_k = dz[steps[k], k, :, seq]
+            db = dz_k.sum(axis=0)
             if w_x.requires_grad:
-                w_x.grad[k] += dz.T @ x.data
+                w_x.grad[k] += dz_k.T @ x.data
             for t in (b_x, b_h):
                 if t.requires_grad:
                     t.grad[k] += db
             if x.requires_grad:
-                x.grad += dz @ w_x.data[k]
+                x.grad += dz_k @ w_x.data[k]
 
-    return _result(np.concatenate([out[0][rows[0]], out[1][rows[1]]], axis=1),
-                   (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
+    return _result(out, (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
 
 
 # the least a scaled state entry may be before normalising (see crf_forward):

@@ -15,10 +15,12 @@ each optimizer, the parameter bytes after three training steps (L2,
 clipping and the update, as train() runs them) all are.  One line per case
 is printed, and under a case that differs a second one with the largest
 absolute difference of the loss, of each gradient that differs and of each
-optimizer's parameters, and whether each set of tags is equal: how far a
-change that alters the bits on purpose moved them.  The exit status is 0
-only if every case is equal, 1 if one is not, and 2 if PARENT_SRC holds no
-seqtag package.
+optimizer's parameters, and whether each set of tags is equal, and a third
+with the largest relative difference of the same arrays, |a - b| / max |b|
+over the parent's array b: how far a change that alters the bits on
+purpose moved them, in absolute terms and independently of each array's
+scale.  The exit status is 0 only if every case is equal, 1 if one is not,
+and 2 if PARENT_SRC holds no seqtag package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -104,16 +106,22 @@ def same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def gap(a: np.ndarray, b: np.ndarray) -> str:
-    """The largest absolute difference of two arrays, printed."""
+def gap(a: np.ndarray, b: np.ndarray, relative: bool = False) -> str:
+    """The largest absolute difference of two arrays, printed, or with
+    relative set that difference over the largest magnitude of b (0 when
+    both are all zeros, inf when only b is)."""
     if a.shape != b.shape:
         return f"shapes {a.shape} and {b.shape}"
-    with np.errstate(invalid="ignore"):  # inf - inf
-        return f"{np.max(np.abs(a - b), initial=0.0):.3e}"
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf, x / 0
+        largest = np.max(np.abs(a - b), initial=0.0)
+        if relative:
+            largest = largest / np.max(np.abs(b), initial=0.0) if largest else 0.0
+        return f"{largest:.3e}"
 
 
-def differences(here, there) -> tuple[list[str], str]:
-    """What differs between two run_case results, and how far it moved."""
+def differences(here, there) -> tuple[list[str], str, str]:
+    """What differs between two run_case results, and how far it moved, in
+    absolute and in relative terms."""
     artifact, loss, grads, tags, corpus_tags, after = here
     artifact_p, loss_p, grads_p, tags_p, corpus_tags_p, after_p = there
     out = [] if artifact == artifact_p else ["artifact"]
@@ -128,12 +136,15 @@ def differences(here, there) -> tuple[list[str], str]:
     if corpus_tags != corpus_tags_p:
         out.append("tag_corpus tags")
     out += [f"{name} steps" for name in after if not same(after[name], after_p[name])]
-    sizes = ([f"loss {gap(loss, loss_p)}"]
-             + [f"grad {name} {gap(grads[name], grads_p[name])}" for name in moved]
-             + [f"{name} steps {gap(after[name], after_p[name])}" for name in after]
+    arrays = ([("loss", loss, loss_p)]
+              + [(f"grad {name}", grads[name], grads_p[name]) for name in moved]
+              + [(f"{name} steps", after[name], after_p[name]) for name in after])
+    sizes = ([f"{what} {gap(a, b)}" for what, a, b in arrays]
              + [f"predict tags {'equal' if tags == tags_p else 'differ'}",
                 f"tag_corpus tags {'equal' if corpus_tags == corpus_tags_p else 'differ'}"])
-    return out, "largest |difference|: " + "; ".join(sizes)
+    relative = [f"{what} {gap(a, b, relative=True)}" for what, a, b in arrays]
+    return (out, "largest |difference|: " + "; ".join(sizes),
+            "largest relative difference: " + "; ".join(relative))
 
 
 def main(argv: list[str]) -> int:
@@ -147,14 +158,15 @@ def main(argv: list[str]) -> int:
     for kind in KINDS:
         for mask in (False, True):
             for batch in (1, 4):
-                diff, sizes = differences(run_case(here, kind, mask, batch),
-                                          run_case(parent, kind, mask, batch))
+                diff, sizes, relative = differences(run_case(here, kind, mask, batch),
+                                                    run_case(parent, kind, mask, batch))
                 total += 1
                 equal += not diff
                 print(f"{kind} mask={'on' if mask else 'off'} batch={batch}: "
                       f"{'equal' if not diff else 'DIFFERS in ' + ', '.join(diff)}")
                 if diff:
                     print("  " + sizes)
+                    print("  " + relative)
     print(f"{equal} of {total} cases bitwise equal")
     return 0 if equal == total else 1
 

@@ -340,6 +340,28 @@ def test_lstm_scan_reverse_is_a_forward_scan_of_the_flipped_rows(lengths):
     assert np.max(np.abs(both - np.roll(swapped, 2, axis=1))) <= 1e-12
 
 
+@pytest.mark.parametrize("finals", [False, True])
+def test_a_second_lstm_scan_backward_adds_the_same_gradients_again(finals):
+    """Backward scales a buffer of its own in place; were it to write into
+    an array the forward pass kept (gates, cells, states), a second
+    backward over the same graph would push different gradients.  The
+    leaves are zeroed between the passes, so the two are compared bit for
+    bit, not through a sum whose rounding depends on what it adds to."""
+    rng = np.random.default_rng(16)
+    leaves = [Tensor(a, requires_grad=True) for a in _scan_arrays(rng)]
+    out = ad.lstm_scan(leaves[0], [4, 1, 3], *leaves[1:], finals=finals)
+    root = ad.inner(out, rng.standard_normal(out.shape))
+    ad.backward(root)
+    first = [t.grad.copy() for t in leaves]
+    ad.backward(root)
+    assert all(np.allclose(t.grad, g + g, rtol=1e-14, atol=0.0) for t, g in zip(leaves, first))
+    for t in leaves:
+        t.zero_grad()
+    ad.backward(root)
+    for t, g in zip(leaves, first):
+        assert np.array_equal(t.grad, g)
+
+
 def test_lstm_scan_rejects_bad_lengths_and_shapes():
     rng = np.random.default_rng(14)
     w = _scan_weights(rng, 3, 2)
@@ -525,10 +547,10 @@ def test_trace_topological_order():
 # random small instances per op, max rel error <= 1e-4)
 
 
-def _scan_arrays(rng):
-    """x (8, 3) and the stacked (2, ...) gate blocks of both directions for
+def _scan_arrays(rng, n=8):
+    """x (n, 3) and the stacked (2, ...) gate blocks of both directions for
     H = 2, forward drawn before backward."""
-    x = rng.standard_normal((8, 3))
+    x = rng.standard_normal((n, 3))
     fwd, bwd = ([rng.standard_normal(shape) for shape in ((8, 3), (8, 2), 8, 8)]
                 for _ in range(2))
     return [x] + [np.stack(pair) for pair in zip(fwd, bwd)]
@@ -551,6 +573,10 @@ def _op_cases(rng):
     p_scan_finals = proj(side, (3, 4))
     p_pairs = proj(side, (3, 4))
     p_pairs_row = proj(side, 4)
+    p_scan_one = proj(side, (5, 4))
+    p_scan_one_finals = proj(side, (1, 4))
+    p_scan_unit = proj(side, (3, 4))
+    p_scan_unit_finals = proj(side, (3, 4))
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     far = np.zeros((6, 3))
     far[1, 0] = 800.0
@@ -613,6 +639,18 @@ def _op_cases(rng):
         "lstm_scan_finals": (lambda x, *w: ad.inner(
             ad.lstm_scan(x, [4, 1, 3], *w, finals=True), p_scan_finals),
             lambda: _scan_arrays(rng)),
+        # the edges of the per-step blocks: one sequence (B = 1) of five
+        # rows, and three sequences of one row each (L = 1)
+        "lstm_scan_one": (lambda x, *w: ad.inner(ad.lstm_scan(x, [5], *w), p_scan_one),
+                          lambda: _scan_arrays(rng, 5)),
+        "lstm_scan_one_finals": (lambda x, *w: ad.inner(
+            ad.lstm_scan(x, [5], *w, finals=True), p_scan_one_finals),
+            lambda: _scan_arrays(rng, 5)),
+        "lstm_scan_unit": (lambda x, *w: ad.inner(ad.lstm_scan(x, [1, 1, 1], *w), p_scan_unit),
+                           lambda: _scan_arrays(rng, 3)),
+        "lstm_scan_unit_finals": (lambda x, *w: ad.inner(
+            ad.lstm_scan(x, [1, 1, 1], *w, finals=True), p_scan_unit_finals),
+            lambda: _scan_arrays(rng, 3)),
         "gather_rows": (lambda t: ad.inner(ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather),
                         lambda: [rng.standard_normal((4, 3))]),
         "take": (lambda a: ad.inner(ad.take(a, (slice(None, None, -1), 1)), p_take),

@@ -1,8 +1,9 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
 tree itself and against copies of it with a planted change: one ulp in the
-loss or in the Adam update, a different manifest layout in the saved
-artifact, or one flipped tag in packed prediction.  For the one-ulp loss
-the report's magnitudes are checked too."""
+loss or in the Adam update, the loss scaled by 1 + 2^-40, a different
+manifest layout in the saved artifact, or one flipped tag in packed
+prediction.  For the two changes of the loss the report's magnitudes are
+checked too, absolute and relative."""
 
 import shutil
 import subprocess
@@ -93,3 +94,29 @@ def test_a_flipped_packed_tag_is_flagged(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert run.stdout.count("DIFFERS in tag_corpus tags\n") == 16
     assert run.stdout.splitlines()[-1] == "0 of 16 cases bitwise equal"
+
+
+def test_the_relative_difference_is_independent_of_the_loss_scale(tmp_path):
+    """A copy whose loss is scaled by 1 + 2^-40 moves each case's loss by a
+    different absolute amount, but by 2^-40 relative to it; nothing else
+    moves."""
+    shutil.copytree(SRC / "seqtag", tmp_path / "seqtag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "seqtag" / "autodiff.py"
+    exact = '    return _result(sum(sums[1:], sums[0]), tensors, "inner", _bw)\n'
+    planted = ('    return _result(sum(sums[1:], sums[0]) * (1.0 + 2.0 ** -40), tensors, '
+               '"inner", _bw)\n')
+    assert exact in engine.read_text()
+    engine.write_text(engine.read_text().replace(exact, planted))
+    run = _parity(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    absolute = [float(line.split("; ")[0].rsplit(" ", 1)[1]) for line in lines
+                if line.startswith("  largest |difference|: loss ")]
+    relative = [line.split("; ") for line in lines
+                if line.startswith("  largest relative difference: loss ")]
+    assert len(absolute) == len(relative) == 16
+    assert max(absolute) > 2 * min(absolute) > 0.0
+    for loss, *rest in relative:
+        assert abs(float(loss.rsplit(" ", 1)[1]) / 2.0 ** -40 - 1.0) < 1e-3
+        assert rest == ["sgd-momentum steps 0.000e+00", "adam steps 0.000e+00"]
