@@ -4,12 +4,18 @@ word's features off the hidden row of its first piece
 (SequenceTagger._transformer_features in models.py).
 
 Training finds every occurrence of a seed piece in every distinct word once
-(_Lattice), and each EM round runs its forward, backward and posterior
-passes as numpy steps over all words, one step per (start, end) span.  A
-pruned piece scores -inf rather than leaving the lattice.  The arc and word
-counts size every array, so on corpora of a few hundred distinct words none
-reaches glibc's 128 KB mmap threshold; freeing one that did would raise the
-threshold and keep later arrays resident on the heap.
+(_Lattice).  The words' positions are laid end to end as flat cells, and an
+arc is the two cells it joins and its piece.  Each EM round runs the
+forward and backward passes as numpy steps over dependency levels
+(_levels): a level writes each cell at most once and reads only finished
+cells, so the bits are those of a per-word scalar recursion.  Pruning
+scores every multi-character seed piece against its best segmentation into
+the other pieces with one max-plus pass over a second lattice of those
+pieces (_Splits).  A pruned piece scores -inf rather than leaving either
+lattice.  The arc and word counts size every array, so on corpora of a few
+hundred distinct words none reaches glibc's 128 KB mmap threshold; freeing
+one that did would raise the threshold and keep later arrays resident on
+the heap.
 
 Pieces are stored without the word-boundary marker; segment() puts the
 marker, MARKER ("▁"), onto each word-initial piece.  Training and
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,64 +151,141 @@ def _seed_pieces(words: dict[str, int], vocab_size: int, max_piece_len: int) -> 
     return {p: math.log(c / total) for p, c in sorted(counts.items())}
 
 
+def _arcs(words: list[str], index: dict[str, int], max_len: int,
+          whole: bool = True, typecode: str = "q"):
+    """Every occurrence of an inventory piece in every word, in (word, start,
+    end) order: the flat cell each arc ends at and the piece's id, as
+    integer arrays of the array module's typecode.  Word w owns cells
+    base_w .. base_w + len(w), one per position, the words laid end to end.
+    Without whole, an arc that spans its whole word is left out."""
+    ends, ids = array(typecode), array(typecode)
+    get = index.get
+    base = 0
+    for word in words:
+        n = len(word)
+        for i in range(n):
+            for j in range(i + 1, min(n - (i == 0 and not whole), i + max_len) + 1):
+                k = get(word[i:j])
+                if k is not None:
+                    ends.append(base + j)
+                    ids.append(k)
+        base += n + 1
+    return np.frombuffer(ends, dtype=typecode), np.frombuffer(ids, dtype=typecode)
+
+
+def _cells(words: list[str]):
+    """The first and last flat cell of every word, and the position within
+    its word of every cell, as int32."""
+    sizes = np.array([len(w) + 1 for w in words], dtype=np.intp)
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    position = np.arange(int(last[-1]) + 1, dtype=np.int32)
+    position -= np.repeat(first, sizes)
+    return first, last, position
+
+
+def _levels(into: np.ndarray, out_of: np.ndarray, position: np.ndarray,
+            positions) -> tuple[np.ndarray, list[int]]:
+    """A schedule of the arcs for a pass that combines each arc's score
+    with the cell it reads (out_of) into the cell it writes (into), every
+    cell taking its arcs in their array order.  An arc runs one level after
+    the arc that last writes the cell it reads and after the previous arc
+    into its own cell, so one level writes each cell at most once and reads
+    only finished cells.  The arcs are placed one numpy step per position
+    of the cells they write (position, per arc), in the order positions
+    gives, which must put every cell an arc reads before the cell it
+    writes.  Returns the arcs in level order, each level in array order,
+    and the end of each level in it."""
+    done = np.zeros(int(max(into.max(), out_of.max())) + 1, dtype=np.intp)
+    arc_level = np.empty(len(into), dtype=np.int32)
+    for q in positions:
+        at = np.flatnonzero(position == q)
+        if not len(at):
+            continue
+        cell = into[at]
+        head = np.ones(len(at), dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=head[1:])
+        run = np.cumsum(head) - 1
+        first = np.flatnonzero(head)
+        rank = np.arange(len(at)) - first[run]
+        # The r-th arc into a cell runs at r + 1 + max(done[read] - j) over
+        # the cell's arcs j <= r: a running max along each cell's run of
+        # arcs, kept within the run by lifting each run above the last.
+        lift = run * (len(into) + len(at))
+        level = done[out_of[at]] - rank + lift
+        np.maximum.accumulate(level, out=level)
+        level += rank + 1 - lift
+        arc_level[at] = level
+        last = np.append(first[1:], len(at)) - 1
+        done[cell[last]] = level[last]
+    ends = np.cumsum(np.bincount(arc_level)[1:]).tolist()
+    order = np.empty(len(into), dtype=np.intp)
+    lo = 0
+    for k, hi in enumerate(ends, start=1):
+        order[lo:hi] = np.flatnonzero(arc_level == k)
+        lo = hi
+    return order, ends
+
+
+def _sweep(cells: np.ndarray, into: np.ndarray, out_of: np.ndarray, score: np.ndarray,
+           ends: list[int], combine) -> None:
+    """cells[into] = combine(cells[into], cells[out_of] + score), one numpy
+    step per level of arcs in level order."""
+    lo = 0
+    for hi in ends:
+        cell = into[lo:hi]
+        cells[cell] = combine(cells[cell], cells[out_of[lo:hi]] + score[lo:hi])
+        lo = hi
+
+
 class _Lattice:
     """Every occurrence of a seed piece in every distinct word, found once
     per train_unigram call.  Pruning only removes pieces, and a pruned piece
     scores -inf, so the arcs never change; only their scores do.
 
-    The arcs are intp columns in (word, start, end) order.  A second copy
-    of their words and pieces lays the (start, end) spans end to end, each
-    span holding a word at most once.  The forward pass visits the spans by
-    end, then start, and the backward pass by start descending, then end;
-    each span is one numpy step over all the words that hold it.  That is
-    the order of a per-word scalar recursion, and np.logaddexp and IEEE
-    additions give its bits, so the inventory does not depend on the
-    vectorization.  Posteriors are taken with math.exp per arc, as np.exp
-    can differ from it in the last bit, and summed in (word, start, end)
-    order.
+    The words' positions are laid end to end as flat cells, and each arc is
+    the cells it starts and ends at and its piece, intp columns in (word,
+    start, end) order.  Each cell adds its arcs in start order in the
+    forward pass and in end order in the backward pass, as a per-word
+    scalar recursion does, and each pass runs one numpy step per dependency
+    level (_levels): 16 forward and 88 backward on the benchmark's train
+    slice.  np.logaddexp and IEEE additions then give the scalar
+    recursion's bits, so the inventory does not depend on the
+    vectorization; a backward pass in end-descending order would need only
+    16 levels, but it changes the bits.  Posteriors are taken with math.exp
+    per arc, as np.exp can differ from it in the last bit, skipped for a
+    pruned piece's arcs (each would add 0.0), and summed in (word, start,
+    end) order.
 
-    Memory: alpha and beta are allocated once and reused by every round.
-    The spans are grouped as the arcs are found, so no numpy sort runs (a
-    sort touches numpy code pages nothing else in a training run uses).
-    Each span's step holds views, not arrays of its own: numpy caches freed
-    buffers under 1 KB, and that cache would outlive the lattice.
+    Memory: the three arc columns and the two level orders are the only
+    arrays that grow with the arcs.  Each pass gathers the columns into its
+    level order, and every step is a view of those.  alpha and beta are
+    allocated once and reused by every round.  No numpy sort runs (a sort
+    touches numpy code pages nothing else in a training run uses), and no
+    list of Python ints per arc is kept.
     """
 
     def __init__(self, words: dict[str, int], pieces: list[str], max_len: int):
-        index = {p: k for k, p in enumerate(pieces)}
         self.words = list(words)
-        cols: tuple[list[int], ...] = ([], [], [], [])  # word, start, end, piece
-        spans: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        for w, word in enumerate(self.words):
-            n = len(word)
-            for i in range(n):
-                for j in range(i + 1, min(n, i + max_len) + 1):
-                    k = index.get(word[i:j])
-                    if k is not None:
-                        cols[0].append(w)
-                        cols[1].append(i)
-                        cols[2].append(j)
-                        cols[3].append(k)
-                        span = spans.setdefault((i, j), ([], []))
-                        span[0].append(w)
-                        span[1].append(k)
-        self.word, self.start, self.end, self.piece = (np.array(c, dtype=np.intp)
-                                                       for c in cols)
-        self.weight = np.array(list(words.values()), dtype=float)[self.word]
-        self.rows = np.arange(len(self.words))
-        self.lengths = np.array([len(w) for w in self.words], dtype=np.intp)
-        width = int(self.lengths.max()) + 1
-        self.alpha = np.empty((len(self.words), width))
-        self.beta = np.empty((len(self.words), width))
-        order = sorted(spans, key=lambda se: se[::-1])
-        span_word, span_piece = (np.array([x for se in order for x in spans[se][c]],
-                                          dtype=np.intp) for c in (0, 1))
-        self.forward, lo = [], 0
-        for s, e in order:
-            hi = lo + len(spans[s, e][0])
-            self.forward.append((s, e, span_word[lo:hi], span_piece[lo:hi]))
-            lo = hi
-        self.backward = sorted(self.forward, key=lambda step: (-step[0], step[1]))
+        self.end, self.piece = _arcs(self.words, {p: k for k, p in enumerate(pieces)},
+                                     max_len)
+        lengths = np.array([len(p) for p in pieces], dtype=np.intp)
+        self.start = self.end - lengths[self.piece]
+        self.first, self.last, position = _cells(self.words)
+        sizes = self.last - self.first + 1
+        self.owner = np.repeat(self.last, sizes)  # the last cell of each cell's word
+        self.weight = np.repeat(np.array(list(words.values()), dtype=float), sizes)
+        top = int(position.max())
+        self.forward = _levels(self.end, self.start, position[self.end], range(1, top + 1))
+        self.backward = _levels(self.start, self.end, position[self.start],
+                                range(top - 1, -1, -1))
+        self.alpha = np.empty(len(position))
+        self.beta = np.empty(len(position))
+
+    def _pass(self, cells: np.ndarray, into: np.ndarray, out_of: np.ndarray,
+              lp: np.ndarray, schedule) -> None:
+        order, ends = schedule
+        _sweep(cells, into[order], out_of[order], lp[self.piece[order]], ends, np.logaddexp)
 
     def expected_counts(self, lp: np.ndarray) -> np.ndarray:
         """Posterior count of every piece summed over the corpus, each word
@@ -210,27 +294,66 @@ class _Lattice:
         cover."""
         alpha, beta = self.alpha, self.beta
         alpha.fill(-math.inf)
-        alpha[:, 0] = 0.0
-        for s, e, w, p in self.forward:
-            alpha[w, e] = np.logaddexp(alpha[w, e], alpha[w, s] + lp[p])
-        z = alpha[self.rows, self.lengths]
-        stuck = np.flatnonzero(z == -math.inf)
+        alpha[self.first] = 0.0
+        self._pass(alpha, self.end, self.start, lp, self.forward)
+        stuck = np.flatnonzero(alpha[self.last] == -math.inf)
         if len(stuck):
             raise UsageError(f"word {self.words[stuck[0]]!r} cannot be "
                              f"segmented with current pieces")
         beta.fill(-math.inf)
-        beta[self.rows, self.lengths] = 0.0
-        for s, e, w, p in self.backward:
-            beta[w, s] = np.logaddexp(beta[w, s], lp[p] + beta[w, e])
-        x = alpha[self.word, self.start]
+        beta[self.last] = 0.0
+        self._pass(beta, self.start, self.end, lp, self.backward)
+        z = alpha[self.owner]
+        x = alpha[self.start]
         x += lp[self.piece]
-        x += beta[self.word, self.end]
-        x -= z[self.word]
+        x += beta[self.end]
+        x -= z[self.end]
+        live = np.flatnonzero(x > -math.inf)  # the others, a pruned piece's, add 0.0
+        x = x[live]
         post = np.fromiter(map(math.exp, x.data), dtype=float, count=len(x))
-        post *= self.weight
+        post *= self.weight[self.end[live]]
         counts = np.zeros(len(lp))
-        np.add.at(counts, self.piece, post)
+        np.add.at(counts, self.piece[live], post)
         return counts
+
+
+class _Splits:
+    """Every multi-character seed piece as a word of a second lattice, with
+    the arcs of the other seed pieces inside it: each piece's own whole arc
+    is left out.  A max-plus forward pass over it gives every such piece
+    the score of its best segmentation into the other pieces, with pruned
+    pieces at -inf; max is exact, so each score is bitwise the one
+    _viterbi_word finds for the piece alone.
+
+    The arcs are stored once in the pass's level order as one (3, arcs)
+    int32 array (the cell written, the cell read, the piece), the only
+    array of the lattice that grows with its arcs; it stays under 128 KB
+    for an 800-piece seed inventory.
+    """
+
+    def __init__(self, pieces: list[str], max_len: int):
+        self.ids = np.array([k for k, p in enumerate(pieces) if len(p) > 1], dtype=np.intp)
+        words = [pieces[k] for k in self.ids.tolist()]
+        end, piece = _arcs(words, {p: k for k, p in enumerate(pieces)}, max_len,
+                           whole=False, typecode="i")
+        start = end - np.array([len(p) for p in pieces], dtype=np.int32)[piece]
+        self.first, self.last, position = _cells(words)
+        order, self.ends = _levels(end, start, position[end],
+                                   range(1, int(position.max()) + 1))
+        self.arcs = np.empty((3, len(order)), dtype=np.int32)
+        for row, column in enumerate((end, start, piece)):
+            self.arcs[row] = column[order]
+        self.score = np.empty(len(position))
+
+    def best(self, lp: np.ndarray) -> np.ndarray:
+        """The best segmentation score of each piece of ids into the other
+        pieces under lp."""
+        score = self.score
+        score.fill(-math.inf)
+        score[self.first] = 0.0
+        into, out_of, piece = self.arcs
+        _sweep(score, into, out_of, lp[piece], self.ends, np.maximum)
+        return score[self.last]
 
 
 def _em_round(lattice: _Lattice, lp: np.ndarray, alive: np.ndarray) -> None:
@@ -247,25 +370,19 @@ def _renormalize(lp: np.ndarray, alive: np.ndarray) -> None:
     lp[alive] = logs - log_total
 
 
-def _cheapest(lattice: _Lattice, lp: np.ndarray, alive: np.ndarray,
-              pieces: list[str], max_len: int, most: int) -> list[int]:
+def _cheapest(lattice: _Lattice, splits: _Splits, lp: np.ndarray,
+              pieces: list[str], most: int) -> list[int]:
     """Ids of the alive multi-character pieces whose removal costs the least
     likelihood: a fifth of them, at least one and at most most.  A piece's
     cost is its expected count times the score it loses to its best
-    segmentation into the other pieces."""
-    usage = lattice.expected_counts(lp).tolist()
-    ids = alive.tolist()
-    live = dict(zip([pieces[k] for k in ids], lp[alive].tolist()))
-    losses = []
-    for k in ids:
-        p = pieces[k]
-        if len(p) == 1:
-            continue
-        own = live.pop(p)  # skip the piece's own whole-word arc
-        _, alt = _viterbi_word(p, live, max_len)
-        live[p] = own
-        losses.append((usage[k] * (own - alt), p, k))
-    losses.sort()
+    segmentation into the other alive pieces, which one max-plus pass over
+    splits gives for every piece at once; ties go by piece, then id."""
+    usage = lattice.expected_counts(lp)
+    alt = splits.best(lp)
+    live = lp[splits.ids] > -math.inf
+    ids = splits.ids[live]
+    loss = usage[ids] * (lp[ids] - alt[live])
+    losses = sorted(zip(loss.tolist(), [pieces[k] for k in ids.tolist()], ids.tolist()))
     drop = min(max(1, int(_PRUNE_FRACTION * len(losses))), most)
     return [k for _, _, k in losses[:drop]]
 
@@ -295,10 +412,11 @@ def train_unigram(corpus, vocab_size: int, seed: int = 0,
     alive = np.arange(len(pieces))
     max_len = max(len(p) for p in pieces)
     lattice = _Lattice(words, pieces, max_len)
+    splits = _Splits(pieces, max_len) if len(alive) > vocab_size else None
     while len(alive) > vocab_size:
         for _ in range(_EM_ROUNDS):
             _em_round(lattice, lp, alive)
-        lp[_cheapest(lattice, lp, alive, pieces, max_len, len(alive) - vocab_size)] = -math.inf
+        lp[_cheapest(lattice, splits, lp, pieces, len(alive) - vocab_size)] = -math.inf
         alive = np.flatnonzero(lp > -math.inf)
         _renormalize(lp, alive)
     for _ in range(_EM_ROUNDS):

@@ -75,6 +75,12 @@ def _check_bio2(named) -> None:
                 raise ValidationError(f"{name} sentence {i}: {exc}") from None
 
 
+def _fit_tokenizer(cfg: TrainConfig, split: CorpusSplit) -> UnigramVocab:
+    """The subword tokenizer train() fits on split.train when given none."""
+    text = [" ".join(s.surfaces) for s in split.train]
+    return train_unigram(text, cfg.subword_vocab_size, seed=cfg.seed)
+
+
 def train(cfg: TrainConfig, split: CorpusSplit,
           tokenizer: UnigramVocab | None = None,
           on_epoch=None, target_f1: float | None = None) -> TrainResult:
@@ -99,8 +105,7 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(split.train, cfg.min_count)
     if tokenizer is None and needs_tokenizer(cfg):
-        text = [" ".join(s.surfaces) for s in split.train]
-        tokenizer = train_unigram(text, cfg.subword_vocab_size, seed=cfg.seed)
+        tokenizer = _fit_tokenizer(cfg, split)
     model = build_model(cfg, vocab, rng, tokenizer)
     params = flatten(model.parameters())
     opt = (SGDMomentum(params, cfg.momentum) if cfg.optimizer == "sgd-momentum"
@@ -173,18 +178,27 @@ def bench(configs, split: CorpusSplit, seeds=(0, 1, 2, 3, 4),
     mask_illegal, gold tags of split.test that break BIO2 raise
     ValidationError before anything is trained.  Row metrics depend only
     on config and seed, so reruns of identical configs reproduce them.
+    Without a tokenizer, the one train() would fit is fitted once per
+    subword_vocab_size and shared by every run that needs it, as it
+    depends only on split.train and that size.
     """
     configs = list(configs)
     held_out = list(split.test) if split.test else list(split.valid)
     if any(cfg.mask_illegal for _, cfg in configs):
         _check_bio2((("test", split.test),))  # train() checks the other splits
+    fitted: dict[int, UnigramVocab] = {}  # subword_vocab_size -> tokenizer
     results = []
     for label, cfg in configs:
         result = BenchResult(label=label, seeds=list(seeds))
         start = time.perf_counter()
+        run_tokenizer = tokenizer
+        if tokenizer is None and needs_tokenizer(cfg):
+            if cfg.subword_vocab_size not in fitted:
+                fitted[cfg.subword_vocab_size] = _fit_tokenizer(cfg, split)
+            run_tokenizer = fitted[cfg.subword_vocab_size]
         for seed in seeds:
             run_cfg = dataclasses.replace(cfg, seed=int(seed))
-            trained = train(run_cfg, split, tokenizer, target_f1=target_f1)
+            trained = train(run_cfg, split, run_tokenizer, target_f1=target_f1)
             report = evaluate_model(trained.model, held_out)
             result.f1s.append(report.f1)
             result.precisions.append(report.precision)

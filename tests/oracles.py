@@ -115,7 +115,8 @@ def crf_brute_argmax(emissions, transition):
 
 
 # ---------------------------------------------------------------------------
-# unigram segmentation oracle: enumerate every segmentation of a word
+# unigram oracles: enumerate every segmentation of a word, and train the way
+# a per-word scalar recursion and one Viterbi search per piece do
 
 
 def all_segmentations(word, vocab):
@@ -141,6 +142,70 @@ def best_segmentation(word, vocab):
         if lp > best_lp:
             best, best_lp = pieces, lp
     return best, best_lp
+
+
+def unigram_expected_counts(words, pieces, lp, max_len):
+    """Posterior count of every piece over the corpus {word: count}, under
+    log-probabilities lp (-inf for a pruned piece), by a per-word scalar
+    recursion: alpha by end, then start; beta by start descending, then
+    end; np.logaddexp on scalars; posteriors with math.exp, weighted by the
+    word's count and summed in (word, start, end) order."""
+    index = {p: k for k, p in enumerate(pieces)}
+    counts = [0.0] * len(pieces)
+    for word, count in words.items():
+        n = len(word)
+        arcs = {(s, e): index[word[s:e]] for s in range(n)
+                for e in range(s + 1, min(n, s + max_len) + 1) if word[s:e] in index}
+        alpha = [-math.inf] * (n + 1)
+        alpha[0] = 0.0
+        for e in range(1, n + 1):
+            for s in range(max(0, e - max_len), e):
+                if (s, e) in arcs:
+                    alpha[e] = np.logaddexp(alpha[e], alpha[s] + lp[arcs[s, e]])
+        beta = [-math.inf] * (n + 1)
+        beta[n] = 0.0
+        for s in range(n - 1, -1, -1):
+            for e in range(s + 1, min(n, s + max_len) + 1):
+                if (s, e) in arcs:
+                    beta[s] = np.logaddexp(beta[s], lp[arcs[s, e]] + beta[e])
+        for (s, e), k in sorted(arcs.items()):
+            counts[k] += math.exp(alpha[s] + lp[k] + beta[e] - alpha[n]) * float(count)
+    return np.array(counts)
+
+
+def best_split_score(word, vocab, max_len):
+    """Score of the best segmentation of word into the pieces of vocab
+    (piece -> log-probability), -inf if there is none: Viterbi over end
+    positions, each end's starts in increasing order, sums left to right."""
+    best = [0.0] + [-math.inf] * len(word)
+    for i in range(1, len(word) + 1):
+        for j in range(max(0, i - max_len), i):
+            score = vocab.get(word[j:i])
+            if score is not None and best[j] > -math.inf and best[j] + score > best[i]:
+                best[i] = best[j] + score
+    return best[-1]
+
+
+def cheapest_per_piece(usage, lp, pieces, max_len, most, fraction):
+    """Ids of the alive multi-character pieces whose removal costs the least
+    likelihood, given each piece's expected count (usage): a fraction of
+    them, at least one and at most most.  A piece costs its count times the
+    score it loses to its best segmentation into the other alive pieces,
+    each found by its own Viterbi search; ties go by piece, then id."""
+    alive = [k for k in range(len(pieces)) if lp[k] > -math.inf]
+    live = {pieces[k]: float(lp[k]) for k in alive}
+    losses = []
+    for k in alive:
+        piece = pieces[k]
+        if len(piece) == 1:
+            continue
+        own = live.pop(piece)
+        losses.append((float(usage[k]) * (own - best_split_score(piece, live, max_len)),
+                       piece, k))
+        live[piece] = own
+    losses.sort()
+    drop = min(max(1, int(fraction * len(losses))), most)
+    return [k for _, _, k in losses[:drop]]
 
 
 UNK_PENALTY = 10.0  # a character outside the inventory scores this below its rarest piece

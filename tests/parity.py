@@ -19,8 +19,10 @@ optimizer's parameters, and whether each set of tags is equal, and a third
 with the largest relative difference of the same arrays, |a - b| / max |b|
 over the parent's array b: how far a change that alters the bits on
 purpose moved them, in absolute terms and independently of each array's
-scale.  The exit status is 0 only if every case is equal, 1 if one is not,
-and 2 if PARENT_SRC holds no seqtag package.
+scale.  Before the summary line, one line per corpus of TOKENIZERS says
+whether the two trees' train_unigram inventories, as vocab_to_text, are
+equal.  The exit status is 0 only if every case and every inventory is
+equal, 1 if one is not, and 2 if PARENT_SRC holds no seqtag package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -39,6 +41,9 @@ KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf", "transformer-linear")
 SOURCES = ("word", "char", "morph", "subword")
 TAGGED = 10  # sentences each case tags with predict and with tag_corpus
 STEPS = 3  # optimizer steps each case takes with each optimizer
+# (sentences of generate_corpus(n, seed=0), pieces) each tree trains a
+# tokenizer on: the pinned inventory's corpus and the benchmark graph phase's
+TOKENIZERS = ((2000, 200), (200, 200))
 
 
 def load_package(src: Path, name: str):
@@ -99,6 +104,14 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     corpus_tags = [s.tags for s in pkg.models.tag_corpus(model, corpus[:TAGGED])]
     return (artifact.getvalue(), loss.data.copy(), grads, tags, corpus_tags,
             optimizer_steps(pkg, model, corpus[:batch]))
+
+
+def tokenizer_text(pkg, sentences: int, pieces: int) -> str:
+    """vocab_to_text of the inventory pkg trains on generate_corpus(sentences,
+    seed=0) at pieces pieces."""
+    corpus = pkg.synth.generate_corpus(sentences, seed=0)
+    vocab = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], pieces)
+    return pkg.subword.vocab_to_text(vocab)
 
 
 def same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -167,8 +180,15 @@ def main(argv: list[str]) -> int:
                 if diff:
                     print("  " + sizes)
                     print("  " + relative)
+    inventories_equal = True
+    for sentences, pieces in TOKENIZERS:
+        text_equal = (tokenizer_text(here, sentences, pieces)
+                      == tokenizer_text(parent, sentences, pieces))
+        inventories_equal &= text_equal
+        print(f"tokenizer generate_corpus({sentences}, seed=0) at {pieces} pieces: "
+              f"{'equal' if text_equal else 'DIFFERS in vocab_to_text'}")
     print(f"{equal} of {total} cases bitwise equal")
-    return 0 if equal == total else 1
+    return 0 if equal == total and inventories_equal else 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """tests/parity.py, the bitwise comparison of two trees, run against this
 tree itself and against copies of it with a planted change: one ulp in the
 loss or in the Adam update, the loss scaled by 1 + 2^-40, a different
-manifest layout in the saved artifact, or one flipped tag in packed
-prediction.  For the two changes of the loss the report's magnitudes are
-checked too, absolute and relative."""
+manifest layout in the saved artifact, one flipped tag in packed
+prediction, or a different tokenizer pruning fraction.  For the two
+changes of the loss the report's magnitudes are checked too, absolute and
+relative."""
 
 import shutil
 import subprocess
@@ -19,10 +20,29 @@ def _parity(parent_src):
                           capture_output=True, text=True, timeout=300)
 
 
+TOKENIZER_LINES = ("tokenizer generate_corpus(2000, seed=0) at 200 pieces: ",
+                   "tokenizer generate_corpus(200, seed=0) at 200 pieces: ")
+
+
 def test_the_tree_is_bitwise_equal_to_itself():
     run = _parity(SRC)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.splitlines()[-1] == "16 of 16 cases bitwise equal"
+    lines = run.stdout.splitlines()
+    assert lines[-3:] == [TOKENIZER_LINES[0] + "equal", TOKENIZER_LINES[1] + "equal",
+                          "16 of 16 cases bitwise equal"]
+
+
+def test_a_changed_pruning_fraction_is_flagged_in_the_tokenizer_lines(tmp_path):
+    shutil.copytree(SRC / "seqtag", tmp_path / "seqtag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    subword = tmp_path / "seqtag" / "subword.py"
+    exact = "_PRUNE_FRACTION = 0.2\n"
+    assert exact in subword.read_text()
+    subword.write_text(subword.read_text().replace(exact, "_PRUNE_FRACTION = 0.25\n"))
+    run = _parity(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-3:-1] == [line + "DIFFERS in vocab_to_text"
+                                              for line in TOKENIZER_LINES]
 
 
 def test_a_one_ulp_change_in_the_loss_is_flagged(tmp_path):

@@ -13,8 +13,8 @@ from seqtag.subword import (UnigramVocab, decode, load_vocab, save_vocab,
 from seqtag.synth import generate_corpus
 
 from oracles import (PAD, align_labels, all_segmentations, best_segmentation,
-                     project_predictions, segment_rescanning,
-                     segmentation_score_rescanning)
+                     cheapest_per_piece, project_predictions, segment_rescanning,
+                     segmentation_score_rescanning, unigram_expected_counts)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -29,32 +29,113 @@ def make_vocab(items):
 # training
 
 
-def test_lattice_expected_counts_equal_enumeration():
-    """On random small inventories, some pieces pruned to -inf, the array EM
-    gives every piece the posterior count that weighting every segmentation
-    of every word by its probability gives."""
-    pool = ["a", "b", "c", "ab", "bc", "ca", "abc", "bca", "aa", "cab", "abca"]
+POOL = ["a", "b", "c", "ab", "bc", "ca", "abc", "bca", "aa", "cab", "abca"]
+
+
+def _random_inventories():
+    """40 small corpora over POOL's alphabet, {word: count}, each with random
+    log-probabilities for POOL and some multi-character pieces pruned to
+    -inf; yields (words, lp, pruned ids)."""
     for trial in range(40):
         rng = np.random.default_rng(200 + trial)
-        lp = np.log(rng.random(len(pool)) + 0.05)
-        pruned = [k for k in range(3, len(pool)) if rng.random() < 0.3]
+        lp = np.log(rng.random(len(POOL)) + 0.05)
+        pruned = [k for k in range(3, len(POOL)) if rng.random() < 0.3]
         lp[pruned] = -math.inf
-        alive = {p: float(v) for p, v in zip(pool, lp) if v > -math.inf}
         words = {}
         for _ in range(int(rng.integers(1, 6))):
             n = int(rng.integers(1, 8))
             words["".join("abc"[i] for i in rng.integers(0, 3, size=n))] = int(rng.integers(1, 5))
-        lattice = sw._Lattice(words, pool, max(map(len, pool)))
+        yield words, lp, pruned
+
+
+def _seed_inventory_with_a_fifth_pruned():
+    """The seed inventory train_unigram starts from on generate_corpus(200,
+    seed=0) at 200 pieces, a fifth of its pieces (all multi-character)
+    pruned to -inf; (words, pieces, lp)."""
+    words = sw._word_counts([" ".join(s.surfaces) for s in generate_corpus(200, seed=0)])
+    seed = sw._seed_pieces(words, 200, 10)
+    pieces, lp = list(seed), np.array(list(seed.values()))
+    multi = [k for k, p in enumerate(pieces) if len(p) > 1]
+    lp[np.random.default_rng(34).choice(multi, size=len(pieces) // 5, replace=False)] = -math.inf
+    return words, pieces, lp
+
+
+def test_lattice_expected_counts_equal_enumeration():
+    """On random small inventories, some pieces pruned to -inf, the array EM
+    gives every piece the posterior count that weighting every segmentation
+    of every word by its probability gives."""
+    for words, lp, pruned in _random_inventories():
+        alive = {p: float(v) for p, v in zip(POOL, lp) if v > -math.inf}
+        lattice = sw._Lattice(words, POOL, max(map(len, POOL)))
         got = lattice.expected_counts(lp)
-        want = np.zeros(len(pool))
+        want = np.zeros(len(POOL))
         for word, count in words.items():
             segs = list(all_segmentations(word, alive))
             log_z = np.logaddexp.reduce([score for _, score in segs])
             for pieces, score in segs:
                 for piece in pieces:
-                    want[pool.index(piece)] += count * math.exp(score - log_z)
+                    want[POOL.index(piece)] += count * math.exp(score - log_z)
         assert np.all(got[pruned] == 0.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_lattice_expected_counts_are_bitwise_the_scalar_recursion():
+    """The level-scheduled passes give bitwise the counts of a per-word
+    scalar recursion, on the random inventories and on a realistic seed
+    inventory with a fifth of its pieces pruned."""
+    cases = [(words, POOL, lp) for words, lp, _ in _random_inventories()]
+    cases.append(_seed_inventory_with_a_fifth_pruned())
+    for words, pieces, lp in cases:
+        max_len = max(map(len, pieces))
+        got = sw._Lattice(words, pieces, max_len).expected_counts(lp)
+        assert np.array_equal(got, unigram_expected_counts(words, pieces, lp, max_len))
+
+
+def _pruned_inventories():
+    """The seed inventory with a fifth pruned, and 30 random corpora over
+    "abcd" with random inventories of pieces of up to five letters, every
+    letter kept and about a third of the longer pieces pruned; yields
+    (words, pieces, lp)."""
+    yield _seed_inventory_with_a_fifth_pruned()
+    for trial in range(30):
+        rng = np.random.default_rng(500 + trial)
+        letters = lambda lo, hi: "".join(  # noqa: E731
+            "abcd"[i] for i in rng.integers(0, 4, size=int(rng.integers(lo, hi))))
+        pieces = sorted({letters(2, 6) for _ in range(int(rng.integers(1, 25)))} | set("abcd"))
+        lp = np.log(rng.random(len(pieces)) + 0.05)
+        lp[[k for k, p in enumerate(pieces) if len(p) > 1 and rng.random() < 0.3]] = -math.inf
+        words = {letters(1, 9): int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 12)))}
+        yield words, pieces, lp
+
+
+def test_split_scores_are_bitwise_the_viterbi_score_of_each_piece():
+    """The max-plus pass gives each alive multi-character piece bitwise the
+    score _viterbi_word finds for it over the other alive pieces."""
+    for _, pieces, lp in _pruned_inventories():
+        max_len = max(map(len, pieces))
+        splits = sw._Splits(pieces, max_len)
+        got = splits.best(lp)
+        live = {p: float(v) for p, v in zip(pieces, lp) if v > -math.inf}
+        checked = 0
+        for k, score in zip(splits.ids.tolist(), got.tolist()):
+            if lp[k] == -math.inf:
+                continue
+            others = {p: v for p, v in live.items() if p != pieces[k]}
+            assert score == sw._viterbi_word(pieces[k], others, max_len)[1], pieces[k]
+            checked += 1
+        assert checked == sum(len(p) > 1 for p in live)
+
+
+def test_cheapest_drops_the_ids_the_per_piece_search_drops():
+    """Pruning scored by the max-plus pass drops the ids that one Viterbi
+    search per piece picks, at several caps on how many may go."""
+    for words, pieces, lp in _pruned_inventories():
+        max_len = max(map(len, pieces))
+        usage = unigram_expected_counts(words, pieces, lp, max_len)
+        lattice, splits = sw._Lattice(words, pieces, max_len), sw._Splits(pieces, max_len)
+        for most in (1, 3, len(pieces)):
+            want = cheapest_per_piece(usage, lp, pieces, max_len, most, sw._PRUNE_FRACTION)
+            assert sw._cheapest(lattice, splits, lp, pieces, most) == want
 
 
 def test_lattice_names_a_word_the_inventory_cannot_cover():

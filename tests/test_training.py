@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import unicodedata
 
@@ -223,6 +224,24 @@ def test_bench_rows_are_reproducible_for_identical_configs(split):
     assert first.precisions == second.precisions
     assert first.recalls == second.recalls
     assert first.accuracies == second.accuracies
+
+
+def test_bench_fits_one_tokenizer_for_every_seed(split, monkeypatch):
+    """A transformer bench over two seeds fits its tokenizer once, and its
+    rows are those of train() fitting its own tokenizer for each seed."""
+    cfg = tiny_cfg(model_kind="transformer-crf", epochs=1)
+    fitted = []
+    real = training.train_unigram
+    monkeypatch.setattr(training, "train_unigram",
+                        lambda *args, **kwargs: fitted.append(args) or real(*args, **kwargs))
+    (row,) = bench([("t", cfg)], split, seeds=(0, 1))
+    assert len(fitted) == 1
+    for i, seed in enumerate((0, 1)):
+        report = evaluate_model(train(dataclasses.replace(cfg, seed=seed), split).model,
+                                split.valid)
+        assert (row.f1s[i], row.precisions[i], row.recalls[i], row.accuracies[i]) == (
+            report.f1, report.precision, report.recall, report.token_accuracy)
+    assert len(fitted) == 3
 
 
 def test_bench_prefers_the_test_split_when_present(split):
