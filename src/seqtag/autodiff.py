@@ -19,7 +19,7 @@ The fused ops step over several sequences packed back to back.  lstm_scan,
 both directions of a BiLSTM, lays each time step out as contiguous blocks
 with the sequences on the last axis, so every numpy call of a step, forward
 and backward, reads and writes whole blocks: one product gives a step's
-gates from its input rows, a row of ones and the previous state, and the
+gates from its input rows, two rows of ones and the previous state, and the
 backward loop only scales and multiplies per-step blocks of slopes that it
 computed for all steps at once.
 
@@ -406,19 +406,20 @@ def packed_steps(lengths, n: int):
     return lengths, seq, step
 
 
-def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor,
-              finals: bool = False) -> Tensor:
+def lstm_scan(x: Tensor, lengths, w: Tensor, finals: bool = False) -> Tensor:
     """A bidirectional LSTM over each of several packed sequences, as one
     node.
 
     x is (n, D) with the sequences back to back, lengths[b] rows each
-    (packed_steps).  Each weight stacks both directions, index 0 forward
-    and 1 backward, and each direction stacks four row bands, for the
-    input, forget, cell and output gates in that order: w_x (2, 4H, D),
-    w_h (2, 4H, H), b_x (2, 4H) and b_h (2, 4H).  From a zero initial
-    state, step t of a sequence computes
+    (packed_steps).  w is one (2, 4H, D + 2 + H) block [W_x | b_x | b_h |
+    W_h]: index 0 is the forward direction and 1 the backward one, and each
+    direction stacks four row bands, for the input, forget, cell and output
+    gates in that order, of its input weights, input-side bias, hidden-side
+    bias and recurrent weights side by side.  From a zero initial state,
+    step t of a sequence computes
 
-        z = x_t W_x^T + b_x + h W_h^T + b_h,   i, f, o = sigmoid, g = tanh
+        z = w [x_t; 1; 1; h] = x_t W_x^T + b_x + b_h + h W_h^T
+        i, f, o = sigmoid, g = tanh
         c = f * c + i * g,                      h = o * tanh(c)
 
     reading its rows first to last with direction 0 and last to first with
@@ -429,47 +430,43 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
     Both directions of all B sequences step together, and each call of a
     step reads and writes whole contiguous blocks, time-major and
     feature-major with the sequences on the last axis.  Block t of one
-    (L + 1, 2, D + 1 + H, B) array holds [x_t; 1; h], that step's input
-    rows over a row of ones and the state before the step, so one product
-    by the stacked [W_x | b_x + b_h | W_h] gives all of z, summing the
-    input side before the recurrent term, and the step writes its new
-    state into block t + 1.  The gates are one (2, 4H, B) block of four
-    (H, B) bands per direction, the cells (2, H, B) blocks.  As
-    sigmoid(z) = (1 + tanh(z/2)) / 2, the i, f and o bands of the stacked
-    weight are halved once per call, and one tanh, then one multiply and
-    one add by constant whole-step blocks give all four gates.  A sequence
-    that has ended runs on over zero input that no output reads.
+    (L + 1, 2, D + 2 + H, B) array holds [x_t; 1; 1; h], that step's input
+    rows over two rows of ones and the state before the step, so one
+    product by w gives all of z, and the step writes its new state into
+    block t + 1.  The gates are one (2, 4H, B) block of four (H, B) bands
+    per direction, the cells (2, H, B) blocks.  As sigmoid(z) = (1 +
+    tanh(z/2)) / 2, one multiply per call halves the i, f and o bands of w,
+    and one tanh, then one multiply and one add by constant whole-step
+    blocks give all four gates.  A sequence that has ended runs on over
+    zero input that no output reads.
 
     Backward runs through time by hand.  Before its loop it writes, for
     every step at once, each band's gate slope times the factor that band
     meets into a per-call dz buffer, so a step scales its dz block by dc or
-    dh and takes one product for dh and one for W_h's gradient; the input
-    side's gradients are products over the packed rows after the loop.  It
-    writes to no array the forward pass kept, so a second backward over the
-    graph adds the same gradients again.  Under no_grad one gate block and
-    two cell blocks are reused from step to step, and nothing is kept for
-    backward.
+    dh and takes one product for dh and one by its [1; 1; h] rows for the
+    gradient of [b_x | b_h | W_h]; the input side's gradients are products
+    over the packed rows after the loop.  It writes to no array the forward
+    pass kept, so a second backward over the graph adds the same gradients
+    again.  Under no_grad one gate block and two cell blocks are reused
+    from step to step, and nothing is kept for backward.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"lstm_scan expects packed (n, D) rows, got {x.shape}")
     n, D = x.shape
     lengths, seq, step = packed_steps(lengths, n)
-    shapes = [t.shape for t in (w_x, w_h, b_x, b_h)]
-    H = shapes[1][-1]  # w_h is (2, 4H, H)
-    if shapes != [(2, 4 * H, D), (2, 4 * H, H), (2, 4 * H), (2, 4 * H)]:
-        raise ShapeError(f"lstm_scan needs (2, 4H, {D}), (2, 4H, H), (2, 4H) and (2, 4H) "
-                         f"weights, got {shapes}")
+    H = w.shape[1] // 4 if w.data.ndim == 3 else 0
+    if H < 1 or w.shape != (2, 4 * H, D + 2 + H):
+        raise ShapeError(f"lstm_scan needs a (2, 4H, {D} + 2 + H) weight block, got {w.shape}")
     B, L = lengths.size, int(lengths.max())
     steps = (step, lengths[seq] - 1 - step)  # each row's step per direction
     keep = _grad_enabled
 
     half = np.repeat([0.5, 0.5, 1.0, 0.5], H)[:, None]  # 1/2 on the sigmoid bands, 1 on g
-    w = np.concatenate([w_x.data, (b_x.data + b_h.data)[..., None], w_h.data], axis=2)
-    w *= half
-    xh = np.zeros((L + 1, 2, D + 1 + H, B))  # per step [x_t; 1; h]
+    w_half = w.data * half
+    xh = np.zeros((L + 1, 2, D + 2 + H, B))  # per step [x_t; 1; 1; h]
     for k in range(2):
         xh[steps[k], k, :D, seq] = x.data
-    xh[:, :, D] = 1.0
+    xh[:, :, D:D + 2] = 1.0
     scale = np.empty((2, 4 * H, B))
     scale[...] = half
     shift = 1.0 - scale
@@ -482,7 +479,7 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
             a, c, c_new, tc = zs[t], cs[t], cs[t + 1], tcs[t]
         else:
             a, c, c_new, tc = zs[0], cs[t % 2], cs[(t + 1) % 2], tcs[0]
-        np.matmul(w, xh[t], out=a)
+        np.matmul(w_half, xh[t], out=a)
         np.tanh(a, out=a)
         a *= scale
         a += shift
@@ -490,11 +487,11 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
         np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=ig)
         c_new += ig
         np.tanh(c_new, out=tc)
-        np.multiply(a[:, 3 * H:], tc, out=xh[t + 1, :, D + 1:])
+        np.multiply(a[:, 3 * H:], tc, out=xh[t + 1, :, D + 2:])
 
     # the step and the sequence of each returned row, per direction
     at = 2 * ((lengths - 1, np.arange(B)),) if finals else ((steps[0], seq), (steps[1], seq))
-    out = np.concatenate([xh[at[k][0] + 1, k, D + 1:, at[k][1]] for k in range(2)], axis=1)
+    out = np.concatenate([xh[at[k][0] + 1, k, D + 2:, at[k][1]] for k in range(2)], axis=1)
 
     def _bw(gout):
         i, f, g, o = (zs.reshape(L, 2, 4, H, B)[:, :, j] for j in range(4))
@@ -516,8 +513,9 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
         g_pad = np.zeros((L, 2, H, B))
         for k in range(2):
             g_pad[at[k][0], k, :, at[k][1]] = gout[:, k * H:(k + 1) * H]
-        wh_t = w_h.data.transpose(0, 2, 1).copy()
-        dwh, dwh_step = np.zeros((2, 4 * H, H)), np.empty((2, 4 * H, H))
+        wh_t = w.data[:, :, D + 2:].transpose(0, 2, 1).copy()
+        # the gradient of [b_x | b_h | W_h]: each step's dz by its [1; 1; h]
+        dtail, dtail_step = np.zeros((2, 4 * H, 2 + H)), np.empty((2, 4 * H, 2 + H))
         dh, dc, dc_new = np.zeros((2, H, B)), np.zeros((2, H, B)), np.empty((2, H, B))
         for t in range(L - 1, -1, -1):
             dh += g_pad[t]
@@ -525,25 +523,21 @@ def lstm_scan(x: Tensor, lengths, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Te
             dc_new += dc
             by_band[t, :, :3] *= dc_new[:, None]
             by_band[t, :, 3] *= dh
-            if w_h.requires_grad:
-                np.matmul(dz[t], xh[t, :, D + 1:].transpose(0, 2, 1), out=dwh_step)
-                dwh += dwh_step
+            if w.requires_grad:
+                np.matmul(dz[t], xh[t, :, D:].transpose(0, 2, 1), out=dtail_step)
+                dtail += dtail_step
             np.matmul(wh_t, dz[t], out=dh)
             np.multiply(dc_new, f[t], out=dc)
-        if w_h.requires_grad:
-            w_h.grad += dwh
+        if w.requires_grad:
+            w.grad[:, :, D:] += dtail
         for k in range(2):
             dz_k = dz[steps[k], k, :, seq]
-            db = dz_k.sum(axis=0)
-            if w_x.requires_grad:
-                w_x.grad[k] += dz_k.T @ x.data
-            for t in (b_x, b_h):
-                if t.requires_grad:
-                    t.grad[k] += db
+            if w.requires_grad:
+                w.grad[k, :, :D] += dz_k.T @ x.data
             if x.requires_grad:
-                x.grad += dz_k @ w_x.data[k]
+                x.grad += dz_k @ w.data[k, :, :D]
 
-    return _result(out, (x, w_x, w_h, b_x, b_h), "lstm_scan", _bw)
+    return _result(out, (x, w), "lstm_scan", _bw)
 
 
 # the least a scaled state entry may be before normalising (see crf_forward):
@@ -633,7 +627,7 @@ def crf_forward(emissions: Tensor, transition: Tensor,
         log_z = np.sum(shifts + np.log(fwd[:, 0]))
         low = np.minimum(alpha * fwd, gamma * bwd)  # each cell's states before normalising
     if not (np.min(low, initial=np.inf, where=x > -np.inf) >= TINY and np.isfinite(log_z)):
-        return _crf_forward_log(emissions, transition, mask, lengths)
+        return _crf_forward_log(emissions, transition, trans, lengths, seq, step)
 
     def _bw(g):
         r = np.flatnonzero(step[1:])  # rows followed by their sequence's next step
@@ -652,25 +646,18 @@ def crf_forward(emissions: Tensor, transition: Tensor,
     return _result(log_z, (emissions, transition), "crf_forward", _bw)
 
 
-def _crf_forward_log(emissions: Tensor, transition: Tensor,
-                     mask: np.ndarray | None = None, lengths=None) -> Tensor:
-    """crf_forward in log space, the node crf_forward falls back to: all
-    sequences step together in one zero-padded (B, L, T) batch through
-    _stable_lse, forward and then backward, so no score underflows.
+def _crf_forward_log(emissions: Tensor, transition: Tensor, trans: np.ndarray,
+                     lengths: np.ndarray, seq: np.ndarray, step: np.ndarray) -> Tensor:
+    """crf_forward in log space, the node crf_forward falls back to, given
+    its checked inputs, the masked table trans and the packing packed_steps
+    gave it: all sequences step together in one zero-padded (B, L, T) batch
+    through _stable_lse, forward and then backward, so no score underflows.
     """
-    if emissions.data.ndim != 2 or emissions.shape[0] == 0:
-        raise ShapeError(f"crf_forward expects non-empty (n, T) emissions, "
-                         f"got {emissions.shape}")
-    n, T = emissions.shape
-    square = (T + 1, T + 1)
-    if transition.shape != square or (mask is not None and np.shape(mask) != square):
-        raise ShapeError(f"crf_forward needs a {square} transition table and mask")
-    lengths, seq, step = packed_steps(lengths, n)
+    T = emissions.shape[1]
     B, L = lengths.size, int(lengths.max())
     at = (seq, step)
     e = np.zeros((B, L, T))
     e[at] = emissions.data
-    trans = transition.data if mask is None else transition.data + mask
     inner, eos = trans[:T, :T], trans[:T, T]
     alpha = np.empty((B, L, T))  # alpha[b, t, j]: log-sum of the prefixes ending in j at t
     alpha[:, 0] = trans[T, :T] + e[:, 0]

@@ -12,9 +12,9 @@ every sentence of a mini-batch in one.  Inside the op each step works on
 contiguous blocks of both directions, every feature and every sequence of
 the call, so a scan costs about the same number of numpy calls per step
 whether it covers 4 sentences or the 300 words of a chunk.  A BiLSTM stores
-each of its four weights with both directions stacked, as the op reads
-them.  The transformer
-packs the pieces of a mini-batch into one matrix the same way.
+its weights and biases as the one block the op multiplies, both directions
+stacked.  The transformer packs the pieces of a mini-batch into one matrix
+the same way.
 """
 
 from __future__ import annotations
@@ -66,20 +66,19 @@ class EmbeddingTable:
 
 @dataclass
 class BiLSTM:
-    """Gate weights of both LSTM directions, index 0 forward and 1 backward,
-    each direction stacked in row bands of H for the input, forget, cell and
-    output gates: W_x (2, 4H, D), W_h (2, 4H, H), b_x (2, 4H) and b_h (2, 4H),
-    the blocks autodiff.lstm_scan reads as stored.
+    """Gate weights of both LSTM directions as the one block
+    autodiff.lstm_scan multiplies, W (2, 4H, D + 2 + H) = [W_x | b_x | b_h |
+    W_h]: index 0 forward and 1 backward, each direction stacked in row
+    bands of H for the input, forget, cell and output gates, with its input
+    weights, input-side bias, hidden-side bias and recurrent weights side by
+    side.
 
-    Both bias vectors are kept, so every gate has an input-side and a
+    Both bias columns are kept, so every gate has an input-side and a
     hidden-side bias; the forget gate's hidden-side one carries the usual
     init of 1.
     """
 
-    W_x: Tensor
-    W_h: Tensor
-    b_x: Tensor
-    b_h: Tensor
+    W: Tensor
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "BiLSTM":
@@ -88,14 +87,11 @@ class BiLSTM:
         # hidden-side matrix: seeded models depend on this draw order
         drawn = [[xavier_uniform(rng, H, cols) for _ in range(4) for cols in (input_dim, H)]
                  for _ in range(2)]
-        b_h = np.zeros((2, 4 * H))
-        b_h[:, H:2 * H] = 1.0
-        return cls(W_x=Tensor(np.stack([np.concatenate(d[0::2]) for d in drawn]),
-                              requires_grad=True),
-                   W_h=Tensor(np.stack([np.concatenate(d[1::2]) for d in drawn]),
-                              requires_grad=True),
-                   b_x=Tensor(np.zeros((2, 4 * H)), requires_grad=True),
-                   b_h=Tensor(b_h, requires_grad=True))
+        b = np.zeros((2, 4 * H, 2))
+        b[:, H:2 * H, 1] = 1.0
+        return cls(W=Tensor(np.concatenate([
+            np.stack([np.concatenate(d[0::2]) for d in drawn]), b,
+            np.stack([np.concatenate(d[1::2]) for d in drawn])], axis=2), requires_grad=True))
 
     def encode(self, x: Tensor, lengths=None) -> Tensor:
         """Per-position concatenation of forward and backward hidden states.
@@ -103,7 +99,7 @@ class BiLSTM:
         x is (n, D): the rows of one sequence, or of several back to back, with
         lengths giving each one's row count.  The result is (n, 2H), row for row.
         """
-        return ad.lstm_scan(x, lengths, self.W_x, self.W_h, self.b_x, self.b_h)
+        return ad.lstm_scan(x, lengths, self.W)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
@@ -118,7 +114,7 @@ def _compose(table: EmbeddingTable, bilstm: BiLSTM, sequences) -> Tensor:
     sequence, embedded from the rows of table; (len(sequences), 2H)."""
     ids = [table.id_of(tok) for seq in sequences for tok in seq]
     return ad.lstm_scan(ad.gather_rows(table.matrix, ids), [len(seq) for seq in sequences],
-                        bilstm.W_x, bilstm.W_h, bilstm.b_x, bilstm.b_h, finals=True)
+                        bilstm.W, finals=True)
 
 
 def char_compose(char_table: EmbeddingTable, char_bilstm: BiLSTM,

@@ -37,7 +37,7 @@ from .subword import MARKER, UnigramVocab, segment, vocab_from_text, vocab_to_te
 MODEL_KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf",
                "transformer-linear")
 OPTIMIZER_KINDS = ("sgd-momentum", "adam-decoupled-decay")
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 # load_model reads no artifact member past these sizes: manifest.json and
 # tensors.npz have fixed caps, and tokenizer.tsv may hold one line of at
 # most TOKENIZER_LINE_MAX_BYTES per row of the stored piece table
@@ -383,7 +383,10 @@ def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:
     Versions 1 to 3 kept a layer's Wq, Wk and Wv apart; after the steps
     above, the three (in, out) weights are joined side by side into its
     Wqkv.  Versions 1 to 4 kept each BiLSTM direction apart, as P.fwd.X
-    and P.bwd.X; each pair is stacked, forward first, into P.X."""
+    and P.bwd.X; each pair is stacked, forward first, into P.X.  Versions 1
+    to 5 kept each BiLSTM as four blocks, P.W_x, P.W_h, P.b_x and P.b_h;
+    they are joined along axis 2 into its one block P.W = [W_x | b_x | b_h
+    | W_h]."""
     out = dict(arrays)
     for name in arrays:
         if name.endswith("W_ii"):
@@ -407,6 +410,10 @@ def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:
     for name in [name for name in out if ".fwd." in name]:
         prefix, _, block = name.rpartition("fwd.")
         out[prefix + block] = np.stack([out.pop(name), out.pop(prefix + "bwd." + block)])
+    for name in [name for name in out if name.endswith(".W_x")]:
+        prefix = name[:-len("W_x")]
+        w_x, b_x, b_h, w_h = (out.pop(prefix + block) for block in ("W_x", "b_x", "b_h", "W_h"))
+        out[prefix + "W"] = np.concatenate([w_x, b_x[..., None], b_h[..., None], w_h], axis=2)
     return out
 
 
@@ -419,10 +426,12 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
                  arrays: dict) -> None:
     """Raise ArtifactError unless every size the manifest gives to a tensor
     build_model allocates, a configured dimension, the tag count or a
-    table's vocabulary size, equals that tensor's stored extent.  So a
-    manifest cannot make load_model allocate more than its tensors hold."""
-    checks = [("tag count", num_tags, "b_out", 0)]  # (size, given, tensor, axis)
-    checks += [(f"tables.{name} size", size, _TABLE_TENSORS.get(name), 0)
+    table's vocabulary size, equals that tensor's stored extent; a BiLSTM's
+    hidden size is read off the 4H rows of its block.  So a manifest cannot
+    make load_model allocate more than its tensors hold."""
+    # (size, given, tensor, axis, stored rows per unit of the size)
+    checks = [("tag count", num_tags, "b_out", 0, 1)]
+    checks += [(f"tables.{name} size", size, _TABLE_TENSORS.get(name), 0, 1)
                for name, size in table_sizes.items()]
     if cfg.model_kind.startswith("transformer"):
         t = cfg.transformer
@@ -431,21 +440,21 @@ def _check_sizes(cfg: TrainConfig, num_tags: int, table_sizes: dict,
         if t.num_layers != layers:
             raise ArtifactError(f"manifest transformer.num_layers is {t.num_layers!r}, "
                                 f"but {layers} layers are stored")
-        checks += [("transformer.max_len", t.max_len, "transformer.positions", 0),
-                   ("transformer.hidden_units", t.hidden_units, "transformer.positions", 1),
-                   ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 1)]
+        checks += [("transformer.max_len", t.max_len, "transformer.positions", 0, 1),
+                   ("transformer.hidden_units", t.hidden_units, "transformer.positions", 1, 1),
+                   ("transformer.ff_units", t.ff_units, "transformer.layer0.W_ff1", 1, 1)]
     else:
         c = cfg.composer
-        checks.append(("hidden_dim", cfg.hidden_dim, "encoder.W_h", 2))
+        checks.append(("hidden_dim", cfg.hidden_dim, "encoder.W", 1, 4))
         for source, table, bilstm in c.sources:
             checks.append((f"composer.{source}_dim", getattr(c, source + "_dim"),
-                           f"composer.{table}", 1))
+                           f"composer.{table}", 1, 1))
             if bilstm:
                 checks.append((f"composer.{source}_hidden", getattr(c, source + "_hidden"),
-                               f"composer.{bilstm}.W_h", 2))
-    for size, given, tensor, axis in checks:
+                               f"composer.{bilstm}.W", 1, 4))
+    for size, given, tensor, axis, per in checks:
         arr = arrays.get(tensor)
-        if arr is None or arr.ndim <= axis or arr.shape[axis] != given:
+        if arr is None or arr.ndim <= axis or arr.shape[axis] != per * given:
             stored = "is missing" if arr is None else f"has shape {arr.shape}"
             raise ArtifactError(f"manifest {size} is {given!r}, but stored tensor "
                                 f"{tensor!r} {stored}")

@@ -17,6 +17,9 @@ checkout's models.ARTIFACT_VERSION:
 - Version 4 (commit c16031a) joined those three into one Wqkv, and still
   stored each BiLSTM direction apart, as fwd.W_x, fwd.W_h, fwd.b_x,
   fwd.b_h and the same four under bwd.
+- Version 5 (commit b96d435) stacked the two directions of each BiLSTM
+  block, and still stored each BiLSTM as four tensors, W_x (2, 4H, D),
+  W_h (2, 4H, H), b_x (2, 4H) and b_h (2, 4H).
 
 It trains two tiny models briefly on a synthetic corpus: a bilstm-crf with
 the char, morph and subword composers and a two-head transformer-crf.  It

@@ -528,11 +528,14 @@ class Cell:
     b_h: Tensor
 
 
-def direction(blocks, k):
-    """Direction k (0 forward, 1 backward) of a BiLSTM's stacked (2, ...)
-    blocks, named as BiLSTM.named_parameters() names them, as a Cell.  Each
-    block is read through take, so gradients reach the stacked tensors."""
-    return Cell(*(ad.take(blocks[n], k) for n in ("W_x", "W_h", "b_x", "b_h")))
+def direction(w, k):
+    """Direction k (0 forward, 1 backward) of a BiLSTM's (2, 4H, D + 2 + H)
+    block [W_x | b_x | b_h | W_h], as a Cell.  Each part is sliced out of
+    the block through take, so gradients reach the block."""
+    D = w.shape[2] - 2 - w.shape[1] // 4
+    return Cell(ad.take(w, (k, slice(None), slice(None, D))),
+                ad.take(w, (k, slice(None), slice(D + 2, None))),
+                ad.take(w, (k, slice(None), D)), ad.take(w, (k, slice(None), D + 1)))
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
@@ -594,11 +597,10 @@ def softmax_rows(x: Tensor) -> Tensor:
 def _bilstm_states(params, prefix, rows):
     """Forward states over rows and backward states over them reversed, the
     latter put back in row order, of the BiLSTM stored under prefix."""
-    blocks = {n: params[prefix + n] for n in ("W_x", "W_h", "b_x", "b_h")}
     xs = [Tensor(r) for r in rows]
     with ad.no_grad():
-        fwd = [h.data for h in lstm_run(direction(blocks, 0), xs)]
-        bwd = [h.data for h in lstm_run(direction(blocks, 1), xs[::-1])][::-1]
+        fwd = [h.data for h in lstm_run(direction(params[prefix + "W"], 0), xs)]
+        bwd = [h.data for h in lstm_run(direction(params[prefix + "W"], 1), xs[::-1])][::-1]
     return fwd, bwd
 
 

@@ -11,18 +11,22 @@ all four input sources, dropout 0.2 and two transformer layers.  A case is
 equal when the save_model bytes of the freshly built model, the loss
 bytes, the bytes of every parameter's gradient, the tags of 10 sentences
 from predict one sentence at a time and from one tag_corpus call, and, for
-each optimizer, the parameter bytes after three training steps (L2,
-clipping and the update, as train() runs them) all are.  One line per case
-is printed, and under a case that differs a second one with the largest
-absolute difference of the loss, of each gradient that differs and of each
-optimizer's parameters, and whether each set of tags is equal, and a third
-with the largest relative difference of the same arrays, |a - b| / max |b|
-over the parent's array b: how far a change that alters the bits on
-purpose moved them, in absolute terms and independently of each array's
-scale.  Before the summary line, one line per corpus of TOKENIZERS says
-whether the two trees' train_unigram inventories, as vocab_to_text, are
-equal.  The exit status is 0 only if every case and every inventory is
-equal, 1 if one is not, and 2 if PARENT_SRC holds no seqtag package.
+each optimizer, the bytes of every parameter after three training steps
+(L2, clipping and the update, as train() runs them) all are.  Gradients
+and parameters are compared by name, the parent's first put in this
+tree's layout (in_layout) when it writes an older artifact version, so a
+layout change is compared value for value.  One line per case is
+printed, and under a case that differs a second one with the largest
+absolute difference of the loss, of each gradient that differs, of each
+optimizer's parameters as a whole and of each parameter that differs after
+its steps, and whether each set of tags is equal, and a third with the
+largest relative difference of the same arrays, |a - b| / max |b| over the
+parent's array b: how far a change that alters the bits on purpose moved
+them, in absolute terms and independently of each array's scale.  Before
+the summary line, one line per corpus of TOKENIZERS says whether the two
+trees' train_unigram inventories, as vocab_to_text, are equal.  The exit
+status is 0 only if every case and every inventory is equal, 1 if one is
+not, and 2 if PARENT_SRC holds no seqtag package.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -41,6 +45,7 @@ KINDS = ("bilstm-crf", "bilstm-linear", "transformer-crf", "transformer-linear")
 SOURCES = ("word", "char", "morph", "subword")
 TAGGED = 10  # sentences each case tags with predict and with tag_corpus
 STEPS = 3  # optimizer steps each case takes with each optimizer
+HEADS = 2  # attention heads of the transformer cases
 # (sentences of generate_corpus(n, seed=0), pieces) each tree trains a
 # tokenizer on: the pinned inventory's corpus and the benchmark graph phase's
 TOKENIZERS = ((2000, 200), (200, 200))
@@ -59,9 +64,10 @@ def load_package(src: Path, name: str):
     return package
 
 
-def optimizer_steps(pkg, model, batch) -> dict[str, np.ndarray]:
-    """The parameters after STEPS training steps on batch under each
-    optimizer, each run starting from the model's current parameters."""
+def optimizer_steps(pkg, model, batch) -> dict[str, dict[str, np.ndarray]]:
+    """Each parameter by name after STEPS training steps on batch under
+    each optimizer, each run starting from the model's current
+    parameters."""
     optim = pkg.optim
     flat = optim.flatten(model.parameters())
     start = flat.data.copy()
@@ -76,21 +82,22 @@ def optimizer_steps(pkg, model, batch) -> dict[str, np.ndarray]:
             optim.add_l2_gradients(flat, 1e-3)
             optim.clip_gradients(flat, 1.0)
             opt.step(lr)
-        after[name] = flat.data.copy()
+        after[name] = {n: t.data.copy() for n, t in model.named_parameters().items()}
     return after
 
 
 def run_case(pkg, kind: str, mask: bool, batch: int):
     """The artifact bytes of the built model, the loss, each parameter's
     gradient by name, the predict and tag_corpus tags and the parameters
-    after each optimizer's steps of one case, computed by the package pkg."""
+    after each optimizer's steps of one case, computed by the package
+    pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
         **{"use_" + s: True for s in SOURCES}, word_dim=5, char_dim=4, char_hidden=3,
         morph_dim=4, morph_hidden=2, subword_dim=4, subword_hidden=3)
     transformer = pkg.encoders.ToyTransformerConfig(
-        num_layers=2, num_heads=2, hidden_units=6, ff_units=5, max_len=32, dropout_p=0.2)
+        num_layers=2, num_heads=HEADS, hidden_units=6, ff_units=5, max_len=32, dropout_p=0.2)
     cfg = pkg.models.TrainConfig(model_kind=kind, composer=composer, hidden_dim=4,
                                  dropout_p=0.2, transformer=transformer, mask_illegal=mask)
     model = pkg.models.build_model(cfg, pkg.data.build_vocab(corpus),
@@ -104,6 +111,23 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     corpus_tags = [s.tags for s in pkg.models.tag_corpus(model, corpus[:TAGGED])]
     return (artifact.getvalue(), loss.data.copy(), grads, tags, corpus_tags,
             optimizer_steps(pkg, model, corpus[:batch]))
+
+
+def in_layout(pkg, case, version: int):
+    """A run_case result of a tree that writes artifact version, with its
+    gradients and parameters by name put in the layout of the package
+    pkg, as pkg's load_model upgrades an artifact of that version: for
+    example, a version-5 BiLSTM's P.W_x, P.b_x, P.b_h and P.W_h are joined
+    into its one block P.W = [W_x | b_x | b_h | W_h]."""
+    if version >= pkg.models.ARTIFACT_VERSION:
+        return case
+    artifact, loss, grads, tags, corpus_tags, after = case
+
+    def upgrade(named):
+        return pkg.models._upgrade_tensors(named, version, HEADS)
+
+    return (artifact, loss, upgrade(grads), tags, corpus_tags,
+            {opt: upgrade(params) for opt, params in after.items()})
 
 
 def tokenizer_text(pkg, sentences: int, pieces: int) -> str:
@@ -132,6 +156,23 @@ def gap(a: np.ndarray, b: np.ndarray, relative: bool = False) -> str:
         return f"{largest:.3e}"
 
 
+def step_arrays(after, after_p) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(what, this tree's array, the parent's) after each optimizer's steps:
+    every parameter of both trees as one flat array under "<optimizer>
+    steps", then each parameter that differs under "<optimizer> steps
+    <name>"."""
+    out = []
+    for opt, params in after.items():
+        names = [name for name in params if name in after_p[opt]]
+        pairs = [(params[name], after_p[opt][name]) for name in names]
+        if all(a.shape == b.shape for a, b in pairs):
+            out.append((f"{opt} steps", np.concatenate([a.ravel() for a, _ in pairs]),
+                        np.concatenate([b.ravel() for _, b in pairs])))
+        out += [(f"{opt} steps {name}", a, b) for name, (a, b) in zip(names, pairs)
+                if not same(a, b)]
+    return out
+
+
 def differences(here, there) -> tuple[list[str], str, str]:
     """What differs between two run_case results, and how far it moved, in
     absolute and in relative terms."""
@@ -148,10 +189,12 @@ def differences(here, there) -> tuple[list[str], str, str]:
         out.append("predict tags")
     if corpus_tags != corpus_tags_p:
         out.append("tag_corpus tags")
-    out += [f"{name} steps" for name in after if not same(after[name], after_p[name])]
+    out += [f"{opt} steps" for opt, params in after.items()
+            if any(name not in after_p[opt] or not same(a, after_p[opt][name])
+                   for name, a in params.items())]
     arrays = ([("loss", loss, loss_p)]
               + [(f"grad {name}", grads[name], grads_p[name]) for name in moved]
-              + [(f"{name} steps", after[name], after_p[name]) for name in after])
+              + step_arrays(after, after_p))
     sizes = ([f"{what} {gap(a, b)}" for what, a, b in arrays]
              + [f"predict tags {'equal' if tags == tags_p else 'differ'}",
                 f"tag_corpus tags {'equal' if corpus_tags == corpus_tags_p else 'differ'}"])
@@ -171,8 +214,10 @@ def main(argv: list[str]) -> int:
     for kind in KINDS:
         for mask in (False, True):
             for batch in (1, 4):
-                diff, sizes, relative = differences(run_case(here, kind, mask, batch),
-                                                    run_case(parent, kind, mask, batch))
+                diff, sizes, relative = differences(
+                    run_case(here, kind, mask, batch),
+                    in_layout(here, run_case(parent, kind, mask, batch),
+                              parent.models.ARTIFACT_VERSION))
                 total += 1
                 equal += not diff
                 print(f"{kind} mask={'on' if mask else 'off'} batch={batch}: "

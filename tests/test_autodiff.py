@@ -284,11 +284,9 @@ def test_take_accepts_only_basic_indices():
 
 
 def _scan_weights(rng, d, h):
-    """Both directions' stacked (w_x, w_h, b_x, b_h) for input width d and
-    H = h."""
-    return (Tensor(rng.standard_normal((2, 4 * h, d))),
-            Tensor(rng.standard_normal((2, 4 * h, h))),
-            Tensor(rng.standard_normal((2, 4 * h))), Tensor(rng.standard_normal((2, 4 * h))))
+    """Both directions' (2, 4H, d + 2 + H) block [W_x | b_x | b_h | W_h]
+    for input width d and H = h."""
+    return Tensor(rng.standard_normal((2, 4 * h, d + 2 + h)))
 
 
 def test_packed_steps_gives_each_row_its_sequence_and_step():
@@ -316,9 +314,9 @@ def test_lstm_scan_of_a_packed_batch_equals_each_sequence_alone(finals):
     w = _scan_weights(rng, 3, 2)
     lengths = [2, 4, 1]
     x = rng.standard_normal((7, 3))
-    out = ad.lstm_scan(Tensor(x), lengths, *w, finals).data
+    out = ad.lstm_scan(Tensor(x), lengths, w, finals).data
     starts = np.cumsum([0] + lengths)
-    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], *w, finals).data
+    alone = np.concatenate([ad.lstm_scan(Tensor(x[a:b]), [b - a], w, finals).data
                             for a, b in zip(starts, starts[1:])])
     assert out.shape == ((3, 4) if finals else (7, 4))
     assert np.max(np.abs(out - alone)) <= 1e-12
@@ -334,9 +332,9 @@ def test_lstm_scan_reverse_is_a_forward_scan_of_the_flipped_rows(lengths):
     x = rng.standard_normal((5, 3))
     starts = np.cumsum([0] + lengths)
     flip = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(starts, starts[1:])])
-    both = ad.lstm_scan(Tensor(x), lengths, *w).data
+    both = ad.lstm_scan(Tensor(x), lengths, w).data
     swapped = ad.lstm_scan(Tensor(x[flip]), lengths,
-                           *(Tensor(t.data[::-1]) for t in w)).data[flip]
+                           Tensor(w.data[::-1])).data[flip]
     assert np.max(np.abs(both - np.roll(swapped, 2, axis=1))) <= 1e-12
 
 
@@ -349,7 +347,7 @@ def test_a_second_lstm_scan_backward_adds_the_same_gradients_again(finals):
     bit, not through a sum whose rounding depends on what it adds to."""
     rng = np.random.default_rng(16)
     leaves = [Tensor(a, requires_grad=True) for a in _scan_arrays(rng)]
-    out = ad.lstm_scan(leaves[0], [4, 1, 3], *leaves[1:], finals=finals)
+    out = ad.lstm_scan(leaves[0], [4, 1, 3], leaves[1], finals=finals)
     root = ad.inner(out, rng.standard_normal(out.shape))
     ad.backward(root)
     first = [t.grad.copy() for t in leaves]
@@ -368,19 +366,35 @@ def test_lstm_scan_rejects_bad_lengths_and_shapes():
     x = Tensor(np.zeros((5, 3)))
     for lengths in ([0, 5], [1, 5], [4], []):
         with pytest.raises(UsageError):
-            ad.lstm_scan(x, lengths, *w)
+            ad.lstm_scan(x, lengths, w)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], *w)
+        ad.lstm_scan(Tensor(np.zeros((1, 5, 3))), [5], w)
     with pytest.raises(ShapeError):
-        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], *w)
-    # each block with one direction only, with three, and a band short
-    for k in range(4):
-        for bad in (w[k].data[0], np.concatenate([w[k].data, w[k].data[:1]]), w[k].data[:, :6]):
-            with pytest.raises(ShapeError):
-                ad.lstm_scan(x, [5], *w[:k], Tensor(bad), *w[k + 1:])
-    # a w_h whose H differs from the other blocks'
-    with pytest.raises(ShapeError):
-        ad.lstm_scan(x, [5], w[0], Tensor(w[1].data[..., :1]), *w[2:])
+        ad.lstm_scan(Tensor(np.zeros((5, 2))), [5], w)
+    # the block with one direction only, with three, and a band short
+    block = w.data
+    for bad in (block[0], np.concatenate([block, block[:1]]), block[:, :6]):
+        with pytest.raises(ShapeError):
+            ad.lstm_scan(x, [5], Tensor(bad))
+
+
+@pytest.mark.parametrize("width", [3, 5, 6, 8])
+def test_lstm_scan_rejects_a_block_whose_width_is_not_d_plus_2_plus_h(width):
+    """A (2, 8, width) block for D = 3 and H = 2 needs width 7, [W_x | b_x |
+    b_h | W_h]: W_x alone, no W_h, one column short (a single bias column)
+    and one over are refused."""
+    x = Tensor(np.zeros((5, 3)))
+    with pytest.raises(ShapeError, match="weight block"):
+        ad.lstm_scan(x, [5], Tensor(np.zeros((2, 8, width))))
+
+
+@pytest.mark.parametrize("rows", [0, 3, 7, 9, 12])
+def test_lstm_scan_rejects_a_block_whose_row_count_is_not_4h(rows):
+    """For D = 3 and a width of 7, H is 2 and the block needs 8 rows: too
+    few for one band, not a multiple of four, or 4H for another H."""
+    x = Tensor(np.zeros((5, 3)))
+    with pytest.raises(ShapeError, match="weight block"):
+        ad.lstm_scan(x, [5], Tensor(np.zeros((2, rows, 7))))
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +562,14 @@ def test_trace_topological_order():
 
 
 def _scan_arrays(rng, n=8):
-    """x (n, 3) and the stacked (2, ...) gate blocks of both directions for
-    H = 2, forward drawn before backward."""
+    """x (n, 3) and the (2, 8, 7) block [W_x | b_x | b_h | W_h] of both
+    directions for H = 2, its two bias columns nonzero: each direction's
+    W_x, W_h, b_x and b_h drawn in that order, forward before backward."""
     x = rng.standard_normal((n, 3))
     fwd, bwd = ([rng.standard_normal(shape) for shape in ((8, 3), (8, 2), 8, 8)]
                 for _ in range(2))
-    return [x] + [np.stack(pair) for pair in zip(fwd, bwd)]
+    w_x, w_h, b_x, b_h = (np.stack(pair) for pair in zip(fwd, bwd))
+    return [x, np.concatenate([w_x, b_x[..., None], b_h[..., None], w_h], axis=2)]
 
 
 def _op_cases(rng):
@@ -633,23 +649,24 @@ def _op_cases(rng):
                       lambda: [rng.standard_normal((3, 2))]),
         # both directions over three packed sequences of 4, 1 and 3 rows, as
         # per-row states and as each sequence's final states; gradients
-        # w.r.t. x and the four (2, ...) blocks of stacked gate weights
-        "lstm_scan": (lambda x, *w: ad.inner(ad.lstm_scan(x, [4, 1, 3], *w), p_scan),
+        # w.r.t. x and the (2, 4H, D + 2 + H) block, whose b_x and b_h
+        # columns are nonzero
+        "lstm_scan": (lambda x, w: ad.inner(ad.lstm_scan(x, [4, 1, 3], w), p_scan),
                       lambda: _scan_arrays(rng)),
-        "lstm_scan_finals": (lambda x, *w: ad.inner(
-            ad.lstm_scan(x, [4, 1, 3], *w, finals=True), p_scan_finals),
+        "lstm_scan_finals": (lambda x, w: ad.inner(
+            ad.lstm_scan(x, [4, 1, 3], w, finals=True), p_scan_finals),
             lambda: _scan_arrays(rng)),
         # the edges of the per-step blocks: one sequence (B = 1) of five
         # rows, and three sequences of one row each (L = 1)
-        "lstm_scan_one": (lambda x, *w: ad.inner(ad.lstm_scan(x, [5], *w), p_scan_one),
+        "lstm_scan_one": (lambda x, w: ad.inner(ad.lstm_scan(x, [5], w), p_scan_one),
                           lambda: _scan_arrays(rng, 5)),
-        "lstm_scan_one_finals": (lambda x, *w: ad.inner(
-            ad.lstm_scan(x, [5], *w, finals=True), p_scan_one_finals),
+        "lstm_scan_one_finals": (lambda x, w: ad.inner(
+            ad.lstm_scan(x, [5], w, finals=True), p_scan_one_finals),
             lambda: _scan_arrays(rng, 5)),
-        "lstm_scan_unit": (lambda x, *w: ad.inner(ad.lstm_scan(x, [1, 1, 1], *w), p_scan_unit),
+        "lstm_scan_unit": (lambda x, w: ad.inner(ad.lstm_scan(x, [1, 1, 1], w), p_scan_unit),
                            lambda: _scan_arrays(rng, 3)),
-        "lstm_scan_unit_finals": (lambda x, *w: ad.inner(
-            ad.lstm_scan(x, [1, 1, 1], *w, finals=True), p_scan_unit_finals),
+        "lstm_scan_unit_finals": (lambda x, w: ad.inner(
+            ad.lstm_scan(x, [1, 1, 1], w, finals=True), p_scan_unit_finals),
             lambda: _scan_arrays(rng, 3)),
         "gather_rows": (lambda t: ad.inner(ad.gather_rows(t, [[1, 3], [1, 1]]), p_gather),
                         lambda: [rng.standard_normal((4, 3))]),

@@ -55,7 +55,8 @@ def cell_arrays(p):
 
 
 def direction_arrays(bi, k):
-    return {n: t.data[k].copy() for n, t in bi.named_parameters().items()}
+    """Direction k's W_x, W_h, b_x and b_h, sliced out of the BiLSTM's block."""
+    return cell_arrays(direction(bi.W, k))
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +144,48 @@ def test_lstm_step_gradients_match_finite_differences():
 def test_bilstm_init_stacks_the_xavier_draws_of_each_direction_and_gate():
     """BiLSTM.init draws sixteen Xavier matrices, direction by direction,
     then gate by gate, the input-side one before the hidden-side one; each
-    lands in its direction's gate band.  Every b_x is 0 and so is b_h, but
-    for its forget band, which is 1 in both directions."""
+    lands in its direction's gate band of the block, W_x in columns :D and
+    W_h in D + 2:.  The b_x column is 0 and so is b_h, but for its forget
+    band, which is 1 in both directions."""
     D, H = 3, 4
     bi = enc.BiLSTM.init(D, H, np.random.default_rng(21))
+    assert bi.W.shape == (2, 4 * H, D + 2 + H)
     rng = np.random.default_rng(21)
     for k in range(2):
         for gate in range(4):
             band = slice(gate * H, (gate + 1) * H)
-            assert np.array_equal(bi.W_x.data[k, band], enc.xavier_uniform(rng, H, D))
-            assert np.array_equal(bi.W_h.data[k, band], enc.xavier_uniform(rng, H, H))
-    assert np.array_equal(bi.b_x.data, np.zeros((2, 4 * H)))
+            assert np.array_equal(bi.W.data[k, band, :D], enc.xavier_uniform(rng, H, D))
+            assert np.array_equal(bi.W.data[k, band, D + 2:], enc.xavier_uniform(rng, H, H))
+    assert np.array_equal(bi.W.data[:, :, D], np.zeros((2, 4 * H)))
     forget = np.zeros(4 * H)
     forget[H:2 * H] = 1.0
-    assert np.array_equal(bi.b_h.data, np.stack([forget, forget]))
+    assert np.array_equal(bi.W.data[:, :, D + 1], np.stack([forget, forget]))
 
 
-def test_bilstm_named_parameters_are_its_four_stacked_blocks():
+def test_bilstm_init_is_the_four_block_init_assembled_into_the_block():
+    """The block is bitwise the four stacked tensors the four-block layout
+    (artifact versions 1 to 5) drew from the same seed, W_x, W_h, b_x and
+    b_h, joined as [W_x | b_x | b_h | W_h], so seeded models start where
+    they did."""
+    D, H = 5, 3
+    rng = np.random.default_rng(22)
+    drawn = [[enc.xavier_uniform(rng, H, cols) for _ in range(4) for cols in (D, H)]
+             for _ in range(2)]
+    w_x = np.stack([np.concatenate(d[0::2]) for d in drawn])
+    w_h = np.stack([np.concatenate(d[1::2]) for d in drawn])
+    b_x, b_h = np.zeros((2, 4 * H)), np.zeros((2, 4 * H))
+    b_h[:, H:2 * H] = 1.0
+    bi = enc.BiLSTM.init(D, H, np.random.default_rng(22))
+    assert np.array_equal(bi.W.data, np.concatenate(
+        [w_x, b_x[..., None], b_h[..., None], w_h], axis=2))
+
+
+def test_bilstm_named_parameters_are_its_one_block():
     bi = enc.BiLSTM.init(3, 4, np.random.default_rng(0))
     named = bi.named_parameters("p.")
-    assert list(named) == ["p.W_x", "p.W_h", "p.b_x", "p.b_h"]
-    assert [t.shape for t in named.values()] == [(2, 16, 3), (2, 16, 4), (2, 16), (2, 16)]
-    assert all(t.requires_grad for t in named.values())
+    assert list(named) == ["p.W"]
+    assert named["p.W"].shape == (2, 16, 3 + 2 + 4)
+    assert named["p.W"].requires_grad
 
 
 def test_bilstm_encode_matches_manual_unroll():
@@ -274,8 +295,7 @@ def _outputs_and_grads(bi, inputs, build, proj):
 def _oracle_bilstm(bi, rows):
     """Forward states in order and backward states over the reversed rows,
     one lstm_step per graph step."""
-    blocks = bi.named_parameters()
-    return lstm_run(direction(blocks, 0), rows), lstm_run(direction(blocks, 1), rows[::-1])
+    return lstm_run(direction(bi.W, 0), rows), lstm_run(direction(bi.W, 1), rows[::-1])
 
 
 def test_fused_bilstm_matches_the_lstm_step_oracle():
@@ -329,7 +349,8 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
     bi = random_bilstm(rng, 3, 4)
     x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     for k in range(2):
-        z0 = x.data @ bi.W_x.data[k].T + bi.b_x.data[k] + bi.b_h.data[k]
+        w = direction_arrays(bi, k)
+        z0 = x.data @ w["W_x"].T + w["b_x"] + w["b_h"]
         factor = reach / np.median(np.abs(z0))
         for t in bi.named_parameters().values():
             t.data[k] *= factor
@@ -346,7 +367,7 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
         return ad.stack(out)
 
     fused = _outputs_and_grads(
-        bi, [x], lambda: ad.lstm_scan(x, lengths, bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals),
+        bi, [x], lambda: ad.lstm_scan(x, lengths, bi.W, finals),
         proj)
     for got, want in zip(fused, _outputs_and_grads(bi, [x], oracle, proj)):
         assert np.all(np.isfinite(got))
@@ -358,9 +379,9 @@ def test_lstm_scan_under_no_grad_gives_the_same_states_bitwise(finals):
     rng = np.random.default_rng(18)
     bi = random_bilstm(rng, 3, 4)
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-    recorded = ad.lstm_scan(x, [3, 1, 3], bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals)
+    recorded = ad.lstm_scan(x, [3, 1, 3], bi.W, finals)
     with ad.no_grad():
-        bare = ad.lstm_scan(x, [3, 1, 3], bi.W_x, bi.W_h, bi.b_x, bi.b_h, finals)
+        bare = ad.lstm_scan(x, [3, 1, 3], bi.W, finals)
     assert recorded._backward is not None and bare._backward is None
     assert np.array_equal(bare.data, recorded.data)
 

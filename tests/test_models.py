@@ -124,24 +124,23 @@ def test_parameter_names_are_unique_and_trainable(vocab, tokenizer):
         assert model.parameters() == list(named.values())
 
 
-def test_each_bilstm_holds_four_stacked_blocks(vocab, tokenizer):
-    """A bilstm-crf with all four sources has 23 parameter tensors: four
-    tables, the W_x, W_h, b_x and b_h of each of its four BiLSTMs, each
-    with the two directions stacked on axis 0, then w_out, b_out and the
-    transitions."""
+def test_each_bilstm_holds_one_block(vocab, tokenizer):
+    """A bilstm-crf with all four sources has 11 parameter tensors: four
+    tables, the one (2, 4H, D + 2 + H) block [W_x | b_x | b_h | W_h] of
+    each of its four BiLSTMs, the two directions stacked on axis 0, then
+    w_out, b_out and the transitions."""
     composer = ComposerConfig(use_morph=True, use_subword=True, word_dim=16, char_dim=8,
                               char_hidden=6, morph_dim=8, morph_hidden=4, subword_dim=8,
                               subword_hidden=4)
     model = build_model(tiny_cfg(composer=composer), vocab, np.random.default_rng(0),
                         tokenizer)
     named = model.named_parameters()
-    assert len(named) == 23
+    assert len(named) == 11
     bilstms = {"encoder.": (composer.output_dim, 8), "composer.char_bilstm.": (8, 6),
                "composer.morph_bilstm.": (8, 4), "composer.subword_bilstm.": (8, 4)}
     for prefix, (D, H) in bilstms.items():
         assert {n: t.shape for n, t in named.items() if n.startswith(prefix)} == {
-            prefix + "W_x": (2, 4 * H, D), prefix + "W_h": (2, 4 * H, H),
-            prefix + "b_x": (2, 4 * H), prefix + "b_h": (2, 4 * H)}
+            prefix + "W": (2, 4 * H, D + 2 + H)}
 
 
 # (out, in) shape and entries [0, 1], [-1, 0], [-1, -2] of each matmul weight
@@ -899,6 +898,52 @@ def test_shape_mismatch_is_reported(tmp_path, vocab):
     dst = tmp_path / "warped.zip"
     _tamper(src, dst, edit_npz=reshape_one)
     with pytest.raises(ArtifactError, match="shape"):
+        load_model(dst)
+
+
+ALL_SOURCES = ComposerConfig(use_morph=True, use_subword=True, word_dim=16, char_dim=8,
+                             char_hidden=6, morph_dim=8, morph_hidden=4, subword_dim=8,
+                             subword_hidden=3)
+
+
+@pytest.mark.parametrize("path", [("hidden_dim",), ("composer", "char_hidden"),
+                                  ("composer", "morph_hidden"), ("composer", "subword_hidden")])
+@pytest.mark.parametrize("step", [-1, 1])
+def test_a_hidden_size_that_disagrees_with_the_stored_block_fails_before_building(
+        tmp_path, monkeypatch, vocab, tokenizer, path, step):
+    """Each BiLSTM's hidden size is read off the 4H rows of its stored
+    block: a manifest one unit off raises ArtifactError naming the field,
+    and build_model is never called."""
+    model = build_model(tiny_cfg(composer=ALL_SOURCES), vocab, np.random.default_rng(0),
+                        tokenizer)
+    src = tmp_path / "ok.zip"
+    save_model(model, src)
+
+    def edit(manifest):
+        parent = manifest if len(path) == 1 else manifest[path[0]]
+        parent[path[-1]] += step
+
+    dst = tmp_path / "off.zip"
+    _tamper(src, dst, edit_manifest=edit)
+    built = []
+    monkeypatch.setattr(models, "build_model", lambda *a, **kw: built.append(a))
+    with pytest.raises(ArtifactError, match=path[-1]):
+        load_model(dst)
+    assert built == []
+
+
+@pytest.mark.parametrize("block,shape", [("b_x", lambda a: a[:, :-1]),
+                                         ("W_h", lambda a: a[:1]),
+                                         ("b_h", lambda a: a[..., None])])
+def test_a_version_5_artifact_whose_four_blocks_do_not_join_is_an_artifact_error(
+        tmp_path, block, shape):
+    """_upgrade_tensors joins a version-5 BiLSTM's W_x, b_x, b_h and W_h
+    along axis 2; parts that do not fit raise ArtifactError, not a numpy
+    error."""
+    dst = tmp_path / "warped.zip"
+    _tamper(FIXTURES / "v5_bilstm_crf.zip", dst,
+            edit_npz=_edit_tensor(f"encoder.{block}", shape))
+    with pytest.raises(ArtifactError):
         load_model(dst)
 
 

@@ -11,6 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import parity
+import seqtag.models
+from seqtag.models import ARTIFACT_VERSION
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
@@ -30,6 +36,34 @@ def test_the_tree_is_bitwise_equal_to_itself():
     lines = run.stdout.splitlines()
     assert lines[-3:] == [TOKENIZER_LINES[0] + "equal", TOKENIZER_LINES[1] + "equal",
                           "16 of 16 cases bitwise equal"]
+
+
+def test_in_layout_joins_the_four_bilstm_blocks_of_a_version_5_parent():
+    """A version-5 parent's gradients and post-step parameters of a BiLSTM
+    stored as W_x, W_h, b_x and b_h are compared as this tree's one block
+    [W_x | b_x | b_h | W_h] under P.W; every other tensor and every other
+    part of the case is passed on as it is, and the case of a parent of the
+    current version is not changed at all."""
+    rng = np.random.default_rng(3)
+    parts = {"W_x": (2, 8, 3), "W_h": (2, 8, 2), "b_x": (2, 8), "b_h": (2, 8)}
+
+    def named():
+        out = {"encoder." + part: rng.standard_normal(shape) for part, shape in parts.items()}
+        return dict(out, w_out=rng.standard_normal((4, 3)))
+
+    case = (b"artifact", np.array(1.5), named(), [["O"]], [["O"]],
+            {"sgd-momentum": named(), "adam": named()})
+    mapped = parity.in_layout(seqtag, case, 5)
+    assert mapped[:2] == case[:2] and mapped[3:5] == case[3:5]
+    for before, after in [(case[2], mapped[2])] + [(case[5][opt], mapped[5][opt])
+                                                   for opt in ("sgd-momentum", "adam")]:
+        assert sorted(after) == ["encoder.W", "w_out"]
+        assert after["w_out"] is before["w_out"]
+        block = after["encoder.W"]
+        assert block.shape == (2, 8, 3 + 2 + 2)
+        for part, cols in (("W_x", slice(0, 3)), ("b_x", 3), ("b_h", 4), ("W_h", slice(5, 7))):
+            assert np.array_equal(block[:, :, cols], before["encoder." + part])
+    assert parity.in_layout(seqtag, case, ARTIFACT_VERSION) is case
 
 
 def test_a_changed_pruning_fraction_is_flagged_in_the_tokenizer_lines(tmp_path):
