@@ -10,18 +10,15 @@ import numpy as np
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
 
-# scalars first: d/dx of 3x + gelu(x) at x = 2, where
-# gelu(x) = x/2 (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3).
-# inner sums each (tensor, constant) pair's weighted entries in one node,
-# here 3 x and 1 gelu(x)
-x = Tensor(2.0, requires_grad=True)
-out = ad.inner(x, 3.0, ad.gelu(x), 1.0)
+# scalars first: d/dx of 3x + x^2 at x = 2.  x is a 1x1 matrix, so x^2
+# is the product x @ x, and backward adds the gradient of both of its
+# uses, 2x.  inner sums each (tensor, constant) pair's weighted entries in
+# one node, here 3 x and 1 x^2
+x = Tensor([[2.0]], requires_grad=True)
+out = ad.inner(x, [[3.0]], x @ x, [[1.0]])
 ad.backward(out)
-c = np.sqrt(2.0 / np.pi)
-t = np.tanh(c * (2.0 + 0.044715 * 2.0 ** 3))
-dgelu = 0.5 * (1 + t) + 0.5 * 2.0 * (1 - t * t) * c * (1 + 3 * 0.044715 * 2.0 ** 2)
-print("out  =", float(out.data))
-print("dx   =", float(x.grad), " (expect 3 + gelu'(x) =", 3 + dgelu, ")")
+print("out  =", float(out.data), " (expect 3 * 2 + 2 ** 2 = 10)")
+print("dx   =", float(x.grad[0, 0]), " (expect 3 + 2x = 7)")
 
 # a weighted sum of a vector's entries against constant weights is one
 # node, inner; its gradient is the weights

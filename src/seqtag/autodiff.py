@@ -21,7 +21,10 @@ with the sequences on the last axis, so every numpy call of a step, forward
 and backward, reads and writes whole blocks: one product gives a step's
 gates from its input rows, two rows of ones and the previous state, and the
 backward loop only scales and multiplies per-step blocks of slopes that it
-computed for all steps at once.
+computed for all steps at once.  transformer_layer runs a whole encoder
+layer, attention within each sequence, the feed-forward block, both layer
+norms and two constant dropout masks, as one node whose backward is
+written by hand and adds bitwise what a graph of primitive nodes would.
 
 There is no element-wise product of two graph tensors and no broadcast or
 scale op: a bias row goes to every row of a matrix through add, and inner
@@ -220,44 +223,6 @@ def inner(x: Tensor, c, *more) -> Tensor:
     return _result(sum(sums[1:], sums[0]), tensors, "inner", _bw)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh approximation of the Gaussian error linear unit,
-    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
-    d, c = x.data, math.sqrt(2.0 / math.pi)
-    t = np.tanh((d + d * d * d * 0.044715) * c)
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad += g * 0.5 * (1.0 + t + d * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * d * d))
-
-    return _result(d * (t + 1.0) * 0.5, (x,), "gelu", _bw)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization of (n, d) rows as one node: each row is
-    centred, divided by sqrt(its variance + eps), then scaled by the (d,)
-    gain and shifted by the (d,) bias."""
-    if x.data.ndim != 2 or gain.shape != x.shape[1:] or bias.shape != x.shape[1:]:
-        raise ShapeError(f"layer_norm expects (n, d) rows with (d,) gain and bias, "
-                         f"got {x.shape}, {gain.shape}, {bias.shape}")
-    d = x.shape[1]
-    centered = x.data - np.sum(x.data, axis=1, keepdims=True) * (1.0 / d)
-    inv_std = 1.0 / np.sqrt(np.sum(centered * centered, axis=1, keepdims=True) * (1.0 / d) + eps)
-    normed = centered * inv_std
-
-    def _bw(g):
-        if gain.requires_grad:
-            gain.grad += np.sum(g * normed, axis=0)
-        if bias.requires_grad:
-            bias.grad += np.sum(g, axis=0)
-        if x.requires_grad:
-            dn = g * gain.data
-            x.grad += inv_std * (dn - np.mean(dn, axis=1, keepdims=True)
-                                 - normed * np.mean(dn * normed, axis=1, keepdims=True))
-
-    return _result(normed * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
-
-
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise UsageError("concat of zero tensors")
@@ -342,13 +307,22 @@ def take(x: Tensor, index) -> Tensor:
     return _result(x.data[index].copy(), (x,), "take", _bw)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p) so inference is identity."""
+def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator):
+    """The constant keep mask of inverted dropout: 1/(1-p) where
+    rng.random(shape) >= p and 0 elsewhere, so inference needs no
+    correction.  None, and nothing drawn, when not training or p is 0."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: x times dropout_mask, or x itself when that is None."""
+    keep = dropout_mask(x.shape, p, training, rng)
+    if keep is None:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def _bw(g):
         if x.requires_grad:
@@ -384,23 +358,38 @@ def stack(rows: list[Tensor]) -> Tensor:
 
 def as_ints(values, what: str) -> np.ndarray:
     """values as an int array.  UsageError unless each is an int (a bool is
-    not) or a numpy integer: no fraction, bool or string is truncated or parsed."""
-    values = list(values)
+    not) or a numpy integer: no fraction, bool or string is truncated or
+    parsed.  A 1-D integer ndarray is taken whole, as intp, without an
+    element-wise check; callers only read what this returns."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.astype(np.intp, copy=False)
+    try:
+        values = list(values)
+    except TypeError:  # an int or a 0-d array
+        raise UsageError(f"{what} must be a sequence of integers, got {values!r}") from None
     if not all(type(v) is int or isinstance(v, np.integer) for v in values):
         raise UsageError(f"{what} must be integers, got {values!r}")
     return np.asarray(values, dtype=np.intp)
 
 
-def packed_steps(lengths, n: int):
-    """Sequence lengths that split n packed rows, as an int array, plus the
-    sequence and the step within it of every row.  lengths None means one
-    sequence of all n rows.  UsageError unless the lengths are integers
-    (as_ints), non-empty, each at least 1, and sum to n."""
+def checked_lengths(lengths, n: int) -> np.ndarray:
+    """Sequence lengths that split n packed rows, as an int array.  lengths
+    None means one sequence of all n rows.  UsageError unless the lengths
+    are integers (as_ints), non-empty, each at least 1, and sum to n."""
     if lengths is None and n >= 1:  # one sequence: nothing to check
-        return np.full(1, n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.arange(n)
+        return np.full(1, n, dtype=np.intp)
     lengths = as_ints([n] if lengths is None else lengths, "sequence lengths")
     if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
         raise UsageError(f"sequence lengths {lengths.tolist()} do not split {n} rows")
+    return lengths
+
+
+def packed_steps(lengths, n: int):
+    """checked_lengths, plus the sequence and the step within it of every
+    row."""
+    if lengths is None and n >= 1:  # one sequence: nothing to check
+        return np.full(1, n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.arange(n)
+    lengths = checked_lengths(lengths, n)
     seq = np.repeat(np.arange(lengths.size), lengths)
     step = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return lengths, seq, step
@@ -692,28 +681,81 @@ def _crf_forward_log(emissions: Tensor, transition: Tensor, trans: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# fused attention
+# fused transformer layer
 
 
-def attention(qkv: Tensor, lengths, num_heads: int):
-    """Multi-head scaled dot-product attention within each sequence, as one
-    node.
+def _norm_rows(s: np.ndarray, eps: float = 1e-5):
+    """Each row of s centred and divided by sqrt(its variance + eps), and
+    the 1 / sqrt(variance + eps) of each row, (n, 1)."""
+    d = s.shape[1]
+    centered = s - np.add.reduce(s, axis=1, keepdims=True) * (1.0 / d)
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True)
+                            * (1.0 / d) + eps)
+    return centered * inv_std, inv_std
 
-    qkv is (N, 3d): the rows of the sequences back to back, lengths[b] rows
-    each, with the column bands [q | k | v] of width d side by side.  Head h
-    reads columns h*dk:(h+1)*dk of each band, dk = d // num_heads, and row i
-    of its output band is softmax(q_i k^T / sqrt(dk)) v over the rows of i's
-    own sequence, so no score crosses two sequences and memory grows with
-    the sum of the squared lengths.  Per sequence, all heads run as one
-    batched (num_heads, n, dk) product, forward and backward.  Returns the
-    (N, d) output.
+
+def _norm_rows_back(g: np.ndarray, gain: np.ndarray, normed: np.ndarray,
+                    inv_std: np.ndarray) -> np.ndarray:
+    """The adjoint of the rows _norm_rows normalized, from the adjoint g of
+    normed * gain + bias."""
+    dn = g * gain
+    return inv_std * (dn - np.mean(dn, axis=1, keepdims=True)
+                      - normed * np.mean(dn * normed, axis=1, keepdims=True))
+
+
+def transformer_layer(x: Tensor, lengths, weights, num_heads: int,
+                      keep_attn: np.ndarray | None = None,
+                      keep_ff: np.ndarray | None = None) -> Tensor:
+    """One post-norm transformer encoder layer over the rows of several
+    packed sequences, as one node.
+
+    x is (N, d) with the sequences back to back, lengths[b] rows each
+    (packed_steps).  weights are the layer's ten tensors in the order
+    Wqkv (d, 3d), Wo (d, d), ln1_gain, ln1_bias (d,), W_ff1 (d, F),
+    b_ff1 (F,), W_ff2 (F, d), b_ff2, ln2_gain, ln2_bias (d,).  The layer
+    computes
+
+        a = attention(x Wqkv) Wo * keep_attn
+        y = layer_norm(x + a; ln1_gain, ln1_bias)
+        f = (gelu(y W_ff1 + b_ff1) W_ff2 + b_ff2) * keep_ff
+        out = layer_norm(y + f; ln2_gain, ln2_bias)
+
+    where keep_attn and keep_ff are constant (N, d) dropout masks
+    (dropout_mask), None for none.  attention is multi-head scaled
+    dot-product attention within each sequence: x Wqkv holds the column
+    bands [q | k | v], head h reads columns h*dk:(h+1)*dk of each band, dk
+    = d // num_heads, and row i of its output band is softmax(q_i k^T /
+    sqrt(dk)) v over the rows of i's own sequence, so no score crosses two
+    sequences and memory grows with the sum of the squared lengths.  Per
+    sequence all heads run as one batched (num_heads, n, dk) product with
+    a max-shifted softmax, forward and backward.  gelu is the tanh
+    approximation 0.5 z (1 + tanh(sqrt(2/pi) (z + 0.044715 z^3))) and
+    layer_norm centres each row and divides it by sqrt(its variance +
+    1e-5) before the gain and bias.
+
+    Backward runs the layer in reverse by hand and adds into x and each
+    weight exactly what a graph of matmul, add, dropout and single
+    attention, gelu and layer_norm nodes would, array call for array
+    call, so the gradients are bitwise those of that graph.
     """
-    if qkv.data.ndim != 2 or qkv.shape[1] % 3:
-        raise ShapeError(f"attention expects (N, 3d) rows of [q | k | v], got {qkv.shape}")
-    N, d = qkv.shape[0], qkv.shape[1] // 3
+    if x.data.ndim != 2 or len(weights) != 10:
+        raise ShapeError(f"transformer_layer expects packed (N, d) rows and ten weights, "
+                         f"got {x.shape} and {len(weights)}")
+    Wqkv, Wo, g1, b1, W1, c1, W2, c2, g2, b2 = weights
+    N, d = x.data.shape
+    F = W1.data.shape[1] if W1.data.ndim == 2 else 0
+    want = [(d, 3 * d), (d, d), (d,), (d,), (d, F), (F,), (F, d), (d,), (d,), (d,)]
+    shapes = [w.data.shape for w in weights]
+    if shapes != want:
+        raise ShapeError(f"transformer_layer over width {d} needs weights of shapes "
+                         f"{want}, got {shapes}")
     if num_heads < 1 or d % num_heads:
-        raise ShapeError(f"attention cannot split width {d} into {num_heads} heads")
-    lengths = packed_steps(lengths, N)[0].tolist()
+        raise ShapeError(f"transformer_layer cannot split width {d} into {num_heads} heads")
+    for keep in (keep_attn, keep_ff):
+        if keep is not None and np.shape(keep) != (N, d):
+            raise ShapeError(f"transformer_layer needs ({N}, {d}) dropout masks, "
+                             f"got {np.shape(keep)}")
+    lengths = checked_lengths(lengths, N).tolist()
     dk = d // num_heads
     c = 1.0 / math.sqrt(dk)
     ends = np.cumsum(lengths).tolist()
@@ -723,27 +765,71 @@ def attention(qkv: Tensor, lengths, num_heads: int):
         # a view of the rows' q, k and v bands, as (3, num_heads, n, dk)
         return a[rows].reshape(n, 3, num_heads, dk).transpose(1, 2, 0, 3)
 
-    out = np.empty((N, d))
-    weights = []
+    qkv = x.data @ Wqkv.data
+    att = np.empty((N, d))
+    probs = []
     for rows, n in spans:
-        q, k, v = heads(qkv.data, rows, n)
+        q, k, v = heads(qkv, rows, n)
         scores = np.matmul(q, k.transpose(0, 2, 1)) * c
-        w = np.exp(scores - scores.max(axis=2, keepdims=True))
-        w /= w.sum(axis=2, keepdims=True)
-        out[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)[...] = np.matmul(w, v)
-        weights.append(w)
+        p = np.exp(scores - scores.max(axis=2, keepdims=True))
+        p /= p.sum(axis=2, keepdims=True)
+        att[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)[...] = np.matmul(p, v)
+        probs.append(p)
+    a = att @ Wo.data
+    if keep_attn is not None:
+        a = a * keep_attn
+    normed1, inv1 = _norm_rows(x.data + a)
+    y = normed1 * g1.data + b1.data
+    z = y @ W1.data + c1.data
+    r = math.sqrt(2.0 / math.pi)
+    t = np.tanh((z + z * z * z * 0.044715) * r)
+    hidden = z * (t + 1.0) * 0.5
+    f = hidden @ W2.data + c2.data
+    if keep_ff is not None:
+        f = f * keep_ff
+    normed2, inv2 = _norm_rows(y + f)
 
     def _bw(g):
-        grad = np.empty((N, 3 * d))
-        for (rows, n), w in zip(spans, weights):
-            q, k, v = heads(qkv.data, rows, n)
-            dq, dk_, dv = heads(grad, rows, n)
-            g_h = g[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)
-            dv[...] = np.matmul(w.transpose(0, 2, 1), g_h)
+        if g2.requires_grad:
+            g2.grad += np.sum(g * normed2, axis=0)
+        if b2.requires_grad:
+            b2.grad += np.sum(g, axis=0)
+        ds2 = _norm_rows_back(g, g2.data, normed2, inv2)
+        df = ds2 if keep_ff is None else ds2 * keep_ff
+        if c2.requires_grad:
+            c2.grad += df.sum(axis=0)
+        if W2.requires_grad:
+            W2.grad += hidden.T @ df
+        dh = df @ W2.data.T
+        dz = dh * 0.5 * (1.0 + t + z * (1.0 - t * t) * r * (1.0 + 3 * 0.044715 * z * z))
+        if c1.requires_grad:
+            c1.grad += dz.sum(axis=0)
+        if W1.requires_grad:
+            W1.grad += y.T @ dz
+        dy = ds2 + dz @ W1.data.T
+        if g1.requires_grad:
+            g1.grad += np.sum(dy * normed1, axis=0)
+        if b1.requires_grad:
+            b1.grad += np.sum(dy, axis=0)
+        ds1 = _norm_rows_back(dy, g1.data, normed1, inv1)
+        da = ds1 if keep_attn is None else ds1 * keep_attn
+        if Wo.requires_grad:
+            Wo.grad += att.T @ da
+        datt = da @ Wo.data.T
+        dqkv = np.empty((N, 3 * d))
+        for (rows, n), p in zip(spans, probs):
+            q, k, v = heads(qkv, rows, n)
+            dq, dk_, dv = heads(dqkv, rows, n)
+            g_h = datt[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)
+            dv[...] = np.matmul(p.transpose(0, 2, 1), g_h)
             dp = np.matmul(g_h, v.transpose(0, 2, 1))
-            ds = w * (dp - np.sum(dp * w, axis=2, keepdims=True)) * c
+            ds = p * (dp - np.sum(dp * p, axis=2, keepdims=True)) * c
             dq[...] = np.matmul(ds, k)
             dk_[...] = np.matmul(ds.transpose(0, 2, 1), q)
-        qkv.grad += grad
+        if Wqkv.requires_grad:
+            Wqkv.grad += x.data.T @ dqkv
+        if x.requires_grad:
+            x.grad += ds1
+            x.grad += dqkv @ Wqkv.data.T
 
-    return _result(out, (qkv,), "attention", _bw)
+    return _result(normed2 * g2.data + b2.data, (x, *weights), "transformer_layer", _bw)

@@ -14,7 +14,8 @@ the call, so a scan costs about the same number of numpy calls per step
 whether it covers 4 sentences or the 300 words of a chunk.  A BiLSTM stores
 its weights and biases as the one block the op multiplies, both directions
 stacked.  The transformer packs the pieces of a mini-batch into one matrix
-the same way.
+the same way, and runs each layer as one fused op
+(autodiff.transformer_layer) over it.
 """
 
 from __future__ import annotations
@@ -283,8 +284,9 @@ class ToyTransformerConfig:
 
 @dataclass
 class TransformerLayer:
-    # (hidden, 3 hidden), (in, out): the q, k and v projections side by side,
-    # head h owning columns h*dk:(h+1)*dk of each
+    # fields in the order autodiff.transformer_layer takes them.  Wqkv is
+    # (hidden, 3 hidden), (in, out): the q, k and v projections side by
+    # side, head h owning columns h*dk:(h+1)*dk of each
     Wqkv: Tensor
     Wo: Tensor
     ln1_gain: Tensor
@@ -349,12 +351,12 @@ class TransformerParams:
 
 def transformer_block(cfg: ToyTransformerConfig, layer: TransformerLayer, x: Tensor,
                       training: bool, rng, lengths=None) -> Tensor:
-    attn_out = ad.attention(x @ layer.Wqkv, lengths, cfg.num_heads) @ layer.Wo
-    attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
-    x = ad.layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
-    ff = ad.gelu(x @ layer.W_ff1 + layer.b_ff1) @ layer.W_ff2 + layer.b_ff2
-    ff = ad.dropout(ff, cfg.dropout_p, training, rng)
-    return ad.layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
+    """One encoder layer over the packed rows x, as one
+    autodiff.transformer_layer node; in training its attention and then
+    its feed-forward dropout mask are drawn from rng."""
+    keeps = [ad.dropout_mask(x.shape, cfg.dropout_p, training, rng) for _ in range(2)]
+    return ad.transformer_layer(x, lengths, list(layer.named_parameters().values()),
+                                cfg.num_heads, *keeps)
 
 
 def transformer_encode(cfg: ToyTransformerConfig, params: TransformerParams,

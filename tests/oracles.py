@@ -4,12 +4,15 @@ Everything here is deliberately written the slow, obvious way (finite
 differences, exhaustive enumeration, direct counting, one LSTM step at a
 time) and shares no code with the implementation under test; the LSTM
 reference and the row softmax compose primitive autodiff ops, never the
-fused lstm_scan and attention they check.  The primitives only these
-references need (the element-wise product, a constant multiple and the
-difference built on it, broadcast, sigmoid, tanh, exp, reshape, transpose,
-log_sum_exp and the matrix-vector product) are defined here, as nodes of
-the library's graph.  The optimizer references step one parameter tensor
-at a time, where the library makes whole-array calls on one flat buffer.
+fused lstm_scan and transformer_layer they check.  The primitives only
+these references need (the element-wise product, a constant multiple and
+the difference built on it, broadcast, sigmoid, tanh, exp, reshape,
+transpose, log_sum_exp and the matrix-vector product) are defined here, as
+nodes of the library's graph, and so are the gelu, layer_norm and
+attention nodes a transformer layer was built from before it became one
+fused node, with the layer composed from them.  The optimizer references
+step one parameter tensor at a time, where the library makes whole-array
+calls on one flat buffer.
 """
 
 import itertools
@@ -586,6 +589,117 @@ def softmax_rows(x: Tensor) -> Tensor:
     lse = log_sum_exp(x, axis=1)
     shifted = sub(x, broadcast_to(reshape(lse, (n, 1)), x.shape))
     return exp(shifted)
+
+
+# ---------------------------------------------------------------------------
+# transformer layer reference: the primitive nodes, each with its own
+# hand-written backward, that the fused transformer_layer replaces, and
+# the layer composed from them
+
+
+def gelu(x: Tensor) -> Tensor:
+    """tanh approximation of the Gaussian error linear unit,
+    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    d, c = x.data, math.sqrt(2.0 / math.pi)
+    t = np.tanh((d + d * d * d * 0.044715) * c)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad += g * 0.5 * (1.0 + t + d * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * d * d))
+
+    return ad._result(d * (t + 1.0) * 0.5, (x,), "gelu", _bw)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Row-wise layer normalization of (n, d) rows as one node: each row is
+    centred, divided by sqrt(its variance + eps), then scaled by the (d,)
+    gain and shifted by the (d,) bias."""
+    if x.data.ndim != 2 or gain.shape != x.shape[1:] or bias.shape != x.shape[1:]:
+        raise ShapeError(f"layer_norm expects (n, d) rows with (d,) gain and bias, "
+                         f"got {x.shape}, {gain.shape}, {bias.shape}")
+    d = x.shape[1]
+    centered = x.data - np.sum(x.data, axis=1, keepdims=True) * (1.0 / d)
+    inv_std = 1.0 / np.sqrt(np.sum(centered * centered, axis=1, keepdims=True) * (1.0 / d) + eps)
+    normed = centered * inv_std
+
+    def _bw(g):
+        if gain.requires_grad:
+            gain.grad += np.sum(g * normed, axis=0)
+        if bias.requires_grad:
+            bias.grad += np.sum(g, axis=0)
+        if x.requires_grad:
+            dn = g * gain.data
+            x.grad += inv_std * (dn - np.mean(dn, axis=1, keepdims=True)
+                                 - normed * np.mean(dn * normed, axis=1, keepdims=True))
+
+    return ad._result(normed * gain.data + bias.data, (x, gain, bias), "layer_norm", _bw)
+
+
+def attention(qkv: Tensor, lengths, num_heads: int):
+    """Multi-head scaled dot-product attention within each sequence, as one
+    node.
+
+    qkv is (N, 3d): the rows of the sequences back to back, lengths[b] rows
+    each, with the column bands [q | k | v] of width d side by side.  Head h
+    reads columns h*dk:(h+1)*dk of each band, dk = d // num_heads, and row i
+    of its output band is softmax(q_i k^T / sqrt(dk)) v over the rows of i's
+    own sequence, so no score crosses two sequences and memory grows with
+    the sum of the squared lengths.  Per sequence, all heads run as one
+    batched (num_heads, n, dk) product, forward and backward.  Returns the
+    (N, d) output.
+    """
+    if qkv.data.ndim != 2 or qkv.shape[1] % 3:
+        raise ShapeError(f"attention expects (N, 3d) rows of [q | k | v], got {qkv.shape}")
+    N, d = qkv.shape[0], qkv.shape[1] // 3
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention cannot split width {d} into {num_heads} heads")
+    lengths = ad.packed_steps(lengths, N)[0].tolist()
+    dk = d // num_heads
+    c = 1.0 / math.sqrt(dk)
+    ends = np.cumsum(lengths).tolist()
+    spans = [(slice(b - n, b), n) for n, b in zip(lengths, ends)]
+
+    def heads(a, rows, n):
+        # a view of the rows' q, k and v bands, as (3, num_heads, n, dk)
+        return a[rows].reshape(n, 3, num_heads, dk).transpose(1, 2, 0, 3)
+
+    out = np.empty((N, d))
+    weights = []
+    for rows, n in spans:
+        q, k, v = heads(qkv.data, rows, n)
+        scores = np.matmul(q, k.transpose(0, 2, 1)) * c
+        w = np.exp(scores - scores.max(axis=2, keepdims=True))
+        w /= w.sum(axis=2, keepdims=True)
+        out[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)[...] = np.matmul(w, v)
+        weights.append(w)
+
+    def _bw(g):
+        grad = np.empty((N, 3 * d))
+        for (rows, n), w in zip(spans, weights):
+            q, k, v = heads(qkv.data, rows, n)
+            dq, dk_, dv = heads(grad, rows, n)
+            g_h = g[rows].reshape(n, num_heads, dk).transpose(1, 0, 2)
+            dv[...] = np.matmul(w.transpose(0, 2, 1), g_h)
+            dp = np.matmul(g_h, v.transpose(0, 2, 1))
+            ds = w * (dp - np.sum(dp * w, axis=2, keepdims=True)) * c
+            dq[...] = np.matmul(ds, k)
+            dk_[...] = np.matmul(ds.transpose(0, 2, 1), q)
+        qkv.grad += grad
+
+    return ad._result(out, (qkv,), "attention", _bw)
+
+
+def transformer_block(cfg, layer, x, training, rng, lengths=None):
+    """One encoder layer as a graph of matmul, add, dropout, attention, gelu
+    and layer_norm nodes, its dropout masks drawn from rng in the order
+    encoders.transformer_block draws them: the reference the fused layer
+    must match bitwise, value and gradients."""
+    attn_out = attention(x @ layer.Wqkv, lengths, cfg.num_heads) @ layer.Wo
+    attn_out = ad.dropout(attn_out, cfg.dropout_p, training, rng)
+    x = layer_norm(x + attn_out, layer.ln1_gain, layer.ln1_bias)
+    ff = gelu(x @ layer.W_ff1 + layer.b_ff1) @ layer.W_ff2 + layer.b_ff2
+    ff = ad.dropout(ff, cfg.dropout_p, training, rng)
+    return layer_norm(x + ff, layer.ln2_gain, layer.ln2_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,33 @@ second time under the name parent_seqtag, next to this tree's seqtag, and
 both build the same 16 cases: each of the four model kinds, with and
 without the BIO2 mask, over a training batch of 1 and of 4 sentences, with
 all four input sources, dropout 0.2 and two transformer layers.  A case is
-equal when the save_model bytes of the freshly built model, the loss
+equal when the save_model artifact of the freshly built model, the loss
 bytes, the bytes of every parameter's gradient, the tags of 10 sentences
 from predict one sentence at a time and from one tag_corpus call, and, for
 each optimizer, the bytes of every parameter after three training steps
-(L2, clipping and the update, as train() runs them) all are.  Gradients
-and parameters are compared by name, the parent's first put in this
-tree's layout (in_layout) when it writes an older artifact version, so a
-layout change is compared value for value.  One line per case is
-printed, and under a case that differs a second one with the largest
-absolute difference of the loss, of each gradient that differs, of each
-optimizer's parameters as a whole and of each parameter that differs after
-its steps, and whether each set of tags is equal, and a third with the
-largest relative difference of the same arrays, |a - b| / max |b| over the
-parent's array b: how far a change that alters the bits on purpose moved
-them, in absolute terms and independently of each array's scale.  Before
-the summary line, one line per corpus of TOKENIZERS says whether the two
-trees' train_unigram inventories, as vocab_to_text, are equal.  The exit
-status is 0 only if every case and every inventory is equal, 1 if one is
-not, and 2 if PARENT_SRC holds no seqtag package.
+(L2, clipping and the update, as train() runs them) all are.  The artifact
+is compared by its parts (read_artifact): the manifest as parsed JSON,
+without its format_version and its list of tensor names, the bytes of each
+other member but tensors.npz, and the bytes of each stored tensor by name,
+so a version bump alone is no difference.  Stored tensors, gradients and
+parameters are compared by name, the parent's first put in this tree's
+layout (in_layout) when it writes an older artifact version, so a layout
+change is compared value for value.  One line per case is printed, and
+under a case that differs a second one with the largest absolute
+difference of the loss, of each gradient that differs, of each stored
+tensor that differs, of each optimizer's parameters as a whole and of each
+parameter that differs after its steps, and whether each set of tags is
+equal, and a third with the largest relative difference of the same
+arrays, |a - b| / max |b| over the parent's array b: how far a change that
+alters the bits on purpose moved them, in absolute terms and independently
+of each array's scale.  Before the summary line, one line per corpus of
+TOKENIZERS says whether the two trees' train_unigram inventories, as
+vocab_to_text, are equal.
+
+The exit status is 0 if every case and every inventory is equal, 3
+(DIFFERS) if one is not, and 2 if PARENT_SRC holds no seqtag package.  Any
+other status, such as Python's 1 for an uncaught exception, means the
+comparison itself failed.
 
 This file is a tool, not a test module: pytest does not collect it, and
 tests/test_parity.py runs it.
@@ -35,7 +43,9 @@ tests/test_parity.py runs it.
 import importlib
 import importlib.util
 import io
+import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +59,7 @@ HEADS = 2  # attention heads of the transformer cases
 # (sentences of generate_corpus(n, seed=0), pieces) each tree trains a
 # tokenizer on: the pinned inventory's corpus and the benchmark graph phase's
 TOKENIZERS = ((2000, 200), (200, 200))
+DIFFERS = 3  # the exit status when a case or an inventory differs
 
 
 def load_package(src: Path, name: str):
@@ -86,11 +97,25 @@ def optimizer_steps(pkg, model, batch) -> dict[str, dict[str, np.ndarray]]:
     return after
 
 
+def read_artifact(data: bytes) -> tuple[dict, dict, dict]:
+    """A save_model artifact as its manifest without format_version and
+    the list of tensor names, each other member's bytes by name but
+    tensors.npz's, and each stored tensor by name."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    manifest = json.loads(members.pop("manifest.json"))
+    manifest.pop("format_version")
+    manifest.pop("tensors", None)
+    with np.load(io.BytesIO(members.pop("tensors.npz"))) as npz:
+        tensors = {name: npz[name] for name in npz.files}
+    return manifest, members, tensors
+
+
 def run_case(pkg, kind: str, mask: bool, batch: int):
-    """The artifact bytes of the built model, the loss, each parameter's
-    gradient by name, the predict and tag_corpus tags and the parameters
-    after each optimizer's steps of one case, computed by the package
-    pkg."""
+    """The artifact parts (read_artifact) of the built model, the loss,
+    each parameter's gradient by name, the predict and tag_corpus tags and
+    the parameters after each optimizer's steps of one case, computed by
+    the package pkg."""
     corpus = pkg.synth.generate_corpus(40, seed=2)
     tokenizer = pkg.subword.train_unigram([" ".join(s.surfaces) for s in corpus], 80)
     composer = pkg.encoders.ComposerConfig(
@@ -109,24 +134,24 @@ def run_case(pkg, kind: str, mask: bool, batch: int):
     grads = {name: t.grad.copy() for name, t in model.named_parameters().items()}
     tags = [model.predict(s.surfaces, s.morphs) for s in corpus[:TAGGED]]
     corpus_tags = [s.tags for s in pkg.models.tag_corpus(model, corpus[:TAGGED])]
-    return (artifact.getvalue(), loss.data.copy(), grads, tags, corpus_tags,
+    return (read_artifact(artifact.getvalue()), loss.data.copy(), grads, tags, corpus_tags,
             optimizer_steps(pkg, model, corpus[:batch]))
 
 
 def in_layout(pkg, case, version: int):
     """A run_case result of a tree that writes artifact version, with its
-    gradients and parameters by name put in the layout of the package
-    pkg, as pkg's load_model upgrades an artifact of that version: for
-    example, a version-5 BiLSTM's P.W_x, P.b_x, P.b_h and P.W_h are joined
-    into its one block P.W = [W_x | b_x | b_h | W_h]."""
+    stored tensors, gradients and parameters by name put in the layout of
+    the package pkg, as pkg's load_model upgrades an artifact of that
+    version: for example, a version-5 BiLSTM's P.W_x, P.b_x, P.b_h and
+    P.W_h are joined into its one block P.W = [W_x | b_x | b_h | W_h]."""
     if version >= pkg.models.ARTIFACT_VERSION:
         return case
-    artifact, loss, grads, tags, corpus_tags, after = case
+    (manifest, members, stored), loss, grads, tags, corpus_tags, after = case
 
     def upgrade(named):
         return pkg.models._upgrade_tensors(named, version, HEADS)
 
-    return (artifact, loss, upgrade(grads), tags, corpus_tags,
+    return ((manifest, members, upgrade(stored)), loss, upgrade(grads), tags, corpus_tags,
             {opt: upgrade(params) for opt, params in after.items()})
 
 
@@ -176,9 +201,16 @@ def step_arrays(after, after_p) -> list[tuple[str, np.ndarray, np.ndarray]]:
 def differences(here, there) -> tuple[list[str], str, str]:
     """What differs between two run_case results, and how far it moved, in
     absolute and in relative terms."""
-    artifact, loss, grads, tags, corpus_tags, after = here
-    artifact_p, loss_p, grads_p, tags_p, corpus_tags_p, after_p = there
-    out = [] if artifact == artifact_p else ["artifact"]
+    (manifest, members, stored), loss, grads, tags, corpus_tags, after = here
+    (manifest_p, members_p, stored_p), loss_p, grads_p, tags_p, corpus_tags_p, after_p = there
+    out = [] if manifest == manifest_p else ["artifact manifest"]
+    if members != members_p:
+        out.append("artifact members")
+    if stored.keys() != stored_p.keys():
+        out.append("artifact tensor names")
+    changed = [name for name in stored
+               if name in stored_p and not same(stored[name], stored_p[name])]
+    out += [f"artifact tensor {name}" for name in changed]
     if not same(loss, loss_p):
         out.append("loss")
     if grads.keys() != grads_p.keys():
@@ -194,6 +226,7 @@ def differences(here, there) -> tuple[list[str], str, str]:
                    for name, a in params.items())]
     arrays = ([("loss", loss, loss_p)]
               + [(f"grad {name}", grads[name], grads_p[name]) for name in moved]
+              + [(f"artifact tensor {name}", stored[name], stored_p[name]) for name in changed]
               + step_arrays(after, after_p))
     sizes = ([f"{what} {gap(a, b)}" for what, a, b in arrays]
              + [f"predict tags {'equal' if tags == tags_p else 'differ'}",
@@ -233,7 +266,7 @@ def main(argv: list[str]) -> int:
         print(f"tokenizer generate_corpus({sentences}, seed=0) at {pieces} pieces: "
               f"{'equal' if text_equal else 'DIFFERS in vocab_to_text'}")
     print(f"{equal} of {total} cases bitwise equal")
-    return 0 if equal == total and inventories_equal else 1
+    return 0 if equal == total and inventories_equal else DIFFERS
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import seqtag.autodiff as ad
-from seqtag.autodiff import Tensor, gelu, layer_norm
+from seqtag.autodiff import Tensor
 from seqtag.crf import CRFParams, log_partition, log_prob, score_sequence, viterbi_decode
 from seqtag.data import build_vocab, parse_conll, serialize_conll, split_corpus
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig
@@ -32,7 +32,7 @@ from seqtag.synth import generate_corpus
 from seqtag.training import bench, bench_table, evaluate_model, train
 
 from oracles import (align_labels, all_segmentations, best_segmentation, crf_brute_argmax,
-                     crf_brute_log_partition, finite_diff, max_rel_error,
+                     crf_brute_log_partition, finite_diff, gelu, layer_norm, max_rel_error,
                      project_predictions, segmentation_score_rescanning, softmax_rows)
 from test_autodiff import _op_cases, check_grad
 from test_evaluation import EXHIBIT_TAGS, random_corpus

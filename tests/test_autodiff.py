@@ -151,7 +151,7 @@ def test_layer_norm_rejects_other_than_rows_with_row_wide_gain_and_bias():
                           (Tensor(np.zeros((3, 4))), ones, Tensor(np.zeros((1, 4)))),
                           (Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))), zeros)):
         with pytest.raises(ShapeError):
-            ad.layer_norm(x, gain, bias)
+            oracles.layer_norm(x, gain, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +556,23 @@ def test_trace_topological_order():
     assert len(order) == len(seen)
 
 
+def test_as_ints_takes_a_1d_integer_array_whole_and_refuses_other_arrays():
+    """A 1-D integer ndarray comes back as intp with its values, an intp one
+    as itself; a bool, float, 0-d or 2-D array, or a bare int, raises
+    UsageError, there and in packed_steps."""
+    lengths = np.array([3, 1, 2], dtype=np.intp)
+    assert ad.as_ints(lengths, "lengths") is lengths
+    for dtype in (np.int32, np.uint8, np.int64):
+        got = ad.as_ints(np.array([3, 1, 2], dtype=dtype), "lengths")
+        assert got.dtype == np.intp and got.tolist() == [3, 1, 2]
+    for values in (np.array([True, False]), np.array([2.0, 3.0]), np.array(3), 3,
+                   np.array([[2, 3]])):
+        with pytest.raises(UsageError):
+            ad.as_ints(values, "lengths")
+        with pytest.raises(UsageError):
+            ad.packed_steps(values, 5)
+
+
 # ---------------------------------------------------------------------------
 # gradient suite over every differentiable operation (spec invariant: >=50
 # random small instances per op, max rel error <= 1e-4)
@@ -570,6 +587,17 @@ def _scan_arrays(rng, n=8):
                 for _ in range(2))
     w_x, w_h, b_x, b_h = (np.stack(pair) for pair in zip(fwd, bwd))
     return [x, np.concatenate([w_x, b_x[..., None], b_h[..., None], w_h], axis=2)]
+
+
+def _layer_arrays(rng, n=9, d=4, ff=3):
+    """x (n, d) and the ten weights of a transformer layer of width d with
+    ff feed-forward units, in TransformerLayer order, all drawn from a
+    normal, the layer-norm gains around 1."""
+    shapes = ((d, 3 * d), (d, d), d, d, (d, ff), ff, (ff, d), d, d, d)
+    arrays = [rng.standard_normal((n, d))] + [rng.standard_normal(s) for s in shapes]
+    for gain in (3, 9):
+        arrays[gain] = arrays[gain] * 0.5 + 1.0
+    return arrays
 
 
 def _op_cases(rng):
@@ -593,6 +621,9 @@ def _op_cases(rng):
     p_scan_one_finals = proj(side, (1, 4))
     p_scan_unit = proj(side, (3, 4))
     p_scan_unit_finals = proj(side, (3, 4))
+    p_layer = proj(side, (9, 4))
+    p_layer_dropout = proj(side, (9, 4))
+    keeps = [ad.dropout_mask((9, 4), 0.2, True, np.random.default_rng(13)) for _ in range(2)]
     bio2 = illegal_mask(["O", "B-X", "I-X"])
     far = np.zeros((6, 3))
     far[1, 0] = 800.0
@@ -626,10 +657,10 @@ def _op_cases(rng):
                  lambda: [rng.standard_normal(4) * 2]),
         "exp": (lambda a: ad.inner(exp(a), p4),
                 lambda: [rng.standard_normal(4)]),
-        "gelu": (lambda a: ad.inner(ad.gelu(a), p_gelu),
+        "gelu": (lambda a: ad.inner(oracles.gelu(a), p_gelu),
                  lambda: [rng.standard_normal((2, 3)) * 2]),
         # w.r.t. the rows, the gain and the bias
-        "layer_norm": (lambda x, g, b: ad.inner(ad.layer_norm(x, g, b), p_norm),
+        "layer_norm": (lambda x, g, b: ad.inner(oracles.layer_norm(x, g, b), p_norm),
                        lambda: [rng.standard_normal((3, 4)) * 2, rng.standard_normal(4),
                                 rng.standard_normal(4)]),
         "stack": (lambda a, b, c: ad.inner(ad.stack([a, b, c]), p_stack),
@@ -697,8 +728,18 @@ def _op_cases(rng):
             lambda: [rng.standard_normal((6, 3)) - far, rng.standard_normal((4, 4))]),
         # fused attention over three sequences of 3, 1 and 2 rows with two
         # heads of width 2, w.r.t. the (6, 12) [q | k | v] rows
-        "attention": (lambda qkv: ad.inner(ad.attention(qkv, [3, 1, 2], 2), p_attn),
+        "attention": (lambda qkv: ad.inner(oracles.attention(qkv, [3, 1, 2], 2), p_attn),
                       lambda: [rng.standard_normal((6, 12))]),
+        # the fused transformer layer over four sequences of 3, 1, 3 and 2
+        # rows, width 4 in two heads and 3 feed-forward units, w.r.t. the
+        # rows and all ten weights; without dropout, and with constant keep
+        # masks at p = 0.2
+        "transformer_layer": (lambda x, *w: ad.inner(
+            ad.transformer_layer(x, [3, 1, 3, 2], w, 2), p_layer),
+            lambda: _layer_arrays(rng)),
+        "transformer_layer_dropout": (lambda x, *w: ad.inner(
+            ad.transformer_layer(x, [3, 1, 3, 2], w, 2, *keeps), p_layer_dropout),
+            lambda: _layer_arrays(rng)),
     }
 
 
@@ -732,13 +773,12 @@ def _result_ops(module):
             and "_result" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
-ENGINE_OPS = {"matmul", "add", "gelu", "layer_norm", "concat", "gather_rows",
-              "take", "dropout", "stack", "lstm_scan", "crf_forward", "attention",
-              "inner"}
+ENGINE_OPS = {"matmul", "add", "concat", "gather_rows", "take", "dropout", "stack",
+              "lstm_scan", "crf_forward", "transformer_layer", "inner"}
 
 
 def test_every_op_has_a_gradient_case():
-    """autodiff.py gives _result exactly the 13 engine op names, and every
+    """autodiff.py gives _result exactly the 11 engine op names, and every
     op name it or the test oracles give _result is the op of a node in one
     of the _op_cases graphs."""
     assert _result_ops(ad) == ENGINE_OPS

@@ -11,8 +11,10 @@ from seqtag.errors import ConfigError, ShapeError, UsageError
 from seqtag.models import TrainConfig, build_model
 from seqtag.subword import UnigramVocab
 
+import oracles
 from oracles import (Cell, direction, finite_diff, lstm_run, lstm_step, max_rel_error,
                      scale, softmax_rows, total, transpose)
+from test_autodiff import _layer_arrays
 
 
 def sig(z):
@@ -567,10 +569,10 @@ def test_softmax_rows_match_numpy_and_sum_to_one():
 def test_gelu_matches_reference_formula():
     rng = np.random.default_rng(31)
     x = rng.normal(scale=2.0, size=(3, 4))
-    out = ad.gelu(Tensor(x)).data
+    out = oracles.gelu(Tensor(x)).data
     ref = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
     assert np.max(np.abs(out - ref)) <= 1e-12
-    assert ad.gelu(Tensor(np.zeros((1, 1)))).data[0, 0] == 0.0
+    assert oracles.gelu(Tensor(np.zeros((1, 1)))).data[0, 0] == 0.0
 
 
 def test_layer_norm_zero_mean_unit_variance():
@@ -579,7 +581,7 @@ def test_layer_norm_zero_mean_unit_variance():
     d = x.shape[1]
     gain = rng.normal(loc=1.0, scale=0.5, size=d)
     bias = rng.normal(size=d)
-    out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    out = oracles.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
     ref = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
     assert np.max(np.abs(out - (ref * gain + bias))) <= 1e-12
     normed = (out - bias) / gain
@@ -598,7 +600,7 @@ def test_layer_norm_gradient_matches_finite_differences():
         xt = Tensor(xa, requires_grad=True)
         gt = Tensor(ga, requires_grad=True)
         bt = Tensor(ba, requires_grad=True)
-        loss = ad.inner(ad.layer_norm(xt, gt, bt), proj)
+        loss = ad.inner(oracles.layer_norm(xt, gt, bt), proj)
         return xt, gt, bt, loss
 
     xt, gt, bt, loss = build(x, gain, bias)
@@ -627,11 +629,11 @@ def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(34)
     lengths = [5, 2]
     qkv = rng.normal(size=(7, 12))
-    out = ad.attention(Tensor(qkv), lengths, 2)
+    out = oracles.attention(Tensor(qkv), lengths, 2)
     assert out.shape == (7, 4)
     _assert_within_the_v_rows(out.data, qkv, lengths)
     qkv[:5, 8:], qkv[5:, 8:] = qkv[0, 8:], qkv[5, 8:]
-    out = ad.attention(Tensor(qkv), lengths, 2)
+    out = oracles.attention(Tensor(qkv), lengths, 2)
     assert np.max(np.abs(out.data - qkv[:, 8:])) <= 1e-12
 
 
@@ -639,16 +641,22 @@ def test_attention_on_single_position_is_identity_weight():
     """A one-row sequence attends only to itself: its output is its v band,
     bitwise."""
     qkv = np.random.default_rng(35).normal(size=(3, 12))
-    out = ad.attention(Tensor(qkv), [1, 1, 1], 2)
+    out = oracles.attention(Tensor(qkv), [1, 1, 1], 2)
     assert np.array_equal(out.data, qkv[:, 8:])
 
 
 def test_attention_is_permutation_equivariant():
+    """The fused layer and the attention node it was built from: rows
+    permuted within one sequence give the permuted output rows."""
     rng = np.random.default_rng(36)
     qkv = rng.normal(size=(6, 12))
     perm = rng.permutation(6)
-    out = ad.attention(Tensor(qkv), [6], 2)
-    out_p = ad.attention(Tensor(qkv[perm]), [6], 2)
+    out = oracles.attention(Tensor(qkv), [6], 2)
+    out_p = oracles.attention(Tensor(qkv[perm]), [6], 2)
+    assert np.max(np.abs(out_p.data - out.data[perm])) <= 1e-10
+    x, *weights = (Tensor(a) for a in _layer_arrays(rng, n=6))
+    out = ad.transformer_layer(x, [6], weights, 2)
+    out_p = ad.transformer_layer(Tensor(x.data[perm]), [6], weights, 2)
     assert np.max(np.abs(out_p.data - out.data[perm])) <= 1e-10
 
 
@@ -663,7 +671,7 @@ def test_attention_gradient_matches_finite_differences():
     def build(xa, qkva):
         layer.Wqkv.data[...] = qkva
         xt = Tensor(xa, requires_grad=True)
-        out = ad.attention(xt @ layer.Wqkv, None, 2) @ layer.Wo
+        out = oracles.attention(xt @ layer.Wqkv, None, 2) @ layer.Wo
         return xt, ad.inner(out, proj)
 
     xt, loss = build(x, qkv0)
@@ -695,47 +703,108 @@ def _attention_oracle(qkv, lengths, num_heads):
 
 
 def test_fused_attention_matches_per_sequence_oracle():
+    """The fused layer, and the attention node of the reference layer,
+    against a layer whose attention is composed per sequence and per head
+    from primitive ops (softmax_rows, take, concat): output and every
+    gradient within 1e-12."""
     rng = np.random.default_rng(39)
     lengths = [4, 1, 3, 2]
-    qkv = rng.normal(size=(10, 18))
+    arrays = _layer_arrays(rng, n=10, d=6)
     proj = rng.normal(size=(10, 6))
     results = []
-    for fused in (True, False):
-        t = Tensor(qkv.copy(), requires_grad=True)
-        out = (ad.attention(t, lengths, 3) if fused
-               else _attention_oracle(t, lengths, 3))
+    for attend in (None, oracles.attention, _attention_oracle):
+        x, *w = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        if attend is None:
+            out = ad.transformer_layer(x, lengths, w, 3)
+        else:
+            y = oracles.layer_norm(x + attend(x @ w[0], lengths, 3) @ w[1], w[2], w[3])
+            ff = oracles.gelu(y @ w[4] + w[5]) @ w[6] + w[7]
+            out = oracles.layer_norm(y + ff, w[8], w[9])
         ad.backward(ad.inner(out, proj))
-        results.append([out.data, t.grad])
-    for got, want in zip(*results):
-        assert np.max(np.abs(got - want)) <= 1e-12
+        results.append([out.data] + [t.grad for t in (x, *w)])
+    for fused, reference in zip(results[0], results[2]):
+        assert np.max(np.abs(fused - reference)) <= 1e-12
+    for node, reference in zip(results[1], results[2]):
+        assert np.max(np.abs(node - reference)) <= 1e-12
 
 
 def test_fused_attention_softmax_is_a_plain_max_shift(monkeypatch):
-    """Scores of magnitude 1e6 give each head finite output rows within the
-    range of its sequence's v rows, with no RuntimeWarning (pytest makes
-    those errors), and the -inf handling of _stable_lse is never called."""
+    """Scores of magnitude 1e6 give the fused layer finite output rows and
+    gradients with no RuntimeWarning (pytest makes those errors), and the
+    -inf handling of _stable_lse is never called; the reference attention
+    node's rows lie within the range of their sequence's v rows."""
     def refuse(*args):
         raise AssertionError("attention called _stable_lse")
 
     monkeypatch.setattr(ad, "_stable_lse", refuse)
-    qkv = Tensor(np.random.default_rng(40).normal(size=(5, 12)) * 1e3, requires_grad=True)
-    out = ad.attention(qkv, [5], 2)
+    rng = np.random.default_rng(40)
+    qkv = Tensor(rng.normal(size=(5, 12)) * 1e3, requires_grad=True)
+    out = oracles.attention(qkv, [5], 2)
     ad.backward(ad.inner(out, np.ones((5, 4))))
     assert np.all(np.isfinite(qkv.grad))
     _assert_within_the_v_rows(out.data, qkv.data, [5])
+    x, *weights = (Tensor(a, requires_grad=True) for a in _layer_arrays(rng, n=5))
+    x.data *= 1e3
+    weights[0].data *= 1e3
+    out = ad.transformer_layer(x, [5], weights, 2)
+    ad.backward(ad.inner(out, np.ones((5, 4))))
+    assert np.all(np.isfinite(out.data))
+    assert all(np.all(np.isfinite(t.grad)) for t in (x, *weights))
 
 
 def test_fused_attention_rejects_bad_shapes_and_lengths():
-    x = Tensor(np.zeros((4, 18)))
+    """transformer_layer: ShapeError for rows that are not (N, d), a weight
+    of another shape, a width that does not split into the heads or a
+    dropout mask that is not (N, d); UsageError for lengths that do not
+    split the N rows."""
+    x, *weights = (Tensor(a) for a in _layer_arrays(np.random.default_rng(41), n=4, d=6))
     with pytest.raises(ShapeError):
-        ad.attention(Tensor(np.zeros((4, 17))), [4], 2)  # 17 is no [q | k | v] width
+        ad.transformer_layer(Tensor(np.zeros(6)), [1], weights, 2)
     with pytest.raises(ShapeError):
-        ad.attention(Tensor(np.zeros(18)), [1], 2)
+        ad.transformer_layer(x, [4], weights[:-1], 2)
+    for k in range(10):
+        wrong = list(weights)
+        wrong[k] = Tensor(np.zeros(weights[k].shape[:-1] + (weights[k].shape[-1] + 1,)))
+        with pytest.raises(ShapeError):
+            ad.transformer_layer(x, [4], wrong, 2)
     with pytest.raises(ShapeError):
-        ad.attention(x, [4], 4)  # width 6 does not split into 4 heads
+        ad.transformer_layer(x, [4], weights, 4)  # width 6 does not split into 4 heads
+    with pytest.raises(ShapeError):
+        ad.transformer_layer(x, [4], weights, 0)
+    for keeps in ((np.ones((4, 5)), None), (None, np.ones((3, 6)))):
+        with pytest.raises(ShapeError):
+            ad.transformer_layer(x, [4], weights, 2, *keeps)
     for lengths in ([3], [2, 3], [4, 0], []):
         with pytest.raises(UsageError):
-            ad.attention(x, lengths, 2)
+            ad.transformer_layer(x, lengths, weights, 2)
+
+
+def test_fused_layer_is_bitwise_the_reference_composition():
+    """encoders.transformer_block, one transformer_layer node, gives bitwise
+    the output and every gradient of the reference layer composed from the
+    matmul, add, dropout, attention, gelu and layer_norm nodes, over
+    packed sequences of 3, 1, 3 and 2 rows, in inference and in seeded
+    training at dropout 0 and 0.2; in training both draw the same masks,
+    so the generators end in the same state."""
+    lengths = [3, 1, 3, 2]
+    for p, training in ((0.0, False), (0.2, False), (0.0, True), (0.2, True)):
+        cfg = tiny_cfg(num_heads=2, hidden_units=6, ff_units=5, dropout_p=p)
+        rng = np.random.default_rng(7)
+        x0 = rng.normal(size=(9, 6))
+        proj = rng.normal(size=(9, 6))
+        results = []
+        for block in (enc.transformer_block, oracles.transformer_block):
+            layer = enc.TransformerLayer.init(cfg, np.random.default_rng(8))
+            x = Tensor(x0.copy(), requires_grad=True)
+            drops = np.random.default_rng(9)
+            out = block(cfg, layer, x, training, drops, lengths)
+            ad.backward(ad.inner(out, proj))
+            results.append([out.data, x.grad] + [t.grad for t in layer.named_parameters().values()]
+                           + [drops.random(3)])
+        for fused, reference in zip(*results):
+            assert fused.tobytes() == reference.tobytes()
+    ops = [node._op for node in ad.trace(out)]
+    assert ops.count("dropout") == 2 and "transformer_layer" not in ops
 
 
 def test_transformer_encode_shapes_and_determinism():

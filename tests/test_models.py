@@ -324,17 +324,22 @@ def test_transformer_graph_has_no_attention_mask_or_batch_square(corpus, vocab, 
     nodes = ad.trace(loss)
     ops = [n._op for n in nodes]
     layers = cfg.transformer.num_layers
-    assert ops.count("attention") == layers
-    # one projection to [q | k | v], Wo and the two feed-forward ones per
-    # layer, then w_out
-    assert ops.count("matmul") == 4 * layers + 1
-    # each sublayer is one fused node, with no primitive left over from it
-    assert ops.count("layer_norm") == 2 * layers
-    assert ops.count("gelu") == layers
-    assert not {"exp", "log", "reshape", "tanh"} & set(ops)
-    n_pieces = max(n.shape[0] for n in nodes if n._op == "attention")
+    # each layer is one fused node, with no primitive left over from it:
+    # the one matmul is w_out's projection
+    assert ops.count("transformer_layer") == layers
+    assert ops.count("matmul") == 1
+    assert not {"attention", "layer_norm", "gelu", "exp", "log", "reshape", "tanh"} & set(ops)
+    n_pieces = max(n.shape[0] for n in nodes if n._op == "transformer_layer")
     assert n_pieces not in (12, 16)  # no weight matrix is (n_pieces, n_pieces)
     assert not any(n.shape == (n_pieces, n_pieces) for n in nodes)
+    # nor does any array a fused layer keeps for its backward, the
+    # attention weights of each sentence among them
+    kept = [cell.cell_contents for n in nodes if n._op == "transformer_layer"
+            for cell in n._backward.__closure__]
+    arrays = [a for c in kept for a in (c if isinstance(c, list) else [c])
+              if isinstance(a, np.ndarray)]
+    assert any(a.ndim == 3 for a in arrays)  # the per-sentence weights are there
+    assert not any(a.shape[-2:] == (n_pieces, n_pieces) for a in arrays)
 
 
 def test_batched_loss_rejects_an_empty_batch(vocab):
