@@ -266,14 +266,16 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     """Rows of a 2-D table picked by an integer id array of any shape.
 
     The result has shape ids.shape + (table columns,).  Backward adds each
-    output row into its table row, so repeated ids accumulate.
+    output row into its table row, so repeated ids accumulate.  An intp
+    array of ids is kept as given, not copied, so it must not change
+    before backward.
     """
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
         raise UsageError(f"gather_rows ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.intp)
+    ids = ids.astype(np.intp, copy=False)
     if ids.size and not (0 <= ids.min() and ids.max() < table.shape[0]):
         raise IndexError(f"gather_rows ids outside [0, {table.shape[0]})")
 
@@ -387,9 +389,9 @@ def checked_lengths(lengths, n: int) -> np.ndarray:
 def packed_steps(lengths, n: int):
     """checked_lengths, plus the sequence and the step within it of every
     row."""
-    if lengths is None and n >= 1:  # one sequence: nothing to check
-        return np.full(1, n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.arange(n)
     lengths = checked_lengths(lengths, n)
+    if lengths.size == 1:  # one sequence: row k is its step k
+        return lengths, np.zeros(n, dtype=np.intp), np.arange(n)
     seq = np.repeat(np.arange(lengths.size), lengths)
     step = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return lengths, seq, step
@@ -424,10 +426,13 @@ def lstm_scan(x: Tensor, lengths, w: Tensor, finals: bool = False) -> Tensor:
     product by w gives all of z, and the step writes its new state into
     block t + 1.  The gates are one (2, 4H, B) block of four (H, B) bands
     per direction, the cells (2, H, B) blocks.  As sigmoid(z) = (1 +
-    tanh(z/2)) / 2, one multiply per call halves the i, f and o bands of w,
-    and one tanh, then one multiply and one add by constant whole-step
-    blocks give all four gates.  A sequence that has ended runs on over
-    zero input that no output reads.
+    tanh(z/2)) / 2, a multiply by a constant whole-step block that halves
+    the i, f and o bands, one tanh, then one more multiply and one add by
+    constant whole-step blocks give all four gates.  Halving is exact in
+    binary floating point outside the subnormal range, so the scaled
+    product is bitwise the product by a halved copy of w, which no call
+    makes.  A sequence that has ended runs on over zero input that no
+    output reads.
 
     Backward runs through time by hand.  Before its loop it writes, for
     every step at once, each band's gate slope times the factor that band
@@ -450,14 +455,12 @@ def lstm_scan(x: Tensor, lengths, w: Tensor, finals: bool = False) -> Tensor:
     steps = (step, lengths[seq] - 1 - step)  # each row's step per direction
     keep = _grad_enabled
 
-    half = np.repeat([0.5, 0.5, 1.0, 0.5], H)[:, None]  # 1/2 on the sigmoid bands, 1 on g
-    w_half = w.data * half
     xh = np.zeros((L + 1, 2, D + 2 + H, B))  # per step [x_t; 1; 1; h]
     for k in range(2):
         xh[steps[k], k, :D, seq] = x.data
     xh[:, :, D:D + 2] = 1.0
-    scale = np.empty((2, 4 * H, B))
-    scale[...] = half
+    scale = np.full((2, 4 * H, B), 0.5)  # 1/2 on the sigmoid bands, 1 on g
+    scale[:, 2 * H:3 * H] = 1.0
     shift = 1.0 - scale
     zs = np.empty((L if keep else 1, 2, 4 * H, B))  # the gates of each step
     cs = np.zeros((L + 1 if keep else 2, 2, H, B))  # the cell before each step
@@ -468,7 +471,8 @@ def lstm_scan(x: Tensor, lengths, w: Tensor, finals: bool = False) -> Tensor:
             a, c, c_new, tc = zs[t], cs[t], cs[t + 1], tcs[t]
         else:
             a, c, c_new, tc = zs[0], cs[t % 2], cs[(t + 1) % 2], tcs[0]
-        np.matmul(w_half, xh[t], out=a)
+        np.matmul(w.data, xh[t], out=a)
+        a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift

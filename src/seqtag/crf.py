@@ -89,7 +89,7 @@ def _gold(crf: CRFParams, emissions: Tensor, labels, mask, lengths):
     if labels.min() < 0 or labels.max() >= T:
         raise UsageError(f"labels {labels.tolist()} outside [0, {T})")
     _check_mask(T, mask)
-    lengths = ad.packed_steps(lengths, n)[0]
+    lengths = ad.checked_lengths(lengths, n)
     pick = np.zeros((n, T))
     pick[np.arange(n), labels] = 1.0
     # every transition taken: into each label from its predecessor, or from

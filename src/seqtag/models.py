@@ -198,7 +198,7 @@ class SequenceTagger:
         words = [nfc_word(w, "word") for w in words]
         if morphs:
             morphs = [m and nfc_word(m, "morphological analysis") for m in morphs]
-        lengths = ad.packed_steps(lengths, len(words))[0].tolist()
+        lengths = ad.checked_lengths(lengths, len(words)).tolist()
         if training and rng is None:
             raise UsageError("training mode requires an rng for dropout")
         if self.kind.startswith("bilstm"):
@@ -344,7 +344,11 @@ def _table_entries(model: SequenceTagger) -> dict:
 
 
 def save_model(model: SequenceTagger, path) -> None:
-    """Write the model to a zip artifact at path."""
+    """Write the model to a zip artifact at path: manifest.json, then
+    tokenizer.tsv if the model has a tokenizer, both deflated, then
+    tensors.npz, stored uncompressed: deflate shrinks float tensors by a
+    few percent, and inflating them would be about half of a load.
+    load_model reads either method for each member."""
     named = model.named_parameters()
     manifest = {
         "format_version": ARTIFACT_VERSION,
@@ -369,7 +373,8 @@ def save_model(model: SequenceTagger, path) -> None:
             # a fixed date, as np.savez gives its members: equal models, equal bytes
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
             info.external_attr = 0o600 << 16  # rw-------, as writestr gives a bare name
-            zf.writestr(info, content, zipfile.ZIP_DEFLATED)
+            zf.writestr(info, content, zipfile.ZIP_STORED if name == "tensors.npz"
+                        else zipfile.ZIP_DEFLATED)
 
 
 def _upgrade_tensors(arrays: dict, version: int, num_heads: int) -> dict:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,9 +295,11 @@ def test_packed_steps_gives_each_row_its_sequence_and_step():
     assert lengths.tolist() == [2, 3, 1]
     assert seq.tolist() == [0, 0, 1, 1, 1, 2]
     assert step.tolist() == [0, 1, 0, 1, 2, 0]
-    # no lengths: one sequence of all the rows
-    lengths, seq, step = ad.packed_steps(None, 4)
-    assert (lengths.tolist(), seq.tolist(), step.tolist()) == ([4], [0] * 4, [0, 1, 2, 3])
+    # no lengths, or one: one sequence of all the rows
+    for lengths in (None, [4], np.array([4], dtype=np.uint8)):
+        lengths, seq, step = ad.packed_steps(lengths, 4)
+        assert (lengths.tolist(), seq.tolist(), step.tolist()) == ([4], [0] * 4, [0, 1, 2, 3])
+        assert lengths.dtype == seq.dtype == step.dtype == np.intp
     # numpy integers pass, as np.diff gives them
     for lengths in (np.diff([0, 2, 5]), [np.int64(2), 3], np.array([2, 3], dtype=np.uint8)):
         assert ad.packed_steps(lengths, 5)[0].tolist() == [2, 3]
@@ -376,6 +379,24 @@ def test_lstm_scan_rejects_bad_lengths_and_shapes():
     for bad in (block[0], np.concatenate([block, block[:1]]), block[:, :6]):
         with pytest.raises(ShapeError):
             ad.lstm_scan(x, [5], Tensor(bad))
+
+
+def test_an_inference_lstm_scan_allocates_per_step_not_per_parameter():
+    """At TrainConfig()'s sentence encoder, H = 256 over 300 word and
+    2 x 100 char features, the (2, 1024, 758) block holds 12.4 MB; a
+    no-grad scan of one 6-word sentence needs its per-step buffers only,
+    and no copy of the block."""
+    w = Tensor(np.random.default_rng(17).standard_normal((2, 1024, 758)) * 0.05)
+    x = Tensor(np.random.default_rng(18).standard_normal((6, 500)))
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            out = ad.lstm_scan(x, [6], w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (6, 512)
+    assert peak < w.data.nbytes // 10, f"lstm_scan allocated {peak} bytes at its peak"
 
 
 @pytest.mark.parametrize("width", [3, 5, 6, 8])

@@ -595,6 +595,42 @@ def test_saving_one_model_twice_gives_the_same_bytes(tmp_path, vocab, tokenizer,
     assert (tmp_path / "first.zip").read_bytes() == (tmp_path / "second.zip").read_bytes()
 
 
+def test_save_model_stores_the_tensors_and_deflates_the_other_members(tmp_path, vocab,
+                                                                       tokenizer):
+    model = build_model(tiny_cfg("transformer-crf"), vocab,
+                        np.random.default_rng(0), tokenizer)
+    save_model(model, tmp_path / "model.zip")
+    with zipfile.ZipFile(tmp_path / "model.zip") as zf:
+        methods = {info.filename: info.compress_type for info in zf.infolist()}
+    assert methods == {"manifest.json": zipfile.ZIP_DEFLATED,
+                       "tokenizer.tsv": zipfile.ZIP_DEFLATED,
+                       "tensors.npz": zipfile.ZIP_STORED}
+
+
+@pytest.mark.parametrize("kind", ["bilstm-crf", "transformer-crf"])
+def test_an_artifact_with_deflated_tensors_loads_as_saved(tmp_path, corpus, vocab,
+                                                          tokenizer, kind):
+    """Artifacts saved before tensors.npz was stored uncompressed deflate
+    every member; re-zipped so, an artifact loads every tensor bitwise and
+    tags as the one save_model wrote."""
+    cfg = tiny_cfg(kind, composer=ComposerConfig(word_dim=16, char_dim=8, char_hidden=6,
+                                                 use_subword=True, subword_dim=8,
+                                                 subword_hidden=4))
+    model = build_model(cfg, vocab, np.random.default_rng(5), tokenizer)
+    save_model(model, tmp_path / "stored.zip")
+    with zipfile.ZipFile(tmp_path / "stored.zip") as src, \
+            zipfile.ZipFile(tmp_path / "deflated.zip", "w", zipfile.ZIP_DEFLATED) as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, src.read(info))
+    with zipfile.ZipFile(tmp_path / "deflated.zip") as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    stored, deflated = (load_model(tmp_path / name) for name in ("stored.zip", "deflated.zip"))
+    assert deflated.tokenizer.pieces == tokenizer.pieces
+    for name, t in stored.named_parameters().items():
+        assert np.array_equal(deflated.named_parameters()[name].data, t.data), name
+    assert_same_predictions(stored, deflated, corpus[:8])
+
+
 def test_loading_garbage_raises_artifact_error(tmp_path):
     path = tmp_path / "bad.zip"
     path.write_bytes(b"this is not a zip archive")
