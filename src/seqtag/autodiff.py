@@ -26,9 +26,13 @@ layer, attention within each sequence, the feed-forward block, both layer
 norms and two constant dropout masks, as one node whose backward is
 written by hand and adds bitwise what a graph of primitive nodes would.
 
-There is no element-wise product of two graph tensors and no broadcast or
-scale op: a bias row goes to every row of a matrix through add, and inner
-reduces tensors to one scalar, the sum of their weighted sums.
+The engine has nine op kinds: matmul, add, inner, concat, gather_rows,
+dropout, lstm_scan, crf_forward and transformer_layer.  There is no
+element-wise product of two graph tensors and no broadcast or scale op: a
+bias row goes to every row of a matrix through add, and inner reduces
+tensors to one scalar, the sum of their weighted sums.  Nor is there an op
+that picks or stacks rows: a tagger's emission matrix reaches the CRF
+whole.
 
 All arithmetic is 64-bit.  Gradients accumulate additively; callers zero them
 between optimization steps.
@@ -286,29 +290,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _result(table.data[ids], (table,), "gather_rows", _bw)
 
 
-def _is_basic_index(index) -> bool:
-    parts = index if isinstance(index, tuple) else (index,)
-    return all(p is Ellipsis or isinstance(p, slice)
-               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
-               for p in parts)
-
-
-def take(x: Tensor, index) -> Tensor:
-    """x.data[index] for a basic index: integers, slices and Ellipsis.
-
-    Basic indexing never selects an element twice, so backward adds the
-    adjoint into the selected view.
-    """
-    if not _is_basic_index(index):
-        raise UsageError(f"take needs integers, slices or Ellipsis, got {index!r}")
-
-    def _bw(g):
-        if x.requires_grad:
-            x.grad[index] += g
-
-    return _result(x.data[index].copy(), (x,), "take", _bw)
-
-
 def dropout_mask(shape, p: float, training: bool, rng: np.random.Generator):
     """The constant keep mask of inverted dropout: 1/(1-p) where
     rng.random(shape) >= p and 0 elsewhere, so inference needs no
@@ -333,25 +314,15 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     return _result(x.data * keep, (x,), "dropout", _bw)
 
 
-# ---------------------------------------------------------------------------
-# structural operations used by the encoders and the CRF
-
-
-def stack(rows: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    if not rows:
-        raise UsageError("stack of zero tensors")
-    for r in rows:
-        if r.data.ndim != 1 or r.shape != rows[0].shape:
-            raise ShapeError(f"stack needs 1-D rows of equal length, got "
-                             f"{rows[0].shape} and {r.shape}")
-
-    def _bw(g):
-        for r, g_row in zip(rows, g):
-            if r.requires_grad:
-                r.grad += g_row
-
-    return _result(np.stack([r.data for r in rows]), rows, "stack", _bw)
+def stack(emissions: Tensor) -> Tensor:
+    """The (n, T) emission matrix itself: not an op, and no node.  It exists
+    so that perfbench/worker.py's ad.stack of what emission_rows returns
+    reads the matrix, and it goes once the benchmark reads the matrix
+    directly (ROADMAP item 1(a)).  ShapeError on anything but a 2-D
+    tensor."""
+    if not isinstance(emissions, Tensor) or emissions.data.ndim != 2:
+        raise ShapeError(f"stack takes one (n, T) emission matrix, got {emissions!r}")
+    return emissions
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,9 @@ class SequenceTagger:
 
     def emission_rows(self, words: list[str], morphs=None, training: bool = False,
                       rng: np.random.Generator | None = None, lengths=None):
-        """Per-word tag score rows plus the indices of the words they cover,
-        which are all of them.
+        """The (n, T) tag scores of the n words, one row per word, as one
+        tensor, plus the indices of the words they cover, which are all of
+        them.
 
         words holds one sentence, or several back to back, with lengths
         giving each one's word count; morphs, if given, runs parallel to
@@ -205,8 +206,7 @@ class SequenceTagger:
             features = self._bilstm_features(words, morphs, lengths, training, rng)
         else:
             features = self._transformer_features(words, lengths, training, rng)
-        emissions = self._project(features)
-        return [ad.take(emissions, i) for i in range(len(words))], list(range(len(words)))
+        return self._project(features), list(range(len(words)))
 
     # ------------------------------------------------------------------
     # loss and decoding
@@ -216,7 +216,7 @@ class SequenceTagger:
         """Summed negative log-likelihood of the sentences' gold labelings.
 
         The whole mini-batch is one graph: one encoder pass over all its
-        sentences, then one crf_nll over all of their emission rows.  A CRF
+        sentences, then one crf_nll over their emission matrix.  A CRF
         kind reads each sentence's words as one packed sequence; a linear
         kind reads each word as a one-row sequence over the zero
         transitions, unmasked, which is the summed softmax cross-entropy.
@@ -227,8 +227,7 @@ class SequenceTagger:
         morphs = [m for s in sentences for m in s.morphs]
         labels = [self.tags.id_of(t) for s in sentences for t in s.tags]
         sizes = [len(s) for s in sentences]
-        rows, _ = self.emission_rows(words, morphs, training, rng, sizes)
-        emissions = ad.stack(rows)
+        emissions, _ = self.emission_rows(words, morphs, training, rng, sizes)
         if self.crf is None:
             return crf_nll(self._zero_crf, emissions, labels, None, [1] * len(labels))
         return crf_nll(self.crf, emissions, labels, self._mask(), sizes)
@@ -237,16 +236,16 @@ class SequenceTagger:
         """Tag strings for one sentence, or with lengths for several back
         to back (lengths[b] words each, as for emission_rows), in word order.
 
-        All sentences are encoded in one no-grad emission_rows pass and
-        decoded in one packed viterbi_decode call.  The decode treats each
-        sentence as a call on it alone would; a BiLSTM kind's emission rows
-        may differ from that call's in the last bits.
+        All sentences are encoded in one no-grad emission_rows pass, and
+        its emission matrix goes whole to one packed viterbi_decode call.
+        The decode treats each sentence as a call on it alone would; a
+        BiLSTM kind's emission rows may differ from that call's in the last
+        bits.
         """
         if not words:
             return []
         with ad.no_grad():
-            rows, _ = self.emission_rows(words, morphs, training=False, lengths=lengths)
-            emissions = ad.stack(rows)
+            emissions, _ = self.emission_rows(words, morphs, training=False, lengths=lengths)
         ids = viterbi_decode(self.crf or self._zero_crf, emissions, self._mask(), lengths)
         return [self.tags.tag_of(i) for i in ids]
 

@@ -7,12 +7,12 @@ reference and the row softmax compose primitive autodiff ops, never the
 fused lstm_scan and transformer_layer they check.  The primitives only
 these references need (the element-wise product, a constant multiple and
 the difference built on it, broadcast, sigmoid, tanh, exp, reshape,
-transpose, log_sum_exp and the matrix-vector product) are defined here, as
-nodes of the library's graph, and so are the gelu, layer_norm and
-attention nodes a transformer layer was built from before it became one
-fused node, with the layer composed from them.  The optimizer references
-step one parameter tensor at a time, where the library makes whole-array
-calls on one flat buffer.
+transpose, log_sum_exp, the matrix-vector product, take of a basic index
+and stack of rows) are defined here, as nodes of the library's graph, and
+so are the gelu, layer_norm and attention nodes a transformer layer was
+built from before it became one fused node, with the layer composed from
+them.  The optimizer references step one parameter tensor at a time, where
+the library makes whole-array calls on one flat buffer.
 """
 
 import itertools
@@ -23,7 +23,7 @@ import numpy as np
 
 import seqtag.autodiff as ad
 from seqtag.autodiff import Tensor
-from seqtag.errors import AlignmentError, ShapeError
+from seqtag.errors import AlignmentError, ShapeError, UsageError
 from seqtag.subword import MARKER
 
 
@@ -509,6 +509,46 @@ def softmax_nll(emissions: Tensor, labels) -> Tensor:
     return sub(ad.inner(log_sum_exp(emissions, axis=1), np.ones(n)), ad.inner(emissions, pick))
 
 
+def _is_basic_index(index) -> bool:
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
+def take(x: Tensor, index) -> Tensor:
+    """x.data[index] for a basic index: integers, slices and Ellipsis.
+
+    Basic indexing never selects an element twice, so backward adds the
+    adjoint into the selected view.
+    """
+    if not _is_basic_index(index):
+        raise UsageError(f"take needs integers, slices or Ellipsis, got {index!r}")
+
+    def _bw(g):
+        if x.requires_grad:
+            x.grad[index] += g
+
+    return ad._result(x.data[index].copy(), (x,), "take", _bw)
+
+
+def stack(rows: list[Tensor]) -> Tensor:
+    """Stack 1-D tensors of equal length into a matrix, one per row."""
+    if not rows:
+        raise UsageError("stack of zero tensors")
+    for r in rows:
+        if r.data.ndim != 1 or r.shape != rows[0].shape:
+            raise ShapeError(f"stack needs 1-D rows of equal length, got "
+                             f"{rows[0].shape} and {r.shape}")
+
+    def _bw(g):
+        for r, g_row in zip(rows, g):
+            if r.requires_grad:
+                r.grad += g_row
+
+    return ad._result(np.stack([r.data for r in rows]), rows, "stack", _bw)
+
+
 def matvec(a: Tensor, v: Tensor) -> Tensor:
     """Matrix a times vector v, through the engine's matrix product with v
     as a one-column matrix."""
@@ -536,9 +576,9 @@ def direction(w, k):
     block [W_x | b_x | b_h | W_h], as a Cell.  Each part is sliced out of
     the block through take, so gradients reach the block."""
     D = w.shape[2] - 2 - w.shape[1] // 4
-    return Cell(ad.take(w, (k, slice(None), slice(None, D))),
-                ad.take(w, (k, slice(None), slice(D + 2, None))),
-                ad.take(w, (k, slice(None), D)), ad.take(w, (k, slice(None), D + 1)))
+    return Cell(take(w, (k, slice(None), slice(None, D))),
+                take(w, (k, slice(None), slice(D + 2, None))),
+                take(w, (k, slice(None), D)), take(w, (k, slice(None), D + 1)))
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
@@ -556,8 +596,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
     def gate(k):
         band = slice(k * H, (k + 1) * H)
-        return (matvec(ad.take(p.W_x, band), x_t) + ad.take(p.b_x, band)
-                + matvec(ad.take(p.W_h, band), h_prev) + ad.take(p.b_h, band))
+        return (matvec(take(p.W_x, band), x_t) + take(p.b_x, band)
+                + matvec(take(p.W_h, band), h_prev) + take(p.b_h, band))
 
     i = sigmoid(gate(0))
     f = sigmoid(gate(1))

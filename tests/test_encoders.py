@@ -223,7 +223,7 @@ def test_bilstm_encode_of_a_batch_equals_each_sequence_alone():
 
     def one_by_one():
         starts = np.cumsum([0] + lengths)
-        return ad.concat([bi.encode(ad.take(x, slice(a, b)))
+        return ad.concat([bi.encode(oracles.take(x, slice(a, b)))
                           for a, b in zip(starts, starts[1:])], axis=0)
 
     batched = _outputs_and_grads(bi, [x], lambda: bi.encode(x, lengths), proj)
@@ -314,10 +314,10 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
     def oracle_compose():
         out = []
         for word in words:
-            hs_f, hs_b = _oracle_bilstm(bi, [ad.take(table.matrix, table.id_of(c))
+            hs_f, hs_b = _oracle_bilstm(bi, [oracles.take(table.matrix, table.id_of(c))
                                              for c in word])
             out.append(ad.concat([hs_f[-1], hs_b[-1]]))
-        return ad.stack(out)
+        return oracles.stack(out)
 
     proj = rng.normal(size=(3, 8))
     fused = _outputs_and_grads(bi, [table.matrix], lambda: enc._compose(table, bi, words),
@@ -330,8 +330,8 @@ def test_fused_bilstm_matches_the_lstm_step_oracle():
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 
     def oracle_encode():
-        hs_f, hs_b = _oracle_bilstm(bi, [ad.take(x, t) for t in range(5)])
-        return ad.stack([ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
+        hs_f, hs_b = _oracle_bilstm(bi, [oracles.take(x, t) for t in range(5)])
+        return oracles.stack([ad.concat([f, b]) for f, b in zip(hs_f, hs_b[::-1])])
 
     proj = rng.normal(size=(5, 8))
     fused = _outputs_and_grads(bi, [x], lambda: bi.encode(x), proj)
@@ -363,10 +363,10 @@ def test_lstm_scan_with_saturated_gates_matches_the_lstm_step_oracle(reach, fina
     def oracle():
         out = []
         for a, b in ((0, 4), (4, 6)):
-            hs_f, hs_b = _oracle_bilstm(bi, [ad.take(x, r) for r in range(a, b)])
+            hs_f, hs_b = _oracle_bilstm(bi, [oracles.take(x, r) for r in range(a, b)])
             out += ([ad.concat([hs_f[-1], hs_b[-1]])] if finals else
                     [ad.concat(list(pair)) for pair in zip(hs_f, hs_b[::-1])])
-        return ad.stack(out)
+        return oracles.stack(out)
 
     fused = _outputs_and_grads(
         bi, [x], lambda: ad.lstm_scan(x, lengths, bi.W, finals),
@@ -694,7 +694,7 @@ def _attention_oracle(qkv, lengths, num_heads):
     for a, b in zip(starts[:-1], starts[1:]):
         heads = []
         for h in range(num_heads):
-            q, k, v = (ad.take(qkv, (slice(a, b), slice(j * d + h * dk, j * d + (h + 1) * dk)))
+            q, k, v = (oracles.take(qkv, (slice(a, b), slice(j * d + h * dk, j * d + (h + 1) * dk)))
                        for j in range(3))
             scores = scale(q @ transpose(k), 1.0 / math.sqrt(dk))
             heads.append(softmax_rows(scores) @ v)
@@ -835,10 +835,10 @@ def test_transformer_encode_rejects_over_long_and_the_tagger_windows_them(caplog
                         UnigramVocab({"a": 0.0}))
     words = ["aaaaa", "a", "a", "aaaa", "aaaa"]  # 5, 2 and 8 pieces
     with caplog.at_level("DEBUG"):
-        rows, covered = model.emission_rows(words, lengths=[1, 2, 2])
+        emissions, covered = model.emission_rows(words, lengths=[1, 2, 2])
     assert caplog.records == []
     assert covered == [0, 1, 2, 3, 4]  # word 3 spans two windows
-    assert len(rows) == 5
+    assert emissions.shape[0] == 5
 
 
 def test_transformer_encode_packs_sequences_apart():

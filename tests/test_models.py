@@ -11,19 +11,21 @@ import zipfile
 import numpy as np
 import pytest
 
+import seqtag
 from seqtag import autodiff as ad
 from seqtag import models
 from seqtag.cli import main
 from seqtag.data import (LabeledSentence, Token, build_vocab, serialize_conll,
                          split_corpus, validate_bio2)
 from seqtag.encoders import ComposerConfig, ToyTransformerConfig, transformer_encode
-from seqtag.errors import ArtifactError, ConfigError, UsageError, ValidationError
+from seqtag.errors import ArtifactError, ConfigError, ShapeError, UsageError, ValidationError
 from seqtag.models import (ARTIFACT_VERSION, MODEL_KINDS, SequenceTagger, TrainConfig,
                            build_model, load_model, save_model, tag_corpus)
 from seqtag.subword import segment, train_unigram, vocab_to_text
 from seqtag.synth import generate_corpus
 from seqtag.training import train
 
+from ab import CONFIGS, train_config
 from oracles import align_labels, reference_tags, softmax_nll
 
 
@@ -196,8 +198,9 @@ def test_transformer_tag_graph_grows_by_its_rows_not_its_pieces(vocab, tokenizer
     piece_counts, extra = [], set()
     for words in sentences:
         piece_counts.append(sum(len(segment(tokenizer, w)) for w in words))
-        rows, _ = model.emission_rows(words)
-        extra.add(len(ad.trace(ad.stack(rows))) - len(rows))
+        emissions, _ = model.emission_rows(words)
+        assert emissions.shape == (len(words), len(model.tags))
+        extra.add(len(ad.trace(emissions)))
     assert len(set(piece_counts)) == len(sentences)
     assert len(extra) == 1
 
@@ -278,8 +281,8 @@ def test_linear_loss_is_bitwise_the_softmax_cross_entropy(corpus, vocab, tokeniz
     sizes = [len(s) for s in batch]
 
     def reference():
-        rows, _ = model.emission_rows(words, morphs, lengths=sizes)
-        return softmax_nll(ad.stack(rows), gold)
+        emissions, _ = model.emission_rows(words, morphs, lengths=sizes)
+        return softmax_nll(emissions, gold)
 
     assert any(t.startswith("I-") for s in batch for t in s.tags)
     assert _piece_count(tokenizer, batch[-1]) > 10
@@ -438,8 +441,8 @@ def test_unmasked_linear_predict_is_the_per_word_argmax(corpus, vocab, tokenizer
     assert model.crf is None
     assert all(not name.startswith("crf") for name in model.named_parameters())
     for sentence in corpus:
-        rows, _ = model.emission_rows(sentence.surfaces, sentence.morphs)
-        want = [model.tags.tag_of(int(np.argmax(row.data))) for row in rows]
+        emissions, _ = model.emission_rows(sentence.surfaces, sentence.morphs)
+        want = [model.tags.tag_of(int(np.argmax(row))) for row in emissions.data]
         assert model.predict(sentence.surfaces, sentence.morphs) == want
 
 
@@ -465,10 +468,10 @@ def test_transformer_rows_are_the_first_pieces_the_oracle_aligns(corpus, vocab, 
                 transformer_encode(cfg, model.transformer, ids[k:k + cfg.max_len]).data
                 for k in range(0, len(ids), cfg.max_len)])
             projected = model._project(ad.Tensor(hidden)).data
-            rows, covered = model.emission_rows(sentence.surfaces)
+            emissions, covered = model.emission_rows(sentence.surfaces)
             assert covered == list(range(len(sentence)))
-            for w, row in enumerate(rows):
-                assert np.max(np.abs(row.data - projected[initial[w]])) <= 1e-12
+            for w, row in enumerate(emissions.data):
+                assert np.max(np.abs(row - projected[initial[w]])) <= 1e-12
 
     whole = [s for s in corpus if len(first_pieces(s)[0]) <= cfg.max_len]
     assert len(whole) > 30
@@ -494,14 +497,75 @@ def test_windowed_predict_equals_the_reference_tags(corpus, vocab, tokenizer):
         assert model.predict(sentence.surfaces) == reference_tags(model, sentence)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_stack_of_the_emission_matrix_is_the_matrix_itself(corpus, vocab, tokenizer, kind):
+    """perfbench/worker.py calls ad.stack on what emission_rows returns,
+    with and without a graph; stack hands the (n, T) matrix back as it is
+    and refuses a row list or a single row."""
+    model = build_model(tiny_cfg(kind), vocab, np.random.default_rng(0), tokenizer)
+    words = corpus[0].surfaces
+    emissions, covered = model.emission_rows(words)
+    assert emissions.shape == (len(words), len(model.tags)) and emissions.requires_grad
+    assert covered == list(range(len(words)))
+    assert ad.stack(emissions) is emissions
+    with ad.no_grad():
+        emissions, _ = model.emission_rows(words)
+    assert ad.stack(emissions) is emissions
+    with pytest.raises(ShapeError):
+        ad.stack([emissions])
+    with pytest.raises(ShapeError):
+        ad.stack(ad.Tensor(emissions.data[0]))
+
+
+@pytest.fixture(scope="module")
+def real_batch_graphs():
+    """{(workload, B): (nodes by op kind, sentences)} over the training
+    losses of a benchmark workload's model on generate_corpus(400, seed=0)
+    in mini-batches of B sentences."""
+    corpus = generate_corpus(400, seed=0)
+    out = {}
+    for name in CONFIGS:
+        cfg = train_config(seqtag, name)
+        tokenizer = None
+        if cfg.model_kind.startswith("transformer"):
+            tokenizer = train_unigram([" ".join(s.surfaces) for s in corpus],
+                                      cfg.subword_vocab_size, seed=cfg.seed)
+        model = build_model(cfg, build_vocab(corpus), np.random.default_rng(cfg.seed),
+                            tokenizer)
+        rng = np.random.default_rng(0)
+        for B in (4, 8):
+            ops = {}
+            for lo in range(0, len(corpus), B):
+                loss = model.loss(*corpus[lo:lo + B], training=True, rng=rng)
+                for node in ad.trace(loss):
+                    ops[node._op] = ops.get(node._op, 0) + 1
+            out[name, B] = ops, len(corpus)
+    return out
+
+
+@pytest.mark.parametrize("B", [4, 8])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_a_real_training_batch_holds_no_take_or_stack_node(real_batch_graphs, name, B):
+    ops, _ = real_batch_graphs[name, B]
+    assert "take" not in ops and "stack" not in ops
+    assert ops["crf_forward"] == 400 // B
+
+
+@pytest.mark.parametrize("name,most", [("bilstm-char-crf", 4.0), ("transformer-crf", 4.5)])
+def test_a_real_training_batch_is_a_few_nodes_per_sentence(real_batch_graphs, name, most):
+    """At the workload's own batch size every node, leaves included, is
+    shared by the batch's sentences: no node is built per word."""
+    ops, sentences = real_batch_graphs[name, train_config(seqtag, name).batch_size]
+    assert sum(ops.values()) / sentences <= most
+
+
 def test_predict_path_records_no_graph(corpus, vocab):
     model = build_model(tiny_cfg("bilstm-crf"), vocab, np.random.default_rng(0))
     sentence = corpus[0]
     with ad.no_grad():
-        rows, covered = model.emission_rows(sentence.surfaces, sentence.morphs)
-    assert len(rows) == len(covered) == len(sentence)
-    assert all(r._parents == () and r._backward is None and r.grad is None
-               for r in rows)
+        emissions, covered = model.emission_rows(sentence.surfaces, sentence.morphs)
+    assert emissions.shape[0] == len(covered) == len(sentence)
+    assert emissions._parents == () and emissions._backward is None and emissions.grad is None
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
